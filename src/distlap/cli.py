@@ -15,8 +15,9 @@ from importlib import resources
 from pathlib import Path
 
 from distlap import graphs
-from distlap.eigen import DEFAULT_INT_TOL, DEFAULT_TOL
+from distlap.eigen import DEFAULT_INT_TOL
 from distlap.verify import (
+    GraphSummary,
     analyze,
     audit_extremal,
     records_to_csv,
@@ -76,7 +77,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigensolver tolerance")
     p.add_argument("--int-tol", type=float, default=DEFAULT_INT_TOL,
                    help="interval/cluster snap tolerance")
     p.add_argument("--coloring", choices=("default", "max-l1"), default="default")
@@ -125,7 +125,7 @@ def _analysis_record(a) -> dict:
 def cmd_analyze(args) -> int:
     g = _resolve_graph(args)
     try:
-        a = analyze(g, tol=args.tol, int_tol=args.int_tol, coloring_mode=args.coloring)
+        a = analyze(g, int_tol=args.int_tol, coloring_mode=args.coloring)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rec = _analysis_record(a)
@@ -163,7 +163,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     g = _resolve_graph(args)
     try:
-        a = analyze(g, tol=args.tol, int_tol=args.int_tol, coloring_mode=args.coloring)
+        a = analyze(g, int_tol=args.int_tol, coloring_mode=args.coloring)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = run_checks(a)
@@ -186,29 +186,36 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_worker(task) -> list[dict]:
-    g6, tol, int_tol, coloring_mode = task
-    g = graphs.parse_graph6(g6)
-    report = run_checks(analyze(g, tol=tol, int_tol=int_tol, coloring_mode=coloring_mode))
-    return report_records(report)
+def _corpus_worker(task) -> tuple[list[dict], GraphSummary]:
+    g, int_tol, coloring_mode = task
+    a = analyze(g, int_tol=int_tol, coloring_mode=coloring_mode)
+    return report_records(run_checks(a)), a.summary
+
+
+def _sweep(tasks: list, jobs: int):
+    """Yield _corpus_worker's result for every task, in task order."""
+    if jobs == 1:
+        yield from map(_corpus_worker, tasks)
+        return
+    # spawn, not fork: the parent may already hold BLAS threads
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        yield from pool.imap(_corpus_worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs)))
 
 
 def cmd_corpus(args) -> int:
     try:
-        corpus = [graphs.to_graph6(g) for g in graphs.enumerate_connected(args.n, args.corpus_dir)]
+        corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, FileNotFoundError) as exc:
         raise InputError(str(exc)) from exc
-    tasks = [(g6, args.tol, args.int_tol, args.coloring) for g6 in corpus]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            per_graph = pool.map(_corpus_worker, tasks)
-    else:
-        per_graph = [_corpus_worker(t) for t in tasks]
+    tasks = [(g, args.int_tol, args.coloring) for g in corpus]
 
     tallies: dict[str, dict[str, int]] = {}
     n_fail = 0
     records = []
-    for recs in per_graph:
+    summaries = []
+    for recs, summary in _sweep(tasks, args.jobs):
+        if args.audit_extremal:
+            summaries.append(summary)
         for rec in recs:
             records.append(rec)
             t = tallies.setdefault(rec["check_id"], {"pass": 0, "fail": 0, "not-applicable": 0})
@@ -218,10 +225,8 @@ def cmd_corpus(args) -> int:
 
     audits = []
     if args.audit_extremal:
-        analyses = [analyze(graphs.parse_graph6(g6), tol=args.tol, int_tol=args.int_tol)
-                    for g6 in corpus]
         for chi in range(2, args.n):
-            audits.append(audit_extremal(args.n, chi, analyses=analyses, int_tol=args.int_tol))
+            audits.append(audit_extremal(args.n, chi, analyses=summaries, int_tol=args.int_tol))
 
     if args.format == "json":
         _emit(records_to_jsonl(records), args.out)
@@ -288,9 +293,8 @@ def expected_table_rows() -> dict[str, dict]:
     return rows
 
 
-def computed_table_row(spec: str, tol: float = DEFAULT_TOL,
-                       int_tol: float = DEFAULT_INT_TOL) -> dict:
-    a = analyze(_parse_gen_spec(spec), tol=tol, int_tol=int_tol)
+def computed_table_row(spec: str, int_tol: float = DEFAULT_INT_TOL) -> dict:
+    a = analyze(_parse_gen_spec(spec), int_tol=int_tol)
     return {
         "n": a.n,
         "chi": a.chi,
@@ -329,7 +333,7 @@ def cmd_tables(args) -> int:
         for tbl, label, spec in TABLE_GRAPHS:
             if tbl != table:
                 continue
-            row = computed_table_row(spec, tol=args.tol, int_tol=args.int_tol)
+            row = computed_table_row(spec, int_tol=args.int_tol)
             bad = compare_table_row(row, expected[label])
             mismatches += len(bad)
             eigs = ", ".join(_fmt3(v) for v in row["eigs"])
@@ -385,8 +389,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    if args.tol <= 0 or args.int_tol <= 0:
-        parser.error("tolerances must be positive")
+    if args.int_tol <= 0:
+        parser.error("--int-tol must be positive")
     try:
         return args.fn(args)
     except InputError as exc:

@@ -1,8 +1,7 @@
-"""Symmetric eigensolver (cyclic Jacobi), spectra, multiplicity clusters, interval counts."""
+"""Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, interval counts."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -11,9 +10,7 @@ import numpy as np
 from distlap.graphs import Graph, validate_part_sizes
 from distlap.metric import apsp, distance_laplacian
 
-DEFAULT_TOL = 1e-9      # solver convergence, relative to the Frobenius norm
 DEFAULT_INT_TOL = 1e-6  # snap tolerance for interval counts and clustering
-MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -28,66 +25,18 @@ class Spectrum:
         return int(self.values.shape[0])
 
 
-def eig_symmetric(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def eig_symmetric(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted nonincreasing.
 
-    Cyclic Jacobi rotations, swept until the off-diagonal Frobenius norm drops
-    below tol * ||M||_F (at most MAX_SWEEPS sweeps). The input must be exactly
-    symmetric, which integer-sourced matrices always are.
+    LAPACK's symmetric solver via numpy.linalg.eigvalsh. The input must be
+    exactly symmetric, which integer-sourced matrices always are.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n)
-    stop = tol * fro
-
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries: the subtraction form
-        # sqrt(||A||^2 - ||diag||^2) cancels catastrophically near convergence
-        return float(np.sqrt(np.sum(a[off_mask] ** 2)))
-
-    for _ in range(MAX_SWEEPS):
-        if off_norm() <= stop:
-            break
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                akl = a[k, l]
-                if akl == 0.0:
-                    continue
-                diff = a[l, l] - a[k, k]
-                if abs(akl) < 1e-36 * abs(diff):
-                    t = akl / diff
-                else:
-                    theta = diff / (2.0 * akl)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rk = c * a[k, :] - s * a[l, :]
-                rl = s * a[k, :] + c * a[l, :]
-                a[k, :] = rk
-                a[l, :] = rl
-                ck = c * a[:, k] - s * a[:, l]
-                cl = s * a[:, k] + c * a[:, l]
-                a[:, k] = ck
-                a[:, l] = cl
-                a[k, l] = a[l, k] = 0.0
-    else:
-        raise RuntimeError(f"Jacobi iteration did not converge within {MAX_SWEEPS} sweeps")
-
-    vals = np.sort(np.diag(a))[::-1]
-    return vals.copy()
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def cluster_values(values: Sequence[float], int_tol: float = DEFAULT_INT_TOL) -> tuple[tuple[float, int], ...]:
@@ -109,9 +58,9 @@ def cluster_values(values: Sequence[float], int_tol: float = DEFAULT_INT_TOL) ->
     return tuple(clusters)
 
 
-def spectrum(g: Graph, tol: float = DEFAULT_TOL, int_tol: float = DEFAULT_INT_TOL) -> Spectrum:
+def spectrum(g: Graph, int_tol: float = DEFAULT_INT_TOL) -> Spectrum:
     """Distance Laplacian spectrum of a connected graph."""
-    vals = eig_symmetric(distance_laplacian(apsp(g)), tol=tol)
+    vals = eig_symmetric(distance_laplacian(apsp(g)))
     return Spectrum(values=vals, clusters=cluster_values(vals, int_tol))
 
 

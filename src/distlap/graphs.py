@@ -55,6 +55,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle through __init__, since __setattr__ blocks the default path
+        return (type(self), (self.n, self.adj))
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
@@ -214,12 +218,6 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"self-loop line {ln!r}")
         edges.append((u, v))
     return Graph.from_edges(n, edges)
-
-
-def to_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +467,6 @@ def canonical_form(g: Graph) -> bytes:
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(f"canonical_form is guarded to n <= {CANONICAL_MAX_VERTICES}")
     return to_graph6(relabel(g, _min_ordering(g))).encode("ascii")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of g (n <= 8 only)."""
-    if g.n > CANONICAL_MAX_VERTICES:
-        raise ValueError(f"canonical_graph is guarded to n <= {CANONICAL_MAX_VERTICES}")
-    return relabel(g, _min_ordering(g))
 
 
 # ---------------------------------------------------------------------------

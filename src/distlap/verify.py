@@ -13,14 +13,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
 from distlap.eigen import (
     DEFAULT_INT_TOL,
-    DEFAULT_TOL,
     Spectrum,
     count_in_interval,
     eig_symmetric,
@@ -28,9 +27,26 @@ from distlap.eigen import (
     mu_below,
     cluster_values,
 )
-from distlap.graphs import Graph, enumerate_connected, is_complete_multipartite, is_connected, to_graph6
+from distlap.graphs import (
+    Graph,
+    enumerate_connected,
+    is_complete_multipartite,
+    is_connected,
+    parse_graph6,
+    to_graph6,
+)
 from distlap.metric import DistanceData, apsp, distance_laplacian
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
+
+
+class GraphSummary(NamedTuple):
+    """The fields of one analysis the extremal audit reads. Corpus workers send
+    these back instead of whole GraphAnalysis records."""
+
+    graph6: str
+    n: int
+    chi: int
+    dl1: float
 
 
 @dataclass(frozen=True)
@@ -47,7 +63,6 @@ class GraphAnalysis:
     twins: tuple[TwinClass, ...]
     complement_components: int
     universal_vertices: int
-    tol: float
     int_tol: float
 
     @property
@@ -84,6 +99,10 @@ class GraphAnalysis:
         return float(self.spectrum.values[0])
 
     @property
+    def summary(self) -> GraphSummary:
+        return GraphSummary(self.graph6, self.n, self.chi, self.dl1)
+
+    @property
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
@@ -96,7 +115,7 @@ class GraphAnalysis:
         return count_in_interval(self.spectrum, self.b_chi, self.dl1, self.int_tol)
 
 
-def analyze(g: Graph, tol: float = DEFAULT_TOL, int_tol: float = DEFAULT_INT_TOL,
+def analyze(g: Graph, int_tol: float = DEFAULT_INT_TOL,
             coloring_mode: str = "default") -> GraphAnalysis:
     """Build the shared analysis record for a connected graph.
 
@@ -109,7 +128,7 @@ def analyze(g: Graph, tol: float = DEFAULT_TOL, int_tol: float = DEFAULT_INT_TOL
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
     dd = apsp(g)
     dl = distance_laplacian(dd)
-    values = eig_symmetric(dl, tol=tol)
+    values = eig_symmetric(dl)
     spec = Spectrum(values=values, clusters=cluster_values(values, int_tol))
     return GraphAnalysis(
         graph=g,
@@ -122,7 +141,6 @@ def analyze(g: Graph, tol: float = DEFAULT_TOL, int_tol: float = DEFAULT_INT_TOL
         twins=tuple(twin_classes(g, dd)),
         complement_components=complement_component_count(g),
         universal_vertices=universal_vertex_count(g),
-        tol=tol,
         int_tol=int_tol,
     )
 
@@ -354,10 +372,10 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
     return CheckReport(analysis=a, results=[fn(a) for _, fn in CHECKS])
 
 
-def run_all(g: Graph, tol: float = DEFAULT_TOL, int_tol: float = DEFAULT_INT_TOL,
+def run_all(g: Graph, int_tol: float = DEFAULT_INT_TOL,
             coloring_mode: str = "default") -> CheckReport:
     """Analyze a connected graph once and run the full checker registry."""
-    return run_checks(analyze(g, tol=tol, int_tol=int_tol, coloring_mode=coloring_mode))
+    return run_checks(analyze(g, int_tol=int_tol, coloring_mode=coloring_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +401,8 @@ class ExtremalAudit:
         return not self.failures
 
 
-def audit_extremal(n: int, chi: int, analyses: Sequence[GraphAnalysis] | None = None,
+def audit_extremal(n: int, chi: int,
+                   analyses: Iterable[GraphAnalysis | GraphSummary] | None = None,
                    corpus_dir=None, int_tol: float = DEFAULT_INT_TOL) -> ExtremalAudit:
     """Audit the minimum-dL1 theorem at fixed chi over all connected n-vertex graphs.
 
@@ -392,16 +411,29 @@ def audit_extremal(n: int, chi: int, analyses: Sequence[GraphAnalysis] | None = 
     balanced-parts clause (every part of size floor(n/chi) or ceil(n/chi)) is
     audited separately: minimizers violating it are reported as findings, never
     as failures, since the corpus itself decides whether the clause holds.
+
+    One pass over `analyses`, which may be GraphAnalysis or GraphSummary
+    records: only graph6, n, chi and dl1 are read, and only the minimizers are
+    parsed back from graph6.
     """
     if analyses is None:
-        analyses = [analyze(g) for g in enumerate_connected(n, corpus_dir)]
-    pool = [a for a in analyses if a.n == n and a.chi == chi]
-    if not pool:
+        analyses = (analyze(g) for g in enumerate_connected(n, corpus_dir))
+    considered = 0
+    observed = math.inf
+    minimizers: list = []
+    for a in analyses:
+        if a.n != n or a.chi != chi:
+            continue
+        considered += 1
+        if a.dl1 < observed:
+            observed = a.dl1
+            minimizers = [m for m in minimizers if m.dl1 <= observed + int_tol]
+        if a.dl1 <= observed + int_tol:
+            minimizers.append(a)
+    if not considered:
         raise ValueError(f"corpus has no connected graph with n={n}, chi={chi}")
 
     expected = n + math.ceil(n / chi)
-    observed = min(a.dl1 for a in pool)
-    minimizers = [a for a in pool if a.dl1 <= observed + int_tol]
 
     failures: list[str] = []
     findings: list[dict] = []
@@ -412,7 +444,7 @@ def audit_extremal(n: int, chi: int, analyses: Sequence[GraphAnalysis] | None = 
     floor_nc = n // chi
     parts_list: list[tuple[int, ...] | None] = []
     for a in minimizers:
-        parts = is_complete_multipartite(a.graph)
+        parts = is_complete_multipartite(parse_graph6(a.graph6))
         parts_list.append(parts)
         if parts is None:
             failures.append(f"minimizer {a.graph6} is not complete multipartite")
@@ -427,7 +459,7 @@ def audit_extremal(n: int, chi: int, analyses: Sequence[GraphAnalysis] | None = 
 
     return ExtremalAudit(
         n=n, chi=chi, expected_min=expected, observed_min=float(observed),
-        graphs_considered=len(pool),
+        graphs_considered=considered,
         minimizers=[a.graph6 for a in minimizers],
         minimizer_parts=parts_list,
         failures=failures, findings=findings,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from distlap import cli, verify
 from distlap.cli import main
 
 
@@ -98,9 +99,12 @@ def test_exit_status_contract(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze"])  # no input source
-    assert exc.value.code == 2
+    for argv in (["analyze"],  # no input source
+                 ["analyze", "--gen", "path:4", "--tol", "1e-9"],  # removed flag
+                 ["analyze", "--gen", "path:4", "--int-tol", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_corpus_n5(capsys):
@@ -122,6 +126,31 @@ def test_corpus_jobs_match_serial(capsys):
     code2, parallel, _ = run_cli(capsys, "corpus", "--n", "5", "--format", "json", "--jobs", "2")
     assert code == code2 == 0
     assert serial == parallel
+
+
+def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
+    calls = []
+    real = verify.analyze
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    # the corpus pass looks analyze up in cli; the audit's own fallback in verify
+    monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(verify, "analyze", counted)
+    code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
+    assert code == 0
+    assert "112 connected graphs" in out
+    assert len(calls) == 112
+
+
+def test_corpus_audit_jobs_match_serial(capsys):
+    argv = ("corpus", "--n", "7", "--audit-extremal", "--format", "json")
+    code, serial, _ = run_cli(capsys, *argv)
+    code2, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == code2 == 0
+    assert serial and serial == parallel
 
 
 def test_corpus_csv_output(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from distlap import coloring
 from distlap.coloring import chromatic_number, is_proper, max_ell1_coloring, optimal_coloring
 from distlap.graphs import (
     enumerate_connected,
@@ -12,6 +13,7 @@ from distlap.graphs import (
     gen_g_clq,
     gen_comp_s62,
     gen_path,
+    parse_graph6,
 )
 from helpers import brute_force_chromatic, random_graph
 
@@ -127,3 +129,58 @@ def test_max_ell1_exhaustive_against_all_colorings():
                 largest = max(assignment.count(c) for c in range(chi))
                 best = max(best, largest)
         assert max_ell1_coloring(g).sizes[0] == best
+
+
+def _first_by_plain_backtracking(g, k):
+    """The search _k_colorable must agree with: plain backtracking, vertices in
+    DSATUR order (ties by lowest index), colors lowest first, one fresh color
+    per step, the first proper k-coloring found."""
+    n = g.n
+    colors = [-1] * n
+
+    def seen(v):
+        return {colors[u] for u in range(n) if g.adj[v] >> u & 1 and colors[u] >= 0}
+
+    def rec(done, used):
+        if done == n:
+            return True
+        v = max((u for u in range(n) if colors[u] < 0), key=lambda u: (len(seen(u)), -u))
+        for c in range(min(used, k - 1) + 1):
+            if c not in seen(v):
+                colors[v] = c
+                if rec(done + 1, max(used, c + 1)):
+                    return True
+                colors[v] = -1
+        return False
+
+    return colors if k > 0 and rec(0, 0) else None
+
+
+@pytest.mark.parametrize("plain_nodes", [0, 5, coloring.PLAIN_NODES])
+def test_k_colorable_finds_plain_backtracking_first(monkeypatch, plain_nodes):
+    # with a small budget the coloring is built by the _extend-guided descent
+    monkeypatch.setattr(coloring, "PLAIN_NODES", plain_nodes)
+    rng = random.Random(7)
+    graphs = [random_graph(rng, rng.randint(4, 11), rng.uniform(0.2, 0.9)) for _ in range(60)]
+    # graphs whose first coloring takes a fresh color where the witness has another
+    graphs += [parse_graph6(s) for s in ("G~LZ][", "HMbMA\\U", "JHQOpWwwMB?")]
+    for g in graphs:
+        for k in range(1, 7):
+            assert coloring._k_colorable(g, k) == _first_by_plain_backtracking(g, k)
+
+
+def test_extend_keeps_the_partial_coloring():
+    rng = random.Random(3)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
+        k = chromatic_number(g)
+        full = coloring._k_colorable(g, k)
+        partial = [c if rng.random() < 0.4 else -1 for c in full]
+        found = coloring._extend(g, k, partial)
+        assert found is not None and max(found) < k
+        assert all(p < 0 or p == c for p, c in zip(partial, found))
+        assert all(found[u] != found[v] for u, v in g.edges())
+    # C5 has no 2-coloring, and a 3-coloring with vertices 0 and 2 apart
+    c5 = gen_cycle(5)
+    assert coloring._extend(c5, 2, [0, -1, -1, -1, -1]) is None
+    assert coloring._extend(c5, 3, [0, -1, 1, -1, -1]) is not None

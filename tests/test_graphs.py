@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -133,6 +134,15 @@ def test_graph_invariants_enforced():
         Graph(2, [0b01, 0b10])  # self-loops
     with pytest.raises(ValueError):
         Graph(65, [0] * 65)
+
+
+def test_graph_pickles():
+    # corpus workers receive parsed graphs from the parent process
+    g = gen_cycle(5)
+    h = pickle.loads(pickle.dumps(g))
+    assert (h.n, h.adj) == (g.n, g.adj)
+    with pytest.raises(AttributeError):
+        h.n = 3
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ def test_audit_extremal_large_chi_unique_minimizer(corpus_analyses):
         assert parts.count(1) == 2 * chi - 7
 
 
+def test_audit_extremal_summaries_match_analyses(corpus_analyses):
+    summaries = [a.summary for a in corpus_analyses[7]]
+    for chi in range(2, 7):
+        assert audit_extremal(7, chi, analyses=summaries) == \
+            audit_extremal(7, chi, analyses=corpus_analyses[7])
+
+
 def test_audit_extremal_missing_chi(corpus_analyses):
     with pytest.raises(ValueError):
         audit_extremal(3, 5, analyses=corpus_analyses[3])
