@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import sys
 from importlib import resources
@@ -86,7 +87,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -389,8 +393,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    if args.int_tol <= 0:
-        parser.error("--int-tol must be positive")
+    if not (math.isfinite(args.int_tol) and args.int_tol > 0):
+        parser.error("--int-tol must be positive and finite")
     try:
         return args.fn(args)
     except InputError as exc:

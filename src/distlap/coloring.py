@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from distlap.graphs import Graph, _bits, complement, induced_subgraph
 
@@ -38,28 +38,6 @@ def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def _dsatur_greedy(g: Graph) -> list[int]:
-    """Greedy DSATUR coloring; ties broken by lowest vertex index."""
-    n = g.n
-    colors = [-1] * n
-    nb_colors = [0] * n  # bitmask of colors on colored neighbors
-    for _ in range(n):
-        best, best_sat = -1, -1
-        for v in range(n):
-            if colors[v] < 0:
-                sat = nb_colors[v].bit_count()
-                if sat > best_sat:
-                    best, best_sat = v, sat
-        c = 0
-        while nb_colors[best] >> c & 1:
-            c += 1
-        colors[best] = c
-        for u in _bits(g.adj[best]):
-            if colors[u] < 0:
-                nb_colors[u] |= 1 << c
-    return colors
-
-
 def _greedy_clique(g: Graph) -> list[int]:
     """Greedily grown clique (chromatic lower bound); deterministic."""
     n = g.n
@@ -73,25 +51,41 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _search(adj: Sequence[int], k: int) -> list[int] | None:
-    """A proper coloring of the graph with neighbor masks `adj` in colors
-    0..k-1, or None if there is none.
+class _OverBudget(Exception):
+    pass
 
-    Complete DSATUR branch and bound: ties go to the vertex of highest
-    degree, only the lowest of the colors nobody holds yet is tried, and a
-    branch is cut as soon as an uncolored vertex sees all k colors. Which
-    coloring it returns is unspecified.
+
+def _search(adj: Sequence[int], k: int, by_degree: bool = True,
+            budget: float = math.inf,
+            feasible: Callable[[int, int, list[int]], bool] | None = None) -> list[int] | None:
+    """The first proper coloring of the graph with neighbor masks `adj` in
+    colors 0..k-1, or None if there is none.
+
+    DSATUR backtracking (Brelaz 1979): the next vertex is an uncolored one
+    that sees the most colors, ties going to the highest degree if
+    `by_degree`, else to the lowest index. Its colors are tried lowest first,
+    and of the colors nobody holds yet only the lowest. A branch is cut as
+    soon as an uncolored vertex sees all k colors, and is not entered if
+    `feasible(v, c, colors)` says no (v still uncolored in `colors`). With
+    k = n nothing is ever cut, because no vertex can see n colors, so with
+    lowest-index ties the result is greedy DSATUR. Past `budget` nodes it
+    raises _OverBudget.
     """
     n = len(adj)
     full = (1 << k) - 1
     colors = [-1] * n
     nb_colors = [0] * n
     neighbors = [list(_bits(a)) for a in adj]
-    keys = [len(nbrs) for nbrs in neighbors]  # 64 * colors seen + degree; -1 once colored
+    # 64 * colors seen + (degree or 0); -1 once colored
+    keys = [len(nbrs) if by_degree else 0 for nbrs in neighbors]
 
     def rec(left: int, held: int) -> bool:
+        nonlocal budget
         if not left:
             return True
+        budget -= 1
+        if budget < 0:
+            raise _OverBudget
         v = keys.index(max(keys))
         key, keys[v] = keys[v], -1
         avail = full & ~nb_colors[v]
@@ -100,7 +94,10 @@ def _search(adj: Sequence[int], k: int) -> list[int] | None:
         while avail:
             bit = avail & -avail
             avail ^= bit
-            colors[v] = bit.bit_length() - 1
+            c = bit.bit_length() - 1
+            if feasible is not None and not feasible(v, c, colors):
+                continue
+            colors[v] = c
             touched = [u for u in neighbors[v] if keys[u] >= 0 and not nb_colors[u] & bit]
             alive = True
             for u in touched:
@@ -112,8 +109,8 @@ def _search(adj: Sequence[int], k: int) -> list[int] | None:
             for u in touched:
                 nb_colors[u] ^= bit
                 keys[u] -= 64
+            colors[v] = -1
         keys[v] = key
-        colors[v] = -1
         return False
 
     return colors if k > 0 and rec(n, 0) else None
@@ -159,98 +156,46 @@ def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
     return [rename[colors[where[v]]] for v in range(g.n)]
 
 
-class _OverBudget(Exception):
-    pass
-
-
 def _k_colorable(g: Graph, k: int, witness: list[int] | None = None) -> list[int] | None:
     """The first proper coloring with at most k colors, or None if there is none.
 
-    "First" is in the order of plain backtracking: vertices in DSATUR order
-    (ties by lowest index), colors lowest first, at most one fresh color per
-    step. So the result is deterministic for a fixed labeling. `witness`, if
+    "First" is in the order of plain backtracking: _search with lowest-index
+    ties. So the result is deterministic for a fixed labeling. `witness`, if
     given, is any proper k-coloring.
 
     Plain backtracking can spend seconds in branches that hold no coloring,
-    so it runs for at most PLAIN_NODES nodes. After that the first coloring
-    is built one vertex at a time, in the same order: each vertex takes the
-    lowest color whose branch holds a coloring. A witness coloring that
-    extends the colors fixed so far answers that for its own color; _extend
-    answers it for the colors below, and its coloring becomes the witness.
+    so it runs for at most PLAIN_NODES nodes. After that the same search runs
+    again, entering only branches that hold a coloring, so it never
+    backtracks. A witness coloring that extends the colors fixed so far
+    answers that for its own color; _extend answers it for the colors below,
+    and its coloring becomes the witness. The result only needs the test to
+    never refuse a branch that holds a coloring; a stale witness would cost
+    backtracking, not a different coloring.
     """
-    n = g.n
-    if k <= 0:
-        return None
-    colors = [-1] * n
-    nb_colors = [0] * n
-    sat = [0] * n  # colors seen by each uncolored vertex; -1 once colored
-    neighbors = [list(_bits(a)) for a in g.adj]
-    budget = PLAIN_NODES
-
-    def pick() -> int:
-        return sat.index(max(sat))
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        sat[v] = -1
-        bit = 1 << c
-        touched = [u for u in neighbors[v] if sat[u] >= 0 and not nb_colors[u] & bit]
-        for u in touched:
-            nb_colors[u] |= bit
-            sat[u] += 1
-        return touched
-
-    def rec(done: int, used: int) -> bool:
-        nonlocal budget
-        if done == n:
-            return True
-        budget -= 1
-        if budget < 0:
-            raise _OverBudget
-        v = pick()
-        for c in range(min(used, k - 1) + 1):  # colors 0..used-1 plus at most one fresh
-            if nb_colors[v] >> c & 1:
-                continue
-            touched = assign(v, c)
-            if rec(done + 1, max(used, c + 1)):
-                return True
-            for u in touched:
-                nb_colors[u] ^= 1 << c
-                sat[u] -= 1
-            colors[v] = -1
-            sat[v] = nb_colors[v].bit_count()
-        return False
-
     try:
-        return colors if rec(0, 0) else None
+        return _search(g.adj, k, by_degree=False, budget=PLAIN_NODES)
     except _OverBudget:
-        colors[:] = [-1] * n
-        nb_colors[:] = [0] * n
-        sat[:] = [0] * n
+        pass
     if witness is None:
-        witness = _extend(g, k, colors)
+        witness = _search(g.adj, k)
         if witness is None:
             return None
-    used = 0
-    for _ in range(n):
-        v = pick()
-        for c in range(min(used, k - 1) + 1):
-            if nb_colors[v] >> c & 1:
-                continue
-            w = witness[v]
-            if c == w:
-                break
-            if c == used:  # w is a color nobody holds yet: rename w and c
-                witness = [c if x == w else w if x == c else x for x in witness]
-                break
-            colors[v] = c
-            found = _extend(g, k, colors)
-            if found is not None:
-                witness = found
-                break
-        assign(v, c)
-        used = max(used, c + 1)
-    return colors
+
+    def feasible(v: int, c: int, colors: list[int]) -> bool:
+        nonlocal witness
+        w = witness[v]
+        if c == w:
+            return True
+        if c not in colors:  # w is a color nobody holds yet either: rename w and c
+            witness = [c if x == w else w if x == c else x for x in witness]
+            return True
+        found = _extend(g, k, colors[:v] + [c] + colors[v + 1:])
+        if found is None:
+            return False
+        witness = found
+        return True
+
+    return _search(g.adj, k, by_degree=False, feasible=feasible)
 
 
 def _chromatic(g: Graph, greedy: list[int]) -> tuple[int, list[int]]:
@@ -270,7 +215,7 @@ def _chromatic(g: Graph, greedy: list[int]) -> tuple[int, list[int]]:
 
 def _best_coloring(g: Graph) -> list[int]:
     """The greedy coloring if it is optimal, else the first optimal one."""
-    greedy = _dsatur_greedy(g)
+    greedy = _search(g.adj, g.n, by_degree=False)
     chi, witness = _chromatic(g, greedy)
     return greedy if chi == max(greedy) + 1 else _k_colorable(g, chi, witness)
 
@@ -288,7 +233,7 @@ def _to_result(g: Graph, colors: Sequence[int]) -> ColoringResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    return _chromatic(g, _dsatur_greedy(g))[0]
+    return _chromatic(g, _search(g.adj, g.n, by_degree=False))[0]
 
 
 def optimal_coloring(g: Graph) -> ColoringResult:

@@ -82,9 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):

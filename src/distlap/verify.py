@@ -29,7 +29,6 @@ from distlap.eigen import (
 )
 from distlap.graphs import (
     Graph,
-    enumerate_connected,
     is_complete_multipartite,
     is_connected,
     parse_graph6,
@@ -401,9 +400,8 @@ class ExtremalAudit:
         return not self.failures
 
 
-def audit_extremal(n: int, chi: int,
-                   analyses: Iterable[GraphAnalysis | GraphSummary] | None = None,
-                   corpus_dir=None, int_tol: float = DEFAULT_INT_TOL) -> ExtremalAudit:
+def audit_extremal(n: int, chi: int, analyses: Iterable[GraphAnalysis | GraphSummary],
+                   int_tol: float = DEFAULT_INT_TOL) -> ExtremalAudit:
     """Audit the minimum-dL1 theorem at fixed chi over all connected n-vertex graphs.
 
     Hard assertions: the minimum equals n + ceil(n/chi) and every minimizer is a
@@ -416,8 +414,6 @@ def audit_extremal(n: int, chi: int,
     records: only graph6, n, chi and dl1 are read, and only the minimizers are
     parsed back from graph6.
     """
-    if analyses is None:
-        analyses = (analyze(g) for g in enumerate_connected(n, corpus_dir))
     considered = 0
     observed = math.inf
     minimizers: list = []

@@ -83,7 +83,7 @@ def test_verify_json_round_trip(capsys):
            [(r["check_id"], r["verdict"]) for r in records]
 
 
-def test_exit_status_contract(capsys):
+def test_exit_status_contract(tmp_path, capsys):
     # parse failure -> 2
     code, _, err = run_cli(capsys, "analyze", "--g6", "Bwx")
     assert code == 2 and "error:" in err
@@ -96,12 +96,18 @@ def test_exit_status_contract(capsys):
     # missing fixture dir -> 2
     code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", "/nonexistent")
     assert code == 2
+    # unwritable --out -> 2, not a traceback
+    target = tmp_path / "missing" / "x.txt"
+    code, _, err = run_cli(capsys, "verify", "--gen", "path:4", "--out", str(target))
+    assert code == 2 and err.startswith("error: cannot write")
 
 
 def test_usage_error_exits_2(capsys):
     for argv in (["analyze"],  # no input source
                  ["analyze", "--gen", "path:4", "--tol", "1e-9"],  # removed flag
-                 ["analyze", "--gen", "path:4", "--int-tol", "0"]):
+                 ["analyze", "--gen", "path:4", "--int-tol", "0"],
+                 ["verify", "--gen", "K:3,3,1", "--int-tol", "nan"],  # NaN fails every comparison
+                 ["verify", "--gen", "K:3,3,1", "--int-tol", "inf"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

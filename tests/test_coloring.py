@@ -165,7 +165,8 @@ def test_k_colorable_finds_plain_backtracking_first(monkeypatch, plain_nodes):
     # graphs whose first coloring takes a fresh color where the witness has another
     graphs += [parse_graph6(s) for s in ("G~LZ][", "HMbMA\\U", "JHQOpWwwMB?")]
     for g in graphs:
-        for k in range(1, 7):
+        # with k = n nothing backtracks: the greedy DSATUR coloring optimal_coloring starts from
+        for k in [*range(1, 7), g.n]:
             assert coloring._k_colorable(g, k) == _first_by_plain_backtracking(g, k)
 
 
