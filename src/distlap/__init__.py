@@ -18,7 +18,6 @@ from distlap.graphs import (
 )
 from distlap.metric import DistanceData, apsp, diameter, distance_laplacian
 from distlap.eigen import (
-    Spectrum,
     count_in_interval,
     eig_symmetric,
     mu_at,

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import multiprocessing
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from distlap import graphs
-from distlap.eigen import DEFAULT_INT_TOL
+from distlap.eigen import DEFAULT_INT_TOL, cluster_values
 from distlap.verify import (
     GraphSummary,
     analyze,
@@ -77,10 +79,13 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--gen", help="generator spec, e.g. K:4,4,2 or path:8")
 
 
+def _add_coloring_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coloring", choices=("default", "max-l1"), default="default")
+
+
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--int-tol", type=float, default=DEFAULT_INT_TOL,
                    help="interval/cluster snap tolerance")
-    p.add_argument("--coloring", choices=("default", "max-l1"), default="default")
     p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -93,6 +98,12 @@ def _emit(text: str, out: str | None) -> None:
             raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _fmt3(v: float) -> str:
@@ -108,10 +119,10 @@ def _analysis_record(a) -> dict:
         "m": a.m,
         "diameter": a.dd.diameter,
         "chi": a.chi,
-        "class_sizes": list(a.effective_coloring.sizes),
+        "class_sizes": list(a.coloring.sizes),
         "b_chi": a.b_chi,
         "spectrum": [float(v) for v in a.values],
-        "clusters": [[float(v), int(k)] for v, k in a.spectrum.clusters],
+        "clusters": [[float(v), int(k)] for v, k in cluster_values(a.values, a.int_tol)],
         "mu_below_b_chi": a.mu_below_b,
         "m_ge_b_chi": a.m_ge_b,
         "wiener": a.dd.wiener,
@@ -136,10 +147,9 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         _emit(json.dumps(rec, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
-        lines = ["key,value"]
-        lines += [f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
-                  for k, v in rec.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [(k, json.dumps(v) if isinstance(v, (list, dict)) else v)
+                for k, v in rec.items()]
+        _emit(_csv_text([("key", "value"), *rows]), args.out)
     else:
         lines = [
             f"graph6      {rec['graph6']}",
@@ -196,8 +206,17 @@ def _corpus_worker(task) -> tuple[list[dict], GraphSummary]:
     return report_records(run_checks(a)), a.summary
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _sweep(tasks: list, jobs: int):
-    """Yield _corpus_worker's result for every task, in task order."""
+    """Yield _corpus_worker's result for every task, in task order, with at
+    most one worker per usable CPU."""
+    jobs = min(jobs, _usable_cpus())
     if jobs == 1:
         yield from map(_corpus_worker, tasks)
         return
@@ -279,6 +298,11 @@ TABLE_GRAPHS = (
 )
 
 
+INTEGER_CELLS = ("n", "chi", "diam", "b_chi", "m_ge_b")
+# the columns of data/tables_expected.csv
+TABLE_COLUMNS = ("table", "label", *INTEGER_CELLS, *(f"eig{i}" for i in range(1, 7)))
+
+
 def expected_table_rows() -> dict[str, dict]:
     """Committed expected values for both numeric tables, keyed by row label."""
     ref = resources.files("distlap.data").joinpath("tables_expected.csv")
@@ -287,11 +311,7 @@ def expected_table_rows() -> dict[str, dict]:
         for rec in csv.DictReader(fh):
             rows[rec["label"]] = {
                 "table": int(rec["table"]),
-                "n": int(rec["n"]),
-                "chi": int(rec["chi"]),
-                "diam": int(rec["diam"]),
-                "b_chi": int(rec["b_chi"]),
-                "m_ge_b": int(rec["m_ge_b"]),
+                **{k: int(rec[k]) for k in INTEGER_CELLS},
                 "eigs": [float(rec[f"eig{i}"]) for i in range(1, 7)],
             }
     return rows
@@ -316,7 +336,7 @@ def compare_table_row(computed: dict, expected: dict) -> list[str]:
     3-decimal cell; the remaining cells are integers and must match exactly.
     """
     bad = []
-    for key in ("n", "chi", "diam", "b_chi", "m_ge_b"):
+    for key in INTEGER_CELLS:
         if computed[key] != expected[key]:
             bad.append(f"{key}: computed {computed[key]} != expected {expected[key]}")
     for i, (got, want) in enumerate(zip(computed["eigs"], expected["eigs"]), start=1):
@@ -350,6 +370,10 @@ def cmd_tables(args) -> int:
                                    else f"{mismatches} cell(s) disagree"))
     if args.format == "json":
         _emit("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows_json), args.out)
+    elif args.format == "csv":
+        rows = [(r["table"], r["label"], *(r[k] for k in INTEGER_CELLS), *r["eigs"])
+                for r in rows_json]
+        _emit(_csv_text([TABLE_COLUMNS, *rows]), args.out)
     else:
         _emit("\n".join(out_lines) + "\n", args.out)
     return 0 if mismatches == 0 else 1
@@ -361,22 +385,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance Laplacian spectra, chromatic data, and bound verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="print the full analysis of one connected graph")
-    _add_input_args(p)
-    _add_common_args(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("verify", help="run every checker against one connected graph")
-    _add_input_args(p)
-    _add_common_args(p)
-    p.set_defaults(fn=cmd_verify)
+    for name, fn, text in (
+            ("analyze", cmd_analyze, "print the full analysis of one connected graph"),
+            ("verify", cmd_verify, "run every checker against one connected graph")):
+        p = sub.add_parser(name, help=text)
+        _add_input_args(p)
+        _add_coloring_arg(p)
+        _add_common_args(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus", help="run every checker over all connected graphs on n vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corpus-dir", help="directory holding connected{n}.g6 fixture files")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPUs this process may use")
     p.add_argument("--audit-extremal", action="store_true",
                    help="also audit the minimum-dL1 theorem for every chi")
+    _add_coloring_arg(p)
     _add_common_args(p)
     p.set_defaults(fn=cmd_corpus)
 

@@ -18,22 +18,8 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
-from distlap.eigen import (
-    DEFAULT_INT_TOL,
-    Spectrum,
-    count_in_interval,
-    eig_symmetric,
-    mu_at,
-    mu_below,
-    cluster_values,
-)
-from distlap.graphs import (
-    Graph,
-    is_complete_multipartite,
-    is_connected,
-    parse_graph6,
-    to_graph6,
-)
+from distlap.eigen import DEFAULT_INT_TOL, count_in_interval, eig_symmetric, mu_at, mu_below
+from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, apsp, distance_laplacian
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
 
@@ -50,15 +36,18 @@ class GraphSummary(NamedTuple):
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Everything the checkers need about one connected graph, computed once."""
+    """Everything the checkers need about one connected graph, computed once.
+
+    `values` is the DL spectrum, nonincreasing; `coloring` is the one optimal
+    coloring every chi- and ell-parameterized check reads.
+    """
 
     graph: Graph
     graph6: str
     dd: DistanceData
     dl: np.ndarray
-    spectrum: Spectrum
+    values: np.ndarray
     coloring: ColoringResult
-    max_ell1: ColoringResult | None
     twins: tuple[TwinClass, ...]
     complement_components: int
     universal_vertices: int
@@ -85,17 +74,8 @@ class GraphAnalysis:
         return math.ceil(self.n / self.chi)
 
     @property
-    def effective_coloring(self) -> ColoringResult:
-        """The coloring the ell-parameterized checks run against."""
-        return self.max_ell1 if self.max_ell1 is not None else self.coloring
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.spectrum.values
-
-    @property
     def dl1(self) -> float:
-        return float(self.spectrum.values[0])
+        return float(self.values[0])
 
     @property
     def summary(self) -> GraphSummary:
@@ -107,36 +87,32 @@ class GraphAnalysis:
 
     @property
     def mu_below_b(self) -> int:
-        return mu_below(self.spectrum, self.b_chi, self.int_tol)
+        return mu_below(self.values, self.b_chi, self.int_tol)
 
     @property
     def m_ge_b(self) -> int:
-        return count_in_interval(self.spectrum, self.b_chi, self.dl1, self.int_tol)
+        return count_in_interval(self.values, self.b_chi, self.dl1, self.int_tol)
 
 
 def analyze(g: Graph, int_tol: float = DEFAULT_INT_TOL,
             coloring_mode: str = "default") -> GraphAnalysis:
     """Build the shared analysis record for a connected graph.
 
-    coloring_mode "max-l1" additionally computes a largest-first optimal
-    coloring, which the ell-parameterized checkers then use.
+    coloring_mode "max-l1" uses an optimal coloring with the largest possible
+    first class (guarded to n <= 16) instead of the default optimal coloring.
+    A disconnected graph raises ValueError (from apsp).
     """
-    if not is_connected(g):
-        raise ValueError("analysis requires a connected graph")
     if coloring_mode not in ("default", "max-l1"):
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
     dd = apsp(g)
     dl = distance_laplacian(dd)
-    values = eig_symmetric(dl)
-    spec = Spectrum(values=values, clusters=cluster_values(values, int_tol))
     return GraphAnalysis(
         graph=g,
         graph6=to_graph6(g),
         dd=dd,
         dl=dl,
-        spectrum=spec,
-        coloring=optimal_coloring(g),
-        max_ell1=max_ell1_coloring(g) if coloring_mode == "max-l1" else None,
+        values=eig_symmetric(dl),
+        coloring=max_ell1_coloring(g) if coloring_mode == "max-l1" else optimal_coloring(g),
         twins=tuple(twin_classes(g, dd)),
         complement_components=complement_component_count(g),
         universal_vertices=universal_vertex_count(g),
@@ -220,7 +196,7 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    ell = a.effective_coloring.sizes
+    ell = a.coloring.sizes
     c = _Claims(a.int_tol)
     n = a.n
     if ell[0] >= 2:
@@ -241,7 +217,7 @@ def check_many_above(a: GraphAnalysis) -> CheckResult:
     """Counting bounds around the chromatic threshold b_chi."""
     if a.chi > a.n - 1:
         return _na("many_above_b_chi", "chi = n (complete graph)")
-    ell1 = a.effective_coloring.sizes[0]
+    ell1 = a.coloring.sizes[0]
     c = _Claims(a.int_tol)
     c.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
     c.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1, exact=True)
@@ -269,7 +245,7 @@ def check_k_range(a: GraphAnalysis) -> CheckResult:
 def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
-    ell1 = a.effective_coloring.sizes[0]
+    ell1 = a.coloring.sizes[0]
     c = _Claims(a.int_tol)
     c.ge("count_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
     if ell1 >= 4:
@@ -283,7 +259,7 @@ def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
     c = _Claims(a.int_tol)
-    c.eq("mu_at_n_minus_cm1", mu_at(a.spectrum, a.n, a.int_tol), a.complement_components - 1)
+    c.eq("mu_at_n_minus_cm1", mu_at(a.values, a.n, a.int_tol), a.complement_components - 1)
     return c.result("n_multiplicity")
 
 
@@ -297,7 +273,7 @@ def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
         tag = f"class{t.members[0]}"
         s, ext = len(t.members), len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        c.ge(f"{tag}_mult", mu_at(a.spectrum, t.forced_value, a.int_tol), t.forced_mult,
+        c.ge(f"{tag}_mult", mu_at(a.values, t.forced_value, a.int_tol), t.forced_mult,
              exact=True)
         # (b) compression lower estimate on the forced eigenvalue
         lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext

@@ -1,9 +1,14 @@
+import csv
+import io
 import json
+import multiprocessing
+import os
+from importlib import resources
 
 import pytest
 
 from distlap import cli, verify
-from distlap.cli import main
+from distlap.cli import TABLE_GRAPHS, main
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +112,8 @@ def test_usage_error_exits_2(capsys):
                  ["analyze", "--gen", "path:4", "--tol", "1e-9"],  # removed flag
                  ["analyze", "--gen", "path:4", "--int-tol", "0"],
                  ["verify", "--gen", "K:3,3,1", "--int-tol", "nan"],  # NaN fails every comparison
-                 ["verify", "--gen", "K:3,3,1", "--int-tol", "inf"]):
+                 ["verify", "--gen", "K:3,3,1", "--int-tol", "inf"],
+                 ["tables", "--coloring", "max-l1"]):  # tables has one coloring
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -142,7 +148,8 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
         calls.append(g)
         return real(g, *args, **kwargs)
 
-    # the corpus pass looks analyze up in cli; the audit's own fallback in verify
+    # the corpus pass looks analyze up in cli; nothing may reach verify.analyze
+    # around it, e.g. a second pass for the audit
     monkeypatch.setattr(cli, "analyze", counted)
     monkeypatch.setattr(verify, "analyze", counted)
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
@@ -157,6 +164,35 @@ def test_corpus_audit_jobs_match_serial(capsys):
     code2, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert code == code2 == 0
     assert serial and serial == parallel
+
+
+def test_corpus_jobs_clamped_to_usable_cpus(monkeypatch, capsys):
+    code, serial, _ = run_cli(capsys, "corpus", "--n", "5", "--format", "json")
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: Context())
+    code2, clamped, _ = run_cli(capsys, "corpus", "--n", "5", "--format", "json",
+                                "--jobs", "100000")
+    assert code == code2 == 0
+    assert clamped == serial
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sizes == ([cpus] if cpus > 1 else [])  # one CPU runs serially
 
 
 def test_corpus_csv_output(tmp_path, capsys):
@@ -186,6 +222,34 @@ def test_tables_json(capsys):
     row = next(r for r in rows if r["label"] == "K_{3,3,3,2}")
     assert row["m_ge_b"] == 6
     assert [round(v, 6) for v in row["eigs"]] == [14.0] * 6
+
+
+def test_tables_csv(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    ref = resources.files("distlap.data").joinpath("tables_expected.csv")
+    with ref.open() as fh:
+        reader = csv.DictReader(fh)
+        expected = list(reader)
+    assert list(rows[0]) == reader.fieldnames
+    assert [r["label"] for r in rows] == [label for _, label, _ in TABLE_GRAPHS]
+    for got, want in zip(rows, expected, strict=True):
+        for key in ("table", "label", "n", "chi", "diam", "b_chi", "m_ge_b"):
+            assert got[key] == want[key], (got["label"], key)
+        assert [round(float(got[f"eig{i}"]), 3) for i in range(1, 7)] == \
+               [float(want[f"eig{i}"]) for i in range(1, 7)]
+
+
+def test_analyze_csv_is_valid_csv(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--gen", "K:3,3,1", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    fields = dict(rows[1:])
+    assert json.loads(fields["class_sizes"]) == [3, 3, 1]
+    assert fields["chi"] == "3"
 
 
 def test_display_rounding_does_not_affect_verdicts(capsys):

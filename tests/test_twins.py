@@ -69,7 +69,7 @@ def test_forced_eigenvalues_realized(corpus_analyses):
     for analyses in corpus_analyses.values():
         for a in analyses:
             for t in a.twins:
-                assert mu_at(a.spectrum, t.forced_value) >= t.forced_mult
+                assert mu_at(a.values, t.forced_value) >= t.forced_mult
 
 
 def test_complement_component_count():
@@ -87,7 +87,7 @@ def test_universal_vertex_count():
 def test_n_multiplicity_equals_complement_components(corpus_analyses):
     for n, analyses in corpus_analyses.items():
         for a in analyses:
-            assert mu_at(a.spectrum, n) == a.complement_components - 1
+            assert mu_at(a.values, n) == a.complement_components - 1
 
 
 def test_universal_bound_on_corpus(corpus_analyses):

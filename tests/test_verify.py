@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from distlap import coloring, verify
+from distlap.coloring import max_ell1_coloring
 from distlap.graphs import (
     gen_comp_s62,
     gen_complete,
@@ -238,8 +240,30 @@ def test_run_all_rejects_disconnected():
 def test_run_all_max_ell1_mode():
     report = run_all(gen_path(7), coloring_mode="max-l1")
     assert report.ok
-    assert report.analysis.max_ell1 is not None
-    assert report.analysis.effective_coloring.sizes[0] == 4
+    assert report.analysis.coloring == max_ell1_coloring(gen_path(7))
+    assert report.analysis.coloring.sizes[0] == 4
+
+
+def test_max_ell1_mode_finds_chi_once(monkeypatch):
+    calls = []
+    real = coloring._chromatic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coloring, "_chromatic", counting)
+    analyze(gen_path(8), coloring_mode="max-l1")
+    assert len(calls) == 1
+
+
+def test_max_ell1_mode_guard_precedes_optimal_coloring(monkeypatch):
+    def refuse(g):
+        raise AssertionError("optimal_coloring must not run in max-l1 mode")
+
+    monkeypatch.setattr(verify, "optimal_coloring", refuse)
+    with pytest.raises(ValueError, match="n <= 16"):
+        analyze(gen_path(17), coloring_mode="max-l1")
 
 
 def test_counting_identity_on_corpus(corpus_analyses):
