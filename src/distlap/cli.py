@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -18,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from distlap import graphs
-from distlap.eigen import DEFAULT_INT_TOL, cluster_values
+from distlap.eigen import cluster_values
 from distlap.verify import (
     GraphSummary,
     analyze,
@@ -84,8 +83,6 @@ def _add_coloring_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--int-tol", type=float, default=DEFAULT_INT_TOL,
-                   help="interval/cluster snap tolerance")
     p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -122,7 +119,7 @@ def _analysis_record(a) -> dict:
         "class_sizes": list(a.coloring.sizes),
         "b_chi": a.b_chi,
         "spectrum": [float(v) for v in a.values],
-        "clusters": [[float(v), int(k)] for v, k in cluster_values(a.values, a.int_tol)],
+        "clusters": [[float(v), int(k)] for v, k in cluster_values(a.values)],
         "mu_below_b_chi": a.mu_below_b,
         "m_ge_b_chi": a.m_ge_b,
         "wiener": a.dd.wiener,
@@ -140,7 +137,7 @@ def _analysis_record(a) -> dict:
 def cmd_analyze(args) -> int:
     g = _resolve_graph(args)
     try:
-        a = analyze(g, int_tol=args.int_tol, coloring_mode=args.coloring)
+        a = analyze(g, coloring_mode=args.coloring)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rec = _analysis_record(a)
@@ -177,7 +174,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     g = _resolve_graph(args)
     try:
-        a = analyze(g, int_tol=args.int_tol, coloring_mode=args.coloring)
+        a = analyze(g, coloring_mode=args.coloring)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = run_checks(a)
@@ -201,8 +198,8 @@ def cmd_verify(args) -> int:
 
 
 def _corpus_worker(task) -> tuple[list[dict], GraphSummary]:
-    g, int_tol, coloring_mode = task
-    a = analyze(g, int_tol=int_tol, coloring_mode=coloring_mode)
+    g, coloring_mode = task
+    a = analyze(g, coloring_mode=coloring_mode)
     return report_records(run_checks(a)), a.summary
 
 
@@ -230,7 +227,7 @@ def cmd_corpus(args) -> int:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, FileNotFoundError) as exc:
         raise InputError(str(exc)) from exc
-    tasks = [(g, args.int_tol, args.coloring) for g in corpus]
+    tasks = [(g, args.coloring) for g in corpus]
 
     tallies: dict[str, dict[str, int]] = {}
     n_fail = 0
@@ -249,7 +246,7 @@ def cmd_corpus(args) -> int:
     audits = []
     if args.audit_extremal:
         for chi in range(2, args.n):
-            audits.append(audit_extremal(args.n, chi, analyses=summaries, int_tol=args.int_tol))
+            audits.append(audit_extremal(args.n, chi, analyses=summaries))
 
     if args.format == "json":
         _emit(records_to_jsonl(records), args.out)
@@ -317,8 +314,8 @@ def expected_table_rows() -> dict[str, dict]:
     return rows
 
 
-def computed_table_row(spec: str, int_tol: float = DEFAULT_INT_TOL) -> dict:
-    a = analyze(_parse_gen_spec(spec), int_tol=int_tol)
+def computed_table_row(spec: str) -> dict:
+    a = analyze(_parse_gen_spec(spec))
     return {
         "n": a.n,
         "chi": a.chi,
@@ -357,7 +354,7 @@ def cmd_tables(args) -> int:
         for tbl, label, spec in TABLE_GRAPHS:
             if tbl != table:
                 continue
-            row = computed_table_row(spec, int_tol=args.int_tol)
+            row = computed_table_row(spec)
             bad = compare_table_row(row, expected[label])
             mismatches += len(bad)
             eigs = ", ".join(_fmt3(v) for v in row["eigs"])
@@ -418,8 +415,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    if not (math.isfinite(args.int_tol) and args.int_tol > 0):
-        parser.error("--int-tol must be positive and finite")
     try:
         return args.fn(args)
     except InputError as exc:

@@ -1,6 +1,7 @@
 """Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, interval counts.
 
-A spectrum is a plain nonincreasing float64 array.
+A spectrum is a plain nonincreasing float64 array. Every count, multiplicity
+and cluster snaps with the one fixed tolerance INT_TOL; no caller sets it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from distlap.graphs import Graph, validate_part_sizes
 from distlap.metric import apsp, distance_laplacian
 
-DEFAULT_INT_TOL = 1e-6  # snap tolerance for interval counts and clustering
+INT_TOL = 1e-6  # snap tolerance for interval counts, multiplicities and clustering
 
 
 def eig_symmetric(matrix) -> np.ndarray:
@@ -29,11 +30,11 @@ def eig_symmetric(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def cluster_values(values: Sequence[float], int_tol: float = DEFAULT_INT_TOL) -> tuple[tuple[float, int], ...]:
+def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     """Group a nonincreasing value list into clusters; a gap beyond
-    int_tol * max(1, n) starts a new cluster. Representatives are cluster means."""
+    INT_TOL * max(1, n) starts a new cluster. Representatives are cluster means."""
     vals = [float(v) for v in values]
-    gap = int_tol * max(1.0, len(vals))
+    gap = INT_TOL * max(1.0, len(vals))
     cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap]
     chunks = [vals[a:b] for a, b in zip([0, *cuts], [*cuts, len(vals)])]
     return tuple((sum(c) / len(c), len(c)) for c in chunks if c)
@@ -61,17 +62,16 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def count_in_interval(values: np.ndarray, lo: float, hi: float,
-                      tol: float = DEFAULT_INT_TOL) -> int:
-    """Number of eigenvalues in [lo - tol, hi + tol]; empty intervals count 0."""
-    return int(np.count_nonzero((values >= lo - tol) & (values <= hi + tol)))
+def count_in_interval(values: np.ndarray, lo: float, hi: float) -> int:
+    """Number of eigenvalues in [lo - INT_TOL, hi + INT_TOL]; empty intervals count 0."""
+    return int(np.count_nonzero((values >= lo - INT_TOL) & (values <= hi + INT_TOL)))
 
 
-def mu_below(values: np.ndarray, bound: float, tol: float = DEFAULT_INT_TOL) -> int:
-    """Number of eigenvalues strictly below bound - tol."""
-    return int(np.count_nonzero(values < bound - tol))
+def mu_below(values: np.ndarray, bound: float) -> int:
+    """Number of eigenvalues strictly below bound - INT_TOL."""
+    return int(np.count_nonzero(values < bound - INT_TOL))
 
 
-def mu_at(values: np.ndarray, x: float, tol: float = DEFAULT_INT_TOL) -> int:
-    """Multiplicity of the eigenvalue x up to the snap tolerance."""
-    return int(np.count_nonzero(np.abs(values - x) <= tol))
+def mu_at(values: np.ndarray, x: float) -> int:
+    """Multiplicity of the eigenvalue x up to INT_TOL."""
+    return int(np.count_nonzero(np.abs(values - x) <= INT_TOL))

@@ -203,6 +203,8 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -398,6 +400,11 @@ def gen_named(name: str, *params: int) -> Graph:
     fn, arity = table[name]
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    # refuse before the generator sizes a list by the parameter
+    for p in params:
+        if p > MAX_VERTICES:
+            raise ValueError(f"family {name!r} parameter {p} is above the vertex count "
+                             f"range 1..{MAX_VERTICES}")
     return fn(*params)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
-from distlap.eigen import DEFAULT_INT_TOL, count_in_interval, eig_symmetric, mu_at, mu_below
+from distlap.eigen import INT_TOL, count_in_interval, eig_symmetric, mu_at, mu_below
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, apsp, distance_laplacian
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
@@ -45,13 +45,11 @@ class GraphAnalysis:
     graph: Graph
     graph6: str
     dd: DistanceData
-    dl: np.ndarray
     values: np.ndarray
     coloring: ColoringResult
     twins: tuple[TwinClass, ...]
     complement_components: int
     universal_vertices: int
-    int_tol: float
 
     @property
     def n(self) -> int:
@@ -87,15 +85,14 @@ class GraphAnalysis:
 
     @property
     def mu_below_b(self) -> int:
-        return mu_below(self.values, self.b_chi, self.int_tol)
+        return mu_below(self.values, self.b_chi)
 
     @property
     def m_ge_b(self) -> int:
-        return count_in_interval(self.values, self.b_chi, self.dl1, self.int_tol)
+        return count_in_interval(self.values, self.b_chi, self.dl1)
 
 
-def analyze(g: Graph, int_tol: float = DEFAULT_INT_TOL,
-            coloring_mode: str = "default") -> GraphAnalysis:
+def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     """Build the shared analysis record for a connected graph.
 
     coloring_mode "max-l1" uses an optimal coloring with the largest possible
@@ -105,18 +102,15 @@ def analyze(g: Graph, int_tol: float = DEFAULT_INT_TOL,
     if coloring_mode not in ("default", "max-l1"):
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
     dd = apsp(g)
-    dl = distance_laplacian(dd)
     return GraphAnalysis(
         graph=g,
         graph6=to_graph6(g),
         dd=dd,
-        dl=dl,
-        values=eig_symmetric(dl),
+        values=eig_symmetric(distance_laplacian(dd)),
         coloring=max_ell1_coloring(g) if coloring_mode == "max-l1" else optimal_coloring(g),
         twins=tuple(twin_classes(g, dd)),
         complement_components=complement_component_count(g),
         universal_vertices=universal_vertex_count(g),
-        int_tol=int_tol,
     )
 
 
@@ -143,15 +137,14 @@ class CheckResult:
 class _Claims:
     """Accumulates named slack values and failure witnesses for one checker."""
 
-    def __init__(self, int_tol: float):
-        self.int_tol = int_tol
+    def __init__(self):
         self.slack: dict[str, float] = {}
         self.failures: list[dict] = []
 
     def ge(self, label: str, lhs: float, rhs: float, exact: bool = False) -> None:
         """Assert lhs >= rhs (numeric unless exact); slack = lhs - rhs."""
         self.slack[label] = float(lhs) - float(rhs)
-        tol = 0.0 if exact else self.int_tol
+        tol = 0.0 if exact else INT_TOL
         if lhs < rhs - tol:
             self.failures.append({"claim": label, "lhs": float(lhs), "rhs": float(rhs)})
 
@@ -185,7 +178,7 @@ def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.is_complete:
         return _na("ah_bound", "graph is complete")
-    c = _Claims(a.int_tol)
+    c = _Claims()
     c.ge("dl1_minus_b_chi", a.dl1, a.b_chi)
     return c.result("ah_bound")
 
@@ -197,7 +190,7 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
     ell = a.coloring.sizes
-    c = _Claims(a.int_tol)
+    c = _Claims()
     n = a.n
     if ell[0] >= 2:
         top = min(float(a.values[i]) for i in range(ell[0] - 1))
@@ -218,7 +211,7 @@ def check_many_above(a: GraphAnalysis) -> CheckResult:
     if a.chi > a.n - 1:
         return _na("many_above_b_chi", "chi = n (complete graph)")
     ell1 = a.coloring.sizes[0]
-    c = _Claims(a.int_tol)
+    c = _Claims()
     c.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
     c.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1, exact=True)
     c.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
@@ -232,7 +225,7 @@ def check_k_range(a: GraphAnalysis) -> CheckResult:
         return _na("k_range", "n < 4")
     if a.chi > a.n - 1:
         return _na("k_range", "chi = n (complete graph)")
-    c = _Claims(a.int_tol)
+    c = _Claims()
     hi = a.ceil_n_chi - 1
     if hi >= 2:
         worst = min(float(a.values[k - 1]) for k in range(2, hi + 1))
@@ -246,7 +239,7 @@ def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
     ell1 = a.coloring.sizes[0]
-    c = _Claims(a.int_tol)
+    c = _Claims()
     c.ge("count_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
     if ell1 >= 4:
         c.ge("count_minus_3", a.m_ge_b, 3, exact=True)
@@ -258,8 +251,8 @@ def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
 
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
-    c = _Claims(a.int_tol)
-    c.eq("mu_at_n_minus_cm1", mu_at(a.values, a.n, a.int_tol), a.complement_components - 1)
+    c = _Claims()
+    c.eq("mu_at_n_minus_cm1", mu_at(a.values, a.n), a.complement_components - 1)
     return c.result("n_multiplicity")
 
 
@@ -267,13 +260,13 @@ def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
     classes = [t for t in a.twins if t.kind == kind]
     if not classes:
         return _na(check_id, f"no {kind} twin class")
-    c = _Claims(a.int_tol)
+    c = _Claims()
     n = a.n
     for t in classes:
         tag = f"class{t.members[0]}"
         s, ext = len(t.members), len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        c.ge(f"{tag}_mult", mu_at(a.values, t.forced_value, a.int_tol), t.forced_mult,
+        c.ge(f"{tag}_mult", mu_at(a.values, t.forced_value), t.forced_mult,
              exact=True)
         # (b) compression lower estimate on the forced eigenvalue
         lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext
@@ -305,7 +298,7 @@ def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
         return _na("diameter_refine", "n < 5")
     if a.chi > a.n - 1:
         return _na("diameter_refine", "chi = n (complete graph)")
-    c = _Claims(a.int_tol)
+    c = _Claims()
     c.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
     if a.dd.diameter >= 3:
         c.le("mu_below_minus_diam_bound", a.mu_below_b, a.n - max(2, a.ceil_n_chi - 1))
@@ -347,10 +340,9 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
     return CheckReport(analysis=a, results=[fn(a) for _, fn in CHECKS])
 
 
-def run_all(g: Graph, int_tol: float = DEFAULT_INT_TOL,
-            coloring_mode: str = "default") -> CheckReport:
+def run_all(g: Graph, coloring_mode: str = "default") -> CheckReport:
     """Analyze a connected graph once and run the full checker registry."""
-    return run_checks(analyze(g, int_tol=int_tol, coloring_mode=coloring_mode))
+    return run_checks(analyze(g, coloring_mode=coloring_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +368,8 @@ class ExtremalAudit:
         return not self.failures
 
 
-def audit_extremal(n: int, chi: int, analyses: Iterable[GraphAnalysis | GraphSummary],
-                   int_tol: float = DEFAULT_INT_TOL) -> ExtremalAudit:
+def audit_extremal(n: int, chi: int,
+                   analyses: Iterable[GraphAnalysis | GraphSummary]) -> ExtremalAudit:
     """Audit the minimum-dL1 theorem at fixed chi over all connected n-vertex graphs.
 
     Hard assertions: the minimum equals n + ceil(n/chi) and every minimizer is a
@@ -399,8 +391,8 @@ def audit_extremal(n: int, chi: int, analyses: Iterable[GraphAnalysis | GraphSum
         considered += 1
         if a.dl1 < observed:
             observed = a.dl1
-            minimizers = [m for m in minimizers if m.dl1 <= observed + int_tol]
-        if a.dl1 <= observed + int_tol:
+            minimizers = [m for m in minimizers if m.dl1 <= observed + INT_TOL]
+        if a.dl1 <= observed + INT_TOL:
             minimizers.append(a)
     if not considered:
         raise ValueError(f"corpus has no connected graph with n={n}, chi={chi}")
@@ -409,7 +401,7 @@ def audit_extremal(n: int, chi: int, analyses: Iterable[GraphAnalysis | GraphSum
 
     failures: list[str] = []
     findings: list[dict] = []
-    if abs(observed - expected) > int_tol:
+    if abs(observed - expected) > INT_TOL:
         failures.append(f"min dL1 = {observed!r}, expected {expected}")
 
     ceil_nc = math.ceil(n / chi)

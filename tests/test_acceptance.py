@@ -138,7 +138,7 @@ def test_criterion_8_spectral_sanity(corpus_analyses):
     for n, analyses in corpus_analyses.items():
         for a in analyses:
             vals = a.values
-            assert mu_at(a.values, 0.0, 1e-6) == 1, a.graph6
+            assert mu_at(a.values, 0.0) == 1, a.graph6
             assert float(vals.min()) >= -1e-6, a.graph6
             assert abs(float(vals.sum()) - 2 * a.dd.wiener) <= n * 1e-6, a.graph6
             checked += 1

@@ -110,9 +110,10 @@ def test_exit_status_contract(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     for argv in (["analyze"],  # no input source
                  ["analyze", "--gen", "path:4", "--tol", "1e-9"],  # removed flag
-                 ["analyze", "--gen", "path:4", "--int-tol", "0"],
-                 ["verify", "--gen", "K:3,3,1", "--int-tol", "nan"],  # NaN fails every comparison
-                 ["verify", "--gen", "K:3,3,1", "--int-tol", "inf"],
+                 ["analyze", "--gen", "path:4", "--int-tol", "1e-6"],  # removed flag
+                 ["verify", "--gen", "K:3,3,1", "--int-tol", "1e-15"],
+                 ["corpus", "--n", "3", "--int-tol", "1e-6"],
+                 ["tables", "--int-tol", "1e-6"],
                  ["tables", "--coloring", "max-l1"]):  # tables has one coloring
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -141,7 +141,7 @@ def test_mu_at():
 
 
 def test_cluster_values():
-    clusters = cluster_values([5.0, 5.0 + 1e-9, 3.0, 0.0], int_tol=1e-6)
+    clusters = cluster_values([5.0, 5.0 + 1e-9, 3.0, 0.0])
     assert [(round(v, 6), m) for v, m in clusters] == [(5.0, 2), (3.0, 1), (0.0, 1)]
     assert cluster_values([]) == ()
 
@@ -164,9 +164,9 @@ def test_spectral_sanity_small_corpus(corpus_analyses):
         for a in corpus_analyses[n]:
             vals = a.values
             assert vals.min() >= -1e-6                       # PSD
-            assert mu_at(vals, 0.0, 1e-6) == 1                # simple zero
+            assert mu_at(vals, 0.0) == 1                # simple zero
             assert abs(vals.sum() - 2 * a.dd.wiener) <= n * 1e-6
-            assert sum(m for _, m in cluster_values(vals, a.int_tol)) == n
+            assert sum(m for _, m in cluster_values(vals)) == n
             assert (np.diff(vals) <= 1e-12).all()             # nonincreasing
 
 

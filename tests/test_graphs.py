@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,14 @@ def test_parse_edge_list_errors():
         parse_edge_list("3\n1 1")
 
 
+def test_parse_edge_list_checks_vertex_count_first():
+    # the count line is refused before any edge line is read
+    with pytest.raises(ValueError, match="vertex count"):
+        parse_edge_list("1000\n0 1\nnot an edge\n")
+    with pytest.raises(ValueError, match=r"1\.\.64"):
+        parse_edge_list("1000000000\n")
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])  # asymmetric
@@ -210,6 +219,20 @@ def test_gen_named_examples():
         gen_named("petersen")
     with pytest.raises(ValueError):
         gen_named("path")  # missing parameter
+
+
+def test_gen_named_refuses_oversized_parameter_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1\.\.64"):
+            gen_named("path", 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for name, params in (("cycle", (65,)), ("complete", (65,)), ("double_star", (3, 65))):
+        with pytest.raises(ValueError, match=r"1\.\.64"):
+            gen_named(name, *params)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_diameter_examples():
 def test_dl_invariants_on_corpus(corpus_analyses):
     for n, analyses in corpus_analyses.items():
         for a in analyses:
-            dl = a.dl
+            dl = distance_laplacian(a.dd)
             assert (dl.sum(axis=1) == 0).all()  # exact integer row sums
             assert np.array_equal(dl, dl.T)
             assert dl.trace() == 2 * a.dd.wiener

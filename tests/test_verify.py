@@ -1,6 +1,5 @@
 import json
 import math
-import random
 
 import pytest
 
@@ -270,20 +269,6 @@ def test_counting_identity_on_corpus(corpus_analyses):
     for n, analyses in corpus_analyses.items():
         for a in analyses:
             assert a.mu_below_b + a.m_ge_b == n
-
-
-def test_checkers_monotone_in_int_tol(corpus_analyses):
-    rng = random.Random(31)
-    sample = rng.sample(corpus_analyses[6], 25) + rng.sample(corpus_analyses[7], 25)
-    for a in sample:
-        verdicts = []
-        for tol in (1e-6, 1e-5, 1e-4):
-            loose = analyze(a.graph, int_tol=tol)
-            verdicts.append({r.check_id: r.verdict for r in run_checks(loose).results})
-        for tighter, looser in zip(verdicts, verdicts[1:]):
-            for cid, v in tighter.items():
-                if v == "pass":
-                    assert looser[cid] != "fail"
 
 
 def test_report_records_roundtrip():
