@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -21,7 +22,9 @@ from distlap.eigen import cluster_values
 from distlap.verify import (
     GraphSummary,
     analyze,
+    analyze_many,
     audit_extremal,
+    batches,
     records_to_csv,
     records_to_jsonl,
     report_records,
@@ -197,10 +200,11 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_worker(task) -> tuple[list[dict], GraphSummary]:
-    g, coloring_mode = task
-    a = analyze(g, coloring_mode=coloring_mode)
-    return report_records(run_checks(a)), a.summary
+def _corpus_worker(task) -> list[tuple[list[dict], GraphSummary]]:
+    """Records and summary of every graph in one batch."""
+    batch, coloring_mode = task
+    return [(report_records(run_checks(a)), a.summary)
+            for a in analyze_many(batch, coloring_mode)]
 
 
 def _usable_cpus() -> int:
@@ -211,15 +215,17 @@ def _usable_cpus() -> int:
 
 
 def _sweep(tasks: list, jobs: int):
-    """Yield _corpus_worker's result for every task, in task order, with at
-    most one worker per usable CPU."""
+    """Yield the (records, summary) pair of every graph, in task order, with
+    at most one worker per usable CPU. Each task is one batch of graphs."""
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
-        yield from map(_corpus_worker, tasks)
+        for task in tasks:
+            yield from _corpus_worker(task)
         return
     # spawn, not fork: the parent may already hold BLAS threads
     with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        yield from pool.imap(_corpus_worker, tasks, chunksize=max(1, len(tasks) // (16 * jobs)))
+        for results in pool.imap(_corpus_worker, tasks):
+            yield from results
 
 
 def cmd_corpus(args) -> int:
@@ -227,7 +233,7 @@ def cmd_corpus(args) -> int:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, FileNotFoundError) as exc:
         raise InputError(str(exc)) from exc
-    tasks = [(g, args.coloring) for g in corpus]
+    tasks = [(batch, args.coloring) for batch in batches(corpus)]
 
     tallies: dict[str, dict[str, int]] = {}
     n_fail = 0
@@ -376,20 +382,23 @@ def cmd_tables(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main() call. It names the subcommand (`command`) but holds no function:
+    main looks cmd_<command> up when it runs, so the shared parser never
+    pins a function object that a test or a tracer has since replaced."""
     parser = argparse.ArgumentParser(
         prog="distlap",
         description="Distance Laplacian spectra, chromatic data, and bound verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, text in (
-            ("analyze", cmd_analyze, "print the full analysis of one connected graph"),
-            ("verify", cmd_verify, "run every checker against one connected graph")):
+    for name, text in (("analyze", "print the full analysis of one connected graph"),
+                       ("verify", "run every checker against one connected graph")):
         p = sub.add_parser(name, help=text)
         _add_input_args(p)
         _add_coloring_arg(p)
         _add_common_args(p)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus", help="run every checker over all connected graphs on n vertices")
     p.add_argument("--n", type=int, required=True)
@@ -400,12 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also audit the minimum-dL1 theorem for every chi")
     _add_coloring_arg(p)
     _add_common_args(p)
-    p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("tables", help="recompute both numeric tables and diff them "
                                       "against the committed expected values")
     _add_common_args(p)
-    p.set_defaults(fn=cmd_tables)
 
     return parser
 
@@ -416,7 +423,7 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

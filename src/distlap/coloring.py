@@ -55,11 +55,16 @@ class _OverBudget(Exception):
     pass
 
 
-def _search(adj: Sequence[int], k: int, by_degree: bool = True,
+def _neighbor_lists(adj: Sequence[int]) -> list[list[int]]:
+    """Each vertex's neighbors, lowest first, from its neighbor mask."""
+    return [list(_bits(a)) for a in adj]
+
+
+def _search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
             budget: float = math.inf,
             feasible: Callable[[int, int, list[int]], bool] | None = None) -> list[int] | None:
-    """The first proper coloring of the graph with neighbor masks `adj` in
-    colors 0..k-1, or None if there is none.
+    """The first proper coloring of the graph with neighbor lists `neighbors`
+    (from _neighbor_lists) in colors 0..k-1, or None if there is none.
 
     DSATUR backtracking (Brelaz 1979): the next vertex is an uncolored one
     that sees the most colors, ties going to the highest degree if
@@ -71,11 +76,10 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
     lowest-index ties the result is greedy DSATUR. Past `budget` nodes it
     raises _OverBudget.
     """
-    n = len(adj)
+    n = len(neighbors)
     full = (1 << k) - 1
     colors = [-1] * n
     nb_colors = [0] * n
-    neighbors = [list(_bits(a)) for a in adj]
     # 64 * colors seen + (degree or 0); -1 once colored
     keys = [len(nbrs) if by_degree else 0 for nbrs in neighbors]
 
@@ -145,7 +149,7 @@ def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
             for u in _bits(g.adj[v]):
                 mask |= 1 << where[u]
         adj.append(mask & ~(1 << i))
-    colors = _search(adj, k)
+    colors = _search(_neighbor_lists(adj), k)
     if colors is None:
         return None
     rename = dict(zip(colors, held))  # the first len(held) groups hold distinct colors
@@ -156,12 +160,14 @@ def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
     return [rename[colors[where[v]]] for v in range(g.n)]
 
 
-def _k_colorable(g: Graph, k: int, witness: list[int] | None = None) -> list[int] | None:
+def _k_colorable(g: Graph, k: int, witness: list[int] | None = None,
+                 neighbors: list[list[int]] | None = None) -> list[int] | None:
     """The first proper coloring with at most k colors, or None if there is none.
 
     "First" is in the order of plain backtracking: _search with lowest-index
     ties. So the result is deterministic for a fixed labeling. `witness`, if
-    given, is any proper k-coloring.
+    given, is any proper k-coloring; `neighbors`, if given, is
+    _neighbor_lists(g.adj).
 
     Plain backtracking can spend seconds in branches that hold no coloring,
     so it runs for at most PLAIN_NODES nodes. After that the same search runs
@@ -172,12 +178,14 @@ def _k_colorable(g: Graph, k: int, witness: list[int] | None = None) -> list[int
     never refuse a branch that holds a coloring; a stale witness would cost
     backtracking, not a different coloring.
     """
+    if neighbors is None:
+        neighbors = _neighbor_lists(g.adj)
     try:
-        return _search(g.adj, k, by_degree=False, budget=PLAIN_NODES)
+        return _search(neighbors, k, by_degree=False, budget=PLAIN_NODES)
     except _OverBudget:
         pass
     if witness is None:
-        witness = _search(g.adj, k)
+        witness = _search(neighbors, k)
         if witness is None:
             return None
 
@@ -195,17 +203,19 @@ def _k_colorable(g: Graph, k: int, witness: list[int] | None = None) -> list[int
         witness = found
         return True
 
-    return _search(g.adj, k, by_degree=False, feasible=feasible)
+    return _search(neighbors, k, by_degree=False, feasible=feasible)
 
 
-def _chromatic(g: Graph, greedy: list[int]) -> tuple[int, list[int]]:
+def _chromatic(g: Graph, neighbors: list[list[int]],
+               greedy: list[int]) -> tuple[int, list[int]]:
     """The chromatic number and a coloring that attains it, searching down
-    from one color fewer than `greedy` uses."""
+    from one color fewer than `greedy` uses. `neighbors` is
+    _neighbor_lists(g.adj)."""
     best = greedy
     k = max(greedy)
     lb = len(_greedy_clique(g))
     while k >= lb:
-        found = _search(g.adj, k)
+        found = _search(neighbors, k)
         if found is None:
             break
         best = found
@@ -215,9 +225,10 @@ def _chromatic(g: Graph, greedy: list[int]) -> tuple[int, list[int]]:
 
 def _best_coloring(g: Graph) -> list[int]:
     """The greedy coloring if it is optimal, else the first optimal one."""
-    greedy = _search(g.adj, g.n, by_degree=False)
-    chi, witness = _chromatic(g, greedy)
-    return greedy if chi == max(greedy) + 1 else _k_colorable(g, chi, witness)
+    neighbors = _neighbor_lists(g.adj)
+    greedy = _search(neighbors, g.n, by_degree=False)
+    chi, witness = _chromatic(g, neighbors, greedy)
+    return greedy if chi == max(greedy) + 1 else _k_colorable(g, chi, witness, neighbors)
 
 
 def _to_result(g: Graph, colors: Sequence[int]) -> ColoringResult:
@@ -233,7 +244,8 @@ def _to_result(g: Graph, colors: Sequence[int]) -> ColoringResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    return _chromatic(g, _search(g.adj, g.n, by_degree=False))[0]
+    neighbors = _neighbor_lists(g.adj)
+    return _chromatic(g, neighbors, _search(neighbors, g.n, by_degree=False))[0]
 
 
 def optimal_coloring(g: Graph) -> ColoringResult:

@@ -1,7 +1,8 @@
 """Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, interval counts.
 
-A spectrum is a plain nonincreasing float64 array. Every count, multiplicity
-and cluster snaps with the one fixed tolerance INT_TOL; no caller sets it.
+A spectrum is a plain nonincreasing float64 array, and a stack of spectra is
+an array whose last axis holds each spectrum. Every count, multiplicity and
+cluster snaps with the one fixed tolerance INT_TOL; no caller sets it.
 """
 
 from __future__ import annotations
@@ -11,23 +12,25 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from distlap.graphs import Graph, validate_part_sizes
-from distlap.metric import apsp, distance_laplacian
+from distlap.metric import distance_laplacian, distance_stack
 
 INT_TOL = 1e-6  # snap tolerance for interval counts, multiplicities and clustering
 
 
 def eig_symmetric(matrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted nonincreasing.
+    """Eigenvalues of a symmetric matrix, or of each matrix in a (..., n, n)
+    stack, sorted nonincreasing along the last axis.
 
-    LAPACK's symmetric solver via numpy.linalg.eigvalsh. The input must be
-    exactly symmetric, which integer-sourced matrices always are.
+    One LAPACK symmetric solve via numpy.linalg.eigvalsh, which gives each
+    matrix of a stack the same values it gives that matrix alone. The input
+    must be exactly symmetric, which integer-sourced matrices always are.
     """
     a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigvalsh(a)[::-1]
+    return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
@@ -42,7 +45,7 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
 
 def spectrum(g: Graph) -> np.ndarray:
     """Distance Laplacian spectrum of a connected graph, nonincreasing."""
-    return eig_symmetric(distance_laplacian(apsp(g)))
+    return eig_symmetric(distance_laplacian(distance_stack([g])))[0]
 
 
 def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
@@ -62,16 +65,29 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def count_in_interval(values: np.ndarray, lo: float, hi: float) -> int:
+# The counts below take one spectrum and scalar bounds, returning an int, or a
+# stack of spectra and one bound per spectrum, returning an int array.
+
+def _per_spectrum(bound) -> np.ndarray:
+    return np.asarray(bound, dtype=np.float64)[..., None]
+
+
+def _count(hits: np.ndarray) -> int | np.ndarray:
+    counts = np.count_nonzero(hits, axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def count_in_interval(values: np.ndarray, lo, hi) -> int | np.ndarray:
     """Number of eigenvalues in [lo - INT_TOL, hi + INT_TOL]; empty intervals count 0."""
-    return int(np.count_nonzero((values >= lo - INT_TOL) & (values <= hi + INT_TOL)))
+    return _count((values >= _per_spectrum(lo) - INT_TOL)
+                  & (values <= _per_spectrum(hi) + INT_TOL))
 
 
-def mu_below(values: np.ndarray, bound: float) -> int:
+def mu_below(values: np.ndarray, bound) -> int | np.ndarray:
     """Number of eigenvalues strictly below bound - INT_TOL."""
-    return int(np.count_nonzero(values < bound - INT_TOL))
+    return _count(values < _per_spectrum(bound) - INT_TOL)
 
 
-def mu_at(values: np.ndarray, x: float) -> int:
+def mu_at(values: np.ndarray, x) -> int | np.ndarray:
     """Multiplicity of the eigenvalue x up to INT_TOL."""
-    return int(np.count_nonzero(np.abs(values - x) <= INT_TOL))
+    return _count(np.abs(values - _per_spectrum(x)) <= INT_TOL)

@@ -30,9 +30,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1; `m` is its edge count."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if not 1 <= n <= MAX_VERTICES:
@@ -51,6 +51,7 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "m", sum(mask.bit_count() for mask in adj) // 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -70,11 +71,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, adj)
-
-    @property
-    def m(self) -> int:
-        """Number of edges."""
-        return sum(mask.bit_count() for mask in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -223,16 +219,22 @@ def parse_edge_list(text: str) -> Graph:
 # basic operations
 # ---------------------------------------------------------------------------
 
+def _complement_masks(adj: Sequence[int]) -> list[int]:
+    """Neighbor masks of the complement of the graph with neighbor masks `adj`."""
+    full = (1 << len(adj)) - 1
+    return [full & ~mask & ~(1 << v) for v, mask in enumerate(adj)]
+
+
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, [full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj)])
+    return Graph(g.n, _complement_masks(g.adj))
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Partition vertices into maximal connected blocks, ordered by least member."""
+def _component_masks(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the connected components of the graph with neighbor
+    masks `adj`, ordered by least member."""
     seen = 0
     comps = []
-    for start in range(g.n):
+    for start in range(len(adj)):
         if seen >> start & 1:
             continue
         comp = 1 << start
@@ -240,12 +242,17 @@ def connected_components(g: Graph) -> list[list[int]]:
         while frontier:
             nxt = 0
             for v in _bits(frontier):
-                nxt |= g.adj[v]
+                nxt |= adj[v]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
-        comps.append(list(_bits(comp)))
+        comps.append(comp)
     return comps
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Partition vertices into maximal connected blocks, ordered by least member."""
+    return [list(_bits(comp)) for comp in _component_masks(g.adj)]
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,12 +1,17 @@
-"""Exact integer distance data and the distance Laplacian matrix."""
+"""Exact integer distance data and the distance Laplacian matrix.
+
+Distances are computed for a whole stack of same-order graphs at once; a
+single graph is a stack of one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from distlap.graphs import Graph, _bits
+from distlap.graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -22,35 +27,49 @@ class DistanceData:
     def n(self) -> int:
         return int(self.dist.shape[0])
 
+    @classmethod
+    def of(cls, dist: np.ndarray) -> "DistanceData":
+        """The distance data of one (n, n) distance matrix."""
+        tr = dist.sum(axis=1)
+        return cls(dist=dist, tr=tr, diameter=int(dist.max()), wiener=int(tr.sum()) // 2)
+
+
+def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """(B, n, n) int64 hop distances of same-order connected graphs.
+
+    Reachability products: R starts as the identity and becomes R | R·A once
+    per step, so after d steps R holds the pairs at distance <= d, and each
+    pair's distance is the number of steps it spent outside R. Raises
+    ValueError if some graph in the stack is disconnected.
+    """
+    orders = {g.n for g in graphs}
+    if len(orders) != 1:
+        raise ValueError(f"a stack needs graphs of one order, got orders {sorted(orders)}")
+    n = orders.pop()
+    masks = np.array([g.adj for g in graphs], dtype=np.uint64)
+    a = (masks[:, :, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(bool)
+    reach = np.broadcast_to(np.eye(n, dtype=bool), a.shape)
+    dist = np.zeros(a.shape, dtype=np.int64)
+    for _ in range(n):  # a connected graph is reached within n - 1 steps
+        if reach.all():
+            return dist
+        dist += ~reach
+        reach = reach | reach @ a
+    raise ValueError("graph is disconnected: unreachable vertex pair")
+
 
 def apsp(g: Graph) -> DistanceData:
-    """Breadth-first search from every source; raises ValueError if disconnected."""
-    n = g.n
-    full = (1 << n) - 1
-    dist = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        row = dist[s]
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            d += 1
-            for v in _bits(frontier):
-                row[v] = d
-            seen |= frontier
-        if seen != full:
-            raise ValueError("graph is disconnected: unreachable vertex pair")
-    tr = dist.sum(axis=1)
-    return DistanceData(dist=dist, tr=tr, diameter=int(dist.max()), wiener=int(tr.sum()) // 2)
+    """Distance data of one connected graph; raises ValueError if disconnected."""
+    return DistanceData.of(distance_stack([g])[0])
 
 
-def distance_laplacian(dd: DistanceData) -> np.ndarray:
-    """Integer matrix diag(tr) - dist; rows sum to zero exactly."""
-    return np.diag(dd.tr) - dd.dist
+def distance_laplacian(dist: np.ndarray) -> np.ndarray:
+    """Integer matrix diag(tr) - dist for an (n, n) distance matrix or a
+    (..., n, n) stack of them; rows sum to zero exactly."""
+    dl = -dist
+    i = np.arange(dist.shape[-1])
+    dl[..., i, i] = dist.sum(axis=-1)
+    return dl
 
 
 def diameter(g: Graph) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from distlap.graphs import Graph, _bits, complement, connected_components
+from distlap.graphs import Graph, _bits, _complement_masks, _component_masks
 from distlap.metric import DistanceData, apsp
 
 
@@ -71,7 +71,7 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
 
 def complement_component_count(g: Graph) -> int:
     """Number of connected components of the complement graph."""
-    return len(connected_components(complement(g)))
+    return len(_component_masks(_complement_masks(g.adj)))
 
 
 def universal_vertex_count(g: Graph) -> int:

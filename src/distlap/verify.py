@@ -13,14 +13,14 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_in_interval, eig_symmetric, mu_at, mu_below
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
-from distlap.metric import DistanceData, apsp, distance_laplacian
+from distlap.metric import DistanceData, distance_laplacian, distance_stack
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
 
 
@@ -39,25 +39,29 @@ class GraphAnalysis:
     """Everything the checkers need about one connected graph, computed once.
 
     `values` is the DL spectrum, nonincreasing; `coloring` is the one optimal
-    coloring every chi- and ell-parameterized check reads.
+    coloring every chi- and ell-parameterized check reads. The spectral counts
+    the checkers compare are plain integers: `m_ge_b` counts eigenvalues in
+    [b_chi, dL1], `mu_below_b` those below b_chi, `mu_at_n` the multiplicity
+    of n, and `twin_mults[i]` that of `twins[i].forced_value`.
     """
 
     graph: Graph
     graph6: str
+    m: int
     dd: DistanceData
     values: np.ndarray
     coloring: ColoringResult
     twins: tuple[TwinClass, ...]
     complement_components: int
     universal_vertices: int
+    m_ge_b: int
+    mu_below_b: int
+    mu_at_n: int
+    twin_mults: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
 
     @property
     def chi(self) -> int:
@@ -83,35 +87,68 @@ class GraphAnalysis:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    @property
-    def mu_below_b(self) -> int:
-        return mu_below(self.values, self.b_chi)
 
-    @property
-    def m_ge_b(self) -> int:
-        return count_in_interval(self.values, self.b_chi, self.dl1)
+BATCH = 512  # graphs per analyze_many call when a caller splits a longer list
 
 
-def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
-    """Build the shared analysis record for a connected graph.
+def batches(graphs: Sequence[Graph]) -> Iterator[Sequence[Graph]]:
+    """Consecutive slices of `graphs`, BATCH graphs each (the last may be shorter)."""
+    for i in range(0, len(graphs), BATCH):
+        yield graphs[i:i + BATCH]
 
-    coloring_mode "max-l1" uses an optimal coloring with the largest possible
-    first class (guarded to n <= 16) instead of the default optimal coloring.
-    A disconnected graph raises ValueError (from apsp).
+
+def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> list[GraphAnalysis]:
+    """Analyses of same-order connected graphs, in order, sharing one kernel.
+
+    Distances, distance Laplacians and spectra are computed for the whole
+    stack at once (one numpy.linalg.eigvalsh call), and so are the spectral
+    counts once each graph's coloring is known. coloring_mode "max-l1" uses an
+    optimal coloring with the largest possible first class (guarded to
+    n <= 16) instead of the default optimal coloring. A disconnected graph
+    anywhere in the stack raises ValueError (from distance_stack).
     """
     if coloring_mode not in ("default", "max-l1"):
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
-    dd = apsp(g)
-    return GraphAnalysis(
-        graph=g,
-        graph6=to_graph6(g),
-        dd=dd,
-        values=eig_symmetric(distance_laplacian(dd)),
-        coloring=max_ell1_coloring(g) if coloring_mode == "max-l1" else optimal_coloring(g),
-        twins=tuple(twin_classes(g, dd)),
-        complement_components=complement_component_count(g),
-        universal_vertices=universal_vertex_count(g),
-    )
+    if not graphs:
+        return []
+    dist = distance_stack(graphs)
+    values = eig_symmetric(distance_laplacian(dist))
+    color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
+    colorings = [color(g) for g in graphs]
+    dds = [DistanceData.of(d) for d in dist]
+    twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
+
+    b_chi = [c.b_chi for c in colorings]
+    m_ge_b = count_in_interval(values, b_chi, values[:, 0]).tolist()
+    mu_below_b = mu_below(values, b_chi).tolist()
+    mu_at_n = mu_at(values, graphs[0].n).tolist()
+    # every twin class of the stack in one query, then split back per graph
+    owner = [i for i, ts in enumerate(twins) for _ in ts]
+    mults = iter(mu_at(values[owner], [t.forced_value for ts in twins for t in ts]).tolist())
+
+    return [
+        GraphAnalysis(
+            graph=g,
+            graph6=to_graph6(g),
+            m=g.m,
+            dd=dds[i],
+            values=values[i],
+            coloring=colorings[i],
+            twins=twins[i],
+            complement_components=complement_component_count(g),
+            universal_vertices=universal_vertex_count(g),
+            m_ge_b=m_ge_b[i],
+            mu_below_b=mu_below_b[i],
+            mu_at_n=mu_at_n[i],
+            twin_mults=tuple(next(mults) for _ in twins[i]),
+        )
+        for i, g in enumerate(graphs)
+    ]
+
+
+def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
+    """The analysis of one connected graph: analyze_many on a stack of one."""
+    return analyze_many([g], coloring_mode)[0]
 
 
 @dataclass
@@ -252,22 +289,21 @@ def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
     c = _Claims()
-    c.eq("mu_at_n_minus_cm1", mu_at(a.values, a.n), a.complement_components - 1)
+    c.eq("mu_at_n_minus_cm1", a.mu_at_n, a.complement_components - 1)
     return c.result("n_multiplicity")
 
 
 def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
-    classes = [t for t in a.twins if t.kind == kind]
+    classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
     if not classes:
         return _na(check_id, f"no {kind} twin class")
     c = _Claims()
     n = a.n
-    for t in classes:
+    for t, mult in classes:
         tag = f"class{t.members[0]}"
         s, ext = len(t.members), len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        c.ge(f"{tag}_mult", mu_at(a.values, t.forced_value), t.forced_mult,
-             exact=True)
+        c.ge(f"{tag}_mult", mult, t.forced_mult, exact=True)
         # (b) compression lower estimate on the forced eigenvalue
         lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext
         c.ge(f"{tag}_lower", t.forced_value, lower, exact=True)
@@ -458,8 +494,13 @@ def report_records(report: CheckReport) -> list[dict]:
     return out
 
 
+# one encoder for every record; json.dumps(..., sort_keys=True) would build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def records_to_jsonl(records: Iterable[dict]) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    encode = _ENCODER.encode
+    return "".join(encode(rec) + "\n" for rec in records)
 
 
 def records_to_csv(records: Iterable[dict]) -> str:
@@ -468,10 +509,10 @@ def records_to_csv(records: Iterable[dict]) -> str:
     writer.writeheader()
     for rec in records:
         row = dict(rec)
-        row["slack"] = json.dumps(row.get("slack"), sort_keys=True)
+        row["slack"] = _ENCODER.encode(row.get("slack"))
         witness = row.get("witness")
         if isinstance(witness, (dict, list)):
-            witness = json.dumps(witness, sort_keys=True)
+            witness = _ENCODER.encode(witness)
         row["witness"] = witness
         writer.writerow(row)
     return buf.getvalue()

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from distlap.graphs import enumerate_connected
-from distlap.verify import analyze
+from distlap.verify import analyze_many, batches
 
 
 @pytest.fixture(scope="session")
 def corpus_analyses():
     """GraphAnalysis records for every connected isomorphism class, n = 1..7."""
-    return {n: [analyze(g) for g in enumerate_connected(n)] for n in range(1, 8)}
+    return {n: [a for batch in batches(list(enumerate_connected(n)))
+                for a in analyze_many(batch)]
+            for n in range(1, 8)}

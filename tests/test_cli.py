@@ -143,20 +143,32 @@ def test_corpus_jobs_match_serial(capsys):
 
 def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
     calls = []
-    real = verify.analyze
+    real = verify.analyze_many
 
-    def counted(g, *args, **kwargs):
-        calls.append(g)
-        return real(g, *args, **kwargs)
+    def counted(graphs, *args, **kwargs):
+        calls.extend(graphs)
+        return real(graphs, *args, **kwargs)
 
-    # the corpus pass looks analyze up in cli; nothing may reach verify.analyze
-    # around it, e.g. a second pass for the audit
-    monkeypatch.setattr(cli, "analyze", counted)
-    monkeypatch.setattr(verify, "analyze", counted)
+    # the corpus pass looks analyze_many up in cli; verify.analyze goes
+    # through verify.analyze_many, so a second pass for the audit shows too
+    monkeypatch.setattr(cli, "analyze_many", counted)
+    monkeypatch.setattr(verify, "analyze_many", counted)
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     assert code == 0
     assert "112 connected graphs" in out
     assert len(calls) == 112
+    assert len(set(calls)) == 112
+
+
+def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, _ = run_cli(capsys, "verify", "--gen", "path:4")
+    assert code == 0
+    # the shared parser, built before the patch, must still reach the new function
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.gen) or 0)
+    code, _, _ = run_cli(capsys, "verify", "--gen", "path:5")
+    assert code == 0 and seen == ["path:5"]
 
 
 def test_corpus_audit_jobs_match_serial(capsys):

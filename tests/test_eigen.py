@@ -40,7 +40,7 @@ def test_eig_dl_k2():
 
 
 def test_eig_dl_p3():
-    dl = distance_laplacian(apsp(gen_path(3)))
+    dl = distance_laplacian(apsp(gen_path(3)).dist)
     # eigenvectors (1,0,-1) and (1,-2,1) give 5 and 3
     assert dl @ np.array([1, 0, -1]) @ np.array([1, 0, -1]) == 5 * 2
     assert (dl @ np.array([1, -2, 1]) == 3 * np.array([1, -2, 1])).all()

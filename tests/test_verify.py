@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from distlap import coloring, verify
 from distlap.coloring import max_ell1_coloring
+from distlap.eigen import count_in_interval, mu_at, mu_below
 from distlap.graphs import (
+    Graph,
+    enumerate_connected,
     gen_comp_s62,
     gen_complete,
     gen_complete_multipartite,
@@ -18,7 +23,9 @@ from distlap.graphs import (
 from distlap.verify import (
     CHECKS,
     CheckResult,
+    GraphAnalysis,
     analyze,
+    analyze_many,
     audit_extremal,
     check_ah_bound,
     check_clique_refine,
@@ -263,6 +270,53 @@ def test_max_ell1_mode_guard_precedes_optimal_coloring(monkeypatch):
     monkeypatch.setattr(verify, "optimal_coloring", refuse)
     with pytest.raises(ValueError, match="n <= 16"):
         analyze(gen_path(17), coloring_mode="max-l1")
+
+
+def _assert_same_analysis(x: GraphAnalysis, y: GraphAnalysis) -> None:
+    for f in dataclasses.fields(GraphAnalysis):
+        u, v = getattr(x, f.name), getattr(y, f.name)
+        if f.name == "values":
+            assert np.array_equal(u, v), x.graph6  # bit-identical spectra
+        elif f.name == "dd":
+            assert np.array_equal(u.dist, v.dist) and np.array_equal(u.tr, v.tr)
+            assert (u.diameter, u.wiener) == (v.diameter, v.wiener)
+        else:
+            assert u == v, (x.graph6, f.name)
+
+
+def test_analyze_many_matches_analyze_on_corpus():
+    for n in range(1, 8):
+        graphs = list(enumerate_connected(n))
+        single = [analyze(g) for g in graphs]
+        for size in (len(graphs), 1, 64):
+            batched = [a for i in range(0, len(graphs), size)
+                       for a in analyze_many(graphs[i:i + size])]
+            assert len(batched) == len(single)
+            for x, y in zip(single, batched):
+                _assert_same_analysis(x, y)
+        # the stacked counts equal the one-spectrum counts
+        for a in single:
+            assert a.m == len(a.graph.edges())
+            assert a.m_ge_b == count_in_interval(a.values, a.b_chi, a.dl1)
+            assert a.mu_below_b == mu_below(a.values, a.b_chi)
+            assert a.mu_at_n == mu_at(a.values, n)
+            assert a.twin_mults == tuple(mu_at(a.values, t.forced_value) for t in a.twins)
+
+
+def test_analyze_many_max_ell1_mode_matches_analyze():
+    graphs = list(enumerate_connected(6))
+    batched = analyze_many(graphs, coloring_mode="max-l1")
+    for g, a in zip(graphs, batched, strict=True):
+        _assert_same_analysis(analyze(g, coloring_mode="max-l1"), a)
+
+
+def test_analyze_many_rejects_a_disconnected_graph_in_the_batch():
+    split = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="disconnected"):
+        analyze_many([gen_path(4), split, gen_cycle(4)])
+    with pytest.raises(ValueError, match="one order"):
+        analyze_many([gen_path(4), gen_path(5)])
+    assert analyze_many([]) == []
 
 
 def test_counting_identity_on_corpus(corpus_analyses):
