@@ -7,6 +7,7 @@ or table mismatch, 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -20,13 +21,14 @@ from pathlib import Path
 from distlap import graphs
 from distlap.eigen import cluster_values
 from distlap.verify import (
+    CHECKS,
     GraphSummary,
     analyze,
     analyze_many,
     audit_extremal,
     batches,
     records_to_csv,
-    records_to_jsonl,
+    report_jsonl,
     report_records,
     run_checks,
 )
@@ -90,14 +92,24 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream a report is written to: stdout, or the file `out`, opened
+    on entry so that an unwritable path fails before any work is done."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _csv_text(rows) -> str:
@@ -181,11 +193,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = run_checks(a)
-    records = report_records(report)
     if args.format == "json":
-        _emit(records_to_jsonl(records), args.out)
+        _emit(report_jsonl(report), args.out)
     elif args.format == "csv":
-        _emit(records_to_csv(records), args.out)
+        _emit(records_to_csv(report_records(report)), args.out)
     else:
         lines = [f"{a.graph6}  n={a.n} m={a.m} chi={a.chi} b_chi={a.b_chi}"]
         for r in report.results:
@@ -200,11 +211,22 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_worker(task) -> list[tuple[list[dict], GraphSummary]]:
-    """Records and summary of every graph in one batch."""
-    batch, coloring_mode = task
-    return [(report_records(run_checks(a)), a.summary)
-            for a in analyze_many(batch, coloring_mode)]
+def _corpus_worker(task) -> tuple[str, list[tuple[tuple[str, ...], GraphSummary]]]:
+    """One batch of graphs: the records text of the whole batch in the
+    requested format (CSV without its header, nothing for pretty), and each
+    graph's verdicts, in CHECKS order, with its summary."""
+    batch, coloring_mode, fmt = task
+    reports = [run_checks(a) for a in analyze_many(batch, coloring_mode)]
+    if fmt == "json":
+        text = "".join([report_jsonl(r) for r in reports])
+    elif fmt == "csv":
+        # records_to_csv starts with the header, which cmd_corpus writes once
+        text = records_to_csv([rec for r in reports for rec in report_records(r)])
+        text = text.partition("\n")[2]
+    else:
+        text = ""
+    return text, [(tuple(r.verdict for r in report.results), report.analysis.summary)
+                  for report in reports]
 
 
 def _usable_cpus() -> int:
@@ -215,17 +237,15 @@ def _usable_cpus() -> int:
 
 
 def _sweep(tasks: list, jobs: int):
-    """Yield the (records, summary) pair of every graph, in task order, with
-    at most one worker per usable CPU. Each task is one batch of graphs."""
+    """Yield the result of every task, in task order, with at most one worker
+    per usable CPU. Each task is one batch of graphs."""
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
-        for task in tasks:
-            yield from _corpus_worker(task)
+        yield from map(_corpus_worker, tasks)
         return
     # spawn, not fork: the parent may already hold BLAS threads
     with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        for results in pool.imap(_corpus_worker, tasks):
-            yield from results
+        yield from pool.imap(_corpus_worker, tasks)
 
 
 def cmd_corpus(args) -> int:
@@ -233,54 +253,57 @@ def cmd_corpus(args) -> int:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, FileNotFoundError) as exc:
         raise InputError(str(exc)) from exc
-    tasks = [(batch, args.coloring) for batch in batches(corpus)]
+    tasks = [(batch, args.coloring, args.format) for batch in batches(corpus)]
 
-    tallies: dict[str, dict[str, int]] = {}
-    n_fail = 0
-    records = []
+    tallies = {cid: {"pass": 0, "fail": 0, "not-applicable": 0} for cid, _ in CHECKS}
     summaries = []
-    for recs, summary in _sweep(tasks, args.jobs):
+    with _output(args.out) as out:
+        if args.format == "csv":
+            out.write(records_to_csv(()))  # the header alone
+        try:
+            for text, graph_results in _sweep(tasks, args.jobs):
+                out.write(text)
+                for verdicts, summary in graph_results:
+                    for (cid, _), verdict in zip(CHECKS, verdicts):
+                        tallies[cid][verdict] += 1
+                    if args.audit_extremal:
+                        summaries.append(summary)
+        except ValueError as exc:  # a disconnected graph in a fixture file
+            raise InputError(str(exc)) from exc
+
+        audits = []
         if args.audit_extremal:
-            summaries.append(summary)
-        for rec in recs:
-            records.append(rec)
-            t = tallies.setdefault(rec["check_id"], {"pass": 0, "fail": 0, "not-applicable": 0})
-            t[rec["verdict"]] += 1
-            if rec["verdict"] == "fail":
-                n_fail += 1
-
-    audits = []
-    if args.audit_extremal:
-        for chi in range(2, args.n):
-            audits.append(audit_extremal(args.n, chi, analyses=summaries))
-
-    if args.format == "json":
-        _emit(records_to_jsonl(records), args.out)
-    elif args.format == "csv":
-        _emit(records_to_csv(records), args.out)
-    else:
-        lines = [f"corpus n={args.n}: {len(corpus)} connected graphs"]
-        lines.append(f"{'check':24s} {'pass':>6s} {'fail':>6s} {'n/a':>6s}")
-        for cid, t in tallies.items():
-            lines.append(f"{cid:24s} {t['pass']:6d} {t['fail']:6d} {t['not-applicable']:6d}")
-        for audit in audits:
-            status = "ok" if audit.ok else "FAILED"
-            lines.append(
-                f"extremal chi={audit.chi}: min dL1 = {audit.observed_min:.6g} "
-                f"(expected {audit.expected_min}) over {audit.graphs_considered} graphs, "
-                f"{len(audit.minimizers)} minimizer(s) [{status}]")
-            for fail in audit.failures:
-                lines.append(f"  FAILURE: {fail}")
-        findings = [f for audit in audits for f in audit.findings]
-        if findings:
-            lines.append("findings (balanced-parts sub-claim violations, reported only):")
-            for f in findings:
-                lines.append(f"  {f['graph6']} parts={f['parts']}: {f['note']}")
-        lines.append(f"RESULT: {n_fail} checker failure(s)")
-        _emit("\n".join(lines) + "\n", args.out)
+            for chi in range(2, args.n):
+                audits.append(audit_extremal(args.n, chi, analyses=summaries))
+        n_fail = sum(t["fail"] for t in tallies.values())
+        if args.format == "pretty":
+            out.write(_corpus_summary(args.n, len(corpus), tallies, audits, n_fail))
 
     audits_ok = all(a.ok for a in audits)
     return 0 if n_fail == 0 and audits_ok else 1
+
+
+def _corpus_summary(n: int, n_graphs: int, tallies: dict, audits: list, n_fail: int) -> str:
+    """The pretty corpus report: verdict tallies per check, then the audits."""
+    lines = [f"corpus n={n}: {n_graphs} connected graphs"]
+    lines.append(f"{'check':24s} {'pass':>6s} {'fail':>6s} {'n/a':>6s}")
+    for cid, t in tallies.items():
+        lines.append(f"{cid:24s} {t['pass']:6d} {t['fail']:6d} {t['not-applicable']:6d}")
+    for audit in audits:
+        status = "ok" if audit.ok else "FAILED"
+        lines.append(
+            f"extremal chi={audit.chi}: min dL1 = {audit.observed_min:.6g} "
+            f"(expected {audit.expected_min}) over {audit.graphs_considered} graphs, "
+            f"{len(audit.minimizers)} minimizer(s) [{status}]")
+        for fail in audit.failures:
+            lines.append(f"  FAILURE: {fail}")
+    findings = [f for audit in audits for f in audit.findings]
+    if findings:
+        lines.append("findings (balanced-parts sub-claim violations, reported only):")
+        for f in findings:
+            lines.append(f"  {f['graph6']} parts={f['parts']}: {f['note']}")
+    lines.append(f"RESULT: {n_fail} checker failure(s)")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_coloring_arg(p)
         _add_common_args(p)
 
-    p = sub.add_parser("corpus", help="run every checker over all connected graphs on n vertices")
+    p = sub.add_parser(
+        "corpus", help="run every checker over all connected graphs on n vertices",
+        description="Run every checker over all connected graphs on n vertices. Records "
+                    "are written batch by batch as the pass goes; a pass stopped by an "
+                    "input error (exit 2) may leave a partial records file behind.")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corpus-dir", help="directory holding connected{n}.g6 fixture files")
     p.add_argument("--jobs", type=int, default=1,

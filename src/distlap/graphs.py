@@ -49,9 +49,20 @@ class Graph:
             for u in _bits(mask):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        self._set(n, adj, sum(mask.bit_count() for mask in adj) // 2)
+
+    def _set(self, n: int, adj: tuple[int, ...], m: int) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "m", sum(mask.bit_count() for mask in adj) // 2)
+        object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+        """A graph from masks its caller built symmetric, loop-free and in
+        range, with m edges: nothing is validated."""
+        g = object.__new__(cls)
+        g._set(n, adj, m)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -161,7 +172,8 @@ def parse_graph6(text: str) -> Graph:
                 adj[row] |= 1 << col
                 adj[col] |= 1 << row
             idx -= 1
-    return Graph(n, adj)
+    # each bit set both ways, row != col < n: valid by construction
+    return Graph._unchecked(n, tuple(adj), acc.bit_count())
 
 
 def to_graph6(g: Graph) -> str:
@@ -530,7 +542,8 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
     """Yield one representative per isomorphism class of connected graphs on n vertices.
 
     n <= 6 is enumerated internally; n in {7, 8} is served from fixture files
-    (packaged by default, overridable via corpus_dir).
+    (packaged by default, overridable via corpus_dir). A fixture line that
+    holds a graph of another order raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -539,7 +552,11 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
             yield parse_graph6(s)
     elif n in FIXTURE_COUNTS:
         for s in _fixture_lines(n, corpus_dir):
-            yield parse_graph6(s)
+            g = parse_graph6(s)
+            if g.n != n:
+                raise ValueError(f"fixture connected{n}.g6 holds {s!r}, "
+                                 f"a graph on {g.n} vertices")
+            yield g
     else:
         raise ValueError(f"enumeration supports n <= 8, got {n}")
 

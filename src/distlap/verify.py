@@ -498,9 +498,39 @@ def report_records(report: CheckReport) -> list[dict]:
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def records_to_jsonl(records: Iterable[dict]) -> str:
+def _slack_json(slack: dict[str, float]) -> str:
+    """json.dumps(slack, sort_keys=True). The labels are ASCII names the
+    checkers build, which JSON writes unescaped, and float.__repr__ is the
+    text JSON writes for a finite float."""
+    items = []
+    for label in sorted(slack):
+        v = slack[label]
+        items.append(f'"{label}": {float.__repr__(v) if math.isfinite(v) else _ENCODER.encode(v)}')
+    return "{" + ", ".join(items) + "}"
+
+
+def report_jsonl(report: CheckReport) -> str:
+    """The JSON lines of one graph's records, one per check: byte for byte
+    "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report_records(report)).
+
+    The five fields all of a graph's records share are encoded once, and each
+    line is assembled around them with its keys in sorted order.
+    """
+    a = report.analysis
     encode = _ENCODER.encode
-    return "".join(encode(rec) + "\n" for rec in records)
+    after_applicable = f', "b_chi": {encode(a.b_chi)}, "check_id": '
+    after_check_id = (f', "chi": {encode(a.chi)}, "graph6": {encode(a.graph6)}, '
+                      f'"m": {encode(a.m)}, "n": {encode(a.n)}, "slack": ')
+    lines = []
+    for r in report.results:
+        witness = r.witness if r.witness is not None else r.reason
+        # the verdict is one of three plain words, which CheckResult enforces
+        lines.append(
+            f'{{"applicable": {"true" if r.applicable else "false"}{after_applicable}'
+            f'{encode(r.check_id)}{after_check_id}{_slack_json(r.slack)}, '
+            f'"verdict": "{r.verdict}", "witness": '
+            f'{"null" if witness is None else encode(witness)}}}\n')
+    return "".join(lines)
 
 
 def records_to_csv(records: Iterable[dict]) -> str:

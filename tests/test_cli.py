@@ -3,11 +3,12 @@ import io
 import json
 import multiprocessing
 import os
+import tracemalloc
 from importlib import resources
 
 import pytest
 
-from distlap import cli, verify
+from distlap import cli, graphs, verify
 from distlap.cli import TABLE_GRAPHS, main
 
 
@@ -107,6 +108,55 @@ def test_exit_status_contract(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot write")
 
 
+def _fixture_with(tmp_path, index, g6):
+    """A connected7.g6 in tmp_path: the packaged fixture with line `index` replaced."""
+    lines = [graphs.to_graph6(g) for g in graphs.enumerate_connected(7)]
+    lines[index] = g6
+    (tmp_path / "connected7.g6").write_text("\n".join(lines) + "\n")
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_bad_fixture_line_exits_2(tmp_path, capsys, jobs):
+    # the right line count, but one line is a disconnected graph (seven
+    # isolated vertices) or a graph on 6 vertices
+    for g6 in ("F????", graphs.to_graph6(graphs.gen_cycle(6))):
+        corpus_dir = _fixture_with(tmp_path, 600, g6)
+        code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", corpus_dir,
+                               "--format", "json", "--out", str(tmp_path / "r.jsonl"),
+                               "--jobs", jobs)
+        assert code == 2 and err.startswith("error:"), (g6, err)
+
+
+def test_corpus_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = verify.analyze_many
+    monkeypatch.setattr(cli, "analyze_many", lambda gs, *a: calls.extend(gs) or real(gs, *a))
+    code, _, err = run_cli(capsys, "corpus", "--n", "7",
+                           "--out", str(tmp_path / "missing" / "r.jsonl"))
+    assert code == 2 and err.startswith("error: cannot write")
+    assert calls == []
+
+
+def test_corpus_streams_records(tmp_path, monkeypatch):
+    # records are written batch by batch: with small batches the pass never
+    # holds more than a fraction of the file it writes
+    monkeypatch.setattr(verify, "BATCH", 16)
+    out = tmp_path / "r.jsonl"
+    argv = ["corpus", "--n", "7", "--format", "json", "--out", str(out)]
+    main(argv)  # one-time set-up (parser, fixture resources) is not measured
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 2, (peak, size)
+
+
 def test_usage_error_exits_2(capsys):
     for argv in (["analyze"],  # no input source
                  ["analyze", "--gen", "path:4", "--tol", "1e-9"],  # removed flag
@@ -135,10 +185,12 @@ def test_corpus_n6_audit(capsys):
 
 
 def test_corpus_jobs_match_serial(capsys):
-    code, serial, _ = run_cli(capsys, "corpus", "--n", "5", "--format", "json")
-    code2, parallel, _ = run_cli(capsys, "corpus", "--n", "5", "--format", "json", "--jobs", "2")
-    assert code == code2 == 0
-    assert serial == parallel
+    for fmt in ("json", "csv"):
+        code, serial, _ = run_cli(capsys, "corpus", "--n", "5", "--format", fmt)
+        code2, parallel, _ = run_cli(capsys, "corpus", "--n", "5", "--format", fmt,
+                                     "--jobs", "2")
+        assert code == code2 == 0
+        assert serial == parallel, fmt
 
 
 def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):

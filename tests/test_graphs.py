@@ -145,6 +145,14 @@ def test_graph_invariants_enforced():
         Graph(65, [0] * 65)
 
 
+def test_parsed_graphs_pass_the_checks_parsing_skips():
+    # parse_graph6 builds its masks symmetric and skips Graph's validation
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            checked = Graph(g.n, g.adj)
+            assert g == checked and g.m == checked.m
+
+
 def test_graph_pickles():
     # corpus workers receive parsed graphs from the parent process
     g = gen_cycle(5)
@@ -286,6 +294,12 @@ def test_enumerate_connected_fixtures(tmp_path):
     assert sum(1 for _ in enumerate_connected(7)) == 853
     assert sum(1 for _ in enumerate_connected(8)) == 11117
     with pytest.raises(FileNotFoundError):
+        list(enumerate_connected(7, corpus_dir=tmp_path))
+    # the right line count, but one line holds a 6-vertex graph
+    lines = [to_graph6(g) for g in enumerate_connected(7)]
+    lines[5] = to_graph6(gen_cycle(6))
+    (tmp_path / "connected7.g6").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="6 vertices"):
         list(enumerate_connected(7, corpus_dir=tmp_path))
     with pytest.raises(ValueError):
         list(enumerate_connected(9))

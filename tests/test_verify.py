@@ -22,6 +22,7 @@ from distlap.graphs import (
 )
 from distlap.verify import (
     CHECKS,
+    CheckReport,
     CheckResult,
     GraphAnalysis,
     analyze,
@@ -37,7 +38,7 @@ from distlap.verify import (
     check_many_above,
     check_n_multiplicity,
     records_to_csv,
-    records_to_jsonl,
+    report_jsonl,
     report_records,
     run_all,
     run_checks,
@@ -329,7 +330,7 @@ def test_report_records_roundtrip():
     report = run_all(gen_g_clq())
     records = report_records(report)
     assert len(records) == len(CHECKS)
-    jsonl = records_to_jsonl(records)
+    jsonl = report_jsonl(report)
     parsed = [json.loads(line) for line in jsonl.splitlines()]
     assert parsed == json.loads(json.dumps(records))
     for rec in parsed:
@@ -343,6 +344,37 @@ def test_report_records_roundtrip():
     csv_text = records_to_csv(records)
     assert csv_text.splitlines()[0] == "graph6,n,m,chi,b_chi,check_id,applicable,verdict,slack,witness"
     assert len(csv_text.splitlines()) == len(CHECKS) + 1
+
+
+def _json_dumps_lines(report):
+    """The reference serialization report_jsonl must reproduce byte for byte."""
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report_records(report))
+
+
+@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
+def test_report_jsonl_matches_json_dumps_on_corpus(corpus_analyses, coloring_mode):
+    for analyses in corpus_analyses.values():
+        if coloring_mode != "default":
+            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+        for a in analyses:
+            report = run_checks(a)
+            assert report_jsonl(report) == _json_dumps_lines(report), a.graph6
+
+
+def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
+    # a graph6 holding a backslash, which JSON escapes
+    a = next(a for a in corpus_analyses[7] if "\\" in a.graph6)
+    violation = {"claim": "dl1_minus_b_chi", "lhs": 9.5, "rhs": 10.0}
+    report = CheckReport(a, [
+        CheckResult("ah_bound", True, "fail", {"dl1_minus_b_chi": -0.5, "a_first": 0.0},
+                    witness={"violations": [violation]}),
+        CheckResult("k_range", False, "not-applicable", reason='n < 4, "quoted" \\ \u00e9'),
+        CheckResult("color_majorization", True, "pass",
+                    {"top_block": math.inf, "block_1": -math.inf, "block_2": math.nan,
+                     "block_3": -0.0, "block_4": 1e-17, "block_5": 1e22, "block_6": 0.1 + 0.2}),
+        CheckResult("n_multiplicity", True, "pass", {}),
+    ])
+    assert report_jsonl(report) == _json_dumps_lines(report)
 
 
 # ---------------------------------------------------------------------------
