@@ -92,24 +92,45 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+def _write_error(out: str, exc: OSError) -> InputError:
+    return InputError(f"cannot write {out}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
 def _output(out: str | None):
-    """The stream a report is written to: stdout, or the file `out`, opened
-    on entry so that an unwritable path fails before any work is done."""
+    """The write function of the stream a report goes to: stdout's, or that
+    of the file `out`. The file is opened on entry, so that an unwritable
+    path fails before any work is done, and an error writing or closing it
+    (a full disk, say) is an InputError naming the path."""
     if not out:
-        yield sys.stdout
+        yield sys.stdout.write
         return
     try:
         fh = open(out, "w")
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    with fh:
-        yield fh
+        raise _write_error(out, exc) from exc
+
+    def write(text: str) -> None:
+        try:
+            fh.write(text)
+        except OSError as exc:
+            raise _write_error(out, exc) from exc
+
+    try:
+        yield write
+    except BaseException:
+        with contextlib.suppress(OSError):  # the error already raised is the one to report
+            fh.close()
+        raise
+    try:
+        fh.close()
+    except OSError as exc:
+        raise _write_error(out, exc) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
-    with _output(out) as fh:
-        fh.write(text)
+    with _output(out) as write:
+        write(text)
 
 
 def _csv_text(rows) -> str:
@@ -257,27 +278,29 @@ def cmd_corpus(args) -> int:
 
     tallies = {cid: {"pass": 0, "fail": 0, "not-applicable": 0} for cid, _ in CHECKS}
     summaries = []
-    with _output(args.out) as out:
+    audits = []
+    with _output(args.out) as write:
         if args.format == "csv":
-            out.write(records_to_csv(()))  # the header alone
+            write(records_to_csv(()))  # the header alone
+        # a ValueError is a fixture file at fault: a disconnected graph, or
+        # (for the audit) no graph of some chromatic number
         try:
             for text, graph_results in _sweep(tasks, args.jobs):
-                out.write(text)
+                write(text)
                 for verdicts, summary in graph_results:
                     for (cid, _), verdict in zip(CHECKS, verdicts):
                         tallies[cid][verdict] += 1
                     if args.audit_extremal:
                         summaries.append(summary)
-        except ValueError as exc:  # a disconnected graph in a fixture file
+            if args.audit_extremal:
+                for chi in range(2, args.n):
+                    audits.append(audit_extremal(args.n, chi, analyses=summaries))
+        except ValueError as exc:
             raise InputError(str(exc)) from exc
 
-        audits = []
-        if args.audit_extremal:
-            for chi in range(2, args.n):
-                audits.append(audit_extremal(args.n, chi, analyses=summaries))
         n_fail = sum(t["fail"] for t in tallies.values())
         if args.format == "pretty":
-            out.write(_corpus_summary(args.n, len(corpus), tallies, audits, n_fail))
+            write(_corpus_summary(args.n, len(corpus), tallies, audits, n_fail))
 
     audits_ok = all(a.ok for a in audits)
     return 0 if n_fail == 0 and audits_ok else 1

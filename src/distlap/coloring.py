@@ -38,16 +38,18 @@ def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    """Greedily grown clique (chromatic lower bound); deterministic."""
-    n = g.n
-    start = max(range(n), key=lambda v: (g.degree(v), -v))
+def _greedy_clique(adj: Sequence[int], neighbors: Sequence[Sequence[int]]) -> list[int]:
+    """Greedily grown clique (chromatic lower bound) of the graph with neighbor
+    masks `adj` and neighbor lists `neighbors`: each step takes a vertex of
+    highest degree, lowest index first; deterministic."""
+    degree = list(map(len, neighbors))
+    start = degree.index(max(degree))
     clique = [start]
-    common = g.adj[start]
+    common = adj[start]
     while common:
-        v = max(_bits(common), key=lambda u: (g.degree(u), -u))
+        v = max(_bits(common), key=degree.__getitem__)  # max keeps the first of equals
         clique.append(v)
-        common &= g.adj[v]
+        common &= adj[v]
     return clique
 
 
@@ -57,7 +59,7 @@ class _OverBudget(Exception):
 
 def _neighbor_lists(adj: Sequence[int]) -> list[list[int]]:
     """Each vertex's neighbors, lowest first, from its neighbor mask."""
-    return [list(_bits(a)) for a in adj]
+    return [_bits(a) for a in adj]
 
 
 def _search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
@@ -213,7 +215,7 @@ def _chromatic(g: Graph, neighbors: list[list[int]],
     _neighbor_lists(g.adj)."""
     best = greedy
     k = max(greedy)
-    lb = len(_greedy_clique(g))
+    lb = len(_greedy_clique(g.adj, neighbors))
     while k >= lb:
         found = _search(neighbors, k)
         if found is None:
@@ -232,15 +234,15 @@ def _best_coloring(g: Graph) -> list[int]:
 
 
 def _to_result(g: Graph, colors: Sequence[int]) -> ColoringResult:
-    chi = max(colors) + 1
-    by_color: list[list[int]] = [[] for _ in range(chi)]
+    """The coloring's classes, largest first and equal sizes by least member."""
+    by_color: dict[int, list[int]] = {}  # in order of each class's least member
     for v, c in enumerate(colors):
-        by_color[c].append(v)
-    ordered = sorted(by_color, key=lambda block: (-len(block), block))
-    classes = tuple(tuple(block) for block in ordered)
-    sizes = tuple(len(block) for block in ordered)
-    return ColoringResult(chi=chi, classes=classes, sizes=sizes,
-                          b_chi=g.n + math.ceil(g.n / chi))
+        by_color.setdefault(c, []).append(v)
+    # the sort is stable, and reverse=True keeps it so
+    ordered = sorted(by_color.values(), key=len, reverse=True)
+    chi = len(ordered)
+    return ColoringResult(chi=chi, classes=tuple(map(tuple, ordered)),
+                          sizes=tuple(map(len, ordered)), b_chi=g.n + -(-g.n // chi))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -291,7 +293,7 @@ def max_ell1_coloring(g: Graph) -> ColoringResult:
     candidates = [m for m in _maximal_independent_sets(g) if m.bit_count() >= floor_needed]
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     for mask in candidates:
-        members = list(_bits(mask))
+        members = _bits(mask)
         rest = [v for v in range(g.n) if not mask >> v & 1]
         sub, old = induced_subgraph(g, rest)
         sub_colors = _k_colorable(sub, chi - 1)

@@ -21,12 +21,22 @@ CANONICAL_MAX_VERTICES = 8
 FIXTURE_COUNTS = {7: 853, 8: 11117}
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of mask, lowest first."""
+# the set bit positions of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of a nonnegative mask, lowest first, a byte at a time."""
+    if mask < 256:
+        return list(_BYTE_BITS[mask])
+    out = []
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        for i in _BYTE_BITS[mask & 255]:
+            out.append(base + i)
+        mask >>= 8
+        base += 8
+    return out
 
 
 class Graph:
@@ -264,7 +274,7 @@ def _component_masks(adj: Sequence[int]) -> list[int]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition vertices into maximal connected blocks, ordered by least member."""
-    return [list(_bits(comp)) for comp in _component_masks(g.adj)]
+    return [_bits(comp) for comp in _component_masks(g.adj)]
 
 
 def is_connected(g: Graph) -> bool:

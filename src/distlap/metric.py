@@ -28,10 +28,14 @@ class DistanceData:
         return int(self.dist.shape[0])
 
     @classmethod
-    def of(cls, dist: np.ndarray) -> "DistanceData":
-        """The distance data of one (n, n) distance matrix."""
-        tr = dist.sum(axis=1)
-        return cls(dist=dist, tr=tr, diameter=int(dist.max()), wiener=int(tr.sum()) // 2)
+    def of_stack(cls, dist: np.ndarray) -> list["DistanceData"]:
+        """The distance data of each matrix of a (B, n, n) distance stack, in
+        order; transmissions, diameters and Wiener indices are each one
+        reduction over the whole stack."""
+        tr = dist.sum(axis=2)
+        diameters = dist.max(axis=(1, 2)).tolist()
+        wieners = (tr.sum(axis=1) // 2).tolist()
+        return [cls(d, t, diam, w) for d, t, diam, w in zip(dist, tr, diameters, wieners)]
 
 
 def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
@@ -60,7 +64,7 @@ def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
 
 def apsp(g: Graph) -> DistanceData:
     """Distance data of one connected graph; raises ValueError if disconnected."""
-    return DistanceData.of(distance_stack([g])[0])
+    return DistanceData.of_stack(distance_stack([g]))[0]
 
 
 def distance_laplacian(dist: np.ndarray) -> np.ndarray:

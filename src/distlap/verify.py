@@ -9,6 +9,7 @@ verdict rather than a vacuous pass, keeping the gating visible in reports.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -38,16 +39,23 @@ class GraphSummary(NamedTuple):
 class GraphAnalysis:
     """Everything the checkers need about one connected graph, computed once.
 
-    `values` is the DL spectrum, nonincreasing; `coloring` is the one optimal
-    coloring every chi- and ell-parameterized check reads. The spectral counts
-    the checkers compare are plain integers: `m_ge_b` counts eigenvalues in
+    The scalar facts are plain fields: `chi` and `b_chi` = n + ceil(n/chi)
+    come from `coloring`, the one optimal coloring every chi- and
+    ell-parameterized check reads, and `dl1` is the largest eigenvalue.
+    `values` is the DL spectrum, nonincreasing. The spectral counts the
+    checkers compare are plain integers: `m_ge_b` counts eigenvalues in
     [b_chi, dL1], `mu_below_b` those below b_chi, `mu_at_n` the multiplicity
     of n, and `twin_mults[i]` that of `twins[i].forced_value`.
     """
 
     graph: Graph
     graph6: str
+    n: int
     m: int
+    chi: int
+    b_chi: int
+    ceil_n_chi: int
+    dl1: float
     dd: DistanceData
     values: np.ndarray
     coloring: ColoringResult
@@ -58,26 +66,6 @@ class GraphAnalysis:
     mu_below_b: int
     mu_at_n: int
     twin_mults: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def chi(self) -> int:
-        return self.coloring.chi
-
-    @property
-    def b_chi(self) -> int:
-        return self.coloring.b_chi
-
-    @property
-    def ceil_n_chi(self) -> int:
-        return math.ceil(self.n / self.chi)
-
-    @property
-    def dl1(self) -> float:
-        return float(self.values[0])
 
     @property
     def summary(self) -> GraphSummary:
@@ -101,11 +89,12 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     """Analyses of same-order connected graphs, in order, sharing one kernel.
 
     Distances, distance Laplacians and spectra are computed for the whole
-    stack at once (one numpy.linalg.eigvalsh call), and so are the spectral
-    counts once each graph's coloring is known. coloring_mode "max-l1" uses an
-    optimal coloring with the largest possible first class (guarded to
-    n <= 16) instead of the default optimal coloring. A disconnected graph
-    anywhere in the stack raises ValueError (from distance_stack).
+    stack at once (one numpy.linalg.eigvalsh call), and so are the distance
+    facts and, once each graph's coloring is known, the spectral counts.
+    coloring_mode "max-l1" uses an optimal coloring with the largest possible
+    first class (guarded to n <= 16) instead of the default optimal coloring.
+    A disconnected graph anywhere in the stack raises ValueError (from
+    distance_stack).
     """
     if coloring_mode not in ("default", "max-l1"):
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
@@ -115,13 +104,15 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     values = eig_symmetric(distance_laplacian(dist))
     color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
     colorings = [color(g) for g in graphs]
-    dds = [DistanceData.of(d) for d in dist]
+    dds = DistanceData.of_stack(dist)
     twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
 
+    n = graphs[0].n
     b_chi = [c.b_chi for c in colorings]
-    m_ge_b = count_in_interval(values, b_chi, values[:, 0]).tolist()
+    dl1 = values[:, 0].tolist()
+    m_ge_b = count_in_interval(values, b_chi, dl1).tolist()
     mu_below_b = mu_below(values, b_chi).tolist()
-    mu_at_n = mu_at(values, graphs[0].n).tolist()
+    mu_at_n = mu_at(values, n).tolist()
     # every twin class of the stack in one query, then split back per graph
     owner = [i for i, ts in enumerate(twins) for _ in ts]
     mults = iter(mu_at(values[owner], [t.forced_value for ts in twins for t in ts]).tolist())
@@ -130,7 +121,12 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
         GraphAnalysis(
             graph=g,
             graph6=to_graph6(g),
+            n=n,
             m=g.m,
+            chi=colorings[i].chi,
+            b_chi=b_chi[i],
+            ceil_n_chi=-(-n // colorings[i].chi),
+            dl1=dl1[i],
             dd=dds[i],
             values=values[i],
             coloring=colorings[i],
@@ -229,16 +225,15 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     ell = a.coloring.sizes
     c = _Claims()
     n = a.n
+    values = a.values  # nonincreasing: a block's minimum is its last entry
     if ell[0] >= 2:
-        top = min(float(a.values[i]) for i in range(ell[0] - 1))
-        c.ge("top_block", top, n + ell[0])
+        c.ge("top_block", values[ell[0] - 2], n + ell[0])  # values[0 .. ell_1 - 2]
     s_prev = 0
     for j, ell_j in enumerate(ell, start=1):
         if ell_j < 2:
             break
         s_j = s_prev + ell_j - 1
-        block_min = min(float(a.values[i - 1]) for i in range(s_prev + 1, s_j + 1))
-        c.ge(f"block_{j}", block_min, n + ell_j)
+        c.ge(f"block_{j}", values[s_j - 1], n + ell_j)  # values[s_prev .. s_j - 1]
         s_prev = s_j
     return c.result("color_majorization")
 
@@ -264,11 +259,10 @@ def check_k_range(a: GraphAnalysis) -> CheckResult:
         return _na("k_range", "chi = n (complete graph)")
     c = _Claims()
     hi = a.ceil_n_chi - 1
-    if hi >= 2:
-        worst = min(float(a.values[k - 1]) for k in range(2, hi + 1))
-        c.ge("k_range", worst, a.b_chi)
+    if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
+        c.ge("k_range", a.values[hi - 1], a.b_chi)
     if a.chi <= a.n - 2:
-        c.ge("second_eigenvalue", float(a.values[1]), a.b_chi)
+        c.ge("second_eigenvalue", a.values[1], a.b_chi)
     return c.result("k_range")
 
 
@@ -502,11 +496,16 @@ def _slack_json(slack: dict[str, float]) -> str:
     """json.dumps(slack, sort_keys=True). The labels are ASCII names the
     checkers build, which JSON writes unescaped, and float.__repr__ is the
     text JSON writes for a finite float."""
-    items = []
-    for label in sorted(slack):
-        v = slack[label]
-        items.append(f'"{label}": {float.__repr__(v) if math.isfinite(v) else _ENCODER.encode(v)}')
-    return "{" + ", ".join(items) + "}"
+    isfinite, encode = math.isfinite, _ENCODER.encode
+    return "{" + ", ".join([f'"{label}": {float.__repr__(v) if isfinite(v) else encode(v)}'
+                            for label, v in sorted(slack.items())]) + "}"
+
+
+@functools.lru_cache(maxsize=256)
+def _json_str(text: str) -> str:
+    """The JSON text of a check id or a not-applicable reason. There are a few
+    dozen of these at most, so each is encoded once per process."""
+    return _ENCODER.encode(text)
 
 
 def report_jsonl(report: CheckReport) -> str:
@@ -514,22 +513,24 @@ def report_jsonl(report: CheckReport) -> str:
     "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report_records(report)).
 
     The five fields all of a graph's records share are encoded once, and each
-    line is assembled around them with its keys in sorted order.
+    line is assembled around them with its keys in sorted order. The four
+    integers are written by str, which is the text JSON writes for an int.
     """
     a = report.analysis
-    encode = _ENCODER.encode
-    after_applicable = f', "b_chi": {encode(a.b_chi)}, "check_id": '
-    after_check_id = (f', "chi": {encode(a.chi)}, "graph6": {encode(a.graph6)}, '
-                      f'"m": {encode(a.m)}, "n": {encode(a.n)}, "slack": ')
+    after_applicable = f', "b_chi": {a.b_chi}, "check_id": '
+    after_check_id = (f', "chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, '
+                      f'"m": {a.m}, "n": {a.n}, "slack": ')
     lines = []
     for r in report.results:
-        witness = r.witness if r.witness is not None else r.reason
+        if r.witness is not None:
+            witness = _ENCODER.encode(r.witness)
+        else:
+            witness = "null" if r.reason is None else _json_str(r.reason)
         # the verdict is one of three plain words, which CheckResult enforces
         lines.append(
             f'{{"applicable": {"true" if r.applicable else "false"}{after_applicable}'
-            f'{encode(r.check_id)}{after_check_id}{_slack_json(r.slack)}, '
-            f'"verdict": "{r.verdict}", "witness": '
-            f'{"null" if witness is None else encode(witness)}}}\n')
+            f'{_json_str(r.check_id)}{after_check_id}{_slack_json(r.slack)}, '
+            f'"verdict": "{r.verdict}", "witness": {witness}}}\n')
     return "".join(lines)
 
 

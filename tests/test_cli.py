@@ -128,6 +128,16 @@ def test_corpus_bad_fixture_line_exits_2(tmp_path, capsys, jobs):
         assert code == 2 and err.startswith("error:"), (g6, err)
 
 
+def test_corpus_audit_on_fixture_missing_a_chromatic_number_exits_2(tmp_path, capsys):
+    # the right line count, but every line is the same graph, so the audit
+    # finds no graph of most chromatic numbers
+    (tmp_path / "connected7.g6").write_text("F??Fw\n" * 853)
+    code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", str(tmp_path),
+                           "--audit-extremal")
+    assert code == 2
+    assert err == "error: corpus has no connected graph with n=7, chi=3\n"
+
+
 def test_corpus_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     calls = []
     real = verify.analyze_many
@@ -155,6 +165,20 @@ def test_corpus_streams_records(tmp_path, monkeypatch):
     size = out.stat().st_size
     assert size > 1_000_000
     assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gen", "path:4"],
+    ["analyze", "--gen", "path:4"],
+    ["tables"],
+    ["corpus", "--n", "5", "--format", "json"],
+])
+def test_write_error_on_out_exits_2(capsys, argv):
+    # /dev/full opens, then fails every write with "No space left on device"
+    code, _, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 2
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):

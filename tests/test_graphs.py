@@ -27,6 +27,7 @@ from distlap.graphs import (
     relabel,
     to_graph6,
 )
+from distlap.graphs import _bits
 from helpers import brute_force_connected_classes, random_graph, random_permutation
 
 
@@ -180,6 +181,28 @@ def test_complement_involution_and_edge_count(n, rnd):
     g = random_graph(rnd, n, 0.5)
     assert complement(complement(g)) == g
     assert g.m + complement(g).m == n * (n - 1) // 2
+
+
+def _shift_bits(mask):
+    out = []
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            out.append(i)
+    return out
+
+
+def test_bits_matches_a_shift_loop():
+    rng = random.Random(8)
+    masks = [0, (1 << 64) - 1]
+    masks += [1 << i for i in range(64)]
+    # around every byte boundary: the bits just below and just above it
+    masks += [m for k in range(8, 64, 8) for m in ((1 << k) - 1, 1 << k, 3 << (k - 1),
+                                                  ((1 << 64) - 1) ^ (1 << k))]
+    masks += [rng.getrandbits(64) for _ in range(1000)]
+    for mask in masks:
+        got = _bits(mask)
+        assert type(got) is list
+        assert got == _shift_bits(mask), hex(mask)
 
 
 def test_connected_components():

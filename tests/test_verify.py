@@ -84,6 +84,38 @@ def test_color_majorization():
     assert r.slack["top_block"] >= -1e-9  # dL_1..3 >= 12
 
 
+@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
+def test_block_minima_match_their_definition(corpus_analyses, coloring_mode):
+    # the checkers read a block's minimum at one index; here each is the
+    # minimum over its whole block, so a shifted index shows as a mismatch
+    shown = set()
+    for analyses in corpus_analyses.values():
+        if coloring_mode != "default":
+            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+        for a in analyses:
+            vals, n, ell = [float(v) for v in a.values], a.n, a.coloring.sizes
+            want = {}
+            if ell[0] >= 2:
+                want["top_block"] = min(vals[:ell[0] - 1]) - (n + ell[0])
+            start = 0
+            for j, ell_j in enumerate(ell, start=1):
+                if ell_j < 2:
+                    break
+                want[f"block_{j}"] = min(vals[start:start + ell_j - 1]) - (n + ell_j)
+                start += ell_j - 1
+            got = check_color_majorization(a).slack
+            assert got == want, a.graph6
+            hi = math.ceil(n / a.chi) - 1
+            k_range = check_k_range(a).slack.get("k_range")
+            if n >= 4 and a.chi <= n - 1 and hi >= 2:
+                assert k_range == min(vals[1:hi]) - a.b_chi, a.graph6
+                shown.add("k_range")
+            else:
+                assert k_range is None
+            shown.update(got)
+    assert {"top_block", "block_1", "block_2", "block_3", "k_range"} <= shown
+
+
 def test_many_above():
     a = analyze(gen_complete_multipartite([2, 2, 1, 1, 1]))
     r = check_many_above(a)
@@ -295,8 +327,14 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert len(batched) == len(single)
             for x, y in zip(single, batched):
                 _assert_same_analysis(x, y)
-        # the stacked counts equal the one-spectrum counts
+        # the stacked facts and counts equal their one-graph definitions
         for a in single:
+            assert (a.n, a.chi, a.b_chi) == (n, a.coloring.chi, a.coloring.b_chi)
+            assert a.ceil_n_chi == math.ceil(n / a.chi)
+            assert a.dl1 == float(a.values[0])
+            assert a.dd.tr.tolist() == a.dd.dist.sum(axis=1).tolist()
+            assert a.dd.diameter == int(a.dd.dist.max())
+            assert a.dd.wiener == int(a.dd.dist.sum()) // 2
             assert a.m == len(a.graph.edges())
             assert a.m_ge_b == count_in_interval(a.values, a.b_chi, a.dl1)
             assert a.mu_below_b == mu_below(a.values, a.b_chi)
