@@ -22,14 +22,14 @@ from distlap import graphs
 from distlap.eigen import cluster_values
 from distlap.verify import (
     CHECKS,
+    CSV_HEADER,
     GraphSummary,
     analyze,
     analyze_many,
     audit_extremal,
     batches,
-    records_to_csv,
+    report_csv,
     report_jsonl,
-    report_records,
     run_checks,
 )
 
@@ -92,40 +92,61 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
-def _write_error(out: str, exc: OSError) -> InputError:
-    return InputError(f"cannot write {out}: {exc.strerror or exc}")
+def _write_error(name: str, exc: OSError) -> InputError:
+    return InputError(f"cannot write {name}: {exc.strerror or exc}")
+
+
+def _drop_stdout() -> None:
+    """Point the standard output descriptor at the null device, so that what
+    a failed write left in stdout's buffer is flushed there at exit instead
+    of failing again (a traceback-free exit, not status 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 @contextlib.contextmanager
 def _output(out: str | None):
     """The write function of the stream a report goes to: stdout's, or that
     of the file `out`. The file is opened on entry, so that an unwritable
-    path fails before any work is done, and an error writing or closing it
-    (a full disk, say) is an InputError naming the path."""
-    if not out:
-        yield sys.stdout.write
-        return
+    path fails before any work is done. Stdout is flushed and the file is
+    closed on leaving, and an error writing, flushing or closing either (a
+    full disk, a closed pipe) is an InputError naming the stream."""
+    name = out or "standard output"
     try:
-        fh = open(out, "w")
+        fh = open(out, "w") if out else sys.stdout
     except OSError as exc:
-        raise _write_error(out, exc) from exc
+        raise _write_error(name, exc) from exc
+    if fh is None:  # sys.stdout is None when the process starts with descriptor 1 closed
+        raise InputError("cannot write standard output: it is closed")
+    finish = fh.close if out else fh.flush
+
+    def failed(exc: OSError) -> InputError:
+        if not out:
+            _drop_stdout()
+        return _write_error(name, exc)
 
     def write(text: str) -> None:
         try:
             fh.write(text)
         except OSError as exc:
-            raise _write_error(out, exc) from exc
+            raise failed(exc) from exc
 
     try:
         yield write
     except BaseException:
-        with contextlib.suppress(OSError):  # the error already raised is the one to report
-            fh.close()
+        if out:
+            with contextlib.suppress(OSError):  # the error already raised is the one to report
+                fh.close()
         raise
     try:
-        fh.close()
+        finish()
     except OSError as exc:
-        raise _write_error(out, exc) from exc
+        raise failed(exc) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -207,6 +228,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _record_encoder(fmt: str):
+    """The function encoding one report's records in format fmt, None for
+    pretty. CSV rows come without CSV_HEADER, which cmd_verify and
+    cmd_corpus write once. The names are resolved at each call, so that a
+    function a test or a tracer has since replaced is the one returned."""
+    return {"json": report_jsonl, "csv": report_csv}.get(fmt)
+
+
 def cmd_verify(args) -> int:
     g = _resolve_graph(args)
     try:
@@ -214,10 +243,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = run_checks(a)
-    if args.format == "json":
-        _emit(report_jsonl(report), args.out)
-    elif args.format == "csv":
-        _emit(records_to_csv(report_records(report)), args.out)
+    encode = _record_encoder(args.format)
+    if encode:
+        header = CSV_HEADER if args.format == "csv" else ""
+        _emit(header + encode(report), args.out)
     else:
         lines = [f"{a.graph6}  n={a.n} m={a.m} chi={a.chi} b_chi={a.b_chi}"]
         for r in report.results:
@@ -238,14 +267,8 @@ def _corpus_worker(task) -> tuple[str, list[tuple[tuple[str, ...], GraphSummary]
     graph's verdicts, in CHECKS order, with its summary."""
     batch, coloring_mode, fmt = task
     reports = [run_checks(a) for a in analyze_many(batch, coloring_mode)]
-    if fmt == "json":
-        text = "".join([report_jsonl(r) for r in reports])
-    elif fmt == "csv":
-        # records_to_csv starts with the header, which cmd_corpus writes once
-        text = records_to_csv([rec for r in reports for rec in report_records(r)])
-        text = text.partition("\n")[2]
-    else:
-        text = ""
+    encode = _record_encoder(fmt)
+    text = "".join([encode(r) for r in reports]) if encode else ""
     return text, [(tuple(r.verdict for r in report.results), report.analysis.summary)
                   for report in reports]
 
@@ -281,7 +304,7 @@ def cmd_corpus(args) -> int:
     audits = []
     with _output(args.out) as write:
         if args.format == "csv":
-            write(records_to_csv(()))  # the header alone
+            write(CSV_HEADER)
         # a ValueError is a fixture file at fault: a disconnected graph, or
         # (for the audit) no graph of some chromatic number
         try:

@@ -23,10 +23,6 @@ class DistanceData:
     diameter: int
     wiener: int
 
-    @property
-    def n(self) -> int:
-        return int(self.dist.shape[0])
-
     @classmethod
     def of_stack(cls, dist: np.ndarray) -> list["DistanceData"]:
         """The distance data of each matrix of a (B, n, n) distance stack, in

@@ -20,7 +20,6 @@ class TwinClass:
     kind: str                    # "clique" | "independent"
     members: tuple[int, ...]
     external: tuple[int, ...]    # common neighborhood outside the class
-    rest_size: int               # n - s - |external|
     transmission: int            # shared transmission of the members
     forced_value: int
     forced_mult: int
@@ -60,7 +59,6 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
                 kind=kind,
                 members=tuple(members),
                 external=tuple(_bits(external_mask)),
-                rest_size=g.n - s - external_mask.bit_count(),
                 transmission=tr,
                 forced_value=tr + bump,
                 forced_mult=s - 1,

@@ -149,58 +149,46 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
 
 @dataclass
 class CheckResult:
-    """Outcome of one checker with named slacks and an optional failure witness."""
+    """Outcome of one checker: the slack of every claim it recorded (by ge,
+    le and eq), the claims that failed, or the failed hypothesis that makes
+    it not applicable. The verdict, `applicable` and the failure witness
+    follow from these."""
 
     check_id: str
-    applicable: bool
-    verdict: str  # "pass" | "fail" | "not-applicable"
     slack: dict[str, float] = field(default_factory=dict)
-    witness: dict | None = None
+    violations: tuple[dict, ...] = ()
     reason: str | None = None
 
-    def __post_init__(self):
-        if self.verdict not in ("pass", "fail", "not-applicable"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == "fail" and self.witness is None:
-            raise ValueError("failing checks must carry a witness")
-        if self.verdict == "not-applicable" and not self.reason:
-            raise ValueError("not-applicable checks must name the failed hypothesis")
+    @property
+    def applicable(self) -> bool:
+        return self.reason is None
 
+    @property
+    def verdict(self) -> str:
+        if self.reason is not None:
+            return "not-applicable"
+        return "fail" if self.violations else "pass"
 
-class _Claims:
-    """Accumulates named slack values and failure witnesses for one checker."""
+    @property
+    def witness(self) -> dict | None:
+        return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
-    def __init__(self):
-        self.slack: dict[str, float] = {}
-        self.failures: list[dict] = []
-
-    def ge(self, label: str, lhs: float, rhs: float, exact: bool = False) -> None:
-        """Assert lhs >= rhs (numeric unless exact); slack = lhs - rhs."""
+    def _record(self, label: str, lhs: float, rhs: float, failed: bool) -> None:
         self.slack[label] = float(lhs) - float(rhs)
-        tol = 0.0 if exact else INT_TOL
-        if lhs < rhs - tol:
-            self.failures.append({"claim": label, "lhs": float(lhs), "rhs": float(rhs)})
+        if failed:
+            self.violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs)},)
+
+    def ge(self, label: str, lhs: float, rhs: float) -> None:
+        """Claim lhs >= rhs, up to INT_TOL (exact for integers); slack = lhs - rhs."""
+        self._record(label, lhs, rhs, lhs < rhs - INT_TOL)
 
     def le(self, label: str, lhs: float, rhs: float) -> None:
-        """Assert lhs <= rhs exactly (integer counts); slack = lhs - rhs."""
-        self.slack[label] = float(lhs) - float(rhs)
-        if lhs > rhs:
-            self.failures.append({"claim": label, "lhs": float(lhs), "rhs": float(rhs)})
+        """Claim lhs <= rhs exactly (integer counts); slack = lhs - rhs."""
+        self._record(label, lhs, rhs, lhs > rhs)
 
     def eq(self, label: str, lhs: float, rhs: float) -> None:
-        self.slack[label] = float(lhs) - float(rhs)
-        if lhs != rhs:
-            self.failures.append({"claim": label, "lhs": float(lhs), "rhs": float(rhs)})
-
-    def result(self, check_id: str) -> CheckResult:
-        if self.failures:
-            return CheckResult(check_id, True, "fail", self.slack,
-                               witness={"violations": self.failures})
-        return CheckResult(check_id, True, "pass", self.slack)
-
-
-def _na(check_id: str, reason: str) -> CheckResult:
-    return CheckResult(check_id, False, "not-applicable", reason=reason)
+        """Claim lhs == rhs exactly; slack = lhs - rhs."""
+        self._record(label, lhs, rhs, lhs != rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +198,10 @@ def _na(check_id: str, reason: str) -> CheckResult:
 def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.is_complete:
-        return _na("ah_bound", "graph is complete")
-    c = _Claims()
-    c.ge("dl1_minus_b_chi", a.dl1, a.b_chi)
-    return c.result("ah_bound")
+        return CheckResult("ah_bound", reason="graph is complete")
+    r = CheckResult("ah_bound")
+    r.ge("dl1_minus_b_chi", a.dl1, a.b_chi)
+    return r
 
 
 def check_color_majorization(a: GraphAnalysis) -> CheckResult:
@@ -223,90 +211,90 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
     ell = a.coloring.sizes
-    c = _Claims()
+    r = CheckResult("color_majorization")
     n = a.n
     values = a.values  # nonincreasing: a block's minimum is its last entry
     if ell[0] >= 2:
-        c.ge("top_block", values[ell[0] - 2], n + ell[0])  # values[0 .. ell_1 - 2]
+        r.ge("top_block", values[ell[0] - 2], n + ell[0])  # values[0 .. ell_1 - 2]
     s_prev = 0
     for j, ell_j in enumerate(ell, start=1):
         if ell_j < 2:
             break
         s_j = s_prev + ell_j - 1
-        c.ge(f"block_{j}", values[s_j - 1], n + ell_j)  # values[s_prev .. s_j - 1]
+        r.ge(f"block_{j}", values[s_j - 1], n + ell_j)  # values[s_prev .. s_j - 1]
         s_prev = s_j
-    return c.result("color_majorization")
+    return r
 
 
 def check_many_above(a: GraphAnalysis) -> CheckResult:
     """Counting bounds around the chromatic threshold b_chi."""
     if a.chi > a.n - 1:
-        return _na("many_above_b_chi", "chi = n (complete graph)")
+        return CheckResult("many_above_b_chi", reason="chi = n (complete graph)")
     ell1 = a.coloring.sizes[0]
-    c = _Claims()
-    c.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
-    c.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1, exact=True)
-    c.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
-    return c.result("many_above_b_chi")
+    r = CheckResult("many_above_b_chi")
+    r.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1)
+    r.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1)
+    r.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
+    return r
 
 
 def check_k_range(a: GraphAnalysis) -> CheckResult:
     """Literal range claim dL_k >= b_chi for 2 <= k <= ceil(n/chi)-1, plus the
     stronger second-eigenvalue sub-check whenever chi <= n-2."""
     if a.n < 4:
-        return _na("k_range", "n < 4")
+        return CheckResult("k_range", reason="n < 4")
     if a.chi > a.n - 1:
-        return _na("k_range", "chi = n (complete graph)")
-    c = _Claims()
+        return CheckResult("k_range", reason="chi = n (complete graph)")
+    r = CheckResult("k_range")
     hi = a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        c.ge("k_range", a.values[hi - 1], a.b_chi)
+        r.ge("k_range", a.values[hi - 1], a.b_chi)
     if a.chi <= a.n - 2:
-        c.ge("second_eigenvalue", a.values[1], a.b_chi)
-    return c.result("k_range")
+        r.ge("second_eigenvalue", a.values[1], a.b_chi)
+    return r
 
 
 def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
     ell1 = a.coloring.sizes[0]
-    c = _Claims()
-    c.ge("count_minus_ell1m1", a.m_ge_b, ell1 - 1, exact=True)
+    r = CheckResult("interval_sandwich")
+    r.ge("count_minus_ell1m1", a.m_ge_b, ell1 - 1)
     if ell1 >= 4:
-        c.ge("count_minus_3", a.m_ge_b, 3, exact=True)
-    c.le("count_minus_complement_bound", a.m_ge_b, a.n - a.complement_components)
+        r.ge("count_minus_3", a.m_ge_b, 3)
+    r.le("count_minus_complement_bound", a.m_ge_b, a.n - a.complement_components)
     if a.chi <= a.n - 1:
-        c.le("count_minus_universal_bound", a.m_ge_b, a.n - a.universal_vertices - 1)
-    return c.result("interval_sandwich")
+        r.le("count_minus_universal_bound", a.m_ge_b, a.n - a.universal_vertices - 1)
+    return r
 
 
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
-    c = _Claims()
-    c.eq("mu_at_n_minus_cm1", a.mu_at_n, a.complement_components - 1)
-    return c.result("n_multiplicity")
+    r = CheckResult("n_multiplicity")
+    r.eq("mu_at_n_minus_cm1", a.mu_at_n, a.complement_components - 1)
+    return r
 
 
 def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
     classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
     if not classes:
-        return _na(check_id, f"no {kind} twin class")
-    c = _Claims()
+        return CheckResult(check_id, reason=f"no {kind} twin class")
+    r = CheckResult(check_id)
     n = a.n
     for t, mult in classes:
         tag = f"class{t.members[0]}"
         s, ext = len(t.members), len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        c.ge(f"{tag}_mult", mult, t.forced_mult, exact=True)
+        r.ge(f"{tag}_mult", mult, t.forced_mult)
         # (b) compression lower estimate on the forced eigenvalue
         lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext
-        c.ge(f"{tag}_lower", t.forced_value, lower, exact=True)
+        r.ge(f"{tag}_lower", t.forced_value, lower)
         # (c) chromatic criterion pushing the class above b_chi
         compression = s + ext if kind == "clique" else ext
         if compression <= n - a.ceil_n_chi:
-            c.ge(f"{tag}_b_chi", t.forced_value, a.b_chi, exact=True)
-            c.ge(f"{tag}_interval_count", a.m_ge_b, s - 1, exact=True)
-    return c.result(check_id)
+            r.ge(f"{tag}_b_chi", t.forced_value, a.b_chi)
+            r.ge(f"{tag}_interval_count", a.m_ge_b, s - 1)
+    return r
 
 
 def check_clique_refine(a: GraphAnalysis) -> CheckResult:
@@ -325,15 +313,15 @@ def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
     """Distribution bounds below b_chi, sharpened when the diameter is >= 3;
     also re-asserts the counting identity as a side condition."""
     if a.n < 5:
-        return _na("diameter_refine", "n < 5")
+        return CheckResult("diameter_refine", reason="n < 5")
     if a.chi > a.n - 1:
-        return _na("diameter_refine", "chi = n (complete graph)")
-    c = _Claims()
-    c.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
+        return CheckResult("diameter_refine", reason="chi = n (complete graph)")
+    r = CheckResult("diameter_refine")
+    r.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
     if a.dd.diameter >= 3:
-        c.le("mu_below_minus_diam_bound", a.mu_below_b, a.n - max(2, a.ceil_n_chi - 1))
-    c.eq("counting_identity", a.mu_below_b + a.m_ge_b, a.n)
-    return c.result("diameter_refine")
+        r.le("mu_below_minus_diam_bound", a.mu_below_b, a.n - max(2, a.ceil_n_chi - 1))
+    r.eq("counting_identity", a.mu_below_b + a.m_ge_b, a.n)
+    return r
 
 
 CHECKS: tuple[tuple[str, Callable[[GraphAnalysis], CheckResult]], ...] = (
@@ -466,27 +454,8 @@ def audit_extremal(n: int, chi: int,
 
 RECORD_FIELDS = ("graph6", "n", "m", "chi", "b_chi", "check_id", "applicable",
                  "verdict", "slack", "witness")
-
-
-def report_records(report: CheckReport) -> list[dict]:
-    """One serializable record per (graph, check)."""
-    a = report.analysis
-    out = []
-    for r in report.results:
-        out.append({
-            "graph6": a.graph6,
-            "n": a.n,
-            "m": a.m,
-            "chi": a.chi,
-            "b_chi": a.b_chi,
-            "check_id": r.check_id,
-            "applicable": r.applicable,
-            "verdict": r.verdict,
-            "slack": r.slack,
-            "witness": r.witness if r.witness is not None else r.reason,
-        })
-    return out
-
+# the header line of CSV records, written once above every report_csv row
+CSV_HEADER = ",".join(RECORD_FIELDS) + "\n"
 
 # one encoder for every record; json.dumps(..., sort_keys=True) would build one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -509,8 +478,11 @@ def _json_str(text: str) -> str:
 
 
 def report_jsonl(report: CheckReport) -> str:
-    """The JSON lines of one graph's records, one per check: byte for byte
-    "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report_records(report)).
+    """The JSON lines of one graph's records, one per check: each line is
+    json.dumps(record, sort_keys=True) of the record holding the graph's
+    graph6, n, m, chi and b_chi and the result's check_id, applicable,
+    verdict, slack and witness (a not-applicable result's reason, if it has
+    no witness).
 
     The five fields all of a graph's records share are encoded once, and each
     line is assembled around them with its keys in sorted order. The four
@@ -522,28 +494,26 @@ def report_jsonl(report: CheckReport) -> str:
                       f'"m": {a.m}, "n": {a.n}, "slack": ')
     lines = []
     for r in report.results:
-        if r.witness is not None:
+        verdict = r.verdict  # one of three plain words
+        if verdict == "fail":
             witness = _ENCODER.encode(r.witness)
         else:
             witness = "null" if r.reason is None else _json_str(r.reason)
-        # the verdict is one of three plain words, which CheckResult enforces
         lines.append(
             f'{{"applicable": {"true" if r.applicable else "false"}{after_applicable}'
             f'{_json_str(r.check_id)}{after_check_id}{_slack_json(r.slack)}, '
-            f'"verdict": "{r.verdict}", "witness": {witness}}}\n')
+            f'"verdict": "{verdict}", "witness": {witness}}}\n')
     return "".join(lines)
 
 
-def records_to_csv(records: Iterable[dict]) -> str:
+def report_csv(report: CheckReport) -> str:
+    """The CSV rows of one graph's records, one per check, in RECORD_FIELDS
+    order and without the header (CSV_HEADER). Slack and a failure witness
+    are JSON cells; a not-applicable result's witness cell is its reason."""
+    a = report.analysis
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        row = dict(rec)
-        row["slack"] = _ENCODER.encode(row.get("slack"))
-        witness = row.get("witness")
-        if isinstance(witness, (dict, list)):
-            witness = _ENCODER.encode(witness)
-        row["witness"] = witness
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(
+        (a.graph6, a.n, a.m, a.chi, a.b_chi, r.check_id, r.applicable, r.verdict,
+         _slack_json(r.slack), r.reason if r.witness is None else _ENCODER.encode(r.witness))
+        for r in report.results)
     return buf.getvalue()

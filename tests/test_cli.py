@@ -1,13 +1,17 @@
 import csv
+import errno
 import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 
 import pytest
 
+import distlap
 from distlap import cli, graphs, verify
 from distlap.cli import TABLE_GRAPHS, main
 
@@ -179,6 +183,59 @@ def test_write_error_on_out_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--out", "/dev/full")
     assert code == 2
     assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+class _FullStdout:
+    """A standard output on a full disk: `fail_on` ("write" or "flush") raises
+    ENOSPC, as a buffered stream does on its first write or on its flush."""
+
+    def __init__(self, fail_on: str):
+        self.fail_on = fail_on
+
+    def write(self, text: str) -> int:
+        if self.fail_on == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self) -> None:
+        if self.fail_on == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush", "closed"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gen", "path:4"],
+    ["verify", "--gen", "path:4", "--format", "csv"],
+    ["corpus", "--n", "5"],
+    ["corpus", "--n", "6", "--format", "json"],
+])
+def test_write_error_on_stdout_exits_2(monkeypatch, capsys, argv, fail_on):
+    # a closed descriptor 1 leaves Python with sys.stdout = None
+    monkeypatch.setattr(sys, "stdout", None if fail_on == "closed" else _FullStdout(fail_on))
+    code = main(argv)
+    assert code == 2
+    why = "it is closed" if fail_on == "closed" else os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: cannot write standard output: {why}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gen", "path:4"],
+    ["corpus", "--n", "6", "--format", "json"],
+])
+def test_write_error_on_stdout_exits_2_at_interpreter_exit(argv):
+    # a real process with a buffered stdout (Python's default), so the
+    # exit-time flush of what a failed write left buffered is covered too: it
+    # must neither print "Exception ignored" nor turn the status into 120
+    src = os.path.dirname(os.path.dirname(distlap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "distlap", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 def test_usage_error_exits_2(capsys):

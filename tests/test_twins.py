@@ -22,7 +22,6 @@ def test_g_ind_independent_twins():
     assert t.external == (0, 1)
     assert t.transmission == 10
     assert t.forced_value == 12 and t.forced_mult == 3
-    assert t.rest_size == 1
 
 
 def test_g_clq_clique_twins_maximal_class():

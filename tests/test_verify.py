@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -20,8 +22,11 @@ from distlap.graphs import (
     gen_path,
     parse_graph6,
 )
+from distlap.eigen import INT_TOL
 from distlap.verify import (
     CHECKS,
+    CSV_HEADER,
+    RECORD_FIELDS,
     CheckReport,
     CheckResult,
     GraphAnalysis,
@@ -37,9 +42,8 @@ from distlap.verify import (
     check_k_range,
     check_many_above,
     check_n_multiplicity,
-    records_to_csv,
+    report_csv,
     report_jsonl,
-    report_records,
     run_all,
     run_checks,
 )
@@ -243,13 +247,31 @@ def test_diameter_refine():
     assert r.verdict == "not-applicable"  # n < 5
 
 
-def test_check_result_invariants():
-    with pytest.raises(ValueError):
-        CheckResult("x", True, "fail")  # fail without witness
-    with pytest.raises(ValueError):
-        CheckResult("x", False, "not-applicable")  # n/a without reason
-    with pytest.raises(ValueError):
-        CheckResult("x", True, "maybe")
+def test_check_result_verdict_follows_its_claims():
+    r = CheckResult("x")
+    assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)  # vacuous
+    r.ge("float_inside_tol", 10.0 - INT_TOL / 2, 10)  # within INT_TOL below the bound
+    r.le("count", 3, 3)
+    r.eq("identity", 2, 2)
+    assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
+    assert r.slack == {"float_inside_tol": (10.0 - INT_TOL / 2) - 10.0,
+                       "count": 0.0, "identity": 0.0}
+
+    r.ge("integer_miss", 4, 5)  # one short, which no tolerance forgives
+    r.ge("float_outside_tol", 10.0 - 2 * INT_TOL, 10)
+    r.le("over", 4, 3)
+    r.eq("off", 1, 2)
+    assert (r.verdict, r.applicable) == ("fail", True)
+    assert r.witness == {"violations": [
+        {"claim": "integer_miss", "lhs": 4.0, "rhs": 5.0},
+        {"claim": "float_outside_tol", "lhs": 10.0 - 2 * INT_TOL, "rhs": 10.0},
+        {"claim": "over", "lhs": 4.0, "rhs": 3.0},
+        {"claim": "off", "lhs": 1.0, "rhs": 2.0},
+    ]}
+    assert r.slack["integer_miss"] == -1.0
+
+    r = CheckResult("y", reason="n < 4")
+    assert (r.verdict, r.applicable, r.witness, r.slack) == ("not-applicable", False, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +386,52 @@ def test_counting_identity_on_corpus(corpus_analyses):
             assert a.mu_below_b + a.m_ge_b == n
 
 
+def _records(report):
+    """The dict form of a graph's records, the reference both encoders match."""
+    a = report.analysis
+    return [{"graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
+             "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,
+             "slack": r.slack, "witness": r.witness if r.witness is not None else r.reason}
+            for r in report.results]
+
+
+def _json_dumps_lines(report):
+    """The reference serialization report_jsonl must reproduce byte for byte."""
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in _records(report))
+
+
+def _dict_writer_rows(report):
+    """The reference CSV rows report_csv must reproduce byte for byte."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
+    for rec in _records(report):
+        witness = rec["witness"]
+        writer.writerow({**rec, "slack": json.dumps(rec["slack"], sort_keys=True),
+                         "witness": json.dumps(witness, sort_keys=True)
+                         if isinstance(witness, dict) else witness})
+    return buf.getvalue()
+
+
 def test_report_records_roundtrip():
     report = run_all(gen_g_clq())
-    records = report_records(report)
+    records = _records(report)
     assert len(records) == len(CHECKS)
-    jsonl = report_jsonl(report)
-    parsed = [json.loads(line) for line in jsonl.splitlines()]
+    parsed = [json.loads(line) for line in report_jsonl(report).splitlines()]
     assert parsed == json.loads(json.dumps(records))
     for rec in parsed:
         assert set(rec) == {"graph6", "n", "m", "chi", "b_chi", "check_id",
                             "applicable", "verdict", "slack", "witness"}
     # re-ingesting the graph6 field reproduces identical verdicts
-    again = report_records(run_all(parse_graph6(records[0]["graph6"])))
-    assert [(r["check_id"], r["verdict"]) for r in again] == \
-           [(r["check_id"], r["verdict"]) for r in records]
+    again = run_all(parse_graph6(parsed[0]["graph6"]))
+    assert [(r.check_id, r.verdict) for r in again.results] == \
+           [(rec["check_id"], rec["verdict"]) for rec in parsed]
 
-    csv_text = records_to_csv(records)
+    csv_text = CSV_HEADER + report_csv(report)
     assert csv_text.splitlines()[0] == "graph6,n,m,chi,b_chi,check_id,applicable,verdict,slack,witness"
     assert len(csv_text.splitlines()) == len(CHECKS) + 1
-
-
-def _json_dumps_lines(report):
-    """The reference serialization report_jsonl must reproduce byte for byte."""
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report_records(report))
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert [(row["check_id"], row["verdict"]) for row in rows] == \
+           [(rec["check_id"], rec["verdict"]) for rec in parsed]
 
 
 @pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
@@ -397,6 +442,7 @@ def test_report_jsonl_matches_json_dumps_on_corpus(corpus_analyses, coloring_mod
         for a in analyses:
             report = run_checks(a)
             assert report_jsonl(report) == _json_dumps_lines(report), a.graph6
+            assert report_csv(report) == _dict_writer_rows(report), a.graph6
 
 
 def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
@@ -404,15 +450,16 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
     a = next(a for a in corpus_analyses[7] if "\\" in a.graph6)
     violation = {"claim": "dl1_minus_b_chi", "lhs": 9.5, "rhs": 10.0}
     report = CheckReport(a, [
-        CheckResult("ah_bound", True, "fail", {"dl1_minus_b_chi": -0.5, "a_first": 0.0},
-                    witness={"violations": [violation]}),
-        CheckResult("k_range", False, "not-applicable", reason='n < 4, "quoted" \\ \u00e9'),
-        CheckResult("color_majorization", True, "pass",
+        CheckResult("ah_bound", {"dl1_minus_b_chi": -0.5, "a_first": 0.0}, (violation,)),
+        CheckResult("k_range", reason='n < 4, "quoted" \\ \u00e9'),
+        CheckResult("color_majorization",
                     {"top_block": math.inf, "block_1": -math.inf, "block_2": math.nan,
                      "block_3": -0.0, "block_4": 1e-17, "block_5": 1e22, "block_6": 0.1 + 0.2}),
-        CheckResult("n_multiplicity", True, "pass", {}),
+        CheckResult("n_multiplicity", {}),
     ])
+    assert [r.verdict for r in report.results] == ["fail", "not-applicable", "pass", "pass"]
     assert report_jsonl(report) == _json_dumps_lines(report)
+    assert report_csv(report) == _dict_writer_rows(report)
 
 
 # ---------------------------------------------------------------------------
