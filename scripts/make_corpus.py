@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the committed connected-graph fixture files.
 
-Extends each isomorphism class on n-1 vertices by one new vertex over all
-2^(n-1) neighborhoods, dedups via the package canonicalizer, and writes the
-connected classes for n in {7, 8} as sorted graph6 lines. Expected class
-counts (853 and 11117) are checked before writing.
+Extends each connected isomorphism class on n-1 vertices by one new vertex
+over all 2^(n-1) - 1 nonempty neighborhoods (every connected graph has a
+vertex whose removal leaves it connected), dedups via the package
+canonicalizer, and writes the connected classes for n in {7, 8} as sorted
+graph6 lines. Expected class counts (853 and 11117) are checked before
+writing.
 
 Usage: python scripts/make_corpus.py [outdir]
 """
@@ -15,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from distlap.graphs import FIXTURE_COUNTS, _all_classes_g6, is_connected, parse_graph6
+from distlap.graphs import FIXTURE_COUNTS, _connected_classes_g6
 
 
 def main() -> int:
@@ -23,7 +25,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for n in (7, 8):
         t0 = time.time()
-        lines = [s for s in _all_classes_g6(n) if is_connected(parse_graph6(s))]
+        lines = _connected_classes_g6(n)
         expect = FIXTURE_COUNTS[n]
         if len(lines) != expect:
             print(f"n={n}: got {len(lines)} connected classes, expected {expect}", file=sys.stderr)

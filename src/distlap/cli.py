@@ -71,6 +71,8 @@ def _resolve_graph(args) -> graphs.Graph:
             return graphs.parse_edge_list(path.read_text())
         except ValueError as exc:
             raise InputError(f"bad edge list: {exc}") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if args.gen is not None:
         return _parse_gen_spec(args.gen)
     raise InputError("no input source given (use --g6, --edges, or --gen)")
@@ -295,7 +297,7 @@ def _sweep(tasks: list, jobs: int):
 def cmd_corpus(args) -> int:
     try:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
     tasks = [(batch, args.coloring, args.format) for batch in batches(corpus)]
 
@@ -475,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "are written batch by batch as the pass goes; a pass stopped by an "
                     "input error (exit 2) may leave a partial records file behind.")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--corpus-dir", help="directory holding connected{n}.g6 fixture files")
+    p.add_argument("--corpus-dir", help="directory holding connected{n}.g6 fixture "
+                                        "files (n = 7 and 8 only)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most the CPUs this process may use")
     p.add_argument("--audit-extremal", action="store_true",

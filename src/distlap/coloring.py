@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from distlap.graphs import Graph, _bits, complement, induced_subgraph
+from distlap.graphs import Graph, _bits, _complement_masks
 
 MAX_ELL1_VERTICES = 16
 PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _extend
@@ -19,7 +19,6 @@ class ColoringResult:
     chi: int
     classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
-    b_chi: int  # n + ceil(n / chi)
 
 
 def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
@@ -122,14 +121,14 @@ def _search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
     return colors if k > 0 and rec(n, 0) else None
 
 
-def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
-    """A proper coloring with colors 0..k-1 extending `partial` (-1 marks an
-    uncolored vertex), or None if there is none.
+def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | None:
+    """A proper coloring with colors 0..k-1 of the graph with neighbor masks
+    `adj` that extends `partial` (-1 marks an uncolored vertex), or None.
 
     Each color class of `partial` is merged into one vertex, the merged
     vertices are joined into a clique, and _search colors that graph; its
     colors are then renamed to match `partial`. Searching the merged graph
-    with no color fixed, rather than `g` with colors pinned, leaves the
+    with no color fixed, rather than the graph with colors pinned, leaves the
     search free to pick its own order, and it refutes dead branches with far
     fewer nodes.
     """
@@ -139,19 +138,19 @@ def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
             classes.setdefault(c, []).append(v)
     held = sorted(classes)
     groups = [classes[c] for c in held] + [[v] for v, c in enumerate(partial) if c < 0]
-    where = [0] * g.n
+    where = [0] * len(adj)
     for i, group in enumerate(groups):
         for v in group:
             where[v] = i
     clique = (1 << len(held)) - 1
-    adj = []
+    merged = []
     for i, group in enumerate(groups):
         mask = clique if i < len(held) else 0
         for v in group:
-            for u in _bits(g.adj[v]):
+            for u in _bits(adj[v]):
                 mask |= 1 << where[u]
-        adj.append(mask & ~(1 << i))
-    colors = _search(_neighbor_lists(adj), k)
+        merged.append(mask & ~(1 << i))
+    colors = _search(_neighbor_lists(merged), k)
     if colors is None:
         return None
     rename = dict(zip(colors, held))  # the first len(held) groups hold distinct colors
@@ -159,17 +158,18 @@ def _extend(g: Graph, k: int, partial: Sequence[int]) -> list[int] | None:
     for c in range(k):
         if c not in rename:
             rename[c] = next(spare)
-    return [rename[colors[where[v]]] for v in range(g.n)]
+    return [rename[colors[w]] for w in where]
 
 
-def _k_colorable(g: Graph, k: int, witness: list[int] | None = None,
+def _k_colorable(adj: Sequence[int], k: int, witness: list[int] | None = None,
                  neighbors: list[list[int]] | None = None) -> list[int] | None:
-    """The first proper coloring with at most k colors, or None if there is none.
+    """The first proper coloring with at most k colors of the graph with
+    neighbor masks `adj`, or None.
 
     "First" is in the order of plain backtracking: _search with lowest-index
     ties. So the result is deterministic for a fixed labeling. `witness`, if
     given, is any proper k-coloring; `neighbors`, if given, is
-    _neighbor_lists(g.adj).
+    _neighbor_lists(adj).
 
     Plain backtracking can spend seconds in branches that hold no coloring,
     so it runs for at most PLAIN_NODES nodes. After that the same search runs
@@ -181,7 +181,7 @@ def _k_colorable(g: Graph, k: int, witness: list[int] | None = None,
     backtracking, not a different coloring.
     """
     if neighbors is None:
-        neighbors = _neighbor_lists(g.adj)
+        neighbors = _neighbor_lists(adj)
     try:
         return _search(neighbors, k, by_degree=False, budget=PLAIN_NODES)
     except _OverBudget:
@@ -199,7 +199,7 @@ def _k_colorable(g: Graph, k: int, witness: list[int] | None = None,
         if c not in colors:  # w is a color nobody holds yet either: rename w and c
             witness = [c if x == w else w if x == c else x for x in witness]
             return True
-        found = _extend(g, k, colors[:v] + [c] + colors[v + 1:])
+        found = _extend(adj, k, colors[:v] + [c] + colors[v + 1:])
         if found is None:
             return False
         witness = found
@@ -208,71 +208,68 @@ def _k_colorable(g: Graph, k: int, witness: list[int] | None = None,
     return _search(neighbors, k, by_degree=False, feasible=feasible)
 
 
-def _chromatic(g: Graph, neighbors: list[list[int]],
-               greedy: list[int]) -> tuple[int, list[int]]:
-    """The chromatic number and a coloring that attains it, searching down
-    from one color fewer than `greedy` uses. `neighbors` is
-    _neighbor_lists(g.adj)."""
+def _chromatic(adj: Sequence[int],
+               neighbors: list[list[int]]) -> tuple[int, list[int], list[int]]:
+    """The chromatic number, the greedy DSATUR coloring, and a coloring that
+    attains the chromatic number, searching down from one color fewer than
+    greedy uses. `neighbors` is _neighbor_lists(adj)."""
+    greedy = _search(neighbors, len(adj), by_degree=False)
     best = greedy
     k = max(greedy)
-    lb = len(_greedy_clique(g.adj, neighbors))
+    lb = len(_greedy_clique(adj, neighbors))
     while k >= lb:
         found = _search(neighbors, k)
         if found is None:
             break
         best = found
         k -= 1
-    return k + 1, best
+    return k + 1, greedy, best
 
 
-def _best_coloring(g: Graph) -> list[int]:
+def _best_coloring(adj: Sequence[int]) -> list[int]:
     """The greedy coloring if it is optimal, else the first optimal one."""
-    neighbors = _neighbor_lists(g.adj)
-    greedy = _search(neighbors, g.n, by_degree=False)
-    chi, witness = _chromatic(g, neighbors, greedy)
-    return greedy if chi == max(greedy) + 1 else _k_colorable(g, chi, witness, neighbors)
+    neighbors = _neighbor_lists(adj)
+    chi, greedy, witness = _chromatic(adj, neighbors)
+    return greedy if chi == max(greedy) + 1 else _k_colorable(adj, chi, witness, neighbors)
 
 
-def _to_result(g: Graph, colors: Sequence[int]) -> ColoringResult:
+def _to_result(colors: Sequence[int]) -> ColoringResult:
     """The coloring's classes, largest first and equal sizes by least member."""
     by_color: dict[int, list[int]] = {}  # in order of each class's least member
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
     # the sort is stable, and reverse=True keeps it so
     ordered = sorted(by_color.values(), key=len, reverse=True)
-    chi = len(ordered)
-    return ColoringResult(chi=chi, classes=tuple(map(tuple, ordered)),
-                          sizes=tuple(map(len, ordered)), b_chi=g.n + -(-g.n // chi))
+    return ColoringResult(chi=len(ordered), classes=tuple(map(tuple, ordered)),
+                          sizes=tuple(map(len, ordered)))
 
 
 def chromatic_number(g: Graph) -> int:
-    neighbors = _neighbor_lists(g.adj)
-    return _chromatic(g, neighbors, _search(neighbors, g.n, by_degree=False))[0]
+    return _chromatic(g.adj, _neighbor_lists(g.adj))[0]
 
 
 def optimal_coloring(g: Graph) -> ColoringResult:
     """One optimal coloring, deterministic for a fixed vertex labeling."""
-    return _to_result(g, _best_coloring(g))
+    return _to_result(_best_coloring(g.adj))
 
 
-def _maximal_independent_sets(g: Graph) -> list[int]:
+def _maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     """All maximal independent sets as bitmasks (Bron-Kerbosch on the complement)."""
-    comp = complement(g)
+    comp = _complement_masks(adj)
     out: list[int] = []
-    full = (1 << g.n) - 1
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
             return
         pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: (comp.adj[u] & p).bit_count())
-        for v in _bits(p & ~comp.adj[pivot]):
-            expand(r | 1 << v, p & comp.adj[v], x & comp.adj[v])
+        pivot = max(_bits(pivot_pool), key=lambda u: (comp[u] & p).bit_count())
+        for v in _bits(p & ~comp[pivot]):
+            expand(r | 1 << v, p & comp[v], x & comp[v])
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, full, 0)
+    expand(0, (1 << len(adj)) - 1, 0)
     return out
 
 
@@ -287,22 +284,21 @@ def max_ell1_coloring(g: Graph) -> ColoringResult:
         raise ValueError(f"max_ell1_coloring is guarded to n <= {MAX_ELL1_VERTICES}")
     chi = chromatic_number(g)
     if chi == 1:
-        return _to_result(g, [0] * g.n)
+        return _to_result([0] * g.n)
 
     floor_needed = math.ceil(g.n / chi)
-    candidates = [m for m in _maximal_independent_sets(g) if m.bit_count() >= floor_needed]
+    candidates = [m for m in _maximal_independent_sets(g.adj) if m.bit_count() >= floor_needed]
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     for mask in candidates:
-        members = _bits(mask)
+        # the neighbor masks of what the class leaves, renumbered in order
         rest = [v for v in range(g.n) if not mask >> v & 1]
-        sub, old = induced_subgraph(g, rest)
+        where = {v: i for i, v in enumerate(rest)}
+        sub = [sum(1 << where[u] for u in _bits(g.adj[v] & ~mask)) for v in rest]
         sub_colors = _k_colorable(sub, chi - 1)
         if sub_colors is None:
             continue
         colors = [0] * g.n
-        for v in members:
-            colors[v] = 0
-        for i, c in enumerate(sub_colors):
-            colors[old[i]] = c + 1
-        return _to_result(g, colors)
+        for v, c in zip(rest, sub_colors):
+            colors[v] = c + 1
+        return _to_result(colors)
     raise RuntimeError("no optimal coloring found; chromatic number inconsistent")

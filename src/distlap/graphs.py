@@ -315,20 +315,6 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
     return Graph(g.n, adj)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph plus the new->old vertex mapping."""
-    verts = sorted(set(vertices))
-    if not verts:
-        raise ValueError("induced subgraph needs at least one vertex")
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in _bits(g.adj[v]):
-            if u in pos:
-                adj[i] |= 1 << pos[u]
-    return Graph(len(verts), adj), verts
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -507,15 +493,18 @@ def canonical_form(g: Graph) -> bytes:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _all_classes_g6(n: int) -> tuple[str, ...]:
-    """Canonical graph6 strings of all isomorphism classes on n vertices (n <= 8)."""
+def _connected_classes_g6(n: int) -> tuple[str, ...]:
+    """Canonical graph6 strings of all connected isomorphism classes on n
+    vertices (n <= 8), sorted. Every connected graph has a vertex whose
+    removal leaves it connected, so each one is a connected (n-1)-class
+    extended by a new vertex with a nonempty neighborhood."""
     if n == 1:
         return ("@",)
     seen: set[str] = set()
-    for s in _all_classes_g6(n - 1):
+    for s in _connected_classes_g6(n - 1):
         g = parse_graph6(s)
         base = list(g.adj) + [0]
-        for nb in range(1 << (n - 1)):
+        for nb in range(1, 1 << (n - 1)):
             adj = base.copy()
             adj[n - 1] = nb
             for u in _bits(nb):
@@ -524,23 +513,20 @@ def _all_classes_g6(n: int) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-@functools.lru_cache(maxsize=None)
-def _connected_classes_g6(n: int) -> tuple[str, ...]:
-    return tuple(s for s in _all_classes_g6(n) if is_connected(parse_graph6(s)))
-
-
 def _fixture_lines(n: int, corpus_dir: str | Path | None) -> list[str]:
     name = f"connected{n}.g6"
     if corpus_dir is not None:
         path = Path(corpus_dir) / name
         if not path.is_file():
             raise FileNotFoundError(f"missing fixture file {path}")
-        text = path.read_text()
     else:
-        ref = resources.files("distlap.data").joinpath(name)
-        if not ref.is_file():
+        path = resources.files("distlap.data").joinpath(name)
+        if not path.is_file():
             raise FileNotFoundError(f"missing packaged fixture {name}")
-        text = ref.read_text()
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     expect = FIXTURE_COUNTS[n]
     if len(lines) != expect:
@@ -552,11 +538,15 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
     """Yield one representative per isomorphism class of connected graphs on n vertices.
 
     n <= 6 is enumerated internally; n in {7, 8} is served from fixture files
-    (packaged by default, overridable via corpus_dir). A fixture line that
-    holds a graph of another order raises ValueError.
+    (packaged by default, overridable via corpus_dir, which any other n
+    rejects). A fixture line that holds a graph of another order raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if corpus_dir is not None and n not in FIXTURE_COUNTS:
+        orders = " and ".join(map(str, FIXTURE_COUNTS))
+        raise ValueError(f"a corpus directory applies to n = {orders} only, got n={n}")
     if n <= 6:
         for s in _connected_classes_g6(n):
             yield parse_graph6(s)

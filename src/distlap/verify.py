@@ -108,7 +108,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
 
     n = graphs[0].n
-    b_chi = [c.b_chi for c in colorings]
+    ceil_n_chi = [-(-n // c.chi) for c in colorings]
+    b_chi = [n + c for c in ceil_n_chi]
     dl1 = values[:, 0].tolist()
     m_ge_b = count_in_interval(values, b_chi, dl1).tolist()
     mu_below_b = mu_below(values, b_chi).tolist()
@@ -125,7 +126,7 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             m=g.m,
             chi=colorings[i].chi,
             b_chi=b_chi[i],
-            ceil_n_chi=-(-n // colorings[i].chi),
+            ceil_n_chi=ceil_n_chi[i],
             dl1=dl1[i],
             dd=dds[i],
             values=values[i],

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -106,10 +107,37 @@ def test_exit_status_contract(tmp_path, capsys):
     # missing fixture dir -> 2
     code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", "/nonexistent")
     assert code == 2
+    # a corpus directory for an order that has no fixture file -> 2, not ignored
+    for n in ("5", "9"):
+        code, out, err = run_cli(capsys, "corpus", "--n", n, "--corpus-dir", "/nonexistent")
+        assert (code, out) == (2, "")
+        assert err == f"error: a corpus directory applies to n = 7 and 8 only, got n={n}\n"
     # unwritable --out -> 2, not a traceback
     target = tmp_path / "missing" / "x.txt"
     code, _, err = run_cli(capsys, "verify", "--gen", "path:4", "--out", str(target))
     assert code == 2 and err.startswith("error: cannot write")
+
+
+def test_unreadable_input_file_exits_2(tmp_path, monkeypatch, capsys):
+    # an input file that exists but cannot be read (chmod 000 does not stop
+    # root, so read_text is made to fail for the one path)
+    edges = tmp_path / "g.edges"
+    edges.write_text("3\n0 1\n1 2\n")
+    fixture = tmp_path / "connected7.g6"
+    fixture.write_text("")
+    real = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self in (edges, fixture):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    for argv, path in ((["analyze", "--edges", str(edges)], edges),
+                       (["corpus", "--n", "7", "--corpus-dir", str(tmp_path)], fixture)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: {os.strerror(errno.EACCES)}\n"
 
 
 def _fixture_with(tmp_path, index, g6):

@@ -47,7 +47,6 @@ def test_chromatic_number_on_disconnected():
 def test_optimal_coloring_structure():
     res = optimal_coloring(gen_complete_multipartite([4, 4, 2]))
     assert res.chi == 3 and res.sizes == (4, 4, 2)
-    assert res.b_chi == 10 + math.ceil(10 / 3)
 
     res = optimal_coloring(gen_complete(5))
     assert res.chi == 5 and res.sizes == (1,) * 5
@@ -167,7 +166,7 @@ def test_k_colorable_finds_plain_backtracking_first(monkeypatch, plain_nodes):
     for g in graphs:
         # with k = n nothing backtracks: the greedy DSATUR coloring optimal_coloring starts from
         for k in [*range(1, 7), g.n]:
-            assert coloring._k_colorable(g, k) == _first_by_plain_backtracking(g, k)
+            assert coloring._k_colorable(g.adj, k) == _first_by_plain_backtracking(g, k)
 
 
 def test_extend_keeps_the_partial_coloring():
@@ -175,13 +174,13 @@ def test_extend_keeps_the_partial_coloring():
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
         k = chromatic_number(g)
-        full = coloring._k_colorable(g, k)
+        full = coloring._k_colorable(g.adj, k)
         partial = [c if rng.random() < 0.4 else -1 for c in full]
-        found = coloring._extend(g, k, partial)
+        found = coloring._extend(g.adj, k, partial)
         assert found is not None and max(found) < k
         assert all(p < 0 or p == c for p, c in zip(partial, found))
         assert all(found[u] != found[v] for u, v in g.edges())
     # C5 has no 2-coloring, and a 3-coloring with vertices 0 and 2 apart
     c5 = gen_cycle(5)
-    assert coloring._extend(c5, 2, [0, -1, -1, -1, -1]) is None
-    assert coloring._extend(c5, 3, [0, -1, 1, -1, -1]) is not None
+    assert coloring._extend(c5.adj, 2, [0, -1, -1, -1, -1]) is None
+    assert coloring._extend(c5.adj, 3, [0, -1, 1, -1, -1]) is not None

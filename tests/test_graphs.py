@@ -326,6 +326,8 @@ def test_enumerate_connected_fixtures(tmp_path):
         list(enumerate_connected(7, corpus_dir=tmp_path))
     with pytest.raises(ValueError):
         list(enumerate_connected(9))
+    with pytest.raises(ValueError, match="corpus directory"):  # no fixture below n = 7
+        list(enumerate_connected(6, corpus_dir=tmp_path))
 
 
 def test_fixture_graphs_are_connected_and_canonical():

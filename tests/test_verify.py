@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -33,6 +34,7 @@ from distlap.verify import (
     analyze,
     analyze_many,
     audit_extremal,
+    batches,
     check_ah_bound,
     check_clique_refine,
     check_color_majorization,
@@ -351,7 +353,8 @@ def test_analyze_many_matches_analyze_on_corpus():
                 _assert_same_analysis(x, y)
         # the stacked facts and counts equal their one-graph definitions
         for a in single:
-            assert (a.n, a.chi, a.b_chi) == (n, a.coloring.chi, a.coloring.b_chi)
+            assert (a.n, a.chi) == (n, a.coloring.chi)
+            assert a.b_chi == n + math.ceil(n / a.chi)
             assert a.ceil_n_chi == math.ceil(n / a.chi)
             assert a.dl1 == float(a.values[0])
             assert a.dd.tr.tolist() == a.dd.dist.sum(axis=1).tolist()
@@ -369,6 +372,32 @@ def test_analyze_many_max_ell1_mode_matches_analyze():
     batched = analyze_many(graphs, coloring_mode="max-l1")
     for g, a in zip(graphs, batched, strict=True):
         _assert_same_analysis(analyze(g, coloring_mode="max-l1"), a)
+
+
+# SHA-256 over every connected graph with n <= 7, in enumeration order, of the
+# repr of its integer facts: graph6, chi, b_chi, the coloring's classes, the
+# spectral counts, the twin multiplicities, the complement component count and
+# the universal vertex count. Integers only, so the digests do not depend on
+# the BLAS build; any change to a coloring or a count changes them.
+INTEGER_FACTS_SHA256 = {
+    "default": "c0a1af5d3ea4ac7c0150b86e4c8f6773e33fbfbf490b87cfa02ff2e9de76166f",
+    "max-l1": "d0b6ac5f3e28a202f3038c1e5992565473feb589eb365d763fa458871483b144",
+}
+
+
+def test_integer_facts_are_pinned(corpus_analyses):
+    max_l1 = {n: [a for batch in batches(list(enumerate_connected(n)))
+                  for a in analyze_many(batch, "max-l1")]
+              for n in range(1, 8)}
+    for mode, analyses in (("default", corpus_analyses), ("max-l1", max_l1)):
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for a in analyses[n]:
+                facts = (a.graph6, a.chi, a.b_chi, a.coloring.classes, a.m_ge_b,
+                         a.mu_below_b, a.mu_at_n, a.twin_mults, a.complement_components,
+                         a.universal_vertices)
+                digest.update(repr(facts).encode())
+        assert digest.hexdigest() == INTEGER_FACTS_SHA256[mode], mode
 
 
 def test_analyze_many_rejects_a_disconnected_graph_in_the_batch():
