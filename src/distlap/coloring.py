@@ -37,11 +37,11 @@ def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def _greedy_clique(adj: Sequence[int], neighbors: Sequence[Sequence[int]]) -> list[int]:
+def _greedy_clique(adj: Sequence[int]) -> list[int]:
     """Greedily grown clique (chromatic lower bound) of the graph with neighbor
-    masks `adj` and neighbor lists `neighbors`: each step takes a vertex of
-    highest degree, lowest index first; deterministic."""
-    degree = list(map(len, neighbors))
+    masks `adj`: each step takes a vertex of highest degree, lowest index
+    first; deterministic."""
+    degree = [a.bit_count() for a in adj]
     start = degree.index(max(degree))
     clique = [start]
     common = adj[start]
@@ -56,16 +56,11 @@ class _OverBudget(Exception):
     pass
 
 
-def _neighbor_lists(adj: Sequence[int]) -> list[list[int]]:
-    """Each vertex's neighbors, lowest first, from its neighbor mask."""
-    return [_bits(a) for a in adj]
-
-
-def _search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
+def _search(adj: Sequence[int], k: int, by_degree: bool = True,
             budget: float = math.inf,
             feasible: Callable[[int, int, list[int]], bool] | None = None) -> list[int] | None:
-    """The first proper coloring of the graph with neighbor lists `neighbors`
-    (from _neighbor_lists) in colors 0..k-1, or None if there is none.
+    """The first proper coloring of the graph with neighbor masks `adj` in
+    colors 0..k-1, or None if there is none.
 
     DSATUR backtracking (Brelaz 1979): the next vertex is an uncolored one
     that sees the most colors, ties going to the highest degree if
@@ -76,49 +71,73 @@ def _search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
     k = n nothing is ever cut, because no vertex can see n colors, so with
     lowest-index ties the result is greedy DSATUR. Past `budget` nodes it
     raises _OverBudget.
-    """
-    n = len(neighbors)
-    full = (1 << k) - 1
-    colors = [-1] * n
-    nb_colors = [0] * n
-    # 64 * colors seen + (degree or 0); -1 once colored
-    keys = [len(nbrs) if by_degree else 0 for nbrs in neighbors]
 
-    def rec(left: int, held: int) -> bool:
+    The search keeps masks, not per-vertex counts: seen[c] holds the
+    neighbors of the vertices colored c, and level[s] the uncolored vertices
+    that see s colors. Coloring a vertex moves its neighbors up one level a
+    whole mask at a time, and the next vertex is the lowest of the highest
+    nonempty level. With `by_degree` the vertices are first relabeled by
+    degree descending, index ascending, so that the lowest label in a level
+    is the vertex the tie rule picks; `feasible` and the result see the
+    caller's labels.
+    """
+    n = len(adj)
+    order: Sequence[int] = range(n)
+    if by_degree:
+        order = sorted(order, key=lambda v: -adj[v].bit_count())  # stable: ties by index
+        label = [0] * n
+        for i, v in enumerate(order):
+            label[v] = 1 << i
+        relabeled = []
+        for v in order:
+            mask = 0
+            for u in _bits(adj[v]):
+                mask |= label[u]
+            relabeled.append(mask)
+        adj = relabeled
+    colors = [-1] * n  # in the caller's labels
+    seen = [0] * k
+
+    def rec(left: int, level: list[int], top: int, held: int) -> bool:
         nonlocal budget
         if not left:
             return True
         budget -= 1
         if budget < 0:
             raise _OverBudget
-        v = keys.index(max(keys))
-        key, keys[v] = keys[v], -1
-        avail = full & ~nb_colors[v]
-        fresh = full & ~held
-        avail &= ~fresh | (fresh & -fresh)
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length() - 1
-            if feasible is not None and not feasible(v, c, colors):
+        s = top
+        while not level[s]:
+            s -= 1
+        bit = level[s] & -level[s]
+        i = bit.bit_length() - 1
+        v = order[i]
+        nbrs = adj[i]
+        left ^= bit
+        for c in range(held + 1 if held < k else k):  # the held colors and one fresh
+            mask = seen[c]
+            if mask & bit or feasible is not None and not feasible(v, c, colors):
                 continue
             colors[v] = c
-            touched = [u for u in neighbors[v] if keys[u] >= 0 and not nb_colors[u] & bit]
-            alive = True
-            for u in touched:
-                nb_colors[u] |= bit
-                keys[u] += 64
-                alive = alive and nb_colors[u] != full
-            if alive and rec(left - 1, held | bit):
-                return True
-            for u in touched:
-                nb_colors[u] ^= bit
-                keys[u] -= 64
+            rise = nbrs & left & ~mask
+            up = level.copy()
+            up[s] ^= bit
+            t = s
+            while rise:  # from the top down, so no vertex moves twice
+                moved = up[t] & rise
+                if moved:
+                    up[t] ^= moved
+                    up[t + 1] |= moved
+                    rise ^= moved
+                t -= 1
+            if not up[k]:
+                seen[c] = mask | nbrs
+                if rec(left, up, s + 1, held + (c == held)):
+                    return True
+                seen[c] = mask
             colors[v] = -1
-        keys[v] = key
         return False
 
-    return colors if k > 0 and rec(n, 0) else None
+    return colors if k > 0 and rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
 
 
 def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | None:
@@ -150,7 +169,7 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
             for u in _bits(adj[v]):
                 mask |= 1 << where[u]
         merged.append(mask & ~(1 << i))
-    colors = _search(_neighbor_lists(merged), k)
+    colors = _search(merged, k)
     if colors is None:
         return None
     rename = dict(zip(colors, held))  # the first len(held) groups hold distinct colors
@@ -161,15 +180,14 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
     return [rename[colors[w]] for w in where]
 
 
-def _k_colorable(adj: Sequence[int], k: int, witness: list[int] | None = None,
-                 neighbors: list[list[int]] | None = None) -> list[int] | None:
+def _k_colorable(adj: Sequence[int], k: int,
+                 witness: list[int] | None = None) -> list[int] | None:
     """The first proper coloring with at most k colors of the graph with
     neighbor masks `adj`, or None.
 
     "First" is in the order of plain backtracking: _search with lowest-index
     ties. So the result is deterministic for a fixed labeling. `witness`, if
-    given, is any proper k-coloring; `neighbors`, if given, is
-    _neighbor_lists(adj).
+    given, is any proper k-coloring.
 
     Plain backtracking can spend seconds in branches that hold no coloring,
     so it runs for at most PLAIN_NODES nodes. After that the same search runs
@@ -180,14 +198,12 @@ def _k_colorable(adj: Sequence[int], k: int, witness: list[int] | None = None,
     never refuse a branch that holds a coloring; a stale witness would cost
     backtracking, not a different coloring.
     """
-    if neighbors is None:
-        neighbors = _neighbor_lists(adj)
     try:
-        return _search(neighbors, k, by_degree=False, budget=PLAIN_NODES)
+        return _search(adj, k, by_degree=False, budget=PLAIN_NODES)
     except _OverBudget:
         pass
     if witness is None:
-        witness = _search(neighbors, k)
+        witness = _search(adj, k)
         if witness is None:
             return None
 
@@ -205,20 +221,19 @@ def _k_colorable(adj: Sequence[int], k: int, witness: list[int] | None = None,
         witness = found
         return True
 
-    return _search(neighbors, k, by_degree=False, feasible=feasible)
+    return _search(adj, k, by_degree=False, feasible=feasible)
 
 
-def _chromatic(adj: Sequence[int],
-               neighbors: list[list[int]]) -> tuple[int, list[int], list[int]]:
+def _chromatic(adj: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """The chromatic number, the greedy DSATUR coloring, and a coloring that
     attains the chromatic number, searching down from one color fewer than
-    greedy uses. `neighbors` is _neighbor_lists(adj)."""
-    greedy = _search(neighbors, len(adj), by_degree=False)
+    greedy uses."""
+    greedy = _search(adj, len(adj), by_degree=False)
     best = greedy
     k = max(greedy)
-    lb = len(_greedy_clique(adj, neighbors))
+    lb = len(_greedy_clique(adj))
     while k >= lb:
-        found = _search(neighbors, k)
+        found = _search(adj, k)
         if found is None:
             break
         best = found
@@ -228,9 +243,8 @@ def _chromatic(adj: Sequence[int],
 
 def _best_coloring(adj: Sequence[int]) -> list[int]:
     """The greedy coloring if it is optimal, else the first optimal one."""
-    neighbors = _neighbor_lists(adj)
-    chi, greedy, witness = _chromatic(adj, neighbors)
-    return greedy if chi == max(greedy) + 1 else _k_colorable(adj, chi, witness, neighbors)
+    chi, greedy, witness = _chromatic(adj)
+    return greedy if chi == max(greedy) + 1 else _k_colorable(adj, chi, witness)
 
 
 def _to_result(colors: Sequence[int]) -> ColoringResult:
@@ -245,7 +259,7 @@ def _to_result(colors: Sequence[int]) -> ColoringResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    return _chromatic(g.adj, _neighbor_lists(g.adj))[0]
+    return _chromatic(g.adj)[0]
 
 
 def optimal_coloring(g: Graph) -> ColoringResult:

@@ -42,7 +42,7 @@ def _bits(mask: int) -> list[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1; `m` is its edge count."""
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj", "m", "_graph6")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if not 1 <= n <= MAX_VERTICES:
@@ -59,26 +59,30 @@ class Graph:
             for u in _bits(mask):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        self._set(n, adj, sum(mask.bit_count() for mask in adj) // 2)
+        self._set(n, adj, sum(mask.bit_count() for mask in adj) // 2, None)
 
-    def _set(self, n: int, adj: tuple[int, ...], m: int) -> None:
+    def _set(self, n: int, adj: tuple[int, ...], m: int, graph6: str | None) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_graph6", graph6)
 
     @classmethod
-    def _unchecked(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+    def _unchecked(cls, n: int, adj: tuple[int, ...], m: int,
+                   graph6: str | None = None) -> "Graph":
         """A graph from masks its caller built symmetric, loop-free and in
-        range, with m edges: nothing is validated."""
+        range, with m edges: nothing is validated. `graph6`, if given, is the
+        text to_graph6 would return for it."""
         g = object.__new__(cls)
-        g._set(n, adj, m)
+        g._set(n, adj, m, graph6)
         return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # pickle through __init__, since __setattr__ blocks the default path
+        # pickle through __init__, since __setattr__ blocks the default path;
+        # the graph6 text parse_graph6 kept is dropped
         return (type(self), (self.n, self.adj))
 
     @classmethod
@@ -182,12 +186,16 @@ def parse_graph6(text: str) -> Graph:
                 adj[row] |= 1 << col
                 adj[col] |= 1 << row
             idx -= 1
-    # each bit set both ways, row != col < n: valid by construction
-    return Graph._unchecked(n, tuple(adj), acc.bit_count())
+    # each bit set both ways, row != col < n: valid by construction. The
+    # checks above leave one text per graph in the short size form, the one
+    # to_graph6 writes, so that text is kept; a "~" size is re-encoded.
+    return Graph._unchecked(n, tuple(adj), acc.bit_count(), None if data[0] == 126 else s)
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a Graph as a graph6 string (inverse of parse_graph6)."""
+    if g._graph6 is not None:
+        return g._graph6
     n = g.n
     acc = 0
     for col in range(1, n):

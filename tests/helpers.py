@@ -1,11 +1,15 @@
-"""Independent brute-force oracles and random generators used across the tests."""
+"""Independent brute-force oracles, the list-based reference DSATUR search and
+random generators used across the tests."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Callable, Sequence
 
-from distlap.graphs import Graph, canonical_form, is_connected
+from distlap.coloring import _OverBudget
+from distlap.graphs import Graph, _bits, canonical_form, is_connected
 
 
 def brute_force_chromatic(g: Graph) -> int:
@@ -41,12 +45,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int,
+                           p_lo: float = 0.2, p_hi: float = 0.85) -> Graph:
     while True:
         n = rng.randint(n_lo, n_hi)
-        g = random_graph(rng, n, rng.uniform(0.2, 0.85))
+        g = random_graph(rng, n, rng.uniform(p_lo, p_hi))
         if is_connected(g):
             return g
+
+
+def dense_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded connected graphs with n 30-44 and density 0.4-0.7, where exact
+    coloring backtracks deeply."""
+    rng = random.Random(seed)
+    return [random_connected_graph(rng, 30, 44, 0.4, 0.7) for _ in range(count)]
 
 
 def random_permutation(rng: random.Random, n: int) -> list[int]:
@@ -62,3 +74,72 @@ def random_part_sizes(rng: random.Random, max_total: int = 30) -> list[int]:
     while sum(parts) > max_total:
         parts[parts.index(max(parts))] -= 1
     return parts
+
+
+# The list-based DSATUR kernel that coloring._search replaced, kept verbatim
+# (bar the names) as the reference the bitset kernel must match node for node.
+
+def neighbor_lists(adj: Sequence[int]) -> list[list[int]]:
+    """Each vertex's neighbors, lowest first, from its neighbor mask."""
+    return [_bits(a) for a in adj]
+
+
+def reference_search(neighbors: Sequence[Sequence[int]], k: int, by_degree: bool = True,
+                     budget: float = math.inf,
+                     feasible: Callable[[int, int, list[int]], bool] | None = None
+                     ) -> list[int] | None:
+    """The first proper coloring of the graph with neighbor lists `neighbors`
+    (from neighbor_lists) in colors 0..k-1, or None if there is none.
+
+    DSATUR backtracking (Brelaz 1979): the next vertex is an uncolored one
+    that sees the most colors, ties going to the highest degree if
+    `by_degree`, else to the lowest index. Its colors are tried lowest first,
+    and of the colors nobody holds yet only the lowest. A branch is cut as
+    soon as an uncolored vertex sees all k colors, and is not entered if
+    `feasible(v, c, colors)` says no (v still uncolored in `colors`). With
+    k = n nothing is ever cut, because no vertex can see n colors, so with
+    lowest-index ties the result is greedy DSATUR. Past `budget` nodes it
+    raises _OverBudget.
+    """
+    n = len(neighbors)
+    full = (1 << k) - 1
+    colors = [-1] * n
+    nb_colors = [0] * n
+    # 64 * colors seen + (degree or 0); -1 once colored
+    keys = [len(nbrs) if by_degree else 0 for nbrs in neighbors]
+
+    def rec(left: int, held: int) -> bool:
+        nonlocal budget
+        if not left:
+            return True
+        budget -= 1
+        if budget < 0:
+            raise _OverBudget
+        v = keys.index(max(keys))
+        key, keys[v] = keys[v], -1
+        avail = full & ~nb_colors[v]
+        fresh = full & ~held
+        avail &= ~fresh | (fresh & -fresh)
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            c = bit.bit_length() - 1
+            if feasible is not None and not feasible(v, c, colors):
+                continue
+            colors[v] = c
+            touched = [u for u in neighbors[v] if keys[u] >= 0 and not nb_colors[u] & bit]
+            alive = True
+            for u in touched:
+                nb_colors[u] |= bit
+                keys[u] += 64
+                alive = alive and nb_colors[u] != full
+            if alive and rec(left - 1, held | bit):
+                return True
+            for u in touched:
+                nb_colors[u] ^= bit
+                keys[u] -= 64
+            colors[v] = -1
+        keys[v] = key
+        return False
+
+    return colors if k > 0 and rec(n, 0) else None

@@ -94,6 +94,14 @@ def test_verify_json_round_trip(capsys):
            [(r["check_id"], r["verdict"]) for r in records]
 
 
+def test_verify_prints_long_form_graph6_in_short_form(capsys):
+    # "~??G" is the long size form of n = 8, which n <= 62 does not need
+    short = graphs.to_graph6(graphs.gen_path(8))
+    code, out, _ = run_cli(capsys, "verify", "--g6", "~??G" + short[1:], "--format", "json")
+    assert code == 0
+    assert {json.loads(line)["graph6"] for line in out.splitlines()} == {short}
+
+
 def test_exit_status_contract(tmp_path, capsys):
     # parse failure -> 2
     code, _, err = run_cli(capsys, "analyze", "--g6", "Bwx")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,7 +16,14 @@ from distlap.graphs import (
     gen_path,
     parse_graph6,
 )
-from helpers import brute_force_chromatic, random_graph
+from helpers import (
+    brute_force_chromatic,
+    dense_graphs,
+    neighbor_lists,
+    random_connected_graph,
+    random_graph,
+    reference_search,
+)
 
 
 def test_chromatic_number_examples():
@@ -63,6 +71,21 @@ def test_optimal_coloring_is_proper_and_exact(corpus_analyses):
             assert len(res.classes) == res.chi
             assert res.sizes == tuple(sorted(res.sizes, reverse=True))
             assert res.sizes[0] >= math.ceil(n / res.chi)  # pigeonhole
+
+
+# SHA-256 of repr((chi, classes)) over dense_graphs(1, 40), from the list-based
+# search the bitset kernel replaced
+DENSE_COLORINGS_SHA256 = "27f8b90cbe61881716c9dcd1193b0b93f0472c35271dc59753cd1fb8b32ec6c2"
+
+
+def test_dense_colorings_are_pinned():
+    # n 30-44: the search backtracks deeply and _k_colorable calls _extend,
+    # which n <= 7 (test_integer_facts_are_pinned) rarely reaches
+    digest = hashlib.sha256()
+    for g in dense_graphs(1, 40):
+        res = optimal_coloring(g)
+        digest.update(repr((res.chi, res.classes)).encode())
+    assert digest.hexdigest() == DENSE_COLORINGS_SHA256
 
 
 def test_optimal_coloring_deterministic():
@@ -167,6 +190,45 @@ def test_k_colorable_finds_plain_backtracking_first(monkeypatch, plain_nodes):
         # with k = n nothing backtracks: the greedy DSATUR coloring optimal_coloring starts from
         for k in [*range(1, 7), g.n]:
             assert coloring._k_colorable(g.adj, k) == _first_by_plain_backtracking(g, k)
+
+
+class _NodeCount:
+    """A budget that never runs out and counts the nodes that spend it."""
+
+    def __init__(self):
+        self.spent = 0
+
+    def __sub__(self, other):
+        self.spent += other
+        return self
+
+    def __lt__(self, other):
+        return False
+
+
+def _outcome(search, graph, k, by_degree, budget):
+    try:
+        return search(graph, k, by_degree, budget)
+    except coloring._OverBudget:
+        return "over budget"
+
+
+def test_search_matches_the_list_reference():
+    # same coloring or None, and the same node count: a budget runs out at the same point
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [random_connected_graph(rng, 8, 20) for _ in range(60)]
+    for g in graphs:
+        nbrs = neighbor_lists(g.adj)
+        for by_degree in (True, False):
+            for k in range(1, g.n + 1):
+                count = _NodeCount()
+                expected = reference_search(nbrs, k, by_degree, count)
+                budgets = (0, 1, 5, count.spent - 1, count.spent)
+                got = [_outcome(coloring._search, g.adj, k, by_degree, b) for b in budgets]
+                assert got == [_outcome(reference_search, nbrs, k, by_degree, b)
+                               for b in budgets]
+                assert got[-2:] == ["over budget", expected]
 
 
 def test_extend_keeps_the_partial_coloring():
