@@ -27,6 +27,6 @@ from distlap.eigen import (
 )
 from distlap.coloring import ColoringResult, chromatic_number, is_proper, max_ell1_coloring, optimal_coloring
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
-from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, run_all
+from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, run_all, sweep
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
 import os
 import sys
 from importlib import resources
@@ -23,14 +22,12 @@ from distlap.eigen import cluster_values
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
-    GraphSummary,
     analyze,
-    analyze_many,
     audit_extremal,
-    batches,
     report_csv,
     report_jsonl,
     run_checks,
+    sweep,
 )
 
 USAGE_ERROR = 2
@@ -263,35 +260,13 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_worker(task) -> tuple[str, list[tuple[tuple[str, ...], GraphSummary]]]:
-    """One batch of graphs: the records text of the whole batch in the
-    requested format (CSV without its header, nothing for pretty), and each
-    graph's verdicts, in CHECKS order, with its summary."""
-    batch, coloring_mode, fmt = task
-    reports = [run_checks(a) for a in analyze_many(batch, coloring_mode)]
+def _corpus_item(fmt: str, report) -> tuple:
+    """What a corpus sweep keeps of one graph's report: its records in format
+    fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
+    and its GraphSummary."""
     encode = _record_encoder(fmt)
-    text = "".join([encode(r) for r in reports]) if encode else ""
-    return text, [(tuple(r.verdict for r in report.results), report.analysis.summary)
-                  for report in reports]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _sweep(tasks: list, jobs: int):
-    """Yield the result of every task, in task order, with at most one worker
-    per usable CPU. Each task is one batch of graphs."""
-    jobs = min(jobs, _usable_cpus())
-    if jobs == 1:
-        yield from map(_corpus_worker, tasks)
-        return
-    # spawn, not fork: the parent may already hold BLAS threads
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        yield from pool.imap(_corpus_worker, tasks)
+    return (encode(report) if encode else "", tuple(r.verdict for r in report.results),
+            report.analysis.summary)
 
 
 def cmd_corpus(args) -> int:
@@ -299,8 +274,6 @@ def cmd_corpus(args) -> int:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
-    tasks = [(batch, args.coloring, args.format) for batch in batches(corpus)]
-
     tallies = {cid: {"pass": 0, "fail": 0, "not-applicable": 0} for cid, _ in CHECKS}
     summaries = []
     audits = []
@@ -310,13 +283,13 @@ def cmd_corpus(args) -> int:
         # a ValueError is a fixture file at fault: a disconnected graph, or
         # (for the audit) no graph of some chromatic number
         try:
-            for text, graph_results in _sweep(tasks, args.jobs):
+            each = functools.partial(_corpus_item, args.format)
+            for text, verdicts, summary in sweep(corpus, each, args.coloring, args.jobs):
                 write(text)
-                for verdicts, summary in graph_results:
-                    for (cid, _), verdict in zip(CHECKS, verdicts):
-                        tallies[cid][verdict] += 1
-                    if args.audit_extremal:
-                        summaries.append(summary)
+                for (cid, _), verdict in zip(CHECKS, verdicts):
+                    tallies[cid][verdict] += 1
+                if args.audit_extremal:
+                    summaries.append(summary)
             if args.audit_extremal:
                 for chi in range(2, args.n):
                     audits.append(audit_extremal(args.n, chi, analyses=summaries))

@@ -13,7 +13,10 @@ import functools
 import io
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -74,15 +77,6 @@ class GraphAnalysis:
     @property
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
-
-
-BATCH = 512  # graphs per analyze_many call when a caller splits a longer list
-
-
-def batches(graphs: Sequence[Graph]) -> Iterator[Sequence[Graph]]:
-    """Consecutive slices of `graphs`, BATCH graphs each (the last may be shorter)."""
-    for i in range(0, len(graphs), BATCH):
-        yield graphs[i:i + BATCH]
 
 
 def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> list[GraphAnalysis]:
@@ -362,6 +356,39 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
 def run_all(g: Graph, coloring_mode: str = "default") -> CheckReport:
     """Analyze a connected graph once and run the full checker registry."""
     return run_checks(analyze(g, coloring_mode=coloring_mode))
+
+
+BATCH = 512  # graphs per analyze_many call in a sweep
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_batch(each: Callable, coloring_mode: str, batch: Sequence[Graph]) -> list:
+    return [each(run_checks(a)) for a in analyze_many(batch, coloring_mode)]
+
+
+def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
+          coloring_mode: str = "default", jobs: int = 1) -> Iterator:
+    """Yield each(run_checks(a)) for the analysis a of every graph, in order.
+
+    Graphs are analyzed BATCH at a time by min(jobs, usable CPUs) spawned
+    workers (serially for one). `each` runs in the worker, so only what it
+    returns is sent back; it must pickle, as a module-level function does.
+    """
+    work = functools.partial(_sweep_batch, each, coloring_mode)
+    slices = (graphs[i:i + BATCH] for i in range(0, len(graphs), BATCH))
+    jobs = min(jobs, _usable_cpus())
+    if jobs == 1:
+        yield from chain.from_iterable(map(work, slices))
+        return
+    # spawn, not fork: the parent may already hold BLAS threads
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        yield from chain.from_iterable(pool.imap(work, slices))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from distlap.graphs import enumerate_connected
-from distlap.verify import analyze_many, batches
+from distlap.verify import sweep
 
 
 @pytest.fixture(scope="session")
 def corpus_analyses():
     """GraphAnalysis records for every connected isomorphism class, n = 1..7."""
-    return {n: [a for batch in batches(list(enumerate_connected(n)))
-                for a in analyze_many(batch)]
+    return {n: list(sweep(list(enumerate_connected(n)), operator.attrgetter("analysis")))
             for n in range(1, 8)}

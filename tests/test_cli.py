@@ -181,7 +181,7 @@ def test_corpus_audit_on_fixture_missing_a_chromatic_number_exits_2(tmp_path, ca
 def test_corpus_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     calls = []
     real = verify.analyze_many
-    monkeypatch.setattr(cli, "analyze_many", lambda gs, *a: calls.extend(gs) or real(gs, *a))
+    monkeypatch.setattr(verify, "analyze_many", lambda gs, *a: calls.extend(gs) or real(gs, *a))
     code, _, err = run_cli(capsys, "corpus", "--n", "7",
                            "--out", str(tmp_path / "missing" / "r.jsonl"))
     assert code == 2 and err.startswith("error: cannot write")
@@ -318,9 +318,8 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
         calls.extend(graphs)
         return real(graphs, *args, **kwargs)
 
-    # the corpus pass looks analyze_many up in cli; verify.analyze goes
-    # through verify.analyze_many, so a second pass for the audit shows too
-    monkeypatch.setattr(cli, "analyze_many", counted)
+    # the sweep and verify.analyze both go through verify.analyze_many, so a
+    # second pass for the audit shows too
     monkeypatch.setattr(verify, "analyze_many", counted)
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     assert code == 0
@@ -340,8 +339,10 @@ def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
     assert code == 0 and seen == ["path:5"]
 
 
-def test_corpus_audit_jobs_match_serial(capsys):
-    argv = ("corpus", "--n", "7", "--audit-extremal", "--format", "json")
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_corpus_audit_jobs_match_serial(capsys, fmt):
+    # pretty output holds the tallies and the audits, json and csv the records
+    argv = ("corpus", "--n", "7", "--audit-extremal", "--format", fmt)
     code, serial, _ = run_cli(capsys, *argv)
     code2, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert code == code2 == 0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from distlap.verify import (
     analyze,
     analyze_many,
     audit_extremal,
-    batches,
     check_ah_bound,
     check_clique_refine,
     check_color_majorization,
@@ -48,6 +48,7 @@ from distlap.verify import (
     report_jsonl,
     run_all,
     run_checks,
+    sweep,
 )
 
 
@@ -386,8 +387,8 @@ INTEGER_FACTS_SHA256 = {
 
 
 def test_integer_facts_are_pinned(corpus_analyses):
-    max_l1 = {n: [a for batch in batches(list(enumerate_connected(n)))
-                  for a in analyze_many(batch, "max-l1")]
+    max_l1 = {n: list(sweep(list(enumerate_connected(n)), operator.attrgetter("analysis"),
+                            "max-l1"))
               for n in range(1, 8)}
     for mode, analyses in (("default", corpus_analyses), ("max-l1", max_l1)):
         digest = hashlib.sha256()
@@ -398,6 +399,19 @@ def test_integer_facts_are_pinned(corpus_analyses):
                          a.universal_vertices)
                 digest.update(repr(facts).encode())
         assert digest.hexdigest() == INTEGER_FACTS_SHA256[mode], mode
+
+
+def test_sweep_analyzes_batch_slices_and_keeps_input_order(monkeypatch):
+    graphs = list(enumerate_connected(6))
+    sizes = []
+    real = verify.analyze_many
+    monkeypatch.setattr(verify, "analyze_many",
+                        lambda gs, *a: sizes.append(len(gs)) or real(gs, *a))
+    monkeypatch.setattr(verify, "BATCH", 50)
+    got = list(sweep(graphs, operator.attrgetter("analysis.graph6", "ok")))
+    assert sizes == [50, 50, 12]
+    assert got == [(a.graph6, True) for a in real(graphs)]
+    assert list(sweep([], operator.attrgetter("ok"))) == []
 
 
 def test_analyze_many_rejects_a_disconnected_graph_in_the_batch():
