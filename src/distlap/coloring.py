@@ -56,6 +56,22 @@ class _OverBudget(Exception):
     pass
 
 
+def _degree_order(adj: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The vertices by degree descending, index ascending, and the neighbor
+    masks of the graph relabeled in that order (vertex order[i] becomes i)."""
+    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())  # stable: ties by index
+    label = [0] * len(adj)
+    for i, v in enumerate(order):
+        label[v] = 1 << i
+    relabeled = []
+    for v in order:
+        mask = 0
+        for u in _bits(adj[v]):
+            mask |= label[u]
+        relabeled.append(mask)
+    return order, relabeled
+
+
 def _search(adj: Sequence[int], k: int, by_degree: bool = True,
             budget: float = math.inf,
             feasible: Callable[[int, int, list[int]], bool] | None = None) -> list[int] | None:
@@ -76,25 +92,16 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
     neighbors of the vertices colored c, and level[s] the uncolored vertices
     that see s colors. Coloring a vertex moves its neighbors up one level a
     whole mask at a time, and the next vertex is the lowest of the highest
-    nonempty level. With `by_degree` the vertices are first relabeled by
-    degree descending, index ascending, so that the lowest label in a level
-    is the vertex the tie rule picks; `feasible` and the result see the
-    caller's labels.
+    nonempty level. A branch is cut before any of that, when one of the
+    neighbors it raises already sees k - 1 colors. With `by_degree` the
+    vertices are first relabeled by _degree_order, so that the lowest label
+    in a level is the vertex the tie rule picks; `feasible` and the result
+    see the caller's labels.
     """
     n = len(adj)
     order: Sequence[int] = range(n)
     if by_degree:
-        order = sorted(order, key=lambda v: -adj[v].bit_count())  # stable: ties by index
-        label = [0] * n
-        for i, v in enumerate(order):
-            label[v] = 1 << i
-        relabeled = []
-        for v in order:
-            mask = 0
-            for u in _bits(adj[v]):
-                mask |= label[u]
-            relabeled.append(mask)
-        adj = relabeled
+        order, adj = _degree_order(adj)
     colors = [-1] * n  # in the caller's labels
     seen = [0] * k
 
@@ -115,10 +122,12 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
         left ^= bit
         for c in range(held + 1 if held < k else k):  # the held colors and one fresh
             mask = seen[c]
-            if mask & bit or feasible is not None and not feasible(v, c, colors):
+            if mask & bit:
+                continue
+            rise = nbrs & left & ~mask
+            if rise & level[k - 1] or feasible is not None and not feasible(v, c, colors):
                 continue
             colors[v] = c
-            rise = nbrs & left & ~mask
             up = level.copy()
             up[s] ^= bit
             t = s
@@ -129,11 +138,10 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
                     up[t + 1] |= moved
                     rise ^= moved
                 t -= 1
-            if not up[k]:
-                seen[c] = mask | nbrs
-                if rec(left, up, s + 1, held + (c == held)):
-                    return True
-                seen[c] = mask
+            seen[c] = mask | nbrs
+            if rec(left, up, s + 1, held + (c == held)):
+                return True
+            seen[c] = mask
             colors[v] = -1
         return False
 
@@ -161,13 +169,16 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
     for i, group in enumerate(groups):
         for v in group:
             where[v] = i
+    to_group = [1 << i for i in where]
     clique = (1 << len(held)) - 1
     merged = []
     for i, group in enumerate(groups):
-        mask = clique if i < len(held) else 0
+        union = 0
         for v in group:
-            for u in _bits(adj[v]):
-                mask |= 1 << where[u]
+            union |= adj[v]
+        mask = clique if i < len(held) else 0
+        for u in _bits(union):
+            mask |= to_group[u]
         merged.append(mask & ~(1 << i))
     colors = _search(merged, k)
     if colors is None:
@@ -193,10 +204,13 @@ def _k_colorable(adj: Sequence[int], k: int,
     so it runs for at most PLAIN_NODES nodes. After that the same search runs
     again, entering only branches that hold a coloring, so it never
     backtracks. A witness coloring that extends the colors fixed so far
-    answers that for its own color; _extend answers it for the colors below,
-    and its coloring becomes the witness. The result only needs the test to
-    never refuse a branch that holds a coloring; a stale witness would cost
-    backtracking, not a different coloring.
+    answers that for its own color. For a color c below it, the witness's
+    Kempe chain of v in colors c and w = witness[v] is tried first: if no
+    vertex of the chain is colored yet, swapping c and w on it keeps the
+    witness proper and extending, and gives v color c. Otherwise _extend
+    answers, and its coloring becomes the witness. The result only needs the
+    test to never refuse a branch that holds a coloring; a stale witness
+    would cost backtracking, not a different coloring.
     """
     try:
         return _search(adj, k, by_degree=False, budget=PLAIN_NODES)
@@ -215,6 +229,23 @@ def _k_colorable(adj: Sequence[int], k: int,
         if c not in colors:  # w is a color nobody holds yet either: rename w and c
             witness = [c if x == w else w if x == c else x for x in witness]
             return True
+        pair = 0
+        for u, x in enumerate(witness):
+            if x == c or x == w:
+                pair |= 1 << u
+        chain = frontier = 1 << v
+        while frontier:
+            grown = 0
+            for u in _bits(frontier):
+                grown |= adj[u]
+            frontier = grown & pair & ~chain
+            chain |= frontier
+        members = _bits(chain)
+        if all(colors[u] < 0 for u in members):
+            witness = witness.copy()
+            for u in members:
+                witness[u] = c if witness[u] == w else w
+            return True
         found = _extend(adj, k, colors[:v] + [c] + colors[v + 1:])
         if found is None:
             return False
@@ -232,12 +263,16 @@ def _chromatic(adj: Sequence[int]) -> tuple[int, list[int], list[int]]:
     best = greedy
     k = max(greedy)
     lb = len(_greedy_clique(adj))
-    while k >= lb:
-        found = _search(adj, k)
-        if found is None:
-            break
-        best = found
-        k -= 1
+    if k >= lb:
+        order, relabeled = _degree_order(adj)
+        while k >= lb:
+            found = _search(relabeled, k, by_degree=False)  # _search(adj, k), node for node
+            if found is None:
+                break
+            best = [0] * len(adj)
+            for v, c in zip(order, found):
+                best[v] = c
+            k -= 1
     return k + 1, greedy, best
 
 

@@ -178,14 +178,17 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError("nonzero padding bits in graph6 record")
     acc >>= pad
 
+    # the bits read backwards put x(row, col) at bit col(col-1)/2 + row, so
+    # each column is the next `col` bits, with bit i for row i
+    rest = int(format(acc, f"0{nbits}b")[::-1], 2)
     adj = [0] * n
-    idx = nbits - 1
     for col in range(1, n):
-        for row in range(col):
-            if acc >> idx & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            idx -= 1
+        column = rest & ((1 << col) - 1)
+        rest >>= col
+        adj[col] = column  # the rows below col; later columns add the ones above
+        bit = 1 << col
+        for row in _bits(column):
+            adj[row] |= bit
     # each bit set both ways, row != col < n: valid by construction. The
     # checks above leave one text per graph in the short size form, the one
     # to_graph6 writes, so that text is kept; a "~" size is re-encoded.

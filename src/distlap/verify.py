@@ -13,7 +13,6 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from itertools import chain
@@ -386,6 +385,8 @@ def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
     if jobs == 1:
         yield from chain.from_iterable(map(work, slices))
         return
+    import multiprocessing  # here, not at the top: only the pool needs it
+
     # spawn, not fork: the parent may already hold BLAS threads
     with multiprocessing.get_context("spawn").Pool(jobs) as pool:
         yield from chain.from_iterable(pool.imap(work, slices))

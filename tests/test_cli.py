@@ -207,6 +207,13 @@ def test_corpus_streams_records(tmp_path, monkeypatch):
     assert peak < size / 2, (peak, size)
 
 
+def _env_with_distlap() -> dict[str, str]:
+    """The environment for a child interpreter that imports this distlap."""
+    src = os.path.dirname(os.path.dirname(distlap.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ["verify", "--gen", "path:4"],
@@ -254,6 +261,13 @@ def test_write_error_on_stdout_exits_2(monkeypatch, capsys, argv, fail_on):
     assert capsys.readouterr().err == f"error: cannot write standard output: {why}\n"
 
 
+def _env_with_distlap() -> dict[str, str]:
+    """The environment for a child interpreter that imports this distlap."""
+    src = os.path.dirname(os.path.dirname(distlap.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ["verify", "--gen", "path:4"],
@@ -263,9 +277,7 @@ def test_write_error_on_stdout_exits_2_at_interpreter_exit(argv):
     # a real process with a buffered stdout (Python's default), so the
     # exit-time flush of what a failed write left buffered is covered too: it
     # must neither print "Exception ignored" nor turn the status into 120
-    src = os.path.dirname(os.path.dirname(distlap.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = _env_with_distlap()
     env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "distlap", *argv], stdout=full,
@@ -376,6 +388,14 @@ def test_corpus_jobs_clamped_to_usable_cpus(monkeypatch, capsys):
     assert clamped == serial
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert sizes == ([cpus] if cpus > 1 else [])  # one CPU runs serially
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a pooled sweep needs it, and importing it slows every start
+    code = "import sys, distlap.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_distlap(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_corpus_csv_output(tmp_path, capsys):

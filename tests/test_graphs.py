@@ -83,14 +83,20 @@ def test_graph6_round_trip_on_small_corpus():
 
 
 def test_graph6_agrees_with_networkx_codec():
-    # independent reference codec for the bit-packing convention
+    # independent reference codec for the bit-packing convention, both ways:
+    # networkx reads what we write and we read what networkx writes, for every
+    # n up to 64; it writes n >= 63 in the "~" long size form
     nx = pytest.importorskip("networkx")
     rng = random.Random(7)
-    for _ in range(50):
-        g = random_graph(rng, rng.randint(1, 12), rng.random())
+    for n in [rng.randint(1, 12) for _ in range(50)] + list(range(13, 65)):
+        g = random_graph(rng, n, rng.random())
         ref = nx.from_graph6_bytes(to_graph6(g).encode())
         assert set(ref.edges()) == {tuple(e) for e in g.edges()}
         assert ref.number_of_nodes() == g.n
+        written = nx.to_graph6_bytes(ref, nodes=range(n), header=False).decode()
+        assert written.startswith("~") == (n >= 63)
+        parsed = parse_graph6(written)
+        assert parsed == g and parsed.m == g.m
 
 
 @settings(max_examples=50, deadline=None)
