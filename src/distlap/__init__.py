@@ -18,10 +18,9 @@ from distlap.graphs import (
 )
 from distlap.metric import DistanceData, apsp, diameter, distance_laplacian, distance_stack
 from distlap.eigen import (
-    count_in_interval,
+    count_at_least,
     eig_symmetric,
-    mu_at,
-    mu_below,
+    multiplicity,
     multipartite_spectrum_closed_form,
     spectrum,
 )

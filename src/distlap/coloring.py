@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from distlap.graphs import Graph, _bits, _complement_masks
+from distlap.graphs import Graph, _bits, _complement_masks, _quotient_masks
 
 MAX_ELL1_VERTICES = 16
 PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _extend
@@ -60,16 +60,7 @@ def _degree_order(adj: Sequence[int]) -> tuple[list[int], list[int]]:
     """The vertices by degree descending, index ascending, and the neighbor
     masks of the graph relabeled in that order (vertex order[i] becomes i)."""
     order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())  # stable: ties by index
-    label = [0] * len(adj)
-    for i, v in enumerate(order):
-        label[v] = 1 << i
-    relabeled = []
-    for v in order:
-        mask = 0
-        for u in _bits(adj[v]):
-            mask |= label[u]
-        relabeled.append(mask)
-    return order, relabeled
+    return order, _quotient_masks(adj, [[v] for v in order])
 
 
 def _search(adj: Sequence[int], k: int, by_degree: bool = True,
@@ -165,21 +156,10 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
             classes.setdefault(c, []).append(v)
     held = sorted(classes)
     groups = [classes[c] for c in held] + [[v] for v, c in enumerate(partial) if c < 0]
-    where = [0] * len(adj)
-    for i, group in enumerate(groups):
-        for v in group:
-            where[v] = i
-    to_group = [1 << i for i in where]
+    merged = _quotient_masks(adj, groups)
     clique = (1 << len(held)) - 1
-    merged = []
-    for i, group in enumerate(groups):
-        union = 0
-        for v in group:
-            union |= adj[v]
-        mask = clique if i < len(held) else 0
-        for u in _bits(union):
-            mask |= to_group[u]
-        merged.append(mask & ~(1 << i))
+    for i in range(len(held)):
+        merged[i] = (merged[i] | clique) & ~(1 << i)
     colors = _search(merged, k)
     if colors is None:
         return None
@@ -188,7 +168,11 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
     for c in range(k):
         if c not in rename:
             rename[c] = next(spare)
-    return [rename[colors[w]] for w in where]
+    out = [0] * len(adj)
+    for group, c in zip(groups, colors):
+        for v in group:
+            out[v] = rename[c]
+    return out
 
 
 def _k_colorable(adj: Sequence[int], k: int,
@@ -341,9 +325,7 @@ def max_ell1_coloring(g: Graph) -> ColoringResult:
     for mask in candidates:
         # the neighbor masks of what the class leaves, renumbered in order
         rest = [v for v in range(g.n) if not mask >> v & 1]
-        where = {v: i for i, v in enumerate(rest)}
-        sub = [sum(1 << where[u] for u in _bits(g.adj[v] & ~mask)) for v in rest]
-        sub_colors = _k_colorable(sub, chi - 1)
+        sub_colors = _k_colorable(_quotient_masks(g.adj, [[v] for v in rest]), chi - 1)
         if sub_colors is None:
             continue
         colors = [0] * g.n

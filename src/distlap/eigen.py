@@ -1,4 +1,4 @@
-"""Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, interval counts.
+"""Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, threshold counts.
 
 A spectrum is a plain nonincreasing float64 array, and a stack of spectra is
 an array whose last axis holds each spectrum. Every count, multiplicity and
@@ -14,7 +14,7 @@ import numpy as np
 from distlap.graphs import Graph, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
 
-INT_TOL = 1e-6  # snap tolerance for interval counts, multiplicities and clustering
+INT_TOL = 1e-6  # snap tolerance for threshold counts, multiplicities and clustering
 
 
 def eig_symmetric(matrix) -> np.ndarray:
@@ -65,29 +65,15 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-# The counts below take one spectrum and scalar bounds, returning an int, or a
-# stack of spectra and one bound per spectrum, returning an int array.
+# Both counts take a (R, n) stack of spectra and one threshold per row, and
+# return an int array of one count per row.
 
-def _per_spectrum(bound) -> np.ndarray:
-    return np.asarray(bound, dtype=np.float64)[..., None]
-
-
-def _count(hits: np.ndarray) -> int | np.ndarray:
-    counts = np.count_nonzero(hits, axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
+def count_at_least(values: np.ndarray, thresholds) -> np.ndarray:
+    """Per row, the number of eigenvalues >= its threshold - INT_TOL."""
+    return np.count_nonzero(values >= np.asarray(thresholds, float)[:, None] - INT_TOL, axis=-1)
 
 
-def count_in_interval(values: np.ndarray, lo, hi) -> int | np.ndarray:
-    """Number of eigenvalues in [lo - INT_TOL, hi + INT_TOL]; empty intervals count 0."""
-    return _count((values >= _per_spectrum(lo) - INT_TOL)
-                  & (values <= _per_spectrum(hi) + INT_TOL))
-
-
-def mu_below(values: np.ndarray, bound) -> int | np.ndarray:
-    """Number of eigenvalues strictly below bound - INT_TOL."""
-    return _count(values < _per_spectrum(bound) - INT_TOL)
-
-
-def mu_at(values: np.ndarray, x) -> int | np.ndarray:
-    """Multiplicity of the eigenvalue x up to INT_TOL."""
-    return _count(np.abs(values - _per_spectrum(x)) <= INT_TOL)
+def multiplicity(values: np.ndarray, thresholds) -> np.ndarray:
+    """Per row, the number of eigenvalues within INT_TOL of its threshold."""
+    near = np.abs(values - np.asarray(thresholds, float)[:, None]) <= INT_TOL
+    return np.count_nonzero(near, axis=-1)

@@ -24,6 +24,9 @@ FIXTURE_COUNTS = {7: 853, 8: 11117}
 # the set bit positions of each byte value, lowest first
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
+# the six data bits of each graph6 byte value 63 + i, most significant first
+_SIX_BITS = tuple(format(i, "06b") for i in range(64))
+
 
 def _bits(mask: int) -> list[int]:
     """Set bit positions of a nonnegative mask, lowest first, a byte at a time."""
@@ -168,19 +171,16 @@ def parse_graph6(text: str) -> Graph:
     if len(body) < nbytes:
         raise ValueError("truncated graph6 record")
 
-    acc = 0
-    for b in body:
-        if not 63 <= b <= 126:
-            raise ValueError(f"invalid graph6 data byte {b!r}")
-        acc = acc << 6 | (b - 63)
-    pad = 6 * nbytes - nbits
-    if acc & ((1 << pad) - 1):
+    if body and (min(body) < 63 or max(body) > 126):
+        bad = next(b for b in body if not 63 <= b <= 126)
+        raise ValueError(f"invalid graph6 data byte {bad!r}")
+    bits = "".join([_SIX_BITS[b - 63] for b in body])
+    if "1" in bits[nbits:]:
         raise ValueError("nonzero padding bits in graph6 record")
-    acc >>= pad
 
     # the bits read backwards put x(row, col) at bit col(col-1)/2 + row, so
     # each column is the next `col` bits, with bit i for row i
-    rest = int(format(acc, f"0{nbits}b")[::-1], 2)
+    rest = int(bits[nbits - 1::-1], 2) if nbits else 0
     adj = [0] * n
     for col in range(1, n):
         column = rest & ((1 << col) - 1)
@@ -192,7 +192,7 @@ def parse_graph6(text: str) -> Graph:
     # each bit set both ways, row != col < n: valid by construction. The
     # checks above leave one text per graph in the short size form, the one
     # to_graph6 writes, so that text is kept; a "~" size is re-encoded.
-    return Graph._unchecked(n, tuple(adj), acc.bit_count(), None if data[0] == 126 else s)
+    return Graph._unchecked(n, tuple(adj), bits.count("1"), None if data[0] == 126 else s)
 
 
 def to_graph6(g: Graph) -> str:
@@ -312,18 +312,36 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, adj)
 
 
+def _quotient_masks(adj: Sequence[int], groups: Sequence[Sequence[int]]) -> list[int]:
+    """Neighbor masks of the graph whose vertex i is the vertex set groups[i]
+    of the graph with neighbor masks `adj`: i and j are adjacent when a member
+    of one is adjacent to a member of the other. A vertex in no group is
+    dropped, and a group that holds an edge gets a self-loop."""
+    label = [0] * len(adj)  # the bit of each vertex's group
+    for i, group in enumerate(groups):
+        for v in group:
+            label[v] = 1 << i
+    # a union of neighbors is translated a byte at a time, by its 8 vertices' labels
+    chunks = [label[base:base + 8] for base in range(0, len(adj), 8)]
+    out = []
+    for group in groups:
+        union = 0
+        for v in group:
+            union |= adj[v]
+        mask = 0
+        for chunk in chunks:
+            for i in _BYTE_BITS[union & 255]:
+                mask |= chunk[i]
+            union >>= 8
+        out.append(mask)
+    return out
+
+
 def relabel(g: Graph, order: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex order[i]."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    adj = [0] * g.n
-    for i, v in enumerate(order):
-        for u in _bits(g.adj[v]):
-            adj[i] |= 1 << pos[u]
-    return Graph(g.n, adj)
+    return Graph._unchecked(g.n, tuple(_quotient_masks(g.adj, [[v] for v in order])), g.m)
 
 
 # ---------------------------------------------------------------------------

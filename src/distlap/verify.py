@@ -15,13 +15,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
-from distlap.eigen import INT_TOL, count_in_interval, eig_symmetric, mu_at, mu_below
+from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, distance_laplacian, distance_stack
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
@@ -44,10 +44,11 @@ class GraphAnalysis:
     The scalar facts are plain fields: `chi` and `b_chi` = n + ceil(n/chi)
     come from `coloring`, the one optimal coloring every chi- and
     ell-parameterized check reads, and `dl1` is the largest eigenvalue.
-    `values` is the DL spectrum, nonincreasing. The spectral counts the
-    checkers compare are plain integers: `m_ge_b` counts eigenvalues in
-    [b_chi, dL1], `mu_below_b` those below b_chi, `mu_at_n` the multiplicity
-    of n, and `twin_mults[i]` that of `twins[i].forced_value`.
+    `values` is the DL spectrum, nonincreasing. The checkers decide every
+    spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
+    `mu_below_b` = n - m_ge_b are not, `block_counts[j]` are >= n + ell_j for
+    each class of size >= 2, `mu_at_n` is the multiplicity of n and
+    `twin_mults[i]` that of `twins[i].forced_value`.
     """
 
     graph: Graph
@@ -66,6 +67,7 @@ class GraphAnalysis:
     universal_vertices: int
     m_ge_b: int
     mu_below_b: int
+    block_counts: tuple[int, ...]
     mu_at_n: int
     twin_mults: tuple[int, ...]
 
@@ -83,7 +85,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
 
     Distances, distance Laplacians and spectra are computed for the whole
     stack at once (one numpy.linalg.eigvalsh call), and so are the distance
-    facts and, once each graph's coloring is known, the spectral counts.
+    facts and, once each graph's coloring and twins are known, the spectral
+    counts: each (graph, integer threshold) pair is one row of a stacked count.
     coloring_mode "max-l1" uses an optimal coloring with the largest possible
     first class (guarded to n <= 16) instead of the default optimal coloring.
     A disconnected graph anywhere in the stack raises ValueError (from
@@ -104,12 +107,17 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     ceil_n_chi = [-(-n // c.chi) for c in colorings]
     b_chi = [n + c for c in ceil_n_chi]
     dl1 = values[:, 0].tolist()
-    m_ge_b = count_in_interval(values, b_chi, dl1).tolist()
-    mu_below_b = mu_below(values, b_chi).tolist()
-    mu_at_n = mu_at(values, n).tolist()
-    # every twin class of the stack in one query, then split back per graph
-    owner = [i for i, ts in enumerate(twins) for _ in ts]
-    mults = iter(mu_at(values[owner], [t.forced_value for ts in twins for t in ts]).tolist())
+    # each graph's thresholds: b_chi and n + ell_j (classes of size >= 2) are
+    # counted from above, n and the twin classes' forced values by multiplicity.
+    # A graph's spectrum is repeated once per threshold, one row each.
+    above = [(b, *[n + s for s in c.sizes if s >= 2]) for b, c in zip(b_chi, colorings)]
+    at = [(n, *[t.forced_value for t in ts]) for ts in twins]
+    counts = iter(count_at_least(np.repeat(values, list(map(len, above)), axis=0),
+                                 list(chain.from_iterable(above))).tolist()
+                  + multiplicity(np.repeat(values, list(map(len, at)), axis=0),
+                                 list(chain.from_iterable(at))).tolist())
+    ge_counts = [tuple(islice(counts, len(cs))) for cs in above]
+    at_counts = [tuple(islice(counts, len(cs))) for cs in at]
 
     return [
         GraphAnalysis(
@@ -127,10 +135,11 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             twins=twins[i],
             complement_components=complement_component_count(g),
             universal_vertices=universal_vertex_count(g),
-            m_ge_b=m_ge_b[i],
-            mu_below_b=mu_below_b[i],
-            mu_at_n=mu_at_n[i],
-            twin_mults=tuple(next(mults) for _ in twins[i]),
+            m_ge_b=ge_counts[i][0],
+            mu_below_b=n - ge_counts[i][0],
+            block_counts=ge_counts[i][1:],
+            mu_at_n=at_counts[i][0],
+            twin_mults=at_counts[i][1:],
         )
         for i, g in enumerate(graphs)
     ]
@@ -144,9 +153,10 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
 @dataclass
 class CheckResult:
     """Outcome of one checker: the slack of every claim it recorded (by ge,
-    le and eq), the claims that failed, or the failed hypothesis that makes
-    it not applicable. The verdict, `applicable` and the failure witness
-    follow from these."""
+    le, eq and reaches), the claims that failed, or the failed hypothesis
+    that makes it not applicable. The verdict, `applicable` and the failure
+    witness follow from these. Every claim is decided by an exact integer
+    comparison."""
 
     check_id: str
     slack: dict[str, float] = field(default_factory=dict)
@@ -172,17 +182,22 @@ class CheckResult:
         if failed:
             self.violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs)},)
 
-    def ge(self, label: str, lhs: float, rhs: float) -> None:
-        """Claim lhs >= rhs, up to INT_TOL (exact for integers); slack = lhs - rhs."""
-        self._record(label, lhs, rhs, lhs < rhs - INT_TOL)
+    def ge(self, label: str, lhs: int, rhs: int) -> None:
+        """Claim lhs >= rhs exactly; slack = lhs - rhs."""
+        self._record(label, lhs, rhs, lhs < rhs)
 
-    def le(self, label: str, lhs: float, rhs: float) -> None:
-        """Claim lhs <= rhs exactly (integer counts); slack = lhs - rhs."""
+    def le(self, label: str, lhs: int, rhs: int) -> None:
+        """Claim lhs <= rhs exactly; slack = lhs - rhs."""
         self._record(label, lhs, rhs, lhs > rhs)
 
-    def eq(self, label: str, lhs: float, rhs: float) -> None:
+    def eq(self, label: str, lhs: int, rhs: int) -> None:
         """Claim lhs == rhs exactly; slack = lhs - rhs."""
         self._record(label, lhs, rhs, lhs != rhs)
+
+    def reaches(self, label: str, values: np.ndarray, k: int, c: int, count: int) -> None:
+        """Claim values[k] >= c of a nonincreasing spectrum with `count` eigenvalues
+        at or above c, so exactly when count > k; slack = values[k] - c."""
+        self._record(label, values[k], c, count <= k)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +209,7 @@ def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     if a.is_complete:
         return CheckResult("ah_bound", reason="graph is complete")
     r = CheckResult("ah_bound")
-    r.ge("dl1_minus_b_chi", a.dl1, a.b_chi)
+    r.reaches("dl1_minus_b_chi", a.values, 0, a.b_chi, a.m_ge_b)
     return r
 
 
@@ -208,14 +223,12 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     r = CheckResult("color_majorization")
     n = a.n
     values = a.values  # nonincreasing: a block's minimum is its last entry
-    if ell[0] >= 2:
-        r.ge("top_block", values[ell[0] - 2], n + ell[0])  # values[0 .. ell_1 - 2]
+    if ell[0] >= 2:  # values[0 .. ell_1 - 2]
+        r.reaches("top_block", values, ell[0] - 2, n + ell[0], a.block_counts[0])
     s_prev = 0
-    for j, ell_j in enumerate(ell, start=1):
-        if ell_j < 2:
-            break
-        s_j = s_prev + ell_j - 1
-        r.ge(f"block_{j}", values[s_j - 1], n + ell_j)  # values[s_prev .. s_j - 1]
+    for j, (ell_j, count) in enumerate(zip(ell, a.block_counts), start=1):
+        s_j = s_prev + ell_j - 1  # values[s_prev .. s_j - 1]
+        r.reaches(f"block_{j}", values, s_j - 1, n + ell_j, count)
         s_prev = s_j
     return r
 
@@ -242,9 +255,9 @@ def check_k_range(a: GraphAnalysis) -> CheckResult:
     r = CheckResult("k_range")
     hi = a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        r.ge("k_range", a.values[hi - 1], a.b_chi)
+        r.reaches("k_range", a.values, hi - 1, a.b_chi, a.m_ge_b)
     if a.chi <= a.n - 2:
-        r.ge("second_eigenvalue", a.values[1], a.b_chi)
+        r.reaches("second_eigenvalue", a.values, 1, a.b_chi, a.m_ge_b)
     return r
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distlap.eigen import (
+    INT_TOL,
     cluster_values,
-    count_in_interval,
+    count_at_least,
     eig_symmetric,
-    mu_at,
-    mu_below,
     multipartite_spectrum_closed_form,
+    multiplicity,
     spectrum,
 )
 from distlap.graphs import (
@@ -114,30 +114,33 @@ def test_closed_form_matches_numeric_sample():
 
 
 # ---------------------------------------------------------------------------
-# interval counting
+# threshold counts, one threshold per row of a stack
 # ---------------------------------------------------------------------------
 
-def test_count_in_interval_examples():
-    sp = spectrum(gen_complete_multipartite([4, 4, 2]))
-    assert count_in_interval(sp, 14, sp[0]) == 6
+def test_count_at_least_examples():
+    sp = spectrum(gen_complete_multipartite([4, 4, 2]))  # 14 (x6), 12, 10, 10, 0
+    assert count_at_least(np.stack([sp, sp, sp, sp]), [14, 12, 11, 0]).tolist() == [6, 7, 7, 10]
 
     sp8 = spectrum(gen_path(8))
-    assert count_in_interval(sp8, 12, sp8[0]) == 7
-    assert mu_below(sp8, 12) + count_in_interval(sp8, 12, sp8[0]) == 8
+    assert count_at_least(np.stack([sp8, sp8]), [12, 38]).tolist() == [7, 1]
 
 
-def test_count_in_interval_empty_interval():
+def test_count_at_least_above_the_spectral_radius():
     sp = spectrum(gen_complete(5))
-    # b_chi = 6 lies above the spectral radius 5: the interval holds nothing
-    assert count_in_interval(sp, 6, sp[0]) == 0
-    assert mu_below(sp, 6) == 5
+    # b_chi = 6 lies above the spectral radius 5: nothing reaches it
+    assert count_at_least(np.stack([sp, sp]), [6, 5]).tolist() == [0, 4]
 
 
-def test_mu_at():
-    sp = spectrum(gen_complete_multipartite([3, 5]))
-    assert mu_at(sp, 8) == 1
-    assert mu_at(sp, 13) == 4
-    assert mu_at(sp, 12) == 0
+def test_multiplicity_examples():
+    sp = spectrum(gen_complete_multipartite([3, 5]))  # 13 (x4), 11, 11, 8, 0
+    assert multiplicity(np.stack([sp, sp, sp, sp]), [8, 13, 12, 0]).tolist() == [1, 4, 0, 1]
+
+
+def test_counts_snap_within_int_tol():
+    row = [10 + INT_TOL / 2, 10 - INT_TOL / 2, 10 - 2 * INT_TOL, 0.0]
+    stack = np.array([row, row, row])
+    assert count_at_least(stack, [10, 11, 0]).tolist() == [2, 0, 4]
+    assert multiplicity(stack, [10, 11, 0]).tolist() == [2, 0, 1]
 
 
 def test_cluster_values():
@@ -148,11 +151,13 @@ def test_cluster_values():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=2, max_size=5))
-def test_count_identity_on_multipartite(parts):
+def test_count_at_b_chi_on_multipartite(parts):
+    # n + l_j reaches b_chi = n + ceil(n/k) exactly for the parts l_j >= ceil(n/k)
     sp = multipartite_spectrum_closed_form(parts)
     n = sum(parts)
-    b = n + -(-n // len(parts))
-    assert mu_below(sp, b) + count_in_interval(sp, b, sp[0]) == n
+    ceil_n_k = -(-n // len(parts))
+    assert count_at_least(sp[None], [n + ceil_n_k]).tolist() == [
+        sum(p - 1 for p in parts if p >= ceil_n_k)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +166,11 @@ def test_count_identity_on_multipartite(parts):
 
 def test_spectral_sanity_small_corpus(corpus_analyses):
     for n in range(1, 7):
+        stack = np.stack([a.values for a in corpus_analyses[n]])
+        assert (multiplicity(stack, [0] * len(stack)) == 1).all()  # simple zero
         for a in corpus_analyses[n]:
             vals = a.values
             assert vals.min() >= -1e-6                       # PSD
-            assert mu_at(vals, 0.0) == 1                # simple zero
             assert abs(vals.sum() - 2 * a.dd.wiener) <= n * 1e-6
             assert sum(m for _, m in cluster_values(vals)) == n
             assert (np.diff(vals) <= 1e-12).all()             # nonincreasing

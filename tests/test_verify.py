@@ -11,7 +11,7 @@ import pytest
 
 from distlap import coloring, verify
 from distlap.coloring import max_ell1_coloring
-from distlap.eigen import count_in_interval, mu_at, mu_below
+from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
     Graph,
     enumerate_connected,
@@ -24,7 +24,6 @@ from distlap.graphs import (
     gen_path,
     parse_graph6,
 )
-from distlap.eigen import INT_TOL
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
@@ -253,7 +252,11 @@ def test_diameter_refine():
 def test_check_result_verdict_follows_its_claims():
     r = CheckResult("x")
     assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)  # vacuous
-    r.ge("float_inside_tol", 10.0 - INT_TOL / 2, 10)  # within INT_TOL below the bound
+    # a spectrum with one eigenvalue within INT_TOL below 10 and one beyond it
+    values = np.array([10.0 - INT_TOL / 2, 10.0 - 2 * INT_TOL, 0.0])
+    count = int(count_at_least(values[None], [10])[0])
+    assert count == 1
+    r.reaches("float_inside_tol", values, 0, 10, count)
     r.le("count", 3, 3)
     r.eq("identity", 2, 2)
     assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
@@ -261,7 +264,7 @@ def test_check_result_verdict_follows_its_claims():
                        "count": 0.0, "identity": 0.0}
 
     r.ge("integer_miss", 4, 5)  # one short, which no tolerance forgives
-    r.ge("float_outside_tol", 10.0 - 2 * INT_TOL, 10)
+    r.reaches("float_outside_tol", values, 1, 10, count)
     r.le("over", 4, 3)
     r.eq("off", 1, 2)
     assert (r.verdict, r.applicable) == ("fail", True)
@@ -362,10 +365,14 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert a.dd.diameter == int(a.dd.dist.max())
             assert a.dd.wiener == int(a.dd.dist.sum()) // 2
             assert a.m == len(a.graph.edges())
-            assert a.m_ge_b == count_in_interval(a.values, a.b_chi, a.dl1)
-            assert a.mu_below_b == mu_below(a.values, a.b_chi)
-            assert a.mu_at_n == mu_at(a.values, n)
-            assert a.twin_mults == tuple(mu_at(a.values, t.forced_value) for t in a.twins)
+            blocks = [n + s for s in a.coloring.sizes if s >= 2]
+            stack = np.tile(a.values, (1 + len(blocks), 1))
+            assert count_at_least(stack, [a.b_chi, *blocks]).tolist() == [a.m_ge_b,
+                                                                          *a.block_counts]
+            assert a.mu_below_b == n - a.m_ge_b
+            stack = np.tile(a.values, (1 + len(a.twins), 1))
+            assert multiplicity(stack, [n, *(t.forced_value for t in a.twins)]).tolist() == [
+                a.mu_at_n, *a.twin_mults]
 
 
 def test_analyze_many_max_ell1_mode_matches_analyze():
@@ -428,6 +435,39 @@ def test_counting_identity_on_corpus(corpus_analyses):
         for a in analyses:
             assert a.mu_below_b + a.m_ge_b == n
 
+
+def _eigenvalue_claims(a: GraphAnalysis) -> dict[tuple[str, str], tuple[int, int]]:
+    """(k, c) of each claim values[k] >= c, by check id and label."""
+    ell, n, b = a.coloring.sizes, a.n, a.b_chi
+    claims = {("ah_bound", "dl1_minus_b_chi"): (0, b),
+              ("color_majorization", "top_block"): (ell[0] - 2, n + ell[0]),
+              ("k_range", "k_range"): (a.ceil_n_chi - 2, b),
+              ("k_range", "second_eigenvalue"): (1, b)}
+    s_j = 0
+    for j, ell_j in enumerate(ell, start=1):
+        s_j += ell_j - 1
+        claims["color_majorization", f"block_{j}"] = (s_j - 1, n + ell_j)
+    return claims
+
+
+@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
+def test_count_verdicts_equal_the_float_comparisons(corpus_analyses, coloring_mode):
+    # each eigenvalue claim is decided by a count; the float comparison it
+    # replaced must give the same verdict on every such claim of the corpus
+    decided = 0
+    for analyses in corpus_analyses.values():
+        if coloring_mode != "default":
+            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+        for a in analyses:
+            claims = _eigenvalue_claims(a)
+            for r in run_checks(a).results:
+                failed = {v["claim"] for v in r.violations}
+                for label in r.slack:
+                    if (r.check_id, label) in claims:
+                        k, c = claims[r.check_id, label]
+                        assert (label not in failed) == (not a.values[k] < c - INT_TOL)
+                        decided += 1
+    assert decided == {"default": 5685, "max-l1": 5709}[coloring_mode]  # every such claim
 
 def _records(report):
     """The dict form of a graph's records, the reference both encoders match."""
