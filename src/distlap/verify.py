@@ -177,14 +177,16 @@ class CheckResult:
     def witness(self) -> dict | None:
         return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
-    def _record(self, label: str, lhs: float, rhs: float, failed: bool) -> None:
+    def _record(self, label: str, lhs: float, rhs: float, failed: bool,
+                detail: dict | None = None) -> None:
         self.slack[label] = float(lhs) - float(rhs)
         if failed:
-            self.violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs)},)
+            self.violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs),
+                                 **(detail or {})},)
 
-    def ge(self, label: str, lhs: int, rhs: int) -> None:
-        """Claim lhs >= rhs exactly; slack = lhs - rhs."""
-        self._record(label, lhs, rhs, lhs < rhs)
+    def ge(self, label: str, lhs: int, rhs: int, detail: dict | None = None) -> None:
+        """Claim lhs >= rhs exactly; slack = lhs - rhs; a failure's entry adds `detail`."""
+        self._record(label, lhs, rhs, lhs < rhs, detail)
 
     def le(self, label: str, lhs: int, rhs: int) -> None:
         """Claim lhs <= rhs exactly; slack = lhs - rhs."""
@@ -219,16 +221,11 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    ell = a.coloring.sizes
     r = CheckResult("color_majorization")
-    n = a.n
-    values = a.values  # nonincreasing: a block's minimum is its last entry
-    if ell[0] >= 2:  # values[0 .. ell_1 - 2]
-        r.reaches("top_block", values, ell[0] - 2, n + ell[0], a.block_counts[0])
     s_prev = 0
-    for j, (ell_j, count) in enumerate(zip(ell, a.block_counts), start=1):
-        s_j = s_prev + ell_j - 1  # values[s_prev .. s_j - 1]
-        r.reaches(f"block_{j}", values, s_j - 1, n + ell_j, count)
+    for j, (ell_j, count) in enumerate(zip(a.coloring.sizes, a.block_counts), start=1):
+        s_j = s_prev + ell_j - 1  # values[s_prev .. s_j - 1], nonincreasing: least at s_j - 1
+        r.reaches(f"block_{j}", a.values, s_j - 1, a.n + ell_j, count)
         s_prev = s_j
     return r
 
@@ -241,7 +238,6 @@ def check_many_above(a: GraphAnalysis) -> CheckResult:
     r = CheckResult("many_above_b_chi")
     r.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1)
     r.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1)
-    r.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
     return r
 
 
@@ -283,24 +279,27 @@ def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
 
 
 def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
+    """Claims of the `kind` twin classes, keyed twin{i}_* by the class's rank i by
+    (forced value, size, |external|): tied classes make equal claims, so no key holds a label."""
     classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
     if not classes:
         return CheckResult(check_id, reason=f"no {kind} twin class")
+    classes.sort(key=lambda c: (c[0].forced_value, len(c[0].members), len(c[0].external)))
     r = CheckResult(check_id)
     n = a.n
-    for t, mult in classes:
-        tag = f"class{t.members[0]}"
+    for i, (t, mult) in enumerate(classes, start=1):
+        members = {"members": list(t.members)}
         s, ext = len(t.members), len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        r.ge(f"{tag}_mult", mult, t.forced_mult)
+        r.ge(f"twin{i}_mult", mult, t.forced_mult, members)
         # (b) compression lower estimate on the forced eigenvalue
         lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext
-        r.ge(f"{tag}_lower", t.forced_value, lower)
+        r.ge(f"twin{i}_lower", t.forced_value, lower, members)
         # (c) chromatic criterion pushing the class above b_chi
         compression = s + ext if kind == "clique" else ext
         if compression <= n - a.ceil_n_chi:
-            r.ge(f"{tag}_b_chi", t.forced_value, a.b_chi)
-            r.ge(f"{tag}_interval_count", a.m_ge_b, s - 1)
+            r.ge(f"twin{i}_b_chi", t.forced_value, a.b_chi, members)
+            r.ge(f"twin{i}_interval_count", a.m_ge_b, s - 1, members)
     return r
 
 

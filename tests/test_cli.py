@@ -64,7 +64,7 @@ def test_verify_g_clq(capsys):
     code, out, _ = run_cli(capsys, "verify", "--gen", "G_clq")
     assert code == 0
     assert "all checks passed" in out
-    assert "class0_lower=+3" in out  # forced 14 vs 2n-s-|N| = 11
+    assert "twin1_lower=+3" in out  # forced 14 vs 2n-s-|N| = 11
 
 
 def test_verify_complete_not_applicable(capsys):
@@ -79,7 +79,7 @@ def test_verify_g_ind_tight_slack(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     indep = next(r for r in records if r["check_id"] == "indep_twin_refine")
     assert indep["verdict"] == "pass"
-    assert indep["slack"]["class2_lower"] == 0.0  # 12 = 2n - |N|: tight
+    assert indep["slack"]["twin1_lower"] == 0.0  # 12 = 2n - |N|: tight
 
 
 def test_verify_json_round_trip(capsys):

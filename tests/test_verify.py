@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from distlap.graphs import (
     gen_g_ind,
     gen_path,
     parse_graph6,
+    relabel,
 )
 from distlap.verify import (
     CHECKS,
@@ -49,6 +51,7 @@ from distlap.verify import (
     run_checks,
     sweep,
 )
+from helpers import random_permutation
 
 
 def _by_id(report, check_id):
@@ -87,22 +90,18 @@ def test_color_majorization():
 
     r = check_color_majorization(analyze(gen_path(8)))
     assert r.verdict == "pass"
-    assert r.slack["top_block"] >= -1e-9  # dL_1..3 >= 12
+    assert r.slack["block_1"] >= -1e-9  # dL_1..3 >= 12
 
 
-@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
-def test_block_minima_match_their_definition(corpus_analyses, coloring_mode):
+def test_block_minima_match_their_definition(mode_analyses):
     # the checkers read a block's minimum at one index; here each is the
     # minimum over its whole block, so a shifted index shows as a mismatch
+    _, corpus = mode_analyses
     shown = set()
-    for analyses in corpus_analyses.values():
-        if coloring_mode != "default":
-            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+    for analyses in corpus.values():
         for a in analyses:
             vals, n, ell = [float(v) for v in a.values], a.n, a.coloring.sizes
             want = {}
-            if ell[0] >= 2:
-                want["top_block"] = min(vals[:ell[0] - 1]) - (n + ell[0])
             start = 0
             for j, ell_j in enumerate(ell, start=1):
                 if ell_j < 2:
@@ -119,7 +118,7 @@ def test_block_minima_match_their_definition(corpus_analyses, coloring_mode):
             else:
                 assert k_range is None
             shown.update(got)
-    assert {"top_block", "block_1", "block_2", "block_3", "k_range"} <= shown
+    assert {"block_1", "block_2", "block_3", "k_range"} <= shown
 
 
 def test_many_above():
@@ -195,9 +194,9 @@ def test_clique_refine():
     r = check_clique_refine(a)
     assert r.verdict == "pass"
     # maximal class {0,1,2,4}: forced 14 >= 2n-s-|N| = 11, slack 3
-    assert r.slack["class0_lower"] == 3.0
-    assert r.slack["class0_b_chi"] == 4.0     # 14 >= b_chi = 10
-    assert r.slack["class0_interval_count"] >= 0
+    assert r.slack["twin1_lower"] == 3.0
+    assert r.slack["twin1_b_chi"] == 4.0     # 14 >= b_chi = 10
+    assert r.slack["twin1_interval_count"] >= 0
 
     r = check_clique_refine(analyze(gen_path(4)))
     assert r.verdict == "not-applicable"
@@ -205,27 +204,58 @@ def test_clique_refine():
     a = analyze(gen_complete(6))
     r = check_clique_refine(a)
     assert r.verdict == "pass"
-    assert r.slack["class0_lower"] == 0.0  # lambda_H = n = 2n - s - 0 exactly
-    assert r.slack["class0_mult"] == 0.0   # multiplicity exactly n - 1
+    assert r.slack["twin1_lower"] == 0.0  # lambda_H = n = 2n - s - 0 exactly
+    assert r.slack["twin1_mult"] == 0.0   # multiplicity exactly n - 1
 
 
 def test_indep_refine():
     a = analyze(gen_g_ind())
     r = check_indep_refine(a)
     assert r.verdict == "pass"
-    assert r.slack["class2_lower"] == 0.0  # 12 = 2n - |N| = 12: tight
-    assert r.slack["class2_b_chi"] == 2.0  # 12 >= 10
-    assert r.slack["class2_interval_count"] == 4 - 3
+    assert r.slack["twin1_lower"] == 0.0  # 12 = 2n - |N| = 12: tight
+    assert r.slack["twin1_b_chi"] == 2.0  # 12 >= 10
+    assert r.slack["twin1_interval_count"] == 4 - 3
 
     a = analyze(gen_complete_multipartite([3, 5]))
     r = check_indep_refine(a)
     assert r.verdict == "pass"
-    # the part of size 5 forces 13 with multiplicity 4
-    assert r.slack["class0_mult"] == 0.0
+    # the part of size 5 forces 13 with multiplicity 4; the part of size 3
+    # forces 11, so it ranks first
+    assert r.slack["twin2_mult"] == 0.0
 
     r = check_indep_refine(analyze(gen_path(3)))
     assert r.verdict == "pass"
-    assert r.slack["class0_lower"] == 0.0  # 5 = 2*3 - 1
+    assert r.slack["twin1_lower"] == 0.0  # 5 = 2*3 - 1
+
+
+def test_failing_twin_claim_names_the_class_members():
+    a = analyze(gen_complete_multipartite([3, 5]))
+    assert [t.members for t in a.twins] == [(0, 1, 2, 3, 4), (5, 6, 7)]
+    # the part of size 5 (forced 13, rank 2) one eigenvalue short of its s - 1 = 4
+    r = check_indep_refine(dataclasses.replace(a, twin_mults=(3, a.twin_mults[1])))
+    assert r.verdict == "fail" and r.slack["twin2_mult"] == -1.0
+    assert r.witness == {"violations": [
+        {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}]}
+
+
+def test_twin_records_do_not_depend_on_vertex_labels(mode_analyses):
+    # Against a seeded relabeling of every corpus graph, the twin checks give
+    # equal slack, verdict and witness, and every check records the same keys
+    # wherever the two colorings have the same size vector. Whole records may
+    # differ: float slacks move by an ulp, and in either mode the coloring's
+    # size vector can depend on the labels.
+    coloring_mode, corpus = mode_analyses
+    rng = random.Random(7)
+    for analyses in corpus.values():
+        moved = analyze_many([relabel(a.graph, random_permutation(rng, a.n)) for a in analyses],
+                             coloring_mode)
+        for a, b in zip(analyses, moved, strict=True):
+            for r, s in zip(run_checks(a).results, run_checks(b).results, strict=True):
+                if r.check_id in ("clique_twin_refine", "indep_twin_refine"):
+                    assert (r.slack, r.verdict, r.witness) == (s.slack, s.verdict, s.witness), \
+                        (a.graph6, r.check_id)
+                if a.coloring.sizes == b.coloring.sizes:
+                    assert r.slack.keys() == s.slack.keys(), (a.graph6, r.check_id)
 
 
 def test_diameter_refine():
@@ -393,11 +423,8 @@ INTEGER_FACTS_SHA256 = {
 }
 
 
-def test_integer_facts_are_pinned(corpus_analyses):
-    max_l1 = {n: list(sweep(list(enumerate_connected(n)), operator.attrgetter("analysis"),
-                            "max-l1"))
-              for n in range(1, 8)}
-    for mode, analyses in (("default", corpus_analyses), ("max-l1", max_l1)):
+def test_integer_facts_are_pinned(corpus_analyses, corpus_analyses_max_l1):
+    for mode, analyses in (("default", corpus_analyses), ("max-l1", corpus_analyses_max_l1)):
         digest = hashlib.sha256()
         for n in range(1, 8):
             for a in analyses[n]:
@@ -440,7 +467,6 @@ def _eigenvalue_claims(a: GraphAnalysis) -> dict[tuple[str, str], tuple[int, int
     """(k, c) of each claim values[k] >= c, by check id and label."""
     ell, n, b = a.coloring.sizes, a.n, a.b_chi
     claims = {("ah_bound", "dl1_minus_b_chi"): (0, b),
-              ("color_majorization", "top_block"): (ell[0] - 2, n + ell[0]),
               ("k_range", "k_range"): (a.ceil_n_chi - 2, b),
               ("k_range", "second_eigenvalue"): (1, b)}
     s_j = 0
@@ -450,14 +476,12 @@ def _eigenvalue_claims(a: GraphAnalysis) -> dict[tuple[str, str], tuple[int, int
     return claims
 
 
-@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
-def test_count_verdicts_equal_the_float_comparisons(corpus_analyses, coloring_mode):
+def test_count_verdicts_equal_the_float_comparisons(mode_analyses):
     # each eigenvalue claim is decided by a count; the float comparison it
     # replaced must give the same verdict on every such claim of the corpus
+    coloring_mode, corpus = mode_analyses
     decided = 0
-    for analyses in corpus_analyses.values():
-        if coloring_mode != "default":
-            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+    for analyses in corpus.values():
         for a in analyses:
             claims = _eigenvalue_claims(a)
             for r in run_checks(a).results:
@@ -467,7 +491,7 @@ def test_count_verdicts_equal_the_float_comparisons(corpus_analyses, coloring_mo
                         k, c = claims[r.check_id, label]
                         assert (label not in failed) == (not a.values[k] < c - INT_TOL)
                         decided += 1
-    assert decided == {"default": 5685, "max-l1": 5709}[coloring_mode]  # every such claim
+    assert decided == {"default": 4696, "max-l1": 4720}[coloring_mode]  # every such claim
 
 def _records(report):
     """The dict form of a graph's records, the reference both encoders match."""
@@ -517,11 +541,9 @@ def test_report_records_roundtrip():
            [(rec["check_id"], rec["verdict"]) for rec in parsed]
 
 
-@pytest.mark.parametrize("coloring_mode", ["default", "max-l1"])
-def test_report_jsonl_matches_json_dumps_on_corpus(corpus_analyses, coloring_mode):
-    for analyses in corpus_analyses.values():
-        if coloring_mode != "default":
-            analyses = analyze_many([a.graph for a in analyses], coloring_mode)
+def test_report_jsonl_matches_json_dumps_on_corpus(mode_analyses):
+    _, corpus = mode_analyses
+    for analyses in corpus.values():
         for a in analyses:
             report = run_checks(a)
             assert report_jsonl(report) == _json_dumps_lines(report), a.graph6
@@ -536,7 +558,7 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
         CheckResult("ah_bound", {"dl1_minus_b_chi": -0.5, "a_first": 0.0}, (violation,)),
         CheckResult("k_range", reason='n < 4, "quoted" \\ \u00e9'),
         CheckResult("color_majorization",
-                    {"top_block": math.inf, "block_1": -math.inf, "block_2": math.nan,
+                    {"twin1_lower": math.inf, "block_1": -math.inf, "block_2": math.nan,
                      "block_3": -0.0, "block_4": 1e-17, "block_5": 1e22, "block_6": 0.1 + 0.2}),
         CheckResult("n_multiplicity", {}),
     ])
