@@ -56,44 +56,29 @@ class _OverBudget(Exception):
     pass
 
 
-def _degree_order(adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The vertices by degree descending, index ascending, and the neighbor
-    masks of the graph relabeled in that order (vertex order[i] becomes i)."""
-    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())  # stable: ties by index
-    return order, _quotient_masks(adj, [[v] for v in order])
-
-
-def _search(adj: Sequence[int], k: int, by_degree: bool = True,
-            budget: float = math.inf,
+def _search(adj: Sequence[int], k: int, budget: float = math.inf,
             feasible: Callable[[int, int, list[int]], bool] | None = None) -> list[int] | None:
     """The first proper coloring of the graph with neighbor masks `adj` in
     colors 0..k-1, or None if there is none.
 
     DSATUR backtracking (Brelaz 1979): the next vertex is an uncolored one
-    that sees the most colors, ties going to the highest degree if
-    `by_degree`, else to the lowest index. Its colors are tried lowest first,
-    and of the colors nobody holds yet only the lowest. A branch is cut as
-    soon as an uncolored vertex sees all k colors, and is not entered if
-    `feasible(v, c, colors)` says no (v still uncolored in `colors`). With
-    k = n nothing is ever cut, because no vertex can see n colors, so with
-    lowest-index ties the result is greedy DSATUR. Past `budget` nodes it
-    raises _OverBudget.
+    that sees the most colors, ties going to the lowest index. Its colors are
+    tried lowest first, and of the colors nobody holds yet only the lowest. A
+    branch is cut as soon as an uncolored vertex sees all k colors, and is
+    not entered if `feasible(v, c, colors)` says no (v still uncolored in
+    `colors`). With k = n nothing is ever cut, because no vertex can see n
+    colors, so the result is greedy DSATUR. Past `budget` nodes it raises
+    _OverBudget.
 
     The search keeps masks, not per-vertex counts: seen[c] holds the
     neighbors of the vertices colored c, and level[s] the uncolored vertices
     that see s colors. Coloring a vertex moves its neighbors up one level a
     whole mask at a time, and the next vertex is the lowest of the highest
     nonempty level. A branch is cut before any of that, when one of the
-    neighbors it raises already sees k - 1 colors. With `by_degree` the
-    vertices are first relabeled by _degree_order, so that the lowest label
-    in a level is the vertex the tie rule picks; `feasible` and the result
-    see the caller's labels.
+    neighbors it raises already sees k - 1 colors.
     """
     n = len(adj)
-    order: Sequence[int] = range(n)
-    if by_degree:
-        order, adj = _degree_order(adj)
-    colors = [-1] * n  # in the caller's labels
+    colors = [-1] * n
     seen = [0] * k
 
     def rec(left: int, level: list[int], top: int, held: int) -> bool:
@@ -107,9 +92,8 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
         while not level[s]:
             s -= 1
         bit = level[s] & -level[s]
-        i = bit.bit_length() - 1
-        v = order[i]
-        nbrs = adj[i]
+        v = bit.bit_length() - 1
+        nbrs = adj[v]
         left ^= bit
         for c in range(held + 1 if held < k else k):  # the held colors and one fresh
             mask = seen[c]
@@ -136,7 +120,30 @@ def _search(adj: Sequence[int], k: int, by_degree: bool = True,
             colors[v] = -1
         return False
 
-    return colors if k > 0 and rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
+    return colors if rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
+
+
+def _by_degree(adj: Sequence[int]) -> Callable[[int], list[int] | None]:
+    """k -> _search's coloring in k colors, or None, with ties going to the
+    highest degree, then the lowest index.
+
+    The graph is relabeled once, by degree descending and index ascending, so
+    that _search's lowest-index tie rule picks the vertex this rule picks;
+    each coloring is mapped back to the caller's labels.
+    """
+    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())  # stable: ties by index
+    relabeled = _quotient_masks(adj, [[v] for v in order])
+
+    def color(k: int) -> list[int] | None:
+        found = _search(relabeled, k)
+        if found is None:
+            return None
+        out = [0] * len(adj)
+        for v, c in zip(order, found):
+            out[v] = c
+        return out
+
+    return color
 
 
 def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | None:
@@ -144,7 +151,7 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
     `adj` that extends `partial` (-1 marks an uncolored vertex), or None.
 
     Each color class of `partial` is merged into one vertex, the merged
-    vertices are joined into a clique, and _search colors that graph; its
+    vertices are joined into a clique, and _by_degree colors that graph; its
     colors are then renamed to match `partial`. Searching the merged graph
     with no color fixed, rather than the graph with colors pinned, leaves the
     search free to pick its own order, and it refutes dead branches with far
@@ -160,7 +167,7 @@ def _extend(adj: Sequence[int], k: int, partial: Sequence[int]) -> list[int] | N
     clique = (1 << len(held)) - 1
     for i in range(len(held)):
         merged[i] = (merged[i] | clique) & ~(1 << i)
-    colors = _search(merged, k)
+    colors = _by_degree(merged)(k)
     if colors is None:
         return None
     rename = dict(zip(colors, held))  # the first len(held) groups hold distinct colors
@@ -180,28 +187,24 @@ def _k_colorable(adj: Sequence[int], k: int,
     """The first proper coloring with at most k colors of the graph with
     neighbor masks `adj`, or None.
 
-    "First" is in the order of plain backtracking: _search with lowest-index
-    ties. So the result is deterministic for a fixed labeling. `witness`, if
+    "First" is in the order of plain backtracking: _search, ties by lowest
+    index. So the result is deterministic for a fixed labeling. `witness`, if
     given, is any proper k-coloring.
 
     Plain backtracking can spend seconds in branches that hold no coloring,
     so it runs for at most PLAIN_NODES nodes. After that the same search runs
     again, entering only branches that hold a coloring, so it never
-    backtracks. A witness coloring that extends the colors fixed so far
-    answers that for its own color. For a color c below it, the witness's
-    Kempe chain of v in colors c and w = witness[v] is tried first: if no
-    vertex of the chain is colored yet, swapping c and w on it keeps the
-    witness proper and extending, and gives v color c. Otherwise _extend
+    backtracks. A witness that extends the colors fixed so far answers that
+    for its own color, and for a fresh one by renaming; otherwise _extend
     answers, and its coloring becomes the witness. The result only needs the
-    test to never refuse a branch that holds a coloring; a stale witness
-    would cost backtracking, not a different coloring.
+    test never to refuse a branch that holds a coloring.
     """
     try:
-        return _search(adj, k, by_degree=False, budget=PLAIN_NODES)
+        return _search(adj, k, budget=PLAIN_NODES)
     except _OverBudget:
         pass
     if witness is None:
-        witness = _search(adj, k)
+        witness = _by_degree(adj)(k)
         if witness is None:
             return None
 
@@ -213,49 +216,27 @@ def _k_colorable(adj: Sequence[int], k: int,
         if c not in colors:  # w is a color nobody holds yet either: rename w and c
             witness = [c if x == w else w if x == c else x for x in witness]
             return True
-        pair = 0
-        for u, x in enumerate(witness):
-            if x == c or x == w:
-                pair |= 1 << u
-        chain = frontier = 1 << v
-        while frontier:
-            grown = 0
-            for u in _bits(frontier):
-                grown |= adj[u]
-            frontier = grown & pair & ~chain
-            chain |= frontier
-        members = _bits(chain)
-        if all(colors[u] < 0 for u in members):
-            witness = witness.copy()
-            for u in members:
-                witness[u] = c if witness[u] == w else w
-            return True
         found = _extend(adj, k, colors[:v] + [c] + colors[v + 1:])
         if found is None:
             return False
         witness = found
         return True
 
-    return _search(adj, k, by_degree=False, feasible=feasible)
+    return _search(adj, k, feasible=feasible)
 
 
 def _chromatic(adj: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """The chromatic number, the greedy DSATUR coloring, and a coloring that
     attains the chromatic number, searching down from one color fewer than
     greedy uses."""
-    greedy = _search(adj, len(adj), by_degree=False)
+    greedy = _search(adj, len(adj))
     best = greedy
     k = max(greedy)
     lb = len(_greedy_clique(adj))
     if k >= lb:
-        order, relabeled = _degree_order(adj)
-        while k >= lb:
-            found = _search(relabeled, k, by_degree=False)  # _search(adj, k), node for node
-            if found is None:
-                break
-            best = [0] * len(adj)
-            for v, c in zip(order, found):
-                best[v] = c
+        search = _by_degree(adj)
+        while k >= lb and (found := search(k)) is not None:
+            best = found
             k -= 1
     return k + 1, greedy, best
 
@@ -316,9 +297,6 @@ def max_ell1_coloring(g: Graph) -> ColoringResult:
     if g.n > MAX_ELL1_VERTICES:
         raise ValueError(f"max_ell1_coloring is guarded to n <= {MAX_ELL1_VERTICES}")
     chi = chromatic_number(g)
-    if chi == 1:
-        return _to_result([0] * g.n)
-
     floor_needed = math.ceil(g.n / chi)
     candidates = [m for m in _maximal_independent_sets(g.adj) if m.bit_count() >= floor_needed]
     candidates.sort(key=lambda m: (-m.bit_count(), m))

@@ -236,10 +236,10 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

@@ -109,9 +109,20 @@ def test_exit_status_contract(tmp_path, capsys):
     # disconnected input -> 2
     code, _, err = run_cli(capsys, "analyze", "--g6", "A?")
     assert code == 2 and "connected" in err
-    # unknown generator -> 2
+    # unknown generator or bad generator parameters -> 2
     code, _, err = run_cli(capsys, "verify", "--gen", "petersen:10")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--gen", "path:x")
+    assert (code, out, err) == (2, "", "error: bad generator parameters in 'path:x'\n")
+    # missing edge-list file -> 2
+    missing = tmp_path / "none.edges"
+    code, out, err = run_cli(capsys, "verify", "--edges", str(missing))
+    assert (code, out, err) == (2, "", f"error: edge-list file not found: {missing}\n")
+    # bad edge line -> 2, naming the line
+    edges = tmp_path / "bad.edges"
+    edges.write_text("3\n1 x\n")
+    code, out, err = run_cli(capsys, "verify", "--edges", str(edges))
+    assert (code, out, err) == (2, "", "error: bad edge list: bad edge line '1 x'\n")
     # missing fixture dir -> 2
     code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", "/nonexistent")
     assert code == 2
@@ -293,7 +304,8 @@ def test_usage_error_exits_2(capsys):
                  ["verify", "--gen", "K:3,3,1", "--int-tol", "1e-15"],
                  ["corpus", "--n", "3", "--int-tol", "1e-6"],
                  ["tables", "--int-tol", "1e-6"],
-                 ["tables", "--coloring", "max-l1"]):  # tables has one coloring
+                 ["tables", "--coloring", "max-l1"],  # tables has one coloring
+                 ["corpus", "--n", "5", "--jobs", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -414,6 +426,42 @@ def test_tables_all_match(capsys):
     assert "RESULT: all cells match" in out
     assert "38.446, 28.000, 25.016, 22.000, 19.787, 18.000" in out
     assert "35.472, 35.472, 26.528, 26.528, 26.000, 25.000" in out
+
+
+def _expected_rows_with_p8_changed():
+    # P_8's row with one integer cell and one eigenvalue cell off
+    rows = cli.expected_table_rows()
+    p8 = rows["P_8"]
+    rows["P_8"] = {**p8, "chi": p8["chi"] + 1, "eigs": [p8["eigs"][0] + 1, *p8["eigs"][1:]]}
+    return rows
+
+
+def test_compare_table_row_names_each_wrong_cell():
+    computed = cli.computed_table_row("path:8")
+    bad = cli.compare_table_row(computed, _expected_rows_with_p8_changed()["P_8"])
+    eig1 = computed["eigs"][0]
+    assert bad == ["chi: computed 2 != expected 3",
+                   f"eig1: computed {eig1:.6f} does not round to {eig1 + 1:.3f}"]
+
+
+def test_tables_mismatch_exits_1(monkeypatch, capsys):
+    rows = _expected_rows_with_p8_changed()
+    monkeypatch.setattr(cli, "expected_table_rows", lambda: rows)
+    code, out, err = run_cli(capsys, "tables")
+    assert (code, err) == (1, "")
+    (p8,) = [line for line in out.splitlines() if line.startswith("P_8 ")]
+    assert "   MISMATCH: chi: computed 2 != expected 3; eig1: computed" in p8
+    assert sum("MISMATCH" in line for line in out.splitlines()) == 1
+    assert out.endswith("RESULT: 2 cell(s) disagree\n")
+
+
+def test_corpus_summary_prints_audit_failures():
+    # P4 (Ch) ties K_{2,2} (C]) at the minimum, and is not complete multipartite
+    audit = verify.audit_extremal(4, 2, [verify.GraphSummary("Ch", 4, 2, 6.0),
+                                         verify.GraphSummary("C]", 4, 2, 6.0)])
+    text = cli._corpus_summary(4, 2, {}, [audit], 0)
+    assert ("extremal chi=2: min dL1 = 6 (expected 6) over 2 graphs, 2 minimizer(s) "
+            "[FAILED]\n  FAILURE: minimizer Ch is not complete multipartite\n") in text
 
 
 def test_tables_json(capsys):

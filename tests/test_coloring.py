@@ -206,9 +206,9 @@ class _NodeCount:
         return False
 
 
-def _outcome(search, graph, k, by_degree, budget):
+def _outcome(search, *args):
     try:
-        return search(graph, k, by_degree, budget)
+        return search(*args)
     except coloring._OverBudget:
         return "over budget"
 
@@ -220,15 +220,17 @@ def test_search_matches_the_list_reference():
     graphs += [random_connected_graph(rng, 8, 20) for _ in range(60)]
     for g in graphs:
         nbrs = neighbor_lists(g.adj)
-        for by_degree in (True, False):
-            for k in range(1, g.n + 1):
-                count = _NodeCount()
-                expected = reference_search(nbrs, k, by_degree, count)
-                budgets = (0, 1, 5, count.spent - 1, count.spent)
-                got = [_outcome(coloring._search, g.adj, k, by_degree, b) for b in budgets]
-                assert got == [_outcome(reference_search, nbrs, k, by_degree, b)
-                               for b in budgets]
-                assert got[-2:] == ["over budget", expected]
+        by_degree = coloring._by_degree(g.adj)
+        for k in range(1, g.n + 1):
+            count = _NodeCount()
+            expected = reference_search(nbrs, k, False, count)
+            budgets = (0, 1, 5, count.spent - 1, count.spent)
+            got = [_outcome(coloring._search, g.adj, k, b) for b in budgets]
+            assert got == [_outcome(reference_search, nbrs, k, False, b) for b in budgets]
+            assert got[-2:] == ["over budget", expected]
+            assert by_degree(k) == reference_search(nbrs, k, True)
+    # the empty graph has its one coloring in no colors; a vertex has none
+    assert coloring._search([], 0) == [] and coloring._search([0], 0) is None
 
 
 def test_extend_keeps_the_partial_coloring():

@@ -57,22 +57,32 @@ def test_to_graph6_examples():
     assert to_graph6(complement(gen_complete(3))) == "B?"
 
 
-@pytest.mark.parametrize("bad", [
-    "",            # empty record
-    "Bwx",         # trailing garbage
-    "B",           # truncated body
-    "B" + chr(30), # data byte out of range
-    "~~~~~",       # size beyond the supported range
-])
+# one malformed record per rejection branch, with the message it must give
+MALFORMED_GRAPH6 = {
+    "": "empty graph6 record",
+    "B\u00e9": "non-ASCII",
+    "~~~~~": "size exceeds supported range",
+    "~??": "malformed graph6 length bytes",  # long size form cut short
+    "~?!?": "malformed graph6 length bytes",  # long size byte out of range
+    "!": "malformed graph6 length byte$",
+    "?": r"empty graph \(n=0\)",
+    "Bwx": "trailing garbage",
+    "B": "truncated graph6 record",
+    "B!": "invalid graph6 data byte 33",
+    "Bx": "nonzero padding bits",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED_GRAPH6))
 def test_parse_graph6_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MALFORMED_GRAPH6[bad]):
         parse_graph6(bad)
 
 
 def test_parse_graph6_rejects_n_over_64():
     # long-form size encoding for n = 65
     record = "~" + chr(63) + chr(63 + 1) + chr(63 + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=65 > 64"):
         parse_graph6(record)
 
 
@@ -129,10 +139,16 @@ def test_parse_edge_list_star():
 
 
 def test_parse_edge_list_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for n=3"):
         parse_edge_list("3\n0 3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop line '1 1'"):
         parse_edge_list("3\n1 1")
+    with pytest.raises(ValueError, match="^empty edge list$"):
+        parse_edge_list(" \n\n")
+    with pytest.raises(ValueError, match="^bad edge line '1 x'$"):
+        parse_edge_list("3\n1 x")
+    with pytest.raises(ValueError, match="^bad edge line '0 1 2'$"):
+        parse_edge_list("3\n0 1 2")
 
 
 def test_parse_edge_list_checks_vertex_count_first():

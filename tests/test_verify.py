@@ -33,6 +33,7 @@ from distlap.verify import (
     CheckReport,
     CheckResult,
     GraphAnalysis,
+    GraphSummary,
     analyze,
     analyze_many,
     audit_extremal,
@@ -609,6 +610,18 @@ def test_audit_extremal_summaries_match_analyses(corpus_analyses):
     for chi in range(2, 7):
         assert audit_extremal(7, chi, analyses=summaries) == \
             audit_extremal(7, chi, analyses=corpus_analyses[7])
+
+
+def test_audit_extremal_fails_on_a_wrong_minimizer():
+    # hand-built summaries: P4 (Ch) ties K_{2,2} (C]) at the minimum 6
+    tie = audit_extremal(4, 2, [GraphSummary("Ch", 4, 2, 6.0), GraphSummary("C]", 4, 2, 6.0)])
+    assert not tie.ok
+    assert tie.failures == ["minimizer Ch is not complete multipartite"]
+    assert tie.minimizer_parts == [None, (2, 2)]
+    # K_{2,2} claimed at chi = 3 and below the bound 6
+    low = audit_extremal(4, 3, [GraphSummary("C]", 4, 3, 5.0)])
+    assert low.failures == ["min dL1 = 5.0, expected 6",
+                            "minimizer C] is complete 2-partite, not 3"]
 
 
 def test_audit_extremal_missing_chi(corpus_analyses):
