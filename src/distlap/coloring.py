@@ -267,23 +267,32 @@ def optimal_coloring(g: Graph) -> ColoringResult:
     return _to_result(_best_coloring(g.adj))
 
 
-def _maximal_independent_sets(adj: Sequence[int]) -> list[int]:
-    """All maximal independent sets as bitmasks (Bron-Kerbosch on the complement)."""
+def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
+    """The maximal independent sets with at least `floor` vertices, as bitmasks.
+
+    Bron-Kerbosch on the complement, pivoting on the lowest vertex of P | X;
+    any pivot lists every maximal set exactly once. Every set listed below a
+    node (R, P, X) lies between R and R | P, so a node with |R| + |P| < floor
+    is cut.
+    """
     comp = _complement_masks(adj)
     out: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
+    def expand(r: int, size: int, p: int, x: int) -> None:
+        if size + p.bit_count() < floor:
             return
-        pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: (comp[u] & p).bit_count())
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        pool = p | x
+        pivot = (pool & -pool).bit_length() - 1
         for v in _bits(p & ~comp[pivot]):
-            expand(r | 1 << v, p & comp[v], x & comp[v])
+            expand(r | 1 << v, size + 1, p & comp[v], x & comp[v])
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, (1 << len(adj)) - 1, 0)
+    expand(0, 0, (1 << len(adj)) - 1, 0)
     return out
 
 
@@ -297,8 +306,7 @@ def max_ell1_coloring(g: Graph) -> ColoringResult:
     if g.n > MAX_ELL1_VERTICES:
         raise ValueError(f"max_ell1_coloring is guarded to n <= {MAX_ELL1_VERTICES}")
     chi = chromatic_number(g)
-    floor_needed = math.ceil(g.n / chi)
-    candidates = [m for m in _maximal_independent_sets(g.adj) if m.bit_count() >= floor_needed]
+    candidates = _maximal_independent_sets(g.adj, math.ceil(g.n / chi))
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     for mask in candidates:
         # the neighbor masks of what the class leaves, renumbered in order

@@ -28,7 +28,7 @@ def eig_symmetric(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.swapaxes(-1, -2)):
+    if not (a == a.swapaxes(-1, -2)).all():
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(a)[..., ::-1]
 
@@ -70,10 +70,10 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
 
 def count_at_least(values: np.ndarray, thresholds) -> np.ndarray:
     """Per row, the number of eigenvalues >= its threshold - INT_TOL."""
-    return np.count_nonzero(values >= np.asarray(thresholds, float)[:, None] - INT_TOL, axis=-1)
+    return (values >= np.asarray(thresholds, float)[:, None] - INT_TOL).sum(axis=-1)
 
 
 def multiplicity(values: np.ndarray, thresholds) -> np.ndarray:
     """Per row, the number of eigenvalues within INT_TOL of its threshold."""
     near = np.abs(values - np.asarray(thresholds, float)[:, None]) <= INT_TOL
-    return np.count_nonzero(near, axis=-1)
+    return near.sum(axis=-1)

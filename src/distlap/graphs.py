@@ -134,7 +134,7 @@ def parse_graph6(text: str) -> Graph:
     Bits are the upper triangle in column order x(0,1), x(0,2), x(1,2),
     x(0,3), ... packed MSB-first into 6-bit chunks offset by 63.
     """
-    s = text.strip()
+    s = text.strip(" \t\r\n")  # ASCII blanks only: any other byte is refused below
     if not s:
         raise ValueError("empty graph6 record")
     try:
@@ -222,14 +222,25 @@ def to_graph6(g: Graph) -> str:
 # edge-list format: first line "n", then one "u v" line per edge (0-indexed)
 # ---------------------------------------------------------------------------
 
+def _decimal(token: str) -> int:
+    """int(token) for an ASCII decimal numeral only: int() alone also takes
+    signs, underscores and non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not an ASCII decimal numeral: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the 0-indexed edge-list format; duplicate edge lines collapse."""
+    """Parse the 0-indexed edge-list format; duplicate edge lines collapse.
+
+    The vertex count and both endpoints of each edge line are ASCII decimal
+    numerals."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty edge list")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
     if not 1 <= n <= MAX_VERTICES:
@@ -237,7 +248,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         try:
-            u, v = map(int, ln.split())
+            u, v = map(_decimal, ln.split())
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):

@@ -48,7 +48,7 @@ def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
     n = orders.pop()
     masks = np.array([g.adj for g in graphs], dtype=np.uint64)
     a = (masks[:, :, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(bool)
-    reach = np.broadcast_to(np.eye(n, dtype=bool), a.shape)
+    reach = np.eye(n, dtype=bool)  # the first product broadcasts it over the stack
     dist = np.zeros(a.shape, dtype=np.int64)
     for _ in range(n):  # a connected graph is reached within n - 1 steps
         if reach.all():

@@ -123,6 +123,11 @@ def test_exit_status_contract(tmp_path, capsys):
     edges.write_text("3\n1 x\n")
     code, out, err = run_cli(capsys, "verify", "--edges", str(edges))
     assert (code, out, err) == (2, "", "error: bad edge list: bad edge line '1 x'\n")
+    # a count int() would take but that is no ASCII decimal numeral -> 2
+    edges.write_text("+3\n0 +1\n")
+    code, out, err = run_cli(capsys, "verify", "--edges", str(edges))
+    assert (code, out, err) == (
+        2, "", "error: bad edge list: first line must be the vertex count, got '+3'\n")
     # missing fixture dir -> 2
     code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", "/nonexistent")
     assert code == 2

@@ -153,6 +153,22 @@ def test_max_ell1_exhaustive_against_all_colorings():
         assert max_ell1_coloring(g).sizes[0] == best
 
 
+def test_maximal_independent_sets_above_a_floor_match_brute_force():
+    # the floor cuts branches, never sets: for every connected graph with
+    # n <= 7 and every floor, the listed sets are exactly the maximal
+    # independent sets with at least floor vertices
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            independent = [s for s in range(1 << n)
+                           if not any(g.adj[v] & s for v in range(n) if s >> v & 1)]
+            maximal = [s for s in independent
+                       if all(g.adj[v] & s for v in range(n) if not s >> v & 1)]
+            for floor in range(n + 1):
+                found = coloring._maximal_independent_sets(g.adj, floor)
+                assert len(found) == len(set(found))
+                assert set(found) == {s for s in maximal if s.bit_count() >= floor}
+
+
 def _first_by_plain_backtracking(g, k):
     """The search _k_colorable must agree with: plain backtracking, vertices in
     DSATUR order (ties by lowest index), colors lowest first, one fresh color

@@ -70,6 +70,10 @@ MALFORMED_GRAPH6 = {
     "B": "truncated graph6 record",
     "B!": "invalid graph6 data byte 33",
     "Bx": "nonzero padding bits",
+    # only ASCII space, tab, CR and LF are trimmed
+    "Bw\x1f": "trailing garbage",
+    "\x85Bw ": "non-ASCII",
+    "Bw\u2003": "non-ASCII",
 }
 
 
@@ -149,6 +153,19 @@ def test_parse_edge_list_errors():
         parse_edge_list("3\n1 x")
     with pytest.raises(ValueError, match="^bad edge line '0 1 2'$"):
         parse_edge_list("3\n0 1 2")
+    # ASCII decimal numerals only: int() would read these as other numbers
+    with pytest.raises(ValueError, match="^first line must be the vertex count, got '1_0'$"):
+        parse_edge_list("1_0\n0 \u0663\n")
+    with pytest.raises(ValueError, match=r"^first line must be the vertex count, got '\+3'$"):
+        parse_edge_list("+3\n0 +1\n")
+    with pytest.raises(ValueError, match="^bad edge line '0 \u0663'$"):
+        parse_edge_list("4\n0 \u0663\n")
+    with pytest.raises(ValueError, match=r"^bad edge line '0 \+1'$"):
+        parse_edge_list("3\n0 +1\n")
+    with pytest.raises(ValueError, match="^bad edge line '1_0 2'$"):
+        parse_edge_list("11\n1_0 2\n")
+    with pytest.raises(ValueError, match="^bad edge line '-1 2'$"):
+        parse_edge_list("3\n-1 2\n")
 
 
 def test_parse_edge_list_checks_vertex_count_first():
