@@ -6,10 +6,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from distlap.graphs import Graph, _bits, _complement_masks, _quotient_masks
 
 MAX_ELL1_VERTICES = 16
 PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _extend
+
+GreedyStart = tuple[list[int], int]  # a graph's greedy DSATUR coloring and greedy clique size
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,9 @@ def _search(adj: Sequence[int], k: int, budget: float = math.inf,
     branch is cut as soon as an uncolored vertex sees all k colors, and is
     not entered if `feasible(v, c, colors)` says no (v still uncolored in
     `colors`). With k = n nothing is ever cut, because no vertex can see n
-    colors, so the result is greedy DSATUR. Past `budget` nodes it raises
-    _OverBudget.
+    colors, so the result is greedy DSATUR; for a stack of graphs,
+    greedy_starts computes that case for all of them at once. Past `budget`
+    nodes it raises _OverBudget.
 
     The search keeps masks, not per-vertex counts: seen[c] holds the
     neighbors of the vertices colored c, and level[s] the uncolored vertices
@@ -121,6 +126,43 @@ def _search(adj: Sequence[int], k: int, budget: float = math.inf,
         return False
 
     return colors if rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
+
+
+def greedy_starts(adjacency: np.ndarray) -> list[GreedyStart]:
+    """(_search(adj, n), len(_greedy_clique(adj))) for each graph of a
+    (B, n, n) boolean adjacency stack, computed for the whole stack at once.
+
+    Greedy DSATUR (_search with k = n) never backtracks, so it is n rounds of
+    the same few array operations on every graph: the uncolored vertex that
+    sees the most colors, lowest index first, takes the lowest color it does
+    not see. seen[b, c] marks the neighbors of graph b's vertices colored c,
+    as _search's masks do. The greedy clique grows the same way, by highest
+    degree, then lowest index, while some vertex is adjacent to all of it.
+    """
+    b, n, _ = adjacency.shape
+    rows = np.arange(b)
+    colors = np.zeros((b, n), dtype=np.int64)
+    # the colors each uncolored vertex sees; a colored vertex is set to -n and
+    # climbs at most n - 1 after that, so argmax never picks it again
+    sees = np.zeros((b, n), dtype=np.int64)
+    seen = np.zeros(adjacency.shape, dtype=bool)
+    for _ in range(n):
+        v = sees.argmax(axis=1)  # argmax keeps the first of equals
+        c = seen[rows, :, v].argmin(axis=1)
+        nbrs = adjacency[rows, v]
+        held = seen[rows, c]
+        sees += nbrs > held
+        sees[rows, v] = -n
+        seen[rows, c] = held | nbrs
+        colors[rows, v] = c
+
+    degree = adjacency.sum(axis=2)
+    common = adjacency[rows, degree.argmax(axis=1)]
+    size = np.ones(b, dtype=np.int64)
+    while common.any():
+        size += common.any(axis=1)
+        common &= adjacency[rows, np.where(common, degree, -1).argmax(axis=1)]
+    return list(zip(colors.tolist(), size.tolist()))
 
 
 def _by_degree(adj: Sequence[int]) -> Callable[[int], list[int] | None]:
@@ -225,14 +267,15 @@ def _k_colorable(adj: Sequence[int], k: int,
     return _search(adj, k, feasible=feasible)
 
 
-def _chromatic(adj: Sequence[int]) -> tuple[int, list[int], list[int]]:
+def _chromatic(adj: Sequence[int], start: GreedyStart | None = None
+               ) -> tuple[int, list[int], list[int]]:
     """The chromatic number, the greedy DSATUR coloring, and a coloring that
     attains the chromatic number, searching down from one color fewer than
-    greedy uses."""
-    greedy = _search(adj, len(adj))
+    greedy uses. `start`, if given, is the graph's entry of greedy_starts:
+    the greedy coloring and the greedy clique's size."""
+    greedy, lb = start or (_search(adj, len(adj)), len(_greedy_clique(adj)))
     best = greedy
     k = max(greedy)
-    lb = len(_greedy_clique(adj))
     if k >= lb:
         search = _by_degree(adj)
         while k >= lb and (found := search(k)) is not None:
@@ -241,9 +284,9 @@ def _chromatic(adj: Sequence[int]) -> tuple[int, list[int], list[int]]:
     return k + 1, greedy, best
 
 
-def _best_coloring(adj: Sequence[int]) -> list[int]:
+def _best_coloring(adj: Sequence[int], start: GreedyStart | None = None) -> list[int]:
     """The greedy coloring if it is optimal, else the first optimal one."""
-    chi, greedy, witness = _chromatic(adj)
+    chi, greedy, witness = _chromatic(adj, start)
     return greedy if chi == max(greedy) + 1 else _k_colorable(adj, chi, witness)
 
 
@@ -262,9 +305,10 @@ def chromatic_number(g: Graph) -> int:
     return _chromatic(g.adj)[0]
 
 
-def optimal_coloring(g: Graph) -> ColoringResult:
-    """One optimal coloring, deterministic for a fixed vertex labeling."""
-    return _to_result(_best_coloring(g.adj))
+def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
+    """One optimal coloring, deterministic for a fixed vertex labeling;
+    `start` as for _chromatic."""
+    return _to_result(_best_coloring(g.adj, start))
 
 
 def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
@@ -296,16 +340,16 @@ def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
     return out
 
 
-def max_ell1_coloring(g: Graph) -> ColoringResult:
+def max_ell1_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
     """Among all optimal colorings, one whose largest class is as big as possible.
 
     Tries each maximal independent set of size >= ceil(n/chi) as the first
     class, largest first, and keeps the first whose removal leaves a
-    (chi-1)-colorable graph. Guarded to n <= 16.
+    (chi-1)-colorable graph. Guarded to n <= 16. `start` as for _chromatic.
     """
     if g.n > MAX_ELL1_VERTICES:
         raise ValueError(f"max_ell1_coloring is guarded to n <= {MAX_ELL1_VERTICES}")
-    chi = chromatic_number(g)
+    chi = _chromatic(g.adj, start)[0]
     candidates = _maximal_independent_sets(g.adj, math.ceil(g.n / chi))
     candidates.sort(key=lambda m: (-m.bit_count(), m))
     for mask in candidates:

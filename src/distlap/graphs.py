@@ -8,6 +8,7 @@ Graph values; instances are immutable and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import re
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -230,13 +231,20 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+def _records(text: str) -> list[str]:
+    """The lines of `text` that hold something, split at line feeds only and
+    stripped of spaces, tabs and carriage returns (so CRLF line ends pass).
+    Any other line break or blank stays in its line, for the parser of that
+    line to refuse."""
+    return [s for line in text.split("\n") if (s := line.strip(" \t\r"))]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the 0-indexed edge-list format; duplicate edge lines collapse.
 
     The vertex count and both endpoints of each edge line are ASCII decimal
-    numerals."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    numerals, and the endpoints are apart by ASCII blanks."""
+    lines = _records(text)
     if not lines:
         raise ValueError("empty edge list")
     try:
@@ -248,7 +256,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         try:
-            u, v = map(_decimal, ln.split())
+            u, v = map(_decimal, re.split("[ \t]+", ln))
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -567,7 +575,7 @@ def _fixture_lines(n: int, corpus_dir: str | Path | None) -> list[str]:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _records(text)
     expect = FIXTURE_COUNTS[n]
     if len(lines) != expect:
         raise ValueError(f"fixture {name} has {len(lines)} graphs, expected {expect}")

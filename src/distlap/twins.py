@@ -32,19 +32,20 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
     open-neighborhood equality (independent twins); only classes of size >= 2
     are emitted, and no vertex can appear in both kinds.
     """
-    if g.n < 2:
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    # a kind whose n neighborhoods are all distinct has no class to group
+    kinds = [(kind, keys) for kind, keys in (("clique", closed), ("independent", g.adj))
+             if len(set(keys)) < g.n]
+    if not kinds:
         return []
     if dd is None:
         dd = apsp(g)
 
-    closed: dict[int, list[int]] = {}
-    open_: dict[int, list[int]] = {}
-    for v in range(g.n):
-        closed.setdefault(g.adj[v] | 1 << v, []).append(v)
-        open_.setdefault(g.adj[v], []).append(v)
-
     out: list[TwinClass] = []
-    for kind, groups in (("clique", closed), ("independent", open_)):
+    for kind, keys in kinds:
+        groups: dict[int, list[int]] = {}
+        for v, key in enumerate(keys):
+            groups.setdefault(key, []).append(v)
         for key, members in groups.items():
             s = len(members)
             if s < 2:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
+from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, distance_laplacian, distance_stack
@@ -87,6 +87,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     stack at once (one numpy.linalg.eigvalsh call), and so are the distance
     facts and, once each graph's coloring and twins are known, the spectral
     counts: each (graph, integer threshold) pair is one row of a stacked count.
+    A stack of more than one graph also takes every greedy DSATUR coloring
+    and greedy clique from one greedy_starts call, so the per-graph coloring
+    only searches where the clique bound leaves the greedy coloring unproven.
     coloring_mode "max-l1" uses an optimal coloring with the largest possible
     first class (guarded to n <= 16) instead of the default optimal coloring.
     A disconnected graph anywhere in the stack raises ValueError (from
@@ -99,7 +102,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     dist = distance_stack(graphs)
     values = eig_symmetric(distance_laplacian(dist))
     color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
-    colorings = [color(g) for g in graphs]
+    # alone, a graph's greedy start costs less in Python than the stacked kernel
+    starts = greedy_starts(dist == 1) if len(graphs) > 1 else [None]
+    colorings = [color(g, start) for g, start in zip(graphs, starts)]
     dds = DistanceData.of_stack(dist)
     twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
 

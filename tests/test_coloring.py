@@ -16,6 +16,8 @@ from distlap.graphs import (
     gen_path,
     parse_graph6,
 )
+from distlap.metric import distance_stack
+from distlap.verify import BATCH, analyze_many
 from helpers import (
     brute_force_chromatic,
     dense_graphs,
@@ -80,12 +82,37 @@ DENSE_COLORINGS_SHA256 = "27f8b90cbe61881716c9dcd1193b0b93f0472c35271dc59753cd1f
 
 def test_dense_colorings_are_pinned():
     # n 30-44: the search backtracks deeply and _k_colorable calls _extend,
-    # which n <= 7 (test_integer_facts_are_pinned) rarely reaches
-    digest = hashlib.sha256()
-    for g in dense_graphs(1, 40):
-        res = optimal_coloring(g)
-        digest.update(repr((res.chi, res.classes)).encode())
-    assert digest.hexdigest() == DENSE_COLORINGS_SHA256
+    # which n <= 7 (test_integer_facts_are_pinned) rarely reaches. The pin
+    # holds one graph at a time and through analyze_many's stacks, one per
+    # order, whose colorings start from greedy_starts.
+    graphs = dense_graphs(1, 40)
+    orders = {g.n for g in graphs}
+    assert len(orders) < len(graphs)  # so some stack holds more than one graph
+    stacked = [None] * len(graphs)
+    for n in orders:
+        at = [i for i, g in enumerate(graphs) if g.n == n]
+        for i, a in zip(at, analyze_many([graphs[i] for i in at])):
+            stacked[i] = a.coloring
+    for results in ([optimal_coloring(g) for g in graphs], stacked):
+        digest = hashlib.sha256()
+        for res in results:
+            digest.update(repr((res.chi, res.classes)).encode())
+        assert digest.hexdigest() == DENSE_COLORINGS_SHA256
+
+
+def test_greedy_starts_match_the_per_graph_start():
+    # every connected n <= 8 graph in the sweep's slices, and seeded stacks up to n = 64
+    stacks = []
+    for n in range(1, 9):
+        graphs = list(enumerate_connected(n))
+        stacks += [graphs[i:i + BATCH] for i in range(0, len(graphs), BATCH)]
+    rng = random.Random(19)
+    stacks += [[random_connected_graph(rng, n, n, 0.1, 0.9) for _ in range(12)]
+               for n in (9, 16, 33, 62, 63, 64)]
+    for stack in stacks:
+        expected = [(coloring._search(g.adj, g.n), len(coloring._greedy_clique(g.adj)))
+                    for g in stack]
+        assert coloring.greedy_starts(distance_stack(stack) == 1) == expected
 
 
 def test_optimal_coloring_deterministic():

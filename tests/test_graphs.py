@@ -168,6 +168,17 @@ def test_parse_edge_list_errors():
         parse_edge_list("3\n-1 2\n")
 
 
+def test_parse_edge_list_splits_at_line_feeds_and_ascii_blanks_only():
+    # CRLF line ends, tabs and repeated spaces pass
+    assert parse_edge_list("3\r\n0 1\r\n1\t 2\r\n") == gen_path(3)
+    # any other line break or blank stays in its line: this is one bad line, not P3
+    with pytest.raises(ValueError, match=r"^bad edge line '0 1\\x851 2'$"):
+        parse_edge_list("3\n0 1\x851 2\n")
+    for blank in ("\x0b", "\x0c", "\u2028", "\xa0"):
+        with pytest.raises(ValueError, match="^bad edge line"):
+            parse_edge_list(f"3\n0{blank}1\n")
+
+
 def test_parse_edge_list_checks_vertex_count_first():
     # the count line is refused before any edge line is read
     with pytest.raises(ValueError, match="vertex count"):
@@ -362,6 +373,15 @@ def test_enumerate_connected_fixtures(tmp_path):
     lines[5] = to_graph6(gen_cycle(6))
     (tmp_path / "connected7.g6").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="6 vertices"):
+        list(enumerate_connected(7, corpus_dir=tmp_path))
+    # records split at line feeds only: a first line ending in NEL and a space
+    # is one bad record, not a good one and a blank
+    lines[5] = to_graph6(gen_cycle(7))
+    (tmp_path / "connected7.g6").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    assert sum(1 for _ in enumerate_connected(7, corpus_dir=tmp_path)) == 853
+    lines[0] += "\x85 "
+    (tmp_path / "connected7.g6").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-ASCII"):
         list(enumerate_connected(7, corpus_dir=tmp_path))
     with pytest.raises(ValueError):
         list(enumerate_connected(9))
