@@ -265,7 +265,7 @@ def _corpus_item(fmt: str, report) -> tuple:
     fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
     and its GraphSummary."""
     encode = _record_encoder(fmt)
-    return (encode(report) if encode else "", tuple(r.verdict for r in report.results),
+    return (encode(report) if encode else "", tuple([r.verdict for r in report.results]),
             report.analysis.summary)
 
 

@@ -13,8 +13,9 @@ import functools
 import io
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -24,7 +25,7 @@ from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, o
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, distance_laplacian, distance_stack
-from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
+from distlap.twins import TwinClass, complement_component_count, twin_classes
 
 
 class GraphSummary(NamedTuple):
@@ -44,7 +45,8 @@ class GraphAnalysis:
     The scalar facts are plain fields: `chi` and `b_chi` = n + ceil(n/chi)
     come from `coloring`, the one optimal coloring every chi- and
     ell-parameterized check reads, and `dl1` is the largest eigenvalue.
-    `values` is the DL spectrum, nonincreasing. The checkers decide every
+    `values` is the DL spectrum, nonincreasing, and `spectrum` the same
+    values as Python floats, which the checkers read. They decide every
     spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
     `mu_below_b` = n - m_ge_b are not, `block_counts[j]` are >= n + ell_j for
     each class of size >= 2, `mu_at_n` is the multiplicity of n and
@@ -61,6 +63,7 @@ class GraphAnalysis:
     dl1: float
     dd: DistanceData
     values: np.ndarray
+    spectrum: list[float]
     coloring: ColoringResult
     twins: tuple[TwinClass, ...]
     complement_components: int
@@ -85,8 +88,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
 
     Distances, distance Laplacians and spectra are computed for the whole
     stack at once (one numpy.linalg.eigvalsh call), and so are the distance
-    facts and, once each graph's coloring and twins are known, the spectral
-    counts: each (graph, integer threshold) pair is one row of a stacked count.
+    facts, the universal-vertex counts and, once each graph's coloring and
+    twins are known, the spectral counts: each (graph, integer threshold)
+    pair is one row of a stacked count.
     A stack of more than one graph also takes every greedy DSATUR coloring
     and greedy clique from one greedy_starts call, so the per-graph coloring
     only searches where the clique bound leaves the greedy coloring unproven.
@@ -99,19 +103,21 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
     if not graphs:
         return []
+    n = graphs[0].n
     dist = distance_stack(graphs)
+    adjacency = dist == 1
     values = eig_symmetric(distance_laplacian(dist))
     color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
     # alone, a graph's greedy start costs less in Python than the stacked kernel
-    starts = greedy_starts(dist == 1) if len(graphs) > 1 else [None]
+    starts = greedy_starts(adjacency) if len(graphs) > 1 else [None]
     colorings = [color(g, start) for g, start in zip(graphs, starts)]
     dds = DistanceData.of_stack(dist)
     twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
+    universal = (adjacency.sum(axis=2) == n - 1).sum(axis=1).tolist()  # of degree n - 1
 
-    n = graphs[0].n
     ceil_n_chi = [-(-n // c.chi) for c in colorings]
     b_chi = [n + c for c in ceil_n_chi]
-    dl1 = values[:, 0].tolist()
+    spectra = values.tolist()
     # each graph's thresholds: b_chi and n + ell_j (classes of size >= 2) are
     # counted from above, n and the twin classes' forced values by multiplicity.
     # A graph's spectrum is repeated once per threshold, one row each.
@@ -133,13 +139,14 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             chi=colorings[i].chi,
             b_chi=b_chi[i],
             ceil_n_chi=ceil_n_chi[i],
-            dl1=dl1[i],
+            dl1=spectra[i][0],
             dd=dds[i],
             values=values[i],
+            spectrum=spectra[i],
             coloring=colorings[i],
             twins=twins[i],
             complement_components=complement_component_count(g),
-            universal_vertices=universal_vertex_count(g),
+            universal_vertices=universal[i],
             m_ge_b=ge_counts[i][0],
             mu_below_b=n - ge_counts[i][0],
             block_counts=ge_counts[i][1:],
@@ -155,16 +162,14 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     return analyze_many([g], coloring_mode)[0]
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one checker: the slack of every claim it recorded (by ge,
-    le, eq and reaches), the claims that failed, or the failed hypothesis
-    that makes it not applicable. The verdict, `applicable` and the failure
-    witness follow from these. Every claim is decided by an exact integer
-    comparison."""
+class CheckResult(NamedTuple):
+    """Outcome of one checker, built in one step: the slack of every claim in
+    the order it made them, the claims that failed, or the failed hypothesis
+    that makes it not applicable, from which the verdict, `applicable` and the
+    witness follow. Results are never mutated, so the default slack is shared."""
 
     check_id: str
-    slack: dict[str, float] = field(default_factory=dict)
+    slack: dict[str, float] = {}
     violations: tuple[dict, ...] = ()
     reason: str | None = None
 
@@ -182,42 +187,42 @@ class CheckResult:
     def witness(self) -> dict | None:
         return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
-    def _record(self, label: str, lhs: float, rhs: float, failed: bool,
-                detail: dict | None = None) -> None:
-        self.slack[label] = float(lhs) - float(rhs)
-        if failed:
-            self.violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs),
-                                 **(detail or {})},)
 
-    def ge(self, label: str, lhs: int, rhs: int, detail: dict | None = None) -> None:
-        """Claim lhs >= rhs exactly; slack = lhs - rhs; a failure's entry adds `detail`."""
-        self._record(label, lhs, rhs, lhs < rhs, detail)
+def _violation(label: str, lhs: float, rhs: float, **detail) -> dict:
+    """The witness entry of a claim that does not hold."""
+    return {"claim": label, "lhs": float(lhs), "rhs": float(rhs), **detail}
 
-    def le(self, label: str, lhs: int, rhs: int) -> None:
-        """Claim lhs <= rhs exactly; slack = lhs - rhs."""
-        self._record(label, lhs, rhs, lhs > rhs)
 
-    def eq(self, label: str, lhs: int, rhs: int) -> None:
-        """Claim lhs == rhs exactly; slack = lhs - rhs."""
-        self._record(label, lhs, rhs, lhs != rhs)
-
-    def reaches(self, label: str, values: np.ndarray, k: int, c: int, count: int) -> None:
-        """Claim values[k] >= c of a nonincreasing spectrum with `count` eigenvalues
-        at or above c, so exactly when count > k; slack = values[k] - c."""
-        self._record(label, values[k], c, count <= k)
+def _decide(check_id: str, claims: Iterable[tuple[str, float, float, bool]]) -> CheckResult:
+    """The result of claims (label, lhs, rhs, holds), in order: slack = lhs - rhs
+    as a Python float, and a violation entry for each claim that does not hold.
+    `holds` is exact: an integer comparison, or for an eigenvalue claim
+    values[k] >= c a count of eigenvalues >= c above k."""
+    slack, violations = {}, ()
+    for label, lhs, rhs, holds in claims:
+        slack[label] = float(lhs - rhs)
+        if not holds:
+            violations += (_violation(label, lhs, rhs),)
+    return CheckResult(check_id, slack, violations)
 
 
 # ---------------------------------------------------------------------------
 # individual checkers
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _not_applicable(check_id: str, reason: str) -> CheckResult:
+    """The result of a check whose hypothesis fails, built once and shared."""
+    return CheckResult(check_id, reason=reason)
+
+
 def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.is_complete:
-        return CheckResult("ah_bound", reason="graph is complete")
-    r = CheckResult("ah_bound")
-    r.reaches("dl1_minus_b_chi", a.values, 0, a.b_chi, a.m_ge_b)
-    return r
+        return _not_applicable("ah_bound", "graph is complete")
+    dl1, b = a.dl1, a.b_chi
+    return CheckResult("ah_bound", {"dl1_minus_b_chi": dl1 - b},
+                       () if a.m_ge_b > 0 else (_violation("dl1_minus_b_chi", dl1, b),))
 
 
 def check_color_majorization(a: GraphAnalysis) -> CheckResult:
@@ -226,86 +231,88 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    r = CheckResult("color_majorization")
-    s_prev = 0
+    values, n = a.spectrum, a.n
+    claims = []
+    s_j = 0
     for j, (ell_j, count) in enumerate(zip(a.coloring.sizes, a.block_counts), start=1):
-        s_j = s_prev + ell_j - 1  # values[s_prev .. s_j - 1], nonincreasing: least at s_j - 1
-        r.reaches(f"block_{j}", a.values, s_j - 1, a.n + ell_j, count)
-        s_prev = s_j
-    return r
+        s_j += ell_j - 1  # block j ends at values[s_j - 1], nonincreasing: its least
+        claims.append((f"block_{j}", values[s_j - 1], n + ell_j, count >= s_j))
+    return _decide("color_majorization", claims)
 
 
 def check_many_above(a: GraphAnalysis) -> CheckResult:
     """Counting bounds around the chromatic threshold b_chi."""
     if a.chi > a.n - 1:
-        return CheckResult("many_above_b_chi", reason="chi = n (complete graph)")
-    ell1 = a.coloring.sizes[0]
-    r = CheckResult("many_above_b_chi")
-    r.ge("count_ge_b_minus_ell1m1", a.m_ge_b, ell1 - 1)
-    r.ge("count_ge_b_minus_ceilm1", a.m_ge_b, a.ceil_n_chi - 1)
-    return r
+        return _not_applicable("many_above_b_chi", "chi = n (complete graph)")
+    m, ell1m1, ceilm1 = a.m_ge_b, a.coloring.sizes[0] - 1, a.ceil_n_chi - 1
+    return _decide("many_above_b_chi", [("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1),
+                                        ("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)])
 
 
 def check_k_range(a: GraphAnalysis) -> CheckResult:
     """Literal range claim dL_k >= b_chi for 2 <= k <= ceil(n/chi)-1, plus the
     stronger second-eigenvalue sub-check whenever chi <= n-2."""
     if a.n < 4:
-        return CheckResult("k_range", reason="n < 4")
+        return _not_applicable("k_range", "n < 4")
     if a.chi > a.n - 1:
-        return CheckResult("k_range", reason="chi = n (complete graph)")
-    r = CheckResult("k_range")
+        return _not_applicable("k_range", "chi = n (complete graph)")
+    values, b, m = a.spectrum, a.b_chi, a.m_ge_b
+    claims = []
     hi = a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        r.reaches("k_range", a.values, hi - 1, a.b_chi, a.m_ge_b)
+        claims.append(("k_range", values[hi - 1], b, m >= hi))
     if a.chi <= a.n - 2:
-        r.reaches("second_eigenvalue", a.values, 1, a.b_chi, a.m_ge_b)
-    return r
+        claims.append(("second_eigenvalue", values[1], b, m >= 2))
+    return _decide("k_range", claims)
 
 
 def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
-    ell1 = a.coloring.sizes[0]
-    r = CheckResult("interval_sandwich")
-    r.ge("count_minus_ell1m1", a.m_ge_b, ell1 - 1)
+    m, n, ell1 = a.m_ge_b, a.n, a.coloring.sizes[0]
+    complement, universal = n - a.complement_components, n - a.universal_vertices - 1
+    claims = [("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)]
     if ell1 >= 4:
-        r.ge("count_minus_3", a.m_ge_b, 3)
-    r.le("count_minus_complement_bound", a.m_ge_b, a.n - a.complement_components)
-    if a.chi <= a.n - 1:
-        r.le("count_minus_universal_bound", a.m_ge_b, a.n - a.universal_vertices - 1)
-    return r
+        claims.append(("count_minus_3", m, 3, m >= 3))
+    claims.append(("count_minus_complement_bound", m, complement, m <= complement))
+    if a.chi <= n - 1:
+        claims.append(("count_minus_universal_bound", m, universal, m <= universal))
+    return _decide("interval_sandwich", claims)
 
 
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
-    r = CheckResult("n_multiplicity")
-    r.eq("mu_at_n_minus_cm1", a.mu_at_n, a.complement_components - 1)
-    return r
+    mu, cm1 = a.mu_at_n, a.complement_components - 1
+    return CheckResult("n_multiplicity", {"mu_at_n_minus_cm1": float(mu - cm1)},
+                       () if mu == cm1 else (_violation("mu_at_n_minus_cm1", mu, cm1),))
 
 
 def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
     """Claims of the `kind` twin classes, keyed twin{i}_* by the class's rank i by
-    (forced value, size, |external|): tied classes make equal claims, so no key holds a label."""
+    (forced value, size, |external|): tied classes make equal claims, so no key
+    holds a label. Each claim is lhs >= rhs; a failing one's violation entry
+    names the class's members."""
     classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
     if not classes:
-        return CheckResult(check_id, reason=f"no {kind} twin class")
+        return _not_applicable(check_id, f"no {kind} twin class")
     classes.sort(key=lambda c: (c[0].forced_value, len(c[0].members), len(c[0].external)))
-    r = CheckResult(check_id)
-    n = a.n
+    n, slack, violations = a.n, {}, ()
     for i, (t, mult) in enumerate(classes, start=1):
-        members = {"members": list(t.members)}
-        s, ext = len(t.members), len(t.external)
-        # (a) the forced eigenvalue is realized with multiplicity >= s - 1
-        r.ge(f"twin{i}_mult", mult, t.forced_mult, members)
+        s, forced = len(t.members), t.forced_value
+        compression = s + len(t.external) if kind == "clique" else len(t.external)
+        # (a) the forced eigenvalue is realized with multiplicity >= s - 1;
         # (b) compression lower estimate on the forced eigenvalue
-        lower = 2 * n - s - ext if kind == "clique" else 2 * n - ext
-        r.ge(f"twin{i}_lower", t.forced_value, lower, members)
+        claims = [(f"twin{i}_mult", mult, t.forced_mult),
+                  (f"twin{i}_lower", forced, 2 * n - compression)]
         # (c) chromatic criterion pushing the class above b_chi
-        compression = s + ext if kind == "clique" else ext
         if compression <= n - a.ceil_n_chi:
-            r.ge(f"twin{i}_b_chi", t.forced_value, a.b_chi, members)
-            r.ge(f"twin{i}_interval_count", a.m_ge_b, s - 1, members)
-    return r
+            claims += [(f"twin{i}_b_chi", forced, a.b_chi),
+                       (f"twin{i}_interval_count", a.m_ge_b, s - 1)]
+        for label, lhs, rhs in claims:
+            slack[label] = float(lhs - rhs)
+            if lhs < rhs:
+                violations += (_violation(label, lhs, rhs, members=list(t.members)),)
+    return CheckResult(check_id, slack, violations)
 
 
 def check_clique_refine(a: GraphAnalysis) -> CheckResult:
@@ -324,15 +331,17 @@ def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
     """Distribution bounds below b_chi, sharpened when the diameter is >= 3;
     also re-asserts the counting identity as a side condition."""
     if a.n < 5:
-        return CheckResult("diameter_refine", reason="n < 5")
+        return _not_applicable("diameter_refine", "n < 5")
     if a.chi > a.n - 1:
-        return CheckResult("diameter_refine", reason="chi = n (complete graph)")
-    r = CheckResult("diameter_refine")
-    r.le("mu_below_minus_bound", a.mu_below_b, a.n - a.ceil_n_chi + 1)
+        return _not_applicable("diameter_refine", "chi = n (complete graph)")
+    mu, n = a.mu_below_b, a.n
+    bound = n - a.ceil_n_chi + 1
+    claims = [("mu_below_minus_bound", mu, bound, mu <= bound)]
     if a.dd.diameter >= 3:
-        r.le("mu_below_minus_diam_bound", a.mu_below_b, a.n - max(2, a.ceil_n_chi - 1))
-    r.eq("counting_identity", a.mu_below_b + a.m_ge_b, a.n)
-    return r
+        bound = n - max(2, a.ceil_n_chi - 1)
+        claims.append(("mu_below_minus_diam_bound", mu, bound, mu <= bound))
+    claims.append(("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n))
+    return _decide("diameter_refine", claims)
 
 
 CHECKS: tuple[tuple[str, Callable[[GraphAnalysis], CheckResult]], ...] = (
@@ -505,22 +514,30 @@ CSV_HEADER = ",".join(RECORD_FIELDS) + "\n"
 
 # one encoder for every record; json.dumps(..., sort_keys=True) would build one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
+TEMPLATE_SHAPES = 1024  # record shapes (check id, labels, reason) kept; n=8 has 42
 
 
-def _slack_json(slack: dict[str, float]) -> str:
-    """json.dumps(slack, sort_keys=True). The labels are ASCII names the
-    checkers build, which JSON writes unescaped, and float.__repr__ is the
-    text JSON writes for a finite float."""
-    isfinite, encode = math.isfinite, _ENCODER.encode
-    return "{" + ", ".join([f'"{label}": {float.__repr__(v) if isfinite(v) else encode(v)}'
-                            for label, v in sorted(slack.items())]) + "}"
+@functools.lru_cache(maxsize=TEMPLATE_SHAPES)
+def _template(check_id: str, labels: tuple[str, ...], reason: str | None) -> tuple:
+    """The record text of one shape with no violation, as json.dumps(record,
+    sort_keys=True) writes it: the text before b_chi, the text between b_chi
+    and the graph's keys chi to n, and a %-template of the rest, with one %r
+    slot per slack in sorted label order (the repr of a finite Python float
+    is the text JSON writes for it); then the function putting slack values
+    in label order into sorted label order, None if they are in it."""
+    def text(s: str) -> str:  # JSON text of a string, literal inside a %-template
+        return _ENCODER.encode(s).replace("%", "%%")
 
-
-@functools.lru_cache(maxsize=256)
-def _json_str(text: str) -> str:
-    """The JSON text of a check id or a not-applicable reason. There are a few
-    dozen of these at most, so each is encoded once per process."""
-    return _ENCODER.encode(text)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    slack = ", ".join([f"{text(labels[i])}: %r" for i in order])
+    if reason is None:
+        applicable, verdict, witness = "true", "pass", "null"
+    else:
+        applicable, verdict, witness = "false", "not-applicable", text(reason)
+    return (f'{{"applicable": {applicable}, "b_chi": ',
+            f', "check_id": {_ENCODER.encode(check_id)}, ',
+            f', "slack": {{{slack}}}, "verdict": "{verdict}", "witness": {witness}}}\n',
+            None if order == sorted(order) else operator.itemgetter(*order))
 
 
 def report_jsonl(report: CheckReport) -> str:
@@ -530,26 +547,33 @@ def report_jsonl(report: CheckReport) -> str:
     verdict, slack and witness (a not-applicable result's reason, if it has
     no witness).
 
-    The five fields all of a graph's records share are encoded once, and each
-    line is assembled around them with its keys in sorted order. The four
-    integers are written by str, which is the text JSON writes for an int.
+    Each record is built from the cached text of its shape (_template),
+    unless the graph has a failure witness or a non-finite slack (so a
+    non-finite sum), which no template writes: then every record is encoded
+    whole. The integers are written by str, as JSON writes them.
     """
     a = report.analysis
-    after_applicable = f', "b_chi": {a.b_chi}, "check_id": '
-    after_check_id = (f', "chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, '
-                      f'"m": {a.m}, "n": {a.n}, "slack": ')
-    lines = []
-    for r in report.results:
-        verdict = r.verdict  # one of three plain words
-        if verdict == "fail":
-            witness = _ENCODER.encode(r.witness)
-        else:
-            witness = "null" if r.reason is None else _json_str(r.reason)
-        lines.append(
-            f'{{"applicable": {"true" if r.applicable else "false"}{after_applicable}'
-            f'{_json_str(r.check_id)}{after_check_id}{_slack_json(r.slack)}, '
-            f'"verdict": "{verdict}", "witness": {witness}}}\n')
-    return "".join(lines)
+    # keys chi to n sort together, so the graph writes them once for every record
+    fields = '"chi": %d, "graph6": %s, "m": %d, "n": %d' % (
+        a.chi, _ENCODER.encode(a.graph6), a.m, a.n)
+    lines, slacks = [], []
+    for check_id, slack, violations, reason in report.results:
+        if violations:
+            break
+        head, middle, rest, sort = _template(check_id, tuple(slack), reason)
+        values = tuple(slack.values())
+        if sort:
+            values = sort(values)
+        slacks += values
+        lines.append(f"{head}{a.b_chi}{middle}{fields}{rest % values}")
+    else:  # no result failed
+        if math.isfinite(sum(slacks)):
+            return "".join(lines)
+    return "".join([_ENCODER.encode({
+        "graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
+        "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,
+        "slack": r.slack, "witness": r.reason if r.witness is None else r.witness,
+    }) + "\n" for r in report.results])
 
 
 def report_csv(report: CheckReport) -> str:
@@ -560,6 +584,6 @@ def report_csv(report: CheckReport) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         (a.graph6, a.n, a.m, a.chi, a.b_chi, r.check_id, r.applicable, r.verdict,
-         _slack_json(r.slack), r.reason if r.witness is None else _ENCODER.encode(r.witness))
+         _ENCODER.encode(r.slack), r.reason if r.witness is None else _ENCODER.encode(r.witness))
         for r in report.results)
     return buf.getvalue()

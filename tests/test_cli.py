@@ -82,6 +82,47 @@ def test_verify_g_ind_tight_slack(capsys):
     assert indep["slack"]["twin1_lower"] == 0.0  # 12 = 2n - |N|: tight
 
 
+# verify's pretty report of two table graphs, pinned whole: each check prints
+# its claims in the order it makes them. Every eigenvalue slack prints at .6g
+# and lies far from zero, and the rest are exact integer counts, so no BLAS
+# build can move the text.
+PRETTY_VERIFY = {
+    "G_ind": (
+        'F}rC?  n=7 m=10 chi=3 b_chi=10\n'
+        '  ah_bound               pass           dl1_minus_b_chi=+3\n'
+        '  color_majorization     pass           block_1=+1  block_2=+3\n'
+        '  many_above_b_chi       pass           count_ge_b_minus_ell1m1=+1  count_ge_b_minus_ceilm1=+2\n'
+        '  k_range                pass           k_range=+2  second_eigenvalue=+2\n'
+        '  interval_sandwich      pass           count_minus_ell1m1=+1  count_minus_3=+1  count_minus_complement_bound=-1  count_minus_universal_bound=-1\n'
+        '  n_multiplicity         pass           mu_at_n_minus_cm1=+0\n'
+        '  clique_twin_refine     not-applicable  (no clique twin class)\n'
+        '  indep_twin_refine      pass           twin1_mult=+0  twin1_lower=+0  twin1_b_chi=+2  twin1_interval_count=+1\n'
+        '  diameter_refine        pass           mu_below_minus_bound=-2  counting_identity=+0\n'
+        'RESULT: all checks passed\n'
+    ),
+    "comp_S62": (
+        'GJ\\z|{  n=8 m=21 chi=6 b_chi=10\n'
+        '  ah_bound               pass           dl1_minus_b_chi=+6.42864\n'
+        '  color_majorization     pass           block_1=+6.42864  block_2=+0.921622\n'
+        '  many_above_b_chi       pass           count_ge_b_minus_ell1m1=+1  count_ge_b_minus_ceilm1=+1\n'
+        '  k_range                pass           second_eigenvalue=+0.921622\n'
+        '  interval_sandwich      pass           count_minus_ell1m1=+1  count_minus_complement_bound=-5  count_minus_universal_bound=-5\n'
+        '  n_multiplicity         pass           mu_at_n_minus_cm1=+0\n'
+        '  clique_twin_refine     pass           twin1_mult=+0  twin1_lower=+0\n'
+        '  indep_twin_refine      not-applicable  (no independent twin class)\n'
+        '  diameter_refine        pass           mu_below_minus_bound=-1  mu_below_minus_diam_bound=+0  counting_identity=+0\n'
+        'RESULT: all checks passed\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PRETTY_VERIFY))
+def test_verify_pretty_keeps_each_checks_claim_order(capsys, spec):
+    code, out, _ = run_cli(capsys, "verify", "--gen", spec)
+    assert code == 0
+    assert out == PRETTY_VERIFY[spec]
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "verify", "--gen", "path:8", "--format", "json")
     assert code == 0

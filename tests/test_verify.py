@@ -26,6 +26,7 @@ from distlap.graphs import (
     parse_graph6,
     relabel,
 )
+from distlap.twins import universal_vertex_count
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
@@ -282,33 +283,45 @@ def test_diameter_refine():
 
 def test_check_result_verdict_follows_its_claims():
     r = CheckResult("x")
-    assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)  # vacuous
-    # a spectrum with one eigenvalue within INT_TOL below 10 and one beyond it
-    values = np.array([10.0 - INT_TOL / 2, 10.0 - 2 * INT_TOL, 0.0])
-    count = int(count_at_least(values[None], [10])[0])
-    assert count == 1
-    r.reaches("float_inside_tol", values, 0, 10, count)
-    r.le("count", 3, 3)
-    r.eq("identity", 2, 2)
-    assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
-    assert r.slack == {"float_inside_tol": (10.0 - INT_TOL / 2) - 10.0,
-                       "count": 0.0, "identity": 0.0}
-
-    r.ge("integer_miss", 4, 5)  # one short, which no tolerance forgives
-    r.reaches("float_outside_tol", values, 1, 10, count)
-    r.le("over", 4, 3)
-    r.eq("off", 1, 2)
-    assert (r.verdict, r.applicable) == ("fail", True)
-    assert r.witness == {"violations": [
-        {"claim": "integer_miss", "lhs": 4.0, "rhs": 5.0},
-        {"claim": "float_outside_tol", "lhs": 10.0 - 2 * INT_TOL, "rhs": 10.0},
-        {"claim": "over", "lhs": 4.0, "rhs": 3.0},
-        {"claim": "off", "lhs": 1.0, "rhs": 2.0},
-    ]}
-    assert r.slack["integer_miss"] == -1.0
-
+    assert (r.verdict, r.applicable, r.witness, r.slack) == ("pass", True, None, {})  # vacuous
     r = CheckResult("y", reason="n < 4")
     assert (r.verdict, r.applicable, r.witness, r.slack) == ("not-applicable", False, None, {})
+
+    # P8 has b_chi = 12 and class sizes (4, 4). Give it a spectrum with one
+    # eigenvalue within INT_TOL below 12 and the next two beyond it: each
+    # eigenvalue claim is decided by the count, never by a tolerance
+    values = np.array([12 - INT_TOL / 2, 12 - 2 * INT_TOL, 12 - 2 * INT_TOL, 5, 4, 3, 2, 0])
+    count = int(count_at_least(values[None], [12])[0])
+    assert count == 1
+    a = dataclasses.replace(analyze(gen_path(8)), values=values, spectrum=values.tolist(),
+                            dl1=float(values[0]), m_ge_b=count, mu_below_b=8 - count)
+    assert (a.b_chi, a.coloring.sizes) == (12, (4, 4))
+
+    r = check_ah_bound(a)
+    assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
+    assert r.slack == {"dl1_minus_b_chi": (12 - INT_TOL / 2) - 12.0}
+
+    r = check_k_range(a)  # dL_2 .. dL_3 >= 12, and dL_2 >= 12
+    assert (r.verdict, r.applicable) == ("fail", True)
+    assert list(r.slack) == ["k_range", "second_eigenvalue"]
+    assert r.witness == {"violations": [
+        {"claim": "k_range", "lhs": 12 - 2 * INT_TOL, "rhs": 12.0},
+        {"claim": "second_eigenvalue", "lhs": 12 - 2 * INT_TOL, "rhs": 12.0},
+    ]}
+
+    r = check_many_above(a)  # two integer misses: 1 >= 4 - 1, which no tolerance forgives
+    assert r.slack == {"count_ge_b_minus_ell1m1": -2.0, "count_ge_b_minus_ceilm1": -2.0}
+    assert [v["claim"] for v in r.violations] == list(r.slack)
+
+    r = check_diameter_refine(a)  # two upper bounds miss by 2, the identity holds
+    assert r.verdict == "fail"
+    assert r.slack == {"mu_below_minus_bound": 2.0, "mu_below_minus_diam_bound": 2.0,
+                       "counting_identity": 0.0}
+    assert r.witness == {"violations": [
+        {"claim": "mu_below_minus_bound", "lhs": 7.0, "rhs": 5.0},
+        {"claim": "mu_below_minus_diam_bound", "lhs": 7.0, "rhs": 5.0},
+    ]}
+    assert all(type(v) is float for v in r.slack.values())
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +405,8 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert a.b_chi == n + math.ceil(n / a.chi)
             assert a.ceil_n_chi == math.ceil(n / a.chi)
             assert a.dl1 == float(a.values[0])
+            assert a.spectrum == a.values.tolist()
+            assert a.universal_vertices == universal_vertex_count(a.graph)
             assert a.dd.tr.tolist() == a.dd.dist.sum(axis=1).tolist()
             assert a.dd.diameter == int(a.dd.dist.max())
             assert a.dd.wiener == int(a.dd.dist.sum()) // 2
@@ -404,6 +419,24 @@ def test_analyze_many_matches_analyze_on_corpus():
             stack = np.tile(a.values, (1 + len(a.twins), 1))
             assert multiplicity(stack, [n, *(t.forced_value for t in a.twins)]).tolist() == [
                 a.mu_at_n, *a.twin_mults]
+
+
+def test_stacked_universal_vertex_counts_match_the_per_graph_count():
+    # seeded connected graphs up to n = 64, each with 0-3 vertices joined to
+    # every other; sparse elsewhere, so their colorings stay quick
+    rng = random.Random(64)
+    for n in (8, 13, 21, 34, 64):
+        graphs = []
+        for i in range(6):
+            edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+            edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.08]
+            for w in rng.sample(range(n), i % 4):
+                edges += [(w, v) for v in range(n) if v != w]
+            graphs.append(Graph.from_edges(n, edges))
+        counts = [universal_vertex_count(g) for g in graphs]
+        assert max(counts) >= 3, n
+        assert [a.universal_vertices for a in analyze_many(graphs)] == counts
+        assert [analyze(g).universal_vertices for g in graphs] == counts  # stacks of one
 
 
 def test_analyze_many_max_ell1_mode_matches_analyze():
@@ -566,6 +599,41 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
     assert [r.verdict for r in report.results] == ["fail", "not-applicable", "pass", "pass"]
     assert report_jsonl(report) == _json_dumps_lines(report)
     assert report_csv(report) == _dict_writer_rows(report)
+
+
+def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
+    # one check id and label tuple passing, failing and with non-finite
+    # slacks, not-applicable results, and % signs, quotes and non-ASCII text
+    # in reasons, labels and ids, rendered alone and together with the cache
+    # starting empty, a pass first and then a fail first
+    a = corpus_analyses[7][100]
+    slack = {"block_2": 1.5, "block_1": -0.0}
+    passing = CheckResult("color_majorization", slack)
+    failing = CheckResult("color_majorization", {"block_2": -1.0, "block_1": 0.25}, (
+        {"claim": "block_2", "lhs": 9.0, "rhs": 10.0, "members": [0, 1]},))
+    non_finite = CheckResult("color_majorization", {"block_2": math.inf, "block_1": math.nan})
+    odd_reason = CheckResult("color_majorization", reason='50% "quoted" \\ \u00e9 %s %%')
+    other_reason = CheckResult("color_majorization", reason="n < 4")
+    odd_label = CheckResult("color_majorization", {"100%_b": 2.0, "a %r": 0.1})
+    odd_id = CheckResult('id %s "\u00e9"', {"b": 1.0, "a": 2.0})
+    shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id]
+    for results in (shapes, shapes[1:2] + shapes[:1] + shapes[2:]):
+        verify._template.cache_clear()
+        for r in results:
+            report = CheckReport(a, [r])
+            assert report_jsonl(report) == _json_dumps_lines(report), r
+        report = CheckReport(a, results)
+        assert report_jsonl(report) == _json_dumps_lines(report)
+        templated = [r for r in results if r is not failing and r is not non_finite]
+        report = CheckReport(a, templated)
+        assert report_jsonl(report) == _json_dumps_lines(report)
+    assert json.loads(report_jsonl(CheckReport(a, [failing])))["verdict"] == "fail"
+
+    # the cache keeps at most TEMPLATE_SHAPES shapes however many it meets
+    for i in range(verify.TEMPLATE_SHAPES + 100):
+        report = CheckReport(a, [CheckResult("ah_bound", {f"claim_{i}": i / 7, "z": 1.0})])
+        assert report_jsonl(report) == _json_dumps_lines(report)
+    assert verify._template.cache_info().currsize <= verify.TEMPLATE_SHAPES
 
 
 # ---------------------------------------------------------------------------
