@@ -44,9 +44,8 @@ class GraphAnalysis:
 
     The scalar facts are plain fields: `chi` and `b_chi` = n + ceil(n/chi)
     come from `coloring`, the one optimal coloring every chi- and
-    ell-parameterized check reads, and `dl1` is the largest eigenvalue.
-    `values` is the DL spectrum, nonincreasing, and `spectrum` the same
-    values as Python floats, which the checkers read. They decide every
+    ell-parameterized check reads. `values` is the DL spectrum as Python
+    floats, nonincreasing, and `dl1` its largest. The checkers decide every
     spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
     `mu_below_b` = n - m_ge_b are not, `block_counts[j]` are >= n + ell_j for
     each class of size >= 2, `mu_at_n` is the multiplicity of n and
@@ -60,10 +59,8 @@ class GraphAnalysis:
     chi: int
     b_chi: int
     ceil_n_chi: int
-    dl1: float
     dd: DistanceData
-    values: np.ndarray
-    spectrum: list[float]
+    values: list[float]
     coloring: ColoringResult
     twins: tuple[TwinClass, ...]
     complement_components: int
@@ -73,6 +70,10 @@ class GraphAnalysis:
     block_counts: tuple[int, ...]
     mu_at_n: int
     twin_mults: tuple[int, ...]
+
+    @property
+    def dl1(self) -> float:
+        return self.values[0]
 
     @property
     def summary(self) -> GraphSummary:
@@ -88,9 +89,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
 
     Distances, distance Laplacians and spectra are computed for the whole
     stack at once (one numpy.linalg.eigvalsh call), and so are the distance
-    facts, the universal-vertex counts and, once each graph's coloring and
-    twins are known, the spectral counts: each (graph, integer threshold)
-    pair is one row of a stacked count.
+    facts, the universal-vertex counts and, once each graph's coloring and twins
+    are known, the spectral counts, one row per (graph, integer threshold).
     A stack of more than one graph also takes every greedy DSATUR coloring
     and greedy clique from one greedy_starts call, so the per-graph coloring
     only searches where the clique bound leaves the greedy coloring unproven.
@@ -139,10 +139,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             chi=colorings[i].chi,
             b_chi=b_chi[i],
             ceil_n_chi=ceil_n_chi[i],
-            dl1=spectra[i][0],
             dd=dds[i],
-            values=values[i],
-            spectrum=spectra[i],
+            values=spectra[i],
             coloring=colorings[i],
             twins=twins[i],
             complement_components=complement_component_count(g),
@@ -163,10 +161,10 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one checker, built in one step: the slack of every claim in
-    the order it made them, the claims that failed, or the failed hypothesis
-    that makes it not applicable, from which the verdict, `applicable` and the
-    witness follow. Results are never mutated, so the default slack is shared."""
+    """Outcome of one checker, built in one step: the slack of each claim in the
+    order made, the failed claims, or the failed hypothesis that makes it not
+    applicable; the verdict, `applicable` and witness follow from these. Never
+    mutate a result: the default slack and every not-applicable result are shared."""
 
     check_id: str
     slack: dict[str, float] = {}
@@ -188,22 +186,18 @@ class CheckResult(NamedTuple):
         return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
 
-def _violation(label: str, lhs: float, rhs: float, **detail) -> dict:
-    """The witness entry of a claim that does not hold."""
-    return {"claim": label, "lhs": float(lhs), "rhs": float(rhs), **detail}
-
-
-def _decide(check_id: str, claims: Iterable[tuple[str, float, float, bool]]) -> CheckResult:
-    """The result of claims (label, lhs, rhs, holds), in order: slack = lhs - rhs
-    as a Python float, and a violation entry for each claim that does not hold.
-    `holds` is exact: an integer comparison, or for an eigenvalue claim
-    values[k] >= c a count of eigenvalues >= c above k."""
+def _decide(check_id: str, claims: Iterable[tuple], detail: dict | None = None) -> CheckResult:
+    """The result of claims (label, lhs, rhs, holds), in order: slack lhs - rhs
+    as a Python float, and for each claim that does not hold a violation entry,
+    with the fields detail[label] if `detail` is given. `holds` is exact: an
+    integer comparison, or for values[k] >= c a count of eigenvalues >= c above k."""
     slack, violations = {}, ()
     for label, lhs, rhs, holds in claims:
         slack[label] = float(lhs - rhs)
         if not holds:
-            violations += (_violation(label, lhs, rhs),)
-    return CheckResult(check_id, slack, violations)
+            violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs),
+                            **(detail[label] if detail else {})},)
+    return tuple.__new__(CheckResult, (check_id, slack, violations, None))  # skip the Python __new__
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +214,7 @@ def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.is_complete:
         return _not_applicable("ah_bound", "graph is complete")
-    dl1, b = a.dl1, a.b_chi
-    return CheckResult("ah_bound", {"dl1_minus_b_chi": dl1 - b},
-                       () if a.m_ge_b > 0 else (_violation("dl1_minus_b_chi", dl1, b),))
+    return _decide("ah_bound", [("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)])
 
 
 def check_color_majorization(a: GraphAnalysis) -> CheckResult:
@@ -231,9 +223,8 @@ def check_color_majorization(a: GraphAnalysis) -> CheckResult:
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    values, n = a.spectrum, a.n
-    claims = []
-    s_j = 0
+    values, n = a.values, a.n
+    claims, s_j = [], 0
     for j, (ell_j, count) in enumerate(zip(a.coloring.sizes, a.block_counts), start=1):
         s_j += ell_j - 1  # block j ends at values[s_j - 1], nonincreasing: its least
         claims.append((f"block_{j}", values[s_j - 1], n + ell_j, count >= s_j))
@@ -256,9 +247,8 @@ def check_k_range(a: GraphAnalysis) -> CheckResult:
         return _not_applicable("k_range", "n < 4")
     if a.chi > a.n - 1:
         return _not_applicable("k_range", "chi = n (complete graph)")
-    values, b, m = a.spectrum, a.b_chi, a.m_ge_b
-    claims = []
-    hi = a.ceil_n_chi - 1
+    values, b, m = a.values, a.b_chi, a.m_ge_b
+    claims, hi = [], a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
         claims.append(("k_range", values[hi - 1], b, m >= hi))
     if a.chi <= a.n - 2:
@@ -283,8 +273,7 @@ def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
 def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
     mu, cm1 = a.mu_at_n, a.complement_components - 1
-    return CheckResult("n_multiplicity", {"mu_at_n_minus_cm1": float(mu - cm1)},
-                       () if mu == cm1 else (_violation("mu_at_n_minus_cm1", mu, cm1),))
+    return _decide("n_multiplicity", [("mu_at_n_minus_cm1", mu, cm1, mu == cm1)])
 
 
 def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
@@ -296,23 +285,21 @@ def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
     if not classes:
         return _not_applicable(check_id, f"no {kind} twin class")
     classes.sort(key=lambda c: (c[0].forced_value, len(c[0].members), len(c[0].external)))
-    n, slack, violations = a.n, {}, ()
+    n, claims, detail = a.n, [], {}
     for i, (t, mult) in enumerate(classes, start=1):
         s, forced = len(t.members), t.forced_value
         compression = s + len(t.external) if kind == "clique" else len(t.external)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1;
         # (b) compression lower estimate on the forced eigenvalue
-        claims = [(f"twin{i}_mult", mult, t.forced_mult),
-                  (f"twin{i}_lower", forced, 2 * n - compression)]
+        mine = [(f"twin{i}_mult", mult, t.forced_mult), (f"twin{i}_lower", forced, 2 * n - compression)]
         # (c) chromatic criterion pushing the class above b_chi
         if compression <= n - a.ceil_n_chi:
-            claims += [(f"twin{i}_b_chi", forced, a.b_chi),
-                       (f"twin{i}_interval_count", a.m_ge_b, s - 1)]
-        for label, lhs, rhs in claims:
-            slack[label] = float(lhs - rhs)
-            if lhs < rhs:
-                violations += (_violation(label, lhs, rhs, members=list(t.members)),)
-    return CheckResult(check_id, slack, violations)
+            mine += [(f"twin{i}_b_chi", forced, a.b_chi), (f"twin{i}_interval_count", a.m_ge_b, s - 1)]
+        members = {"members": list(t.members)}
+        for label, lhs, rhs in mine:
+            claims.append((label, lhs, rhs, lhs >= rhs))
+            detail[label] = members
+    return _decide(check_id, claims, detail)
 
 
 def check_clique_refine(a: GraphAnalysis) -> CheckResult:
@@ -334,8 +321,7 @@ def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
         return _not_applicable("diameter_refine", "n < 5")
     if a.chi > a.n - 1:
         return _not_applicable("diameter_refine", "chi = n (complete graph)")
-    mu, n = a.mu_below_b, a.n
-    bound = n - a.ceil_n_chi + 1
+    mu, n, bound = a.mu_below_b, a.n, a.n - a.ceil_n_chi + 1
     claims = [("mu_below_minus_bound", mu, bound, mu <= bound)]
     if a.dd.diameter >= 3:
         bound = n - max(2, a.ceil_n_chi - 1)
@@ -470,15 +456,13 @@ def audit_extremal(n: int, chi: int,
     if not considered:
         raise ValueError(f"corpus has no connected graph with n={n}, chi={chi}")
 
-    expected = n + math.ceil(n / chi)
-
+    ceil_nc, floor_nc = math.ceil(n / chi), n // chi
+    expected = n + ceil_nc
     failures: list[str] = []
     findings: list[dict] = []
     if abs(observed - expected) > INT_TOL:
         failures.append(f"min dL1 = {observed!r}, expected {expected}")
 
-    ceil_nc = math.ceil(n / chi)
-    floor_nc = n // chi
     parts_list: list[tuple[int, ...] | None] = []
     for a in minimizers:
         parts = is_complete_multipartite(parse_graph6(a.graph6))
@@ -521,15 +505,14 @@ TEMPLATE_SHAPES = 1024  # record shapes (check id, labels, reason) kept; n=8 has
 def _template(check_id: str, labels: tuple[str, ...], reason: str | None) -> tuple:
     """The record text of one shape with no violation, as json.dumps(record,
     sort_keys=True) writes it: the text before b_chi, the text between b_chi
-    and the graph's keys chi to n, and a %-template of the rest, with one %r
-    slot per slack in sorted label order (the repr of a finite Python float
-    is the text JSON writes for it); then the function putting slack values
-    in label order into sorted label order, None if they are in it."""
+    and the graph's keys chi to n, and a %-template of the rest with one %s
+    slot per slack in sorted label order (a finite float's str, numpy's too,
+    is its JSON text); then the function sorting slack values by label, None if sorted."""
     def text(s: str) -> str:  # JSON text of a string, literal inside a %-template
         return _ENCODER.encode(s).replace("%", "%%")
 
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    slack = ", ".join([f"{text(labels[i])}: %r" for i in order])
+    slack = ", ".join([f"{text(labels[i])}: %s" for i in order])
     if reason is None:
         applicable, verdict, witness = "true", "pass", "null"
     else:
@@ -542,33 +525,26 @@ def _template(check_id: str, labels: tuple[str, ...], reason: str | None) -> tup
 
 def report_jsonl(report: CheckReport) -> str:
     """The JSON lines of one graph's records, one per check: each line is
-    json.dumps(record, sort_keys=True) of the record holding the graph's
-    graph6, n, m, chi and b_chi and the result's check_id, applicable,
-    verdict, slack and witness (a not-applicable result's reason, if it has
-    no witness).
-
-    Each record is built from the cached text of its shape (_template),
-    unless the graph has a failure witness or a non-finite slack (so a
-    non-finite sum), which no template writes: then every record is encoded
-    whole. The integers are written by str, as JSON writes them.
+    json.dumps(record, sort_keys=True) of the record of the graph's graph6,
+    n, m, chi and b_chi and the result's check_id, applicable, verdict, slack
+    and witness (a not-applicable result's reason, if it has no witness).
+    Each line fills the cached text of its shape (_template), unless the graph
+    has a failure witness or a non-finite slack sum, which no template writes:
+    then every record is encoded whole.
     """
     a = report.analysis
     # keys chi to n sort together, so the graph writes them once for every record
-    fields = '"chi": %d, "graph6": %s, "m": %d, "n": %d' % (
-        a.chi, _ENCODER.encode(a.graph6), a.m, a.n)
+    fields = f'"chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, "m": {a.m}, "n": {a.n}'
     lines, slacks = [], []
     for check_id, slack, violations, reason in report.results:
         if violations:
             break
         head, middle, rest, sort = _template(check_id, tuple(slack), reason)
         values = tuple(slack.values())
-        if sort:
-            values = sort(values)
         slacks += values
-        lines.append(f"{head}{a.b_chi}{middle}{fields}{rest % values}")
-    else:  # no result failed
-        if math.isfinite(sum(slacks)):
-            return "".join(lines)
+        lines.append(f"{head}{a.b_chi}{middle}{fields}{rest % (sort(values) if sort else values)}")
+    if len(lines) == len(report.results) and math.isfinite(sum(slacks)):  # none failed
+        return "".join(lines)
     return "".join([_ENCODER.encode({
         "graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
         "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,

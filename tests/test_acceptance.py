@@ -138,7 +138,7 @@ def test_criterion_8_spectral_sanity(corpus_analyses):
     for n, analyses in corpus_analyses.items():
         zeros = multiplicity(np.stack([a.values for a in analyses]), [0] * len(analyses))
         for a, zero in zip(analyses, zeros):
-            vals = a.values
+            vals = np.array(a.values)
             assert zero == 1, a.graph6
             assert float(vals.min()) >= -1e-6, a.graph6
             assert abs(float(vals.sum()) - 2 * a.dd.wiener) <= n * 1e-6, a.graph6

@@ -169,7 +169,7 @@ def test_spectral_sanity_small_corpus(corpus_analyses):
         stack = np.stack([a.values for a in corpus_analyses[n]])
         assert (multiplicity(stack, [0] * len(stack)) == 1).all()  # simple zero
         for a in corpus_analyses[n]:
-            vals = a.values
+            vals = np.array(a.values)
             assert vals.min() >= -1e-6                       # PSD
             assert abs(vals.sum() - 2 * a.dd.wiener) <= n * 1e-6
             assert sum(m for _, m in cluster_values(vals)) == n

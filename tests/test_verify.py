@@ -293,9 +293,9 @@ def test_check_result_verdict_follows_its_claims():
     values = np.array([12 - INT_TOL / 2, 12 - 2 * INT_TOL, 12 - 2 * INT_TOL, 5, 4, 3, 2, 0])
     count = int(count_at_least(values[None], [12])[0])
     assert count == 1
-    a = dataclasses.replace(analyze(gen_path(8)), values=values, spectrum=values.tolist(),
-                            dl1=float(values[0]), m_ge_b=count, mu_below_b=8 - count)
-    assert (a.b_chi, a.coloring.sizes) == (12, (4, 4))
+    a = dataclasses.replace(analyze(gen_path(8)), values=values.tolist(), m_ge_b=count,
+                            mu_below_b=8 - count)
+    assert (a.b_chi, a.coloring.sizes, a.complement_components) == (12, (4, 4), 1)
 
     r = check_ah_bound(a)
     assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
@@ -322,6 +322,22 @@ def test_check_result_verdict_follows_its_claims():
         {"claim": "mu_below_minus_diam_bound", "lhs": 7.0, "rhs": 5.0},
     ]}
     assert all(type(v) is float for v in r.slack.values())
+
+    # the exact equalities: n twice where the complement's one component
+    # allows it 0 times, and a count below b_chi that breaks the identity
+    r = check_n_multiplicity(a)
+    assert (r.verdict, r.slack) == ("pass", {"mu_at_n_minus_cm1": 0.0})
+    r = check_n_multiplicity(dataclasses.replace(a, mu_at_n=2))
+    assert (r.verdict, r.slack) == ("fail", {"mu_at_n_minus_cm1": 2.0})
+    assert r.witness == {"violations": [{"claim": "mu_at_n_minus_cm1", "lhs": 2.0, "rhs": 0.0}]}
+    r = check_diameter_refine(dataclasses.replace(a, mu_below_b=6))  # 6 + 1 != 8
+    assert r.slack == {"mu_below_minus_bound": 1.0, "mu_below_minus_diam_bound": 1.0,
+                       "counting_identity": -1.0}
+    assert r.witness == {"violations": [
+        {"claim": "mu_below_minus_bound", "lhs": 6.0, "rhs": 5.0},
+        {"claim": "mu_below_minus_diam_bound", "lhs": 6.0, "rhs": 5.0},
+        {"claim": "counting_identity", "lhs": 7.0, "rhs": 8.0},
+    ]}
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +420,7 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert (a.n, a.chi) == (n, a.coloring.chi)
             assert a.b_chi == n + math.ceil(n / a.chi)
             assert a.ceil_n_chi == math.ceil(n / a.chi)
-            assert a.dl1 == float(a.values[0])
-            assert a.spectrum == a.values.tolist()
+            assert a.dl1 == a.values[0] and all(type(v) is float for v in a.values)
             assert a.universal_vertices == universal_vertex_count(a.graph)
             assert a.dd.tr.tolist() == a.dd.dist.sum(axis=1).tolist()
             assert a.dd.diameter == int(a.dd.dist.max())
@@ -603,9 +618,9 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
 
 def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     # one check id and label tuple passing, failing and with non-finite
-    # slacks, not-applicable results, and % signs, quotes and non-ASCII text
-    # in reasons, labels and ids, rendered alone and together with the cache
-    # starting empty, a pass first and then a fail first
+    # slacks, not-applicable results, % signs, quotes and non-ASCII text in
+    # reasons, labels and ids, and numpy float slacks, rendered alone and
+    # together with the cache starting empty, a pass first and then a fail first
     a = corpus_analyses[7][100]
     slack = {"block_2": 1.5, "block_1": -0.0}
     passing = CheckResult("color_majorization", slack)
@@ -616,7 +631,8 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     other_reason = CheckResult("color_majorization", reason="n < 4")
     odd_label = CheckResult("color_majorization", {"100%_b": 2.0, "a %r": 0.1})
     odd_id = CheckResult('id %s "\u00e9"', {"b": 1.0, "a": 2.0})
-    shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id]
+    numpy_floats = CheckResult("k_range", {"k_range": np.float64(0.1), "second_eigenvalue": np.float64(-2e-17)})
+    shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id, numpy_floats]
     for results in (shapes, shapes[1:2] + shapes[:1] + shapes[2:]):
         verify._template.cache_clear()
         for r in results:
