@@ -7,6 +7,7 @@ or table mismatch, 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -260,13 +261,13 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_item(fmt: str, report) -> tuple:
+def _corpus_item(fmt: str, audit: bool, report) -> tuple:
     """What a corpus sweep keeps of one graph's report: its records in format
     fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
-    and its GraphSummary."""
+    and, if `audit`, its GraphSummary (else None)."""
     encode = _record_encoder(fmt)
     return (encode(report) if encode else "", tuple([r.verdict for r in report.results]),
-            report.analysis.summary)
+            report.analysis.summary if audit else None)
 
 
 def cmd_corpus(args) -> int:
@@ -274,7 +275,7 @@ def cmd_corpus(args) -> int:
         corpus = list(graphs.enumerate_connected(args.n, args.corpus_dir))
     except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
-    tallies = {cid: {"pass": 0, "fail": 0, "not-applicable": 0} for cid, _ in CHECKS}
+    outcomes = collections.Counter()  # graphs per verdict tuple
     summaries = []
     audits = []
     with _output(args.out) as write:
@@ -283,11 +284,10 @@ def cmd_corpus(args) -> int:
         # a ValueError is a fixture file at fault: a disconnected graph, or
         # (for the audit) no graph of some chromatic number
         try:
-            each = functools.partial(_corpus_item, args.format)
+            each = functools.partial(_corpus_item, args.format, args.audit_extremal)
             for text, verdicts, summary in sweep(corpus, each, args.coloring, args.jobs):
                 write(text)
-                for (cid, _), verdict in zip(CHECKS, verdicts):
-                    tallies[cid][verdict] += 1
+                outcomes[verdicts] += 1
                 if args.audit_extremal:
                     summaries.append(summary)
             if args.audit_extremal:
@@ -296,6 +296,10 @@ def cmd_corpus(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
 
+        tallies = {cid: {"pass": 0, "fail": 0, "not-applicable": 0} for cid, _ in CHECKS}
+        for verdicts, count in outcomes.items():
+            for (cid, _), verdict in zip(CHECKS, verdicts):
+                tallies[cid][verdict] += count
         n_fail = sum(t["fail"] for t in tallies.values())
         if args.format == "pretty":
             write(_corpus_summary(args.n, len(corpus), tallies, audits, n_fail))

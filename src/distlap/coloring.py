@@ -125,7 +125,10 @@ def _search(adj: Sequence[int], k: int, budget: float = math.inf,
             colors[v] = -1
         return False
 
-    return colors if rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
+    try:
+        return colors if rec((1 << n) - 1, [(1 << n) - 1] + [0] * k, 0, 0) else None
+    finally:
+        del rec  # rec holds itself through its closure: break the cycle for refcounting
 
 
 def greedy_starts(adjacency: np.ndarray) -> list[GreedyStart]:
@@ -336,7 +339,10 @@ def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, 0, (1 << len(adj)) - 1, 0)
+    try:
+        expand(0, 0, (1 << len(adj)) - 1, 0)
+    finally:
+        del expand  # as in _search: expand holds itself through its closure
     return out
 
 

@@ -13,6 +13,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 # Brute-force canonicalization is guarded to this size.
@@ -123,6 +125,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def graphs_from_stack(adjacency: np.ndarray, graph6: Sequence[str] | None = None) -> list[Graph]:
+    """The graphs of a (B, n, n) boolean adjacency stack, each symmetric with
+    a zero diagonal, built from their packed rows with nothing validated;
+    graph6[i], if given, is the text to_graph6 would return for graph i."""
+    b, n, _ = adjacency.shape
+    rows = np.zeros((b, n, 8), dtype=np.uint8)  # each row's mask, as 8 little-endian bytes
+    rows[:, :, :(n + 7) // 8] = np.packbits(adjacency, axis=2, bitorder="little")
+    rows = rows.view("<u8")[:, :, 0].tolist()
+    edges = (np.count_nonzero(adjacency, axis=(1, 2)) // 2).tolist()
+    texts = graph6 if graph6 is not None else [None] * b
+    return [Graph._unchecked(n, tuple(row), m, text) for row, m, text in zip(rows, edges, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +597,55 @@ def _fixture_lines(n: int, corpus_dir: str | Path | None) -> list[str]:
     return lines
 
 
+def _fixture_graph(n: int, s: str) -> Graph:
+    """The graph of one fixture line of connected{n}.g6, by parse_graph6."""
+    g = parse_graph6(s)
+    if g.n != n:
+        raise ValueError(f"fixture connected{n}.g6 holds {s!r}, a graph on {g.n} vertices")
+    return g
+
+
+def _decode_fixture(n: int, lines: list[str]) -> list[Graph]:
+    """The graphs of the lines of connected{n}.g6, in order.
+
+    Every line is checked at once, as one array of character codes: its
+    length, the size byte n + 63, the data range 63..126 and zero padding
+    bits. A line that passes is a record parse_graph6 reads as an n-vertex
+    graph in the short size form, so the passing lines are unpacked together
+    into one adjacency stack and keep their text. Every other line, in order,
+    goes through _fixture_graph, which refuses it as it would alone or reads
+    it (the "~" size form).
+    """
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    fits = [len(s) == width for s in lines]
+    fitting = [s for s, f in zip(lines, fits) if f]
+    codes = np.frombuffer("".join(fitting).encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32).reshape(-1, width)
+    good = (codes[:, 0] == n + 63) & ((codes[:, 1:] >= 63) & (codes[:, 1:] <= 126)).all(axis=1)
+    # the six data bits of each byte, most significant first (garbage where not good)
+    data = (codes[:, 1:] - 63).astype(np.uint8)
+    bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(fitting), -1).view(bool)
+    good &= ~bits[:, nbits:].any(axis=1)
+    # bit k of a record is x(row, col), in column order x(0,1), x(0,2), x(1,2), ...
+    row = [r for c in range(1, n) for r in range(c)]
+    col = [c for c in range(1, n) for _ in range(c)]
+    adjacency = np.zeros((np.count_nonzero(good), n, n), dtype=bool)
+    adjacency[:, row, col] = adjacency[:, col, row] = bits[good, :nbits]
+    passed = good.tolist()
+    decoded = iter(graphs_from_stack(adjacency, [s for s, ok in zip(fitting, passed) if ok]))
+    passed = iter(passed)
+    return [next(decoded) if f and next(passed) else _fixture_graph(n, s)
+            for s, f in zip(lines, fits)]
+
+
 def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of connected graphs on n vertices.
 
     n <= 6 is enumerated internally; n in {7, 8} is served from fixture files
     (packaged by default, overridable via corpus_dir, which any other n
-    rejects). A fixture line that holds a graph of another order raises
-    ValueError.
+    rejects), decoded by _decode_fixture. A fixture line that is not a graph6
+    record, or holds a graph of another order, raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -599,12 +656,7 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
         for s in _connected_classes_g6(n):
             yield parse_graph6(s)
     elif n in FIXTURE_COUNTS:
-        for s in _fixture_lines(n, corpus_dir):
-            g = parse_graph6(s)
-            if g.n != n:
-                raise ValueError(f"fixture connected{n}.g6 holds {s!r}, "
-                                 f"a graph on {g.n} vertices")
-            yield g
+        yield from _decode_fixture(n, _fixture_lines(n, corpus_dir))
     else:
         raise ValueError(f"enumeration supports n <= 8, got {n}")
 

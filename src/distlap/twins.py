@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from distlap.graphs import Graph, _bits, _complement_masks, _component_masks
 from distlap.metric import DistanceData, apsp
 
@@ -71,6 +73,23 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
 def complement_component_count(g: Graph) -> int:
     """Number of connected components of the complement graph."""
     return len(_component_masks(_complement_masks(g.adj)))
+
+
+def complement_component_counts(adjacency: np.ndarray) -> list[int]:
+    """complement_component_count of each graph of a (B, n, n) boolean
+    adjacency stack, for the whole stack at once.
+
+    The complement with a loop at every vertex is squared (boolean matrix
+    products) until it holds every path of up to n - 1 steps, so that
+    reach[b, u, v] says u and v lie in one component of graph b's complement.
+    A component is counted at its least member, the vertex no lower one reaches.
+    """
+    n = adjacency.shape[1]
+    reach = ~adjacency
+    for _ in range(max(n - 2, 0).bit_length()):  # 2**steps >= n - 1
+        reach = reach @ reach
+    lower = np.triu(np.ones((n, n), dtype=bool), 1)  # lower[u, v]: u < v
+    return (~(reach & lower).any(axis=1)).sum(axis=1).tolist()
 
 
 def universal_vertex_count(g: Graph) -> int:

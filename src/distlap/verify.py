@@ -25,7 +25,12 @@ from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, o
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import DistanceData, distance_laplacian, distance_stack
-from distlap.twins import TwinClass, complement_component_count, twin_classes
+from distlap.twins import (
+    TwinClass,
+    complement_component_count,
+    complement_component_counts,
+    twin_classes,
+)
 
 
 class GraphSummary(NamedTuple):
@@ -93,7 +98,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     are known, the spectral counts, one row per (graph, integer threshold).
     A stack of more than one graph also takes every greedy DSATUR coloring
     and greedy clique from one greedy_starts call, so the per-graph coloring
-    only searches where the clique bound leaves the greedy coloring unproven.
+    only searches where the clique bound leaves the greedy coloring unproven,
+    and every complement component count from one complement_component_counts
+    call.
     coloring_mode "max-l1" uses an optimal coloring with the largest possible
     first class (guarded to n <= 16) instead of the default optimal coloring.
     A disconnected graph anywhere in the stack raises ValueError (from
@@ -108,8 +115,13 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     adjacency = dist == 1
     values = eig_symmetric(distance_laplacian(dist))
     color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
-    # alone, a graph's greedy start costs less in Python than the stacked kernel
-    starts = greedy_starts(adjacency) if len(graphs) > 1 else [None]
+    # alone, a graph's greedy start and complement count cost less in Python
+    # than the stacked kernels
+    if len(graphs) > 1:
+        starts = greedy_starts(adjacency)
+        complements = complement_component_counts(adjacency)
+    else:
+        starts, complements = [None], [complement_component_count(graphs[0])]
     colorings = [color(g, start) for g, start in zip(graphs, starts)]
     dds = DistanceData.of_stack(dist)
     twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
@@ -143,7 +155,7 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             values=spectra[i],
             coloring=colorings[i],
             twins=twins[i],
-            complement_components=complement_component_count(g),
+            complement_components=complements[i],
             universal_vertices=universal[i],
             m_ge_b=ge_counts[i][0],
             mu_below_b=n - ge_counts[i][0],

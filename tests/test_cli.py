@@ -398,6 +398,16 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
     assert len(set(calls)) == 112
 
 
+def test_corpus_builds_summaries_only_for_the_audit(monkeypatch, capsys):
+    def summary(self):
+        raise AssertionError("a summary built without --audit-extremal")
+
+    monkeypatch.setattr(verify.GraphAnalysis, "summary", property(summary))
+    code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--format", "json")
+    assert code == 0
+    assert out.count("\n") == 112 * len(verify.CHECKS)
+
+
 def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
     code, _, _ = run_cli(capsys, "verify", "--gen", "path:4")

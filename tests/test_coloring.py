@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -113,6 +114,20 @@ def test_greedy_starts_match_the_per_graph_start():
         expected = [(coloring._search(g.adj, g.n), len(coloring._greedy_clique(g.adj)))
                     for g in stack]
         assert coloring.greedy_starts(distance_stack(stack) == 1) == expected
+
+
+def test_colorings_leave_no_reference_cycles():
+    # the recursive searches are closures that call themselves; a coloring
+    # must leave none of them, nor anything else, to the cycle collector
+    g = random_connected_graph(random.Random(1562), 14, 14, 0.5, 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        for color in (optimal_coloring, max_ell1_coloring):
+            color(g)
+            assert gc.collect() == 0, color.__name__
+    finally:
+        gc.enable()
 
 
 def test_optimal_coloring_deterministic():

@@ -2,6 +2,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from distlap.graphs import (
     gen_double_star,
     gen_named,
     gen_path,
+    graphs_from_stack,
     is_complete_multipartite,
     is_connected,
     parse_edge_list,
@@ -27,7 +29,7 @@ from distlap.graphs import (
     relabel,
     to_graph6,
 )
-from distlap.graphs import _bits
+from distlap.graphs import _bits, _fixture_lines
 from helpers import brute_force_connected_classes, random_graph, random_permutation
 
 
@@ -387,6 +389,82 @@ def test_enumerate_connected_fixtures(tmp_path):
         list(enumerate_connected(9))
     with pytest.raises(ValueError, match="corpus directory"):  # no fixture below n = 7
         list(enumerate_connected(6, corpus_dir=tmp_path))
+
+
+def test_graphs_from_stack_rebuilds_the_stacked_graphs():
+    # up to n = 64, where vertex 63's bit is the top bit of an unsigned 64-bit row
+    rng = random.Random(64)
+    for n in (1, 2, 9, 33, 63, 64):
+        graphs = [random_graph(rng, n, rng.random()) for _ in range(5)]
+        stack = np.zeros((len(graphs), n, n), dtype=bool)
+        for i, g in enumerate(graphs):
+            for u, v in g.edges():
+                stack[i, u, v] = stack[i, v, u] = True
+        built = graphs_from_stack(stack)
+        assert [(g.n, g.adj, g.m, to_graph6(g)) for g in built] == [
+            (g.n, g.adj, g.m, to_graph6(g)) for g in graphs], n
+        assert all(type(v) is int for g in built for v in g.adj)
+
+
+def _read_line_by_line(n, corpus_dir=None):
+    """The fixture read one line at a time: parse_graph6 and the order check."""
+    out = []
+    for s in _fixture_lines(n, corpus_dir):
+        g = parse_graph6(s)
+        if g.n != n:
+            raise ValueError(f"fixture connected{n}.g6 holds {s!r}, a graph on {g.n} vertices")
+        out.append(g)
+    return out
+
+
+def _graph_facts(graphs):
+    return [(g.n, g.adj, g.m, to_graph6(g)) for g in graphs]
+
+
+def test_fixture_decoder_matches_parse_graph6(tmp_path):
+    # both packaged fixtures, and connected8.g6 with every graph relabeled, so
+    # that the lines are not the canonical forms
+    rng = random.Random(21)
+    lines = [to_graph6(relabel(g, random_permutation(rng, 8))) for g in enumerate_connected(8)]
+    (tmp_path / "connected8.g6").write_text("\n".join(lines) + "\n")
+    for n, corpus_dir in ((7, None), (8, None), (8, tmp_path)):
+        decoded = list(enumerate_connected(n, corpus_dir))
+        assert _graph_facts(decoded) == _graph_facts(_read_line_by_line(n, corpus_dir))
+        assert [to_graph6(g) for g in decoded] == _fixture_lines(n, corpus_dir)
+
+
+_C7 = to_graph6(gen_cycle(7))
+# lines refused (True) or read (False) when they replace one line of
+# connected7.g6, whose records are 5 characters long
+FIXTURE_LINES = {
+    **{bad: True for bad in MALFORMED_GRAPH6},
+    to_graph6(gen_cycle(6)): True,  # another order
+    to_graph6(gen_cycle(8)): True,
+    "~??F" + _C7[1:]: False,  # the long size form of a 7-vertex graph
+    # 5 characters, but not a 7-vertex record
+    "E?~??": True,
+    "F???@": True,  # nonzero padding bits
+    "F?!??": True,
+    "F???\x00": True,
+    "F?\u00e9??": True,
+}
+
+
+@pytest.mark.parametrize("line", list(FIXTURE_LINES))
+def test_faulty_fixture_line_is_refused_or_read_as_alone(tmp_path, line):
+    lines = _fixture_lines(7, None)
+    lines[5] = line
+    (tmp_path / "connected7.g6").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        expected = _graph_facts(_read_line_by_line(7, tmp_path))
+    except ValueError as exc:
+        assert FIXTURE_LINES[line]
+        with pytest.raises(ValueError) as refused:
+            list(enumerate_connected(7, tmp_path))
+        assert str(refused.value) == str(exc)
+    else:
+        assert not FIXTURE_LINES[line]
+        assert _graph_facts(enumerate_connected(7, tmp_path)) == expected
 
 
 def test_fixture_graphs_are_connected_and_canonical():

@@ -15,6 +15,7 @@ from distlap.coloring import max_ell1_coloring
 from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
     Graph,
+    complement,
     enumerate_connected,
     gen_comp_s62,
     gen_complete,
@@ -26,7 +27,12 @@ from distlap.graphs import (
     parse_graph6,
     relabel,
 )
-from distlap.twins import universal_vertex_count
+from distlap.metric import distance_stack
+from distlap.twins import (
+    complement_component_count,
+    complement_component_counts,
+    universal_vertex_count,
+)
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
@@ -452,6 +458,44 @@ def test_stacked_universal_vertex_counts_match_the_per_graph_count():
         assert max(counts) >= 3, n
         assert [a.universal_vertices for a in analyze_many(graphs)] == counts
         assert [analyze(g).universal_vertices for g in graphs] == counts  # stacks of one
+
+
+def test_stacked_complement_component_counts_match_the_per_graph_count():
+    # every connected n <= 8 graph in the sweep's slices
+    for n in range(1, 9):
+        graphs = list(enumerate_connected(n))
+        for i in range(0, len(graphs), verify.BATCH):
+            stack = graphs[i:i + verify.BATCH]
+            assert (complement_component_counts(distance_stack(stack) == 1)
+                    == [complement_component_count(g) for g in stack]), (n, i)
+    # seeded stacks up to n = 64: sparse graphs with 0-3 vertices joined to every
+    # other, and complete multipartite graphs, whose complements have a
+    # component per part
+    rng = random.Random(33)
+    for n in (9, 16, 33, 64):
+        graphs = []
+        for i in range(8):
+            if i % 2:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                graphs.append(gen_complete_multipartite(
+                    [b - a for a, b in zip([0, *cuts], [*cuts, n])]))
+                continue
+            edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+            edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.08]
+            for w in rng.sample(range(n), i % 4):
+                edges += [(w, v) for v in range(n) if v != w]
+            graphs.append(Graph.from_edges(n, edges))
+        counts = [complement_component_count(g) for g in graphs]
+        assert max(counts) >= 4, n
+        assert complement_component_counts(distance_stack(graphs) == 1) == counts
+        assert [a.complement_components for a in analyze_many(graphs)] == counts
+        assert [analyze(g).complement_components for g in graphs] == counts  # stacks of one
+        # the complement of the path 0, 2, 3, ..., n - 1, 1: in the path every
+        # vertex but 0 and 1 has a lower neighbor, and 0 reaches 1 only in
+        # n - 1 steps, so the count is right only after the last squaring
+        path = [0, *range(2, n), 1]
+        far = complement(Graph.from_edges(n, zip(path, path[1:])))
+        assert complement_component_counts(distance_stack([far, *graphs]) == 1) == [1, *counts]
 
 
 def test_analyze_many_max_ell1_mode_matches_analyze():
