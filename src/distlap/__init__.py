@@ -16,7 +16,7 @@ from distlap.graphs import (
     parse_graph6,
     to_graph6,
 )
-from distlap.metric import DistanceData, apsp, diameter, distance_laplacian, distance_stack
+from distlap.metric import distance_laplacian, distance_stack
 from distlap.eigen import (
     count_at_least,
     eig_symmetric,

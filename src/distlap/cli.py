@@ -171,15 +171,15 @@ def _analysis_record(a) -> dict:
         "graph6": a.graph6,
         "n": a.n,
         "m": a.m,
-        "diameter": a.dd.diameter,
+        "diameter": a.diameter,
         "chi": a.chi,
         "class_sizes": list(a.coloring.sizes),
         "b_chi": a.b_chi,
-        "spectrum": [float(v) for v in a.values],
+        "spectrum": a.values,
         "clusters": [[float(v), int(k)] for v, k in cluster_values(a.values)],
         "mu_below_b_chi": a.mu_below_b,
         "m_ge_b_chi": a.m_ge_b,
-        "wiener": a.dd.wiener,
+        "wiener": a.wiener,
         "complement_components": a.complement_components,
         "universal_vertices": a.universal_vertices,
         "twin_classes": [
@@ -373,10 +373,10 @@ def computed_table_row(spec: str) -> dict:
     return {
         "n": a.n,
         "chi": a.chi,
-        "diam": a.dd.diameter,
+        "diam": a.diameter,
         "b_chi": a.b_chi,
         "m_ge_b": a.m_ge_b,
-        "eigs": [float(v) for v in a.values[:6]],
+        "eigs": a.values[:6],
     }
 
 

@@ -87,9 +87,10 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # pickle through __init__, since __setattr__ blocks the default path;
-        # the graph6 text parse_graph6 kept is dropped
-        return (type(self), (self.n, self.adj))
+        # __setattr__ blocks the default path. A pickle passes only between a
+        # corpus process and its workers, so it is rebuilt unchecked and keeps
+        # the graph6 text parse_graph6 kept
+        return (Graph._unchecked, (self.n, self.adj, self.m, self._graph6))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -539,7 +540,10 @@ def _min_ordering(g: Graph) -> list[int]:
             cur.pop()
             order.pop()
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # as in coloring._search: rec holds itself through its closure
     assert best_order[0] is not None
     return best_order[0]
 
@@ -610,33 +614,30 @@ def _decode_fixture(n: int, lines: list[str]) -> list[Graph]:
 
     Every line is checked at once, as one array of character codes: its
     length, the size byte n + 63, the data range 63..126 and zero padding
-    bits. A line that passes is a record parse_graph6 reads as an n-vertex
-    graph in the short size form, so the passing lines are unpacked together
-    into one adjacency stack and keep their text. Every other line, in order,
-    goes through _fixture_graph, which refuses it as it would alone or reads
-    it (the "~" size form).
+    bits. If every line passes, each is a record parse_graph6 reads as an
+    n-vertex graph in the short size form, so the lines are unpacked together
+    into one adjacency stack and keep their text. Otherwise every line, in
+    order, goes through _fixture_graph, which refuses it as it would alone or
+    reads it (the "~" size form).
     """
     nbits = n * (n - 1) // 2
     width = 1 + (nbits + 5) // 6
-    fits = [len(s) == width for s in lines]
-    fitting = [s for s, f in zip(lines, fits) if f]
-    codes = np.frombuffer("".join(fitting).encode("utf-32-le", "surrogatepass"),
+    if any(len(s) != width for s in lines):
+        return [_fixture_graph(n, s) for s in lines]
+    codes = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"),
                           dtype=np.uint32).reshape(-1, width)
-    good = (codes[:, 0] == n + 63) & ((codes[:, 1:] >= 63) & (codes[:, 1:] <= 126)).all(axis=1)
-    # the six data bits of each byte, most significant first (garbage where not good)
+    # the six data bits of each byte, most significant first (garbage out of range)
     data = (codes[:, 1:] - 63).astype(np.uint8)
-    bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(fitting), -1).view(bool)
-    good &= ~bits[:, nbits:].any(axis=1)
+    bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(lines), -1).view(bool)
+    if not ((codes[:, 0] == n + 63).all() and ((codes[:, 1:] >= 63) & (codes[:, 1:] <= 126)).all()
+            and not bits[:, nbits:].any()):
+        return [_fixture_graph(n, s) for s in lines]
     # bit k of a record is x(row, col), in column order x(0,1), x(0,2), x(1,2), ...
     row = [r for c in range(1, n) for r in range(c)]
     col = [c for c in range(1, n) for _ in range(c)]
-    adjacency = np.zeros((np.count_nonzero(good), n, n), dtype=bool)
-    adjacency[:, row, col] = adjacency[:, col, row] = bits[good, :nbits]
-    passed = good.tolist()
-    decoded = iter(graphs_from_stack(adjacency, [s for s, ok in zip(fitting, passed) if ok]))
-    passed = iter(passed)
-    return [next(decoded) if f and next(passed) else _fixture_graph(n, s)
-            for s, f in zip(lines, fits)]
+    adjacency = np.zeros((len(lines), n, n), dtype=bool)
+    adjacency[:, row, col] = adjacency[:, col, row] = bits[:, :nbits]
+    return graphs_from_stack(adjacency, lines)
 
 
 def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterator[Graph]:

@@ -1,4 +1,4 @@
-"""Exact integer distance data and the distance Laplacian matrix.
+"""Exact integer hop distances and the distance Laplacian matrix.
 
 Distances are computed for a whole stack of same-order graphs at once; a
 single graph is a stack of one.
@@ -6,32 +6,11 @@ single graph is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from distlap.graphs import Graph
-
-
-@dataclass(frozen=True)
-class DistanceData:
-    """All-pairs hop distances with derived transmissions, diameter, Wiener index."""
-
-    dist: np.ndarray  # (n, n) int64, symmetric, zero diagonal
-    tr: np.ndarray    # (n,) int64 row sums of dist
-    diameter: int
-    wiener: int
-
-    @classmethod
-    def of_stack(cls, dist: np.ndarray) -> list["DistanceData"]:
-        """The distance data of each matrix of a (B, n, n) distance stack, in
-        order; transmissions, diameters and Wiener indices are each one
-        reduction over the whole stack."""
-        tr = dist.sum(axis=2)
-        diameters = dist.max(axis=(1, 2)).tolist()
-        wieners = (tr.sum(axis=1) // 2).tolist()
-        return [cls(d, t, diam, w) for d, t, diam, w in zip(dist, tr, diameters, wieners)]
 
 
 def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
@@ -58,11 +37,6 @@ def distance_stack(graphs: Sequence[Graph]) -> np.ndarray:
     raise ValueError("graph is disconnected: unreachable vertex pair")
 
 
-def apsp(g: Graph) -> DistanceData:
-    """Distance data of one connected graph; raises ValueError if disconnected."""
-    return DistanceData.of_stack(distance_stack([g]))[0]
-
-
 def distance_laplacian(dist: np.ndarray) -> np.ndarray:
     """Integer matrix diag(tr) - dist for an (n, n) distance matrix or a
     (..., n, n) stack of them; rows sum to zero exactly."""
@@ -71,6 +45,3 @@ def distance_laplacian(dist: np.ndarray) -> np.ndarray:
     dl[..., i, i] = dist.sum(axis=-1)
     return dl
 
-
-def diameter(g: Graph) -> int:
-    return apsp(g).diameter

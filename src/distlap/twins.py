@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from distlap.graphs import Graph, _bits, _complement_masks, _component_masks
-from distlap.metric import DistanceData, apsp
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,9 @@ class TwinClass:
     forced_mult: int
 
 
-def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
-    """Maximal twin classes of a connected graph, ordered by least member.
+def twin_classes(g: Graph, tr: Sequence[int]) -> list[TwinClass]:
+    """Maximal twin classes of a connected graph, ordered by least member;
+    tr[v] is the transmission of vertex v.
 
     Vertices are grouped by closed-neighborhood equality (clique twins) and by
     open-neighborhood equality (independent twins); only classes of size >= 2
@@ -38,11 +39,6 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
     # a kind whose n neighborhoods are all distinct has no class to group
     kinds = [(kind, keys) for kind, keys in (("clique", closed), ("independent", g.adj))
              if len(set(keys)) < g.n]
-    if not kinds:
-        return []
-    if dd is None:
-        dd = apsp(g)
-
     out: list[TwinClass] = []
     for kind, keys in kinds:
         groups: dict[int, list[int]] = {}
@@ -56,14 +52,14 @@ def twin_classes(g: Graph, dd: DistanceData | None = None) -> list[TwinClass]:
             for v in members:
                 member_mask |= 1 << v
             external_mask = (key & ~member_mask) if kind == "clique" else key
-            tr = int(dd.tr[members[0]])
+            transmission = tr[members[0]]
             bump = 1 if kind == "clique" else 2
             out.append(TwinClass(
                 kind=kind,
                 members=tuple(members),
                 external=tuple(_bits(external_mask)),
-                transmission=tr,
-                forced_value=tr + bump,
+                transmission=transmission,
+                forced_value=transmission + bump,
                 forced_mult=s - 1,
             ))
     out.sort(key=lambda t: t.members[0])

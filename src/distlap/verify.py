@@ -24,7 +24,7 @@ import numpy as np
 from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
-from distlap.metric import DistanceData, distance_laplacian, distance_stack
+from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import (
     TwinClass,
     complement_component_count,
@@ -47,8 +47,9 @@ class GraphSummary(NamedTuple):
 class GraphAnalysis:
     """Everything the checkers need about one connected graph, computed once.
 
-    The scalar facts are plain fields: `chi` and `b_chi` = n + ceil(n/chi)
-    come from `coloring`, the one optimal coloring every chi- and
+    The scalar facts are plain fields: `diameter` and `wiener` (half the sum
+    of all distances) come from the distance matrix, `chi` and `b_chi` =
+    n + ceil(n/chi) from `coloring`, the one optimal coloring every chi- and
     ell-parameterized check reads. `values` is the DL spectrum as Python
     floats, nonincreasing, and `dl1` its largest. The checkers decide every
     spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
@@ -64,7 +65,8 @@ class GraphAnalysis:
     chi: int
     b_chi: int
     ceil_n_chi: int
-    dd: DistanceData
+    diameter: int
+    wiener: int
     values: list[float]
     coloring: ColoringResult
     twins: tuple[TwinClass, ...]
@@ -123,8 +125,10 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     else:
         starts, complements = [None], [complement_component_count(graphs[0])]
     colorings = [color(g, start) for g, start in zip(graphs, starts)]
-    dds = DistanceData.of_stack(dist)
-    twins = [tuple(twin_classes(g, dd)) for g, dd in zip(graphs, dds)]
+    tr = dist.sum(axis=2)  # each vertex's transmission
+    diameters = dist.max(axis=(1, 2)).tolist()
+    wieners = (tr.sum(axis=1) // 2).tolist()
+    twins = [tuple(twin_classes(g, t)) for g, t in zip(graphs, tr.tolist())]
     universal = (adjacency.sum(axis=2) == n - 1).sum(axis=1).tolist()  # of degree n - 1
 
     ceil_n_chi = [-(-n // c.chi) for c in colorings]
@@ -151,7 +155,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             chi=colorings[i].chi,
             b_chi=b_chi[i],
             ceil_n_chi=ceil_n_chi[i],
-            dd=dds[i],
+            diameter=diameters[i],
+            wiener=wieners[i],
             values=spectra[i],
             coloring=colorings[i],
             twins=twins[i],
@@ -335,7 +340,7 @@ def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
         return _not_applicable("diameter_refine", "chi = n (complete graph)")
     mu, n, bound = a.mu_below_b, a.n, a.n - a.ceil_n_chi + 1
     claims = [("mu_below_minus_bound", mu, bound, mu <= bound)]
-    if a.dd.diameter >= 3:
+    if a.diameter >= 3:
         bound = n - max(2, a.ceil_n_chi - 1)
         claims.append(("mu_below_minus_diam_bound", mu, bound, mu <= bound))
     claims.append(("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n))

@@ -141,7 +141,7 @@ def test_criterion_8_spectral_sanity(corpus_analyses):
             vals = np.array(a.values)
             assert zero == 1, a.graph6
             assert float(vals.min()) >= -1e-6, a.graph6
-            assert abs(float(vals.sum()) - 2 * a.dd.wiener) <= n * 1e-6, a.graph6
+            assert abs(float(vals.sum()) - 2 * a.wiener) <= n * 1e-6, a.graph6
             checked += 1
     _report("criterion 8 (spectral sanity on every corpus graph)", True,
             f"{checked} graphs")

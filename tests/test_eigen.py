@@ -22,7 +22,7 @@ from distlap.graphs import (
     gen_path,
     is_connected,
 )
-from distlap.metric import apsp, distance_laplacian
+from distlap.metric import distance_laplacian, distance_stack
 from helpers import random_connected_graph, random_part_sizes
 
 
@@ -40,7 +40,7 @@ def test_eig_dl_k2():
 
 
 def test_eig_dl_p3():
-    dl = distance_laplacian(apsp(gen_path(3)).dist)
+    dl = distance_laplacian(distance_stack([gen_path(3)])[0])
     # eigenvectors (1,0,-1) and (1,-2,1) give 5 and 3
     assert dl @ np.array([1, 0, -1]) @ np.array([1, 0, -1]) == 5 * 2
     assert (dl @ np.array([1, -2, 1]) == 3 * np.array([1, -2, 1])).all()
@@ -171,7 +171,7 @@ def test_spectral_sanity_small_corpus(corpus_analyses):
         for a in corpus_analyses[n]:
             vals = np.array(a.values)
             assert vals.min() >= -1e-6                       # PSD
-            assert abs(vals.sum() - 2 * a.dd.wiener) <= n * 1e-6
+            assert abs(vals.sum() - 2 * a.wiener) <= n * 1e-6
             assert sum(m for _, m in cluster_values(vals)) == n
             assert (np.diff(vals) <= 1e-12).all()             # nonincreasing
 

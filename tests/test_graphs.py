@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 import tracemalloc
@@ -213,6 +214,12 @@ def test_graph_pickles():
     assert (h.n, h.adj) == (g.n, g.adj)
     with pytest.raises(AttributeError):
         h.n = 3
+    # a parsed graph keeps its edge count and its graph6 text
+    g = parse_graph6("G~{OGC")
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and h.m == g.m and h._graph6 == "G~{OGC" == to_graph6(h)
+    with pytest.raises(AttributeError):
+        h.m = 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +350,18 @@ def test_canonical_form_orbit_invariance():
         base = canonical_form(g)
         for _ in range(2):
             assert canonical_form(relabel(g, random_permutation(rng, g.n))) == base
+
+
+def test_canonical_form_leaves_no_reference_cycles():
+    # the ordering search is a closure that calls itself, as the colorings are
+    g = gen_named("G_clq")
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_form_guard():

@@ -13,7 +13,8 @@ from distlap.graphs import (
     gen_path,
     is_connected,
 )
-from distlap.metric import apsp, diameter, distance_laplacian, distance_stack
+from distlap.metric import distance_laplacian, distance_stack
+from distlap.verify import analyze
 from helpers import random_connected_graph
 
 
@@ -34,6 +35,11 @@ def _bfs_distances(g: Graph) -> list[list[int]]:
     return rows
 
 
+def _dist(g: Graph) -> np.ndarray:
+    """The distance matrix of one graph, from a stack of one."""
+    return distance_stack([g])[0]
+
+
 def _sparse_connected_graph(rng: random.Random, n: int) -> Graph:
     """A random tree plus a few random chords, so diameters run long."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -44,29 +50,28 @@ def _sparse_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 def test_apsp_path_end_transmission():
-    dd = apsp(gen_path(8))
-    assert dd.tr[0] == 28  # 1+2+...+7
-    assert dd.diameter == 7
-    assert dd.wiener == 84
+    assert _dist(gen_path(8))[0].sum() == 28  # 1+2+...+7
+    a = analyze(gen_path(8))
+    assert a.diameter == 7
+    assert a.wiener == 84
 
 
 def test_apsp_complete():
     for n in (2, 5, 9):
-        dd = apsp(gen_complete(n))
-        assert all(t == n - 1 for t in dd.tr)
-        assert dd.wiener == n * (n - 1) // 2
-        assert dd.diameter == 1
+        assert all(t == n - 1 for t in _dist(gen_complete(n)).sum(axis=1))
+        a = analyze(gen_complete(n))
+        assert a.wiener == n * (n - 1) // 2
+        assert a.diameter == 1
 
 
 def test_apsp_cycle_transmission_regular():
-    dd = apsp(gen_cycle(10))
-    assert all(t == 25 for t in dd.tr)  # 2(1+2+3+4)+5
+    assert all(t == 25 for t in _dist(gen_cycle(10)).sum(axis=1))  # 2(1+2+3+4)+5
 
 
 def test_apsp_rejects_disconnected():
     g = delete_edge(gen_path(3), 0, 1)
     with pytest.raises(ValueError):
-        apsp(g)
+        _dist(g)
     with pytest.raises(ValueError, match="disconnected"):
         distance_stack([gen_path(3), g, gen_complete(3)])
 
@@ -77,7 +82,7 @@ def test_apsp_matches_bfs_on_corpus():
         stack = distance_stack(graphs)
         for g, dist in zip(graphs, stack, strict=True):
             reference = _bfs_distances(g)
-            assert apsp(g).dist.tolist() == reference
+            assert _dist(g).tolist() == reference
             assert dist.tolist() == reference
 
 
@@ -87,40 +92,41 @@ def test_apsp_matches_bfs_up_to_64_vertices():
     graphs += [_sparse_connected_graph(rng, rng.randint(2, 64)) for _ in range(30)]
     graphs += [random_connected_graph(rng, 2, 64) for _ in range(10)]
     for g in graphs:
-        dd = apsp(g)
-        assert dd.dist.dtype == np.int64
-        assert dd.dist.tolist() == _bfs_distances(g)
+        dist = _dist(g)
+        assert dist.dtype == np.int64
+        assert dist.tolist() == _bfs_distances(g)
     same_order = [_sparse_connected_graph(rng, 40) for _ in range(8)]
     for g, dist in zip(same_order, distance_stack(same_order), strict=True):
         assert dist.tolist() == _bfs_distances(g)
 
 
 def test_distance_laplacian_p3():
-    dl = distance_laplacian(apsp(gen_path(3)).dist)
+    dl = distance_laplacian(_dist(gen_path(3)))
     assert dl.tolist() == [[3, -1, -2], [-1, 2, -1], [-2, -1, 3]]
 
 
 def test_distance_laplacian_k2_k3():
-    assert distance_laplacian(apsp(gen_complete(2)).dist).tolist() == [[1, -1], [-1, 1]]
-    dl3 = distance_laplacian(apsp(gen_complete(3)).dist)
+    assert distance_laplacian(_dist(gen_complete(2))).tolist() == [[1, -1], [-1, 1]]
+    dl3 = distance_laplacian(_dist(gen_complete(3)))
     assert dl3.tolist() == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 
 def test_diameter_examples():
-    assert diameter(gen_path(8)) == 7
+    assert analyze(gen_path(8)).diameter == 7
     from distlap.graphs import gen_comp_s62, gen_g_clq
-    assert diameter(gen_comp_s62()) == 3
-    assert diameter(gen_g_clq()) == 4
+    assert analyze(gen_comp_s62()).diameter == 3
+    assert analyze(gen_g_clq()).diameter == 4
 
 
 def test_dl_invariants_on_corpus(corpus_analyses):
     for n, analyses in corpus_analyses.items():
-        for a in analyses:
-            dl = distance_laplacian(a.dd.dist)
+        stack = distance_stack([a.graph for a in analyses])
+        for a, d in zip(analyses, stack, strict=True):
+            dl = distance_laplacian(d)
             assert (dl.sum(axis=1) == 0).all()  # exact integer row sums
             assert np.array_equal(dl, dl.T)
-            assert dl.trace() == 2 * a.dd.wiener
-            d = a.dd.dist
+            assert dl.trace() == 2 * a.wiener
+            assert a.diameter == d.max()
             assert (d == d.T).all() and (np.diag(d) == 0).all()
             if n > 1:
                 off = d + np.eye(n, dtype=int)
@@ -129,9 +135,7 @@ def test_dl_invariants_on_corpus(corpus_analyses):
 
 def test_triangle_inequality_on_corpus(corpus_analyses):
     for analyses in corpus_analyses.values():
-        for a in analyses[:40]:
-            d = a.dd.dist
-            n = a.n
+        for d in distance_stack([a.graph for a in analyses[:40]]):
             # d[u,v] <= d[u,w] + d[w,v] for all triples
             assert (d[:, None, :] <= d[:, :, None] + d[None, :, :] + 0).all()
 
@@ -146,5 +150,5 @@ def test_distance_monotone_under_spanning_subgraph():
             g = delete_edge(h, u, v)
             if not is_connected(g):
                 continue
-            assert (apsp(g).dist >= apsp(h).dist).all()
+            assert (_dist(g) >= _dist(h)).all()
             break

@@ -11,12 +11,13 @@ from distlap.graphs import (
     gen_g_ind,
     gen_path,
 )
-from distlap.metric import apsp
-from distlap.twins import complement_component_count, twin_classes, universal_vertex_count
+from distlap.metric import distance_stack
+from distlap.twins import complement_component_count, universal_vertex_count
+from distlap.verify import analyze
 
 
 def test_g_ind_independent_twins():
-    classes = twin_classes(gen_g_ind())
+    classes = analyze(gen_g_ind()).twins
     assert len(classes) == 1
     t = classes[0]
     assert t.kind == "independent"
@@ -29,7 +30,7 @@ def test_g_ind_independent_twins():
 def test_g_clq_clique_twins_maximal_class():
     # vertex 4 shares the closed neighborhood of the triangle 0,1,2, so the
     # maximal clique-twin class has four members and external neighborhood {3}
-    classes = twin_classes(gen_g_clq())
+    classes = analyze(gen_g_clq()).twins
     assert len(classes) == 1
     t = classes[0]
     assert t.kind == "clique"
@@ -40,17 +41,17 @@ def test_g_clq_clique_twins_maximal_class():
 
 
 def test_p4_has_no_twins():
-    assert twin_classes(gen_path(4)) == []
+    assert analyze(gen_path(4)).twins == ()
 
 
 def test_k2_whole_graph_is_clique_twin_class():
-    classes = twin_classes(gen_complete(2))
+    classes = analyze(gen_complete(2)).twins
     assert len(classes) == 1
     assert classes[0].kind == "clique" and classes[0].external == ()
 
 
 def test_p3_leaves_are_independent_twins():
-    classes = twin_classes(gen_path(3))
+    classes = analyze(gen_path(3)).twins
     assert len(classes) == 1
     t = classes[0]
     assert t.kind == "independent" and t.members == (0, 2) and t.external == (1,)
@@ -59,9 +60,10 @@ def test_p3_leaves_are_independent_twins():
 
 def test_transmission_constant_across_classes(corpus_analyses):
     for analyses in corpus_analyses.values():
-        for a in analyses:
+        transmissions = distance_stack([a.graph for a in analyses]).sum(axis=2)
+        for a, tr in zip(analyses, transmissions, strict=True):
             for t in a.twins:
-                assert all(int(a.dd.tr[v]) == t.transmission for v in t.members)
+                assert all(tr[v] == t.transmission for v in t.members)
                 if t.kind == "independent":
                     assert t.external  # connected graphs force a common neighbor
 
@@ -110,7 +112,7 @@ def test_twin_kinds_never_overlap():
     for _ in range(40):
         g = random_connected_graph(rng, 2, 9)
         seen = set()
-        for t in twin_classes(g, apsp(g)):
+        for t in analyze(g).twins:
             for v in t.members:
                 assert v not in seen
                 seen.add(v)

@@ -404,9 +404,6 @@ def _assert_same_analysis(x: GraphAnalysis, y: GraphAnalysis) -> None:
         u, v = getattr(x, f.name), getattr(y, f.name)
         if f.name == "values":
             assert np.array_equal(u, v), x.graph6  # bit-identical spectra
-        elif f.name == "dd":
-            assert np.array_equal(u.dist, v.dist) and np.array_equal(u.tr, v.tr)
-            assert (u.diameter, u.wiener) == (v.diameter, v.wiener)
         else:
             assert u == v, (x.graph6, f.name)
 
@@ -428,9 +425,9 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert a.ceil_n_chi == math.ceil(n / a.chi)
             assert a.dl1 == a.values[0] and all(type(v) is float for v in a.values)
             assert a.universal_vertices == universal_vertex_count(a.graph)
-            assert a.dd.tr.tolist() == a.dd.dist.sum(axis=1).tolist()
-            assert a.dd.diameter == int(a.dd.dist.max())
-            assert a.dd.wiener == int(a.dd.dist.sum()) // 2
+            dist = distance_stack([a.graph])[0]
+            assert a.diameter == int(dist.max())
+            assert a.wiener == int(dist.sum()) // 2
             assert a.m == len(a.graph.edges())
             blocks = [n + s for s in a.coloring.sizes if s >= 2]
             stack = np.tile(a.values, (1 + len(blocks), 1))
