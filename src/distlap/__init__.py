@@ -2,11 +2,9 @@
 
 from distlap.graphs import (
     Graph,
-    add_edge,
     canonical_form,
     complement,
     connected_components,
-    delete_edge,
     enumerate_connected,
     gen_complete_multipartite,
     gen_named,
@@ -22,10 +20,9 @@ from distlap.eigen import (
     eig_symmetric,
     multiplicity,
     multipartite_spectrum_closed_form,
-    spectrum,
 )
-from distlap.coloring import ColoringResult, chromatic_number, is_proper, max_ell1_coloring, optimal_coloring
+from distlap.coloring import ColoringResult, is_proper, max_ell1_coloring, optimal_coloring
 from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
-from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, run_all, sweep
+from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, sweep
 
 __version__ = "0.1.0"

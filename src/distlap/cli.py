@@ -43,7 +43,7 @@ def _parse_gen_spec(spec: str) -> graphs.Graph:
     G_ind G_clq comp_S62."""
     name, _, argstr = spec.partition(":")
     try:
-        params = tuple(int(x) for x in argstr.split(",")) if argstr else ()
+        params = tuple(map(graphs._decimal, argstr.split(","))) if argstr else ()
     except ValueError as exc:
         raise InputError(f"bad generator parameters in {spec!r}") from exc
     try:

@@ -287,12 +287,6 @@ def _chromatic(adj: Sequence[int], start: GreedyStart | None = None
     return k + 1, greedy, best
 
 
-def _best_coloring(adj: Sequence[int], start: GreedyStart | None = None) -> list[int]:
-    """The greedy coloring if it is optimal, else the first optimal one."""
-    chi, greedy, witness = _chromatic(adj, start)
-    return greedy if chi == max(greedy) + 1 else _k_colorable(adj, chi, witness)
-
-
 def _to_result(colors: Sequence[int]) -> ColoringResult:
     """The coloring's classes, largest first and equal sizes by least member."""
     by_color: dict[int, list[int]] = {}  # in order of each class's least member
@@ -304,14 +298,11 @@ def _to_result(colors: Sequence[int]) -> ColoringResult:
                           sizes=tuple(map(len, ordered)))
 
 
-def chromatic_number(g: Graph) -> int:
-    return _chromatic(g.adj)[0]
-
-
 def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
-    """One optimal coloring, deterministic for a fixed vertex labeling;
-    `start` as for _chromatic."""
-    return _to_result(_best_coloring(g.adj, start))
+    """The greedy coloring if it is optimal, else the first optimal one:
+    deterministic for a fixed vertex labeling; `start` as for _chromatic."""
+    chi, greedy, witness = _chromatic(g.adj, start)
+    return _to_result(greedy if chi == max(greedy) + 1 else _k_colorable(g.adj, chi, witness))
 
 
 def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:

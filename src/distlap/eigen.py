@@ -11,8 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from distlap.graphs import Graph, validate_part_sizes
-from distlap.metric import distance_laplacian, distance_stack
+from distlap.graphs import validate_part_sizes
 
 INT_TOL = 1e-6  # snap tolerance for threshold counts, multiplicities and clustering
 
@@ -41,11 +40,6 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap]
     chunks = [vals[a:b] for a, b in zip([0, *cuts], [*cuts, len(vals)])]
     return tuple((sum(c) / len(c), len(c)) for c in chunks if c)
-
-
-def spectrum(g: Graph) -> np.ndarray:
-    """Distance Laplacian spectrum of a connected graph, nonincreasing."""
-    return eig_symmetric(distance_laplacian(distance_stack([g])))[0]
 
 
 def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:

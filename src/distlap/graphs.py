@@ -45,14 +45,18 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1; `m` is its edge count."""
 
     __slots__ = ("n", "adj", "m", "_graph6")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
@@ -94,6 +98,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_vertex_count(n)  # before the list is sized
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -267,8 +272,7 @@ def parse_edge_list(text: str) -> Graph:
         n = _decimal(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    _check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         try:
@@ -325,26 +329,6 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if u == v:
-        raise ValueError("cannot add a self-loop")
-    if g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) already present")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, adj)
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph(g.n, adj)
 
 
 def _quotient_masks(adj: Sequence[int], groups: Sequence[Sequence[int]]) -> list[int]:

@@ -86,10 +86,6 @@ class GraphAnalysis:
     def summary(self) -> GraphSummary:
         return GraphSummary(self.graph6, self.n, self.chi, self.dl1)
 
-    @property
-    def is_complete(self) -> bool:
-        return self.m == self.n * (self.n - 1) // 2
-
 
 def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> list[GraphAnalysis]:
     """Analyses of same-order connected graphs, in order, sharing one kernel.
@@ -229,7 +225,7 @@ def _not_applicable(check_id: str, reason: str) -> CheckResult:
 
 def check_ah_bound(a: GraphAnalysis) -> CheckResult:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
-    if a.is_complete:
+    if a.chi > a.n - 1:
         return _not_applicable("ah_bound", "graph is complete")
     return _decide("ah_bound", [("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)])
 
@@ -379,11 +375,6 @@ class CheckReport:
 def run_checks(a: GraphAnalysis) -> CheckReport:
     """Run every registered checker against an existing analysis."""
     return CheckReport(analysis=a, results=[fn(a) for _, fn in CHECKS])
-
-
-def run_all(g: Graph, coloring_mode: str = "default") -> CheckReport:
-    """Analyze a connected graph once and run the full checker registry."""
-    return run_checks(analyze(g, coloring_mode=coloring_mode))
 
 
 BATCH = 512  # graphs per analyze_many call in a sweep

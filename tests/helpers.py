@@ -8,8 +8,12 @@ import math
 import random
 from typing import Callable, Sequence
 
+import numpy as np
+
 from distlap.coloring import _OverBudget
+from distlap.eigen import eig_symmetric
 from distlap.graphs import Graph, _bits, canonical_form, is_connected
+from distlap.metric import distance_laplacian, distance_stack
 
 
 def brute_force_chromatic(g: Graph) -> int:
@@ -37,6 +41,25 @@ def brute_force_connected_classes(n: int) -> set[bytes]:
         g = Graph.from_edges(n, edges)
         if is_connected(g):
             out.add(canonical_form(g))
+    return out
+
+
+def toggle_edge(g: Graph, u: int, v: int) -> Graph:
+    """g with the edge {u, v} removed if present, else added."""
+    return Graph.from_edges(g.n, set(g.edges()) ^ {(min(u, v), max(u, v))})
+
+
+def dl_spectra(graphs: Sequence[Graph]) -> list[np.ndarray]:
+    """Each connected graph's distance Laplacian spectrum, in order, from the
+    kernel analyze_many runs, once over each stack of same-order graphs."""
+    out: list = [None] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    for idx in by_order.values():
+        values = eig_symmetric(distance_laplacian(distance_stack([graphs[i] for i in idx])))
+        for i, row in zip(idx, values):
+            out[i] = row
     return out
 
 

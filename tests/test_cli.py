@@ -153,8 +153,10 @@ def test_exit_status_contract(tmp_path, capsys):
     # unknown generator or bad generator parameters -> 2
     code, _, err = run_cli(capsys, "verify", "--gen", "petersen:10")
     assert code == 2
-    code, out, err = run_cli(capsys, "verify", "--gen", "path:x")
-    assert (code, out, err) == (2, "", "error: bad generator parameters in 'path:x'\n")
+    # a parameter that is no ASCII decimal numeral, though int() takes the last four
+    for spec in ("path:x", "path:+8", "path:\u0668", "path:1_0", "K:4, 4"):
+        code, out, err = run_cli(capsys, "verify", "--gen", spec)
+        assert (code, out, err) == (2, "", f"error: bad generator parameters in {spec!r}\n")
     # missing edge-list file -> 2
     missing = tmp_path / "none.edges"
     code, out, err = run_cli(capsys, "verify", "--edges", str(missing))

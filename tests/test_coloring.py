@@ -6,7 +6,7 @@ import random
 import pytest
 
 from distlap import coloring
-from distlap.coloring import chromatic_number, is_proper, max_ell1_coloring, optimal_coloring
+from distlap.coloring import is_proper, max_ell1_coloring, optimal_coloring
 from distlap.graphs import (
     enumerate_connected,
     gen_complete,
@@ -30,29 +30,29 @@ from helpers import (
 
 
 def test_chromatic_number_examples():
-    assert chromatic_number(gen_path(8)) == 2
-    assert chromatic_number(gen_cycle(5)) == 3
-    assert chromatic_number(gen_g_clq()) == 5
-    assert chromatic_number(gen_comp_s62()) == 6
-    assert chromatic_number(gen_complete(7)) == 7
+    assert optimal_coloring(gen_path(8)).chi == 2
+    assert optimal_coloring(gen_cycle(5)).chi == 3
+    assert optimal_coloring(gen_g_clq()).chi == 5
+    assert optimal_coloring(gen_comp_s62()).chi == 6
+    assert optimal_coloring(gen_complete(7)).chi == 7
 
 
 def test_chromatic_number_matches_brute_force_n6():
     for n in range(1, 7):
         for g in enumerate_connected(n):
-            assert chromatic_number(g) == brute_force_chromatic(g)
+            assert optimal_coloring(g).chi == brute_force_chromatic(g)
 
 
 def test_chromatic_number_matches_brute_force_n7():
     for g in enumerate_connected(7):
-        assert chromatic_number(g) == brute_force_chromatic(g)
+        assert optimal_coloring(g).chi == brute_force_chromatic(g)
 
 
 def test_chromatic_number_on_disconnected():
     # works without a connectivity precondition
     from distlap.graphs import complement
     g = complement(gen_complete(4))
-    assert chromatic_number(g) == 1
+    assert optimal_coloring(g).chi == 1
 
 
 def test_optimal_coloring_structure():
@@ -295,7 +295,7 @@ def test_extend_keeps_the_partial_coloring():
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
-        k = chromatic_number(g)
+        k = optimal_coloring(g).chi
         full = coloring._k_colorable(g.adj, k)
         partial = [c if rng.random() < 0.4 else -1 for c in full]
         found = coloring._extend(g.adj, k, partial)

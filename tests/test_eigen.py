@@ -12,10 +12,8 @@ from distlap.eigen import (
     eig_symmetric,
     multipartite_spectrum_closed_form,
     multiplicity,
-    spectrum,
 )
 from distlap.graphs import (
-    delete_edge,
     gen_comp_s62,
     gen_complete,
     gen_complete_multipartite,
@@ -23,7 +21,8 @@ from distlap.graphs import (
     is_connected,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from helpers import random_connected_graph, random_part_sizes
+from distlap.verify import analyze
+from helpers import dl_spectra, random_connected_graph, random_part_sizes, toggle_edge
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +74,14 @@ def test_eig_single_entry_and_zero():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_table_examples():
-    sp = spectrum(gen_complete_multipartite([2, 2, 1, 1, 1]))
+    sp = analyze(gen_complete_multipartite([2, 2, 1, 1, 1])).values
     assert np.allclose(sp, [9, 9, 7, 7, 7, 7, 0], atol=1e-9)
 
-    sp = spectrum(gen_comp_s62())
+    sp = analyze(gen_comp_s62()).values
     head = [f"{v:.3f}" for v in sp[:6]]
     assert head == ["16.429", "10.922", "9.000", "9.000", "9.000", "9.000"]
 
-    sp = spectrum(gen_path(8))
+    sp = analyze(gen_path(8)).values
     head = [f"{v:.3f}" for v in sp[:3]]
     assert head == ["38.446", "28.000", "25.016"]
 
@@ -105,10 +104,10 @@ def test_closed_form_examples():
 
 def test_closed_form_matches_numeric_sample():
     rng = random.Random(11)
-    for _ in range(25):
-        parts = random_part_sizes(rng)
+    part_vectors = [random_part_sizes(rng) for _ in range(25)]
+    numerics = dl_spectra([gen_complete_multipartite(parts) for parts in part_vectors])
+    for parts, numeric in zip(part_vectors, numerics):
         exact = multipartite_spectrum_closed_form(parts)
-        numeric = spectrum(gen_complete_multipartite(parts))
         n = sum(parts)
         assert np.max(np.abs(exact - numeric)) <= 1e-8 * n
 
@@ -118,21 +117,21 @@ def test_closed_form_matches_numeric_sample():
 # ---------------------------------------------------------------------------
 
 def test_count_at_least_examples():
-    sp = spectrum(gen_complete_multipartite([4, 4, 2]))  # 14 (x6), 12, 10, 10, 0
+    sp = analyze(gen_complete_multipartite([4, 4, 2])).values  # 14 (x6), 12, 10, 10, 0
     assert count_at_least(np.stack([sp, sp, sp, sp]), [14, 12, 11, 0]).tolist() == [6, 7, 7, 10]
 
-    sp8 = spectrum(gen_path(8))
+    sp8 = analyze(gen_path(8)).values
     assert count_at_least(np.stack([sp8, sp8]), [12, 38]).tolist() == [7, 1]
 
 
 def test_count_at_least_above_the_spectral_radius():
-    sp = spectrum(gen_complete(5))
+    sp = analyze(gen_complete(5)).values
     # b_chi = 6 lies above the spectral radius 5: nothing reaches it
     assert count_at_least(np.stack([sp, sp]), [6, 5]).tolist() == [0, 4]
 
 
 def test_multiplicity_examples():
-    sp = spectrum(gen_complete_multipartite([3, 5]))  # 13 (x4), 11, 11, 8, 0
+    sp = analyze(gen_complete_multipartite([3, 5])).values  # 13 (x4), 11, 11, 8, 0
     assert multiplicity(np.stack([sp, sp, sp, sp]), [8, 13, 12, 0]).tolist() == [1, 4, 0, 1]
 
 
@@ -180,9 +179,7 @@ def test_edge_deletion_monotonicity_sample():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_graph(rng, 4, 9)
-        base = spectrum(g)
-        for u, v in g.edges():
-            h = delete_edge(g, u, v)
-            if not is_connected(h):
-                continue
-            assert (spectrum(h) >= base - 1e-8).all()
+        deleted = [h for e in g.edges() if is_connected(h := toggle_edge(g, *e))]
+        base, *spectra = dl_spectra([g, *deleted])
+        for vals in spectra:
+            assert (vals >= base - 1e-8).all()

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from distlap.graphs import (
     Graph,
-    add_edge,
     canonical_form,
     complement,
     connected_components,
-    delete_edge,
     enumerate_connected,
     gen_complete,
     gen_complete_multipartite,
@@ -31,7 +29,7 @@ from distlap.graphs import (
     to_graph6,
 )
 from distlap.graphs import _bits, _fixture_lines
-from helpers import brute_force_connected_classes, random_graph, random_permutation
+from helpers import brute_force_connected_classes, random_graph, random_permutation, toggle_edge
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +197,13 @@ def test_graph_invariants_enforced():
         Graph(65, [0] * 65)
 
 
+@pytest.mark.parametrize("n", [0, 65, 10**12])
+def test_from_edges_checks_vertex_count_first(n):
+    # refused before a list of n neighbor masks is made
+    with pytest.raises(ValueError, match=rf"^vertex count must be in 1\.\.64, got {n}$"):
+        Graph.from_edges(n, [])
+
+
 def test_parsed_graphs_pass_the_checks_parsing_skips():
     # parse_graph6 builds its masks symmetric and skips Graph's validation
     for n in range(1, 8):
@@ -273,16 +278,12 @@ def test_connected_components():
 
 def test_delete_add_edge():
     k3 = gen_complete(3)
-    p3 = delete_edge(k3, 0, 1)
+    p3 = toggle_edge(k3, 0, 1)
     assert p3.m == 2 and not p3.has_edge(0, 1)
-    assert add_edge(p3, 0, 1) == k3
-    assert not is_connected(delete_edge(gen_path(3), 0, 1))
-    with pytest.raises(ValueError):
-        delete_edge(p3, 0, 1)
-    with pytest.raises(ValueError):
-        add_edge(k3, 0, 1)
-    with pytest.raises(ValueError):
-        add_edge(k3, 1, 1)
+    assert toggle_edge(p3, 1, 0) == k3
+    assert not is_connected(toggle_edge(gen_path(3), 0, 1))
+    with pytest.raises(ValueError, match="self-loop"):
+        toggle_edge(k3, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from distlap.graphs import (
     Graph,
-    delete_edge,
     enumerate_connected,
     gen_complete,
     gen_cycle,
@@ -15,7 +14,7 @@ from distlap.graphs import (
 )
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.verify import analyze
-from helpers import random_connected_graph
+from helpers import random_connected_graph, toggle_edge
 
 
 def _bfs_distances(g: Graph) -> list[list[int]]:
@@ -69,7 +68,7 @@ def test_apsp_cycle_transmission_regular():
 
 
 def test_apsp_rejects_disconnected():
-    g = delete_edge(gen_path(3), 0, 1)
+    g = toggle_edge(gen_path(3), 0, 1)
     with pytest.raises(ValueError):
         _dist(g)
     with pytest.raises(ValueError, match="disconnected"):
@@ -147,7 +146,7 @@ def test_distance_monotone_under_spanning_subgraph():
         edges = h.edges()
         rng.shuffle(edges)
         for u, v in edges:
-            g = delete_edge(h, u, v)
+            g = toggle_edge(h, u, v)
             if not is_connected(g):
                 continue
             assert (_dist(g) >= _dist(h)).all()

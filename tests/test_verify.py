@@ -27,7 +27,7 @@ from distlap.graphs import (
     parse_graph6,
     relabel,
 )
-from distlap.metric import distance_stack
+from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import (
     complement_component_count,
     complement_component_counts,
@@ -55,11 +55,10 @@ from distlap.verify import (
     check_n_multiplicity,
     report_csv,
     report_jsonl,
-    run_all,
     run_checks,
     sweep,
 )
-from helpers import random_permutation
+from helpers import random_permutation, toggle_edge
 
 
 def _by_id(report, check_id):
@@ -347,17 +346,17 @@ def test_check_result_verdict_follows_its_claims():
 
 
 # ---------------------------------------------------------------------------
-# run_all and reports
+# run_checks and reports
 # ---------------------------------------------------------------------------
 
 def test_run_all_k22111_all_pass():
-    report = run_all(gen_complete_multipartite([2, 2, 1, 1, 1]))
+    report = run_checks(analyze(gen_complete_multipartite([2, 2, 1, 1, 1])))
     assert report.ok
     assert [r.check_id for r in report.results] == [cid for cid, _ in CHECKS]
 
 
 def test_run_all_k5_na_pattern():
-    report = run_all(gen_complete(5))
+    report = run_checks(analyze(gen_complete(5)))
     verdicts = {r.check_id: r.verdict for r in report.results}
     assert verdicts["ah_bound"] == "not-applicable"
     assert verdicts["many_above_b_chi"] == "not-applicable"
@@ -365,13 +364,12 @@ def test_run_all_k5_na_pattern():
 
 
 def test_run_all_rejects_disconnected():
-    from distlap.graphs import delete_edge
     with pytest.raises(ValueError):
-        run_all(delete_edge(gen_path(3), 0, 1))
+        run_checks(analyze(toggle_edge(gen_path(3), 0, 1)))
 
 
 def test_run_all_max_ell1_mode():
-    report = run_all(gen_path(7), coloring_mode="max-l1")
+    report = run_checks(analyze(gen_path(7), "max-l1"))
     assert report.ok
     assert report.analysis.coloring == max_ell1_coloring(gen_path(7))
     assert report.analysis.coloring.sizes[0] == 4
@@ -610,7 +608,7 @@ def _dict_writer_rows(report):
 
 
 def test_report_records_roundtrip():
-    report = run_all(gen_g_clq())
+    report = run_checks(analyze(gen_g_clq()))
     records = _records(report)
     assert len(records) == len(CHECKS)
     parsed = [json.loads(line) for line in report_jsonl(report).splitlines()]
@@ -619,7 +617,7 @@ def test_report_records_roundtrip():
         assert set(rec) == {"graph6", "n", "m", "chi", "b_chi", "check_id",
                             "applicable", "verdict", "slack", "witness"}
     # re-ingesting the graph6 field reproduces identical verdicts
-    again = run_all(parse_graph6(parsed[0]["graph6"]))
+    again = run_checks(analyze(parse_graph6(parsed[0]["graph6"])))
     assert [(r.check_id, r.verdict) for r in again.results] == \
            [(rec["check_id"], rec["verdict"]) for rec in parsed]
 
@@ -747,6 +745,33 @@ def test_audit_extremal_fails_on_a_wrong_minimizer():
     low = audit_extremal(4, 3, [GraphSummary("C]", 4, 3, 5.0)])
     assert low.failures == ["min dL1 = 5.0, expected 6",
                             "minimizer C] is complete 2-partite, not 3"]
+
+
+# K_{a,...,a} with k parts plus one edge inside a part, for a >= 3 and k >= a,
+# has chi = k + 1 and dL1 = n + a = n + ceil(n/chi), the least dL1 at that chi,
+# yet it is not complete multipartite. HFzf~z} is the member (3, 3): a
+# minimizer among the connected graphs with n = 9 and chi = 4.
+@pytest.mark.parametrize("g, chi, spectrum", [
+    pytest.param(parse_graph6("HFzf~z}"), 4, {12: 5, 10: 1, 9: 2, 0: 1}, id="HFzf~z}"),
+    pytest.param(toggle_edge(gen_complete_multipartite([3] * 4), 0, 1), 5,
+                 {15: 7, 13: 1, 12: 3, 0: 1}, id="a3-k4"),
+    pytest.param(toggle_edge(gen_complete_multipartite([4] * 4), 0, 1), 5,
+                 {20: 11, 18: 1, 16: 3, 0: 1}, id="a4-k4"),
+])
+def test_an_extremal_graph_that_is_not_complete_multipartite(g, chi, spectrum):
+    a = analyze(g)
+    assert a.chi == chi and a.b_chi == max(spectrum)
+    # the product of DL - rI over the listed r is zero in exact integers, so
+    # every eigenvalue is one of them and dL1 = b_chi with no tolerance
+    dl = distance_laplacian(distance_stack([g]))[0].astype(object)
+    product = np.identity(g.n, dtype=int).astype(object)
+    for r in spectrum:
+        product = product @ (dl - r * np.identity(g.n, dtype=int))
+    assert not product.any()
+    assert [round(v) for v in a.values] == [r for r, m in spectrum.items() for _ in range(m)]
+    assert [r.verdict for r in run_checks(a).results] == ["pass"] * len(CHECKS)
+    assert audit_extremal(g.n, chi, [a]).failures == [
+        f"minimizer {a.graph6} is not complete multipartite"]
 
 
 def test_audit_extremal_missing_chi(corpus_analyses):
