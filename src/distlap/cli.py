@@ -55,32 +55,38 @@ def _parse_gen_spec(spec: str) -> graphs.Graph:
         raise InputError(str(exc)) from exc
 
 
-def _resolve_graph(args) -> graphs.Graph:
+def _analyze_input(args):
+    """The analysis of the graph named by --g6, --edges or --gen (argparse
+    requires exactly one), in the --coloring mode."""
     if args.g6 is not None:
         try:
-            return graphs.parse_graph6(args.g6)
+            g = graphs.parse_graph6(args.g6)
         except ValueError as exc:
             raise InputError(f"bad graph6 input: {exc}") from exc
-    if args.edges is not None:
+    elif args.edges is not None:
         path = Path(args.edges)
         if not path.is_file():
             raise InputError(f"edge-list file not found: {path}")
         try:
-            return graphs.parse_edge_list(path.read_text())
+            g = graphs.parse_edge_list(path.read_text())
         except ValueError as exc:
             raise InputError(f"bad edge list: {exc}") from exc
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    if args.gen is not None:
-        return _parse_gen_spec(args.gen)
-    raise InputError("no input source given (use --g6, --edges, or --gen)")
+    else:
+        g = _parse_gen_spec(args.gen)
+    try:
+        return analyze(g, coloring_mode=args.coloring)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--g6", help="graph6 record")
-    src.add_argument("--edges", help="path to an edge-list file")
-    src.add_argument("--gen", help="generator spec, e.g. K:4,4,2 or path:8")
+def _count(text: str) -> int:
+    """graphs._decimal for argparse, which names the option in a refusal."""
+    try:
+        return graphs._decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_coloring_arg(p: argparse.ArgumentParser) -> None:
@@ -192,12 +198,7 @@ def _analysis_record(a) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    g = _resolve_graph(args)
-    try:
-        a = analyze(g, coloring_mode=args.coloring)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    rec = _analysis_record(a)
+    rec = _analysis_record(_analyze_input(args))
     if args.format == "json":
         _emit(json.dumps(rec, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
@@ -237,11 +238,7 @@ def _record_encoder(fmt: str):
 
 
 def cmd_verify(args) -> int:
-    g = _resolve_graph(args)
-    try:
-        a = analyze(g, coloring_mode=args.coloring)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    a = _analyze_input(args)
     report = run_checks(a)
     encode = _record_encoder(args.format)
     if encode:
@@ -444,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (("analyze", "print the full analysis of one connected graph"),
                        ("verify", "run every checker against one connected graph")):
         p = sub.add_parser(name, help=text)
-        _add_input_args(p)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--g6", help="graph6 record")
+        src.add_argument("--edges", help="path to an edge-list file")
+        src.add_argument("--gen", help="generator spec, e.g. K:4,4,2 or path:8")
         _add_coloring_arg(p)
         _add_common_args(p)
 
@@ -453,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every checker over all connected graphs on n vertices. Records "
                     "are written batch by batch as the pass goes; a pass stopped by an "
                     "input error (exit 2) may leave a partial records file behind.")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--corpus-dir", help="directory holding connected{n}.g6 fixture "
                                         "files (n = 7 and 8 only)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_count, default=1,
                    help="worker processes, at most the CPUs this process may use")
     p.add_argument("--audit-extremal", action="store_true",
                    help="also audit the minimum-dL1 theorem for every chi")

@@ -53,7 +53,7 @@ def _check_vertex_count(n: int) -> None:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1; `m` is its edge count."""
 
-    __slots__ = ("n", "adj", "m", "_graph6")
+    __slots__ = ("n", "adj", "_graph6")
 
     def __init__(self, n: int, adj: Sequence[int]):
         _check_vertex_count(n)
@@ -69,23 +69,25 @@ class Graph:
             for u in _bits(mask):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        self._set(n, adj, sum(mask.bit_count() for mask in adj) // 2, None)
+        self._set(n, adj, None)
 
-    def _set(self, n: int, adj: tuple[int, ...], m: int, graph6: str | None) -> None:
+    def _set(self, n: int, adj: tuple[int, ...], graph6: str | None) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "_graph6", graph6)
 
     @classmethod
-    def _unchecked(cls, n: int, adj: tuple[int, ...], m: int,
-                   graph6: str | None = None) -> "Graph":
+    def _unchecked(cls, n: int, adj: tuple[int, ...], graph6: str | None = None) -> "Graph":
         """A graph from masks its caller built symmetric, loop-free and in
-        range, with m edges: nothing is validated. `graph6`, if given, is the
-        text to_graph6 would return for it."""
+        range: nothing is validated. `graph6`, if given, is the text
+        to_graph6 would return for it."""
         g = object.__new__(cls)
-        g._set(n, adj, m, graph6)
+        g._set(n, adj, graph6)
         return g
+
+    @property
+    def m(self) -> int:
+        return sum(mask.bit_count() for mask in self.adj) // 2
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -94,7 +96,7 @@ class Graph:
         # __setattr__ blocks the default path. A pickle passes only between a
         # corpus process and its workers, so it is rebuilt unchecked and keeps
         # the graph6 text parse_graph6 kept
-        return (Graph._unchecked, (self.n, self.adj, self.m, self._graph6))
+        return (Graph._unchecked, (self.n, self.adj, self._graph6))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -141,9 +143,8 @@ def graphs_from_stack(adjacency: np.ndarray, graph6: Sequence[str] | None = None
     rows = np.zeros((b, n, 8), dtype=np.uint8)  # each row's mask, as 8 little-endian bytes
     rows[:, :, :(n + 7) // 8] = np.packbits(adjacency, axis=2, bitorder="little")
     rows = rows.view("<u8")[:, :, 0].tolist()
-    edges = (np.count_nonzero(adjacency, axis=(1, 2)) // 2).tolist()
     texts = graph6 if graph6 is not None else [None] * b
-    return [Graph._unchecked(n, tuple(row), m, text) for row, m, text in zip(rows, edges, texts)]
+    return [Graph._unchecked(n, tuple(row), text) for row, text in zip(rows, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def parse_graph6(text: str) -> Graph:
     # each bit set both ways, row != col < n: valid by construction. The
     # checks above leave one text per graph in the short size form, the one
     # to_graph6 writes, so that text is kept; a "~" size is re-encoded.
-    return Graph._unchecked(n, tuple(adj), bits.count("1"), None if data[0] == 126 else s)
+    return Graph._unchecked(n, tuple(adj), None if data[0] == 126 else s)
 
 
 def to_graph6(g: Graph) -> str:
@@ -360,7 +361,7 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex order[i]."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    return Graph._unchecked(g.n, tuple(_quotient_masks(g.adj, [[v] for v in order])), g.m)
+    return Graph._unchecked(g.n, tuple(_quotient_masks(g.adj, [[v] for v in order])))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +553,7 @@ def _connected_classes_g6(n: int) -> tuple[str, ...]:
     if n == 1:
         return ("@",)
     seen: set[str] = set()
-    for s in _connected_classes_g6(n - 1):
-        g = parse_graph6(s)
+    for g in _decode_fixture(n - 1, _connected_classes_g6(n - 1)):
         base = list(g.adj) + [0]
         for nb in range(1, 1 << (n - 1)):
             adj = base.copy()
@@ -585,43 +585,40 @@ def _fixture_lines(n: int, corpus_dir: str | Path | None) -> list[str]:
     return lines
 
 
-def _fixture_graph(n: int, s: str) -> Graph:
-    """The graph of one fixture line of connected{n}.g6, by parse_graph6."""
-    g = parse_graph6(s)
-    if g.n != n:
-        raise ValueError(f"fixture connected{n}.g6 holds {s!r}, a graph on {g.n} vertices")
-    return g
-
-
-def _decode_fixture(n: int, lines: list[str]) -> list[Graph]:
-    """The graphs of the lines of connected{n}.g6, in order.
+def _decode_fixture(n: int, lines: Sequence[str]) -> list[Graph]:
+    """The graphs of the graph6 lines of an n-vertex corpus, in order.
 
     Every line is checked at once, as one array of character codes: its
     length, the size byte n + 63, the data range 63..126 and zero padding
     bits. If every line passes, each is a record parse_graph6 reads as an
     n-vertex graph in the short size form, so the lines are unpacked together
     into one adjacency stack and keep their text. Otherwise every line, in
-    order, goes through _fixture_graph, which refuses it as it would alone or
-    reads it (the "~" size form).
+    order, goes through parse_graph6 and an order check, so the first faulty
+    line is refused as it would be alone, and a "~" size form is read.
     """
     nbits = n * (n - 1) // 2
     width = 1 + (nbits + 5) // 6
-    if any(len(s) != width for s in lines):
-        return [_fixture_graph(n, s) for s in lines]
-    codes = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"),
-                          dtype=np.uint32).reshape(-1, width)
-    # the six data bits of each byte, most significant first (garbage out of range)
-    data = (codes[:, 1:] - 63).astype(np.uint8)
-    bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(lines), -1).view(bool)
-    if not ((codes[:, 0] == n + 63).all() and ((codes[:, 1:] >= 63) & (codes[:, 1:] <= 126)).all()
-            and not bits[:, nbits:].any()):
-        return [_fixture_graph(n, s) for s in lines]
-    # bit k of a record is x(row, col), in column order x(0,1), x(0,2), x(1,2), ...
-    row = [r for c in range(1, n) for r in range(c)]
-    col = [c for c in range(1, n) for _ in range(c)]
-    adjacency = np.zeros((len(lines), n, n), dtype=bool)
-    adjacency[:, row, col] = adjacency[:, col, row] = bits[:, :nbits]
-    return graphs_from_stack(adjacency, lines)
+    if all(len(s) == width for s in lines):
+        codes = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"),
+                              dtype=np.uint32).reshape(-1, width)
+        # the six data bits of each byte, most significant first (garbage out of range)
+        data = (codes[:, 1:] - 63).astype(np.uint8)
+        bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:].reshape(len(lines), -1).view(bool)
+        if ((codes[:, 0] == n + 63).all() and ((codes[:, 1:] >= 63) & (codes[:, 1:] <= 126)).all()
+                and not bits[:, nbits:].any()):
+            # bit k of a record is x(row, col), in column order x(0,1), x(0,2), x(1,2), ...
+            row = [r for c in range(1, n) for r in range(c)]
+            col = [c for c in range(1, n) for _ in range(c)]
+            adjacency = np.zeros((len(lines), n, n), dtype=bool)
+            adjacency[:, row, col] = adjacency[:, col, row] = bits[:, :nbits]
+            return graphs_from_stack(adjacency, lines)
+    out = []
+    for s in lines:
+        g = parse_graph6(s)
+        if g.n != n:
+            raise ValueError(f"fixture connected{n}.g6 holds {s!r}, a graph on {g.n} vertices")
+        out.append(g)
+    return out
 
 
 def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterator[Graph]:
@@ -629,8 +626,9 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
 
     n <= 6 is enumerated internally; n in {7, 8} is served from fixture files
     (packaged by default, overridable via corpus_dir, which any other n
-    rejects), decoded by _decode_fixture. A fixture line that is not a graph6
-    record, or holds a graph of another order, raises ValueError.
+    rejects); both kinds of graph6 lines are decoded by _decode_fixture. A
+    fixture line that is not a graph6 record, or of another order, raises
+    ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -638,12 +636,12 @@ def enumerate_connected(n: int, corpus_dir: str | Path | None = None) -> Iterato
         orders = " and ".join(map(str, FIXTURE_COUNTS))
         raise ValueError(f"a corpus directory applies to n = {orders} only, got n={n}")
     if n <= 6:
-        for s in _connected_classes_g6(n):
-            yield parse_graph6(s)
+        lines = _connected_classes_g6(n)
     elif n in FIXTURE_COUNTS:
-        yield from _decode_fixture(n, _fixture_lines(n, corpus_dir))
+        lines = _fixture_lines(n, corpus_dir)
     else:
         raise ValueError(f"enumeration supports n <= 8, got {n}")
+    yield from _decode_fixture(n, lines)
 
 
 def is_complete_multipartite(g: Graph) -> tuple[int, ...] | None:

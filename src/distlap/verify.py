@@ -92,7 +92,7 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
 
     Distances, distance Laplacians and spectra are computed for the whole
     stack at once (one numpy.linalg.eigvalsh call), and so are the distance
-    facts, the universal-vertex counts and, once each graph's coloring and twins
+    facts, the edge and universal-vertex counts and, once colorings and twins
     are known, the spectral counts, one row per (graph, integer threshold).
     A stack of more than one graph also takes every greedy DSATUR coloring
     and greedy clique from one greedy_starts call, so the per-graph coloring
@@ -125,6 +125,7 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     diameters = dist.max(axis=(1, 2)).tolist()
     wieners = (tr.sum(axis=1) // 2).tolist()
     twins = [tuple(twin_classes(g, t)) for g, t in zip(graphs, tr.tolist())]
+    edges = (adjacency.sum(axis=(1, 2)) // 2).tolist()
     universal = (adjacency.sum(axis=2) == n - 1).sum(axis=1).tolist()  # of degree n - 1
 
     ceil_n_chi = [-(-n // c.chi) for c in colorings]
@@ -147,7 +148,7 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
             graph=g,
             graph6=to_graph6(g),
             n=n,
-            m=g.m,
+            m=edges[i],
             chi=colorings[i].chi,
             b_chi=b_chi[i],
             ceil_n_chi=ceil_n_chi[i],

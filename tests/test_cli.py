@@ -171,6 +171,16 @@ def test_exit_status_contract(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--edges", str(edges))
     assert (code, out, err) == (
         2, "", "error: bad edge list: first line must be the vertex count, got '+3'\n")
+    # a corpus count int() would take but that is no ASCII decimal numeral ->
+    # 2, naming the option, without a traceback
+    for option, value in (("--n", "+6"), ("--n", "\u0666"), ("--n", "0_6"), ("--n", " 6"),
+                          ("--jobs", "+2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--n", "5", option, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: not an ASCII decimal numeral: "
+                            f"{value!r}\n"), err
     # missing fixture dir -> 2
     code, _, err = run_cli(capsys, "corpus", "--n", "7", "--corpus-dir", "/nonexistent")
     assert code == 2

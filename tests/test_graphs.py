@@ -28,7 +28,7 @@ from distlap.graphs import (
     relabel,
     to_graph6,
 )
-from distlap.graphs import _bits, _fixture_lines
+from distlap.graphs import _bits, _connected_classes_g6, _fixture_lines
 from helpers import brute_force_connected_classes, random_graph, random_permutation, toggle_edge
 
 
@@ -441,8 +441,13 @@ def _read_line_by_line(n, corpus_dir=None):
 
 
 def test_fixture_decoder_matches_parse_graph6(tmp_path):
-    # both packaged fixtures, and connected8.g6 with every graph relabeled, so
-    # that the lines are not the canonical forms
+    # every internal order n <= 6, whose widths include the degenerate n = 1
+    # ("@", no data byte) and n = 2 ("A_"), both packaged fixtures, and
+    # connected8.g6 with every graph relabeled, so that the lines are not the
+    # canonical forms
+    for n in range(1, 7):
+        assert (_graph_facts(enumerate_connected(n))
+                == _graph_facts(map(parse_graph6, _connected_classes_g6(n)))), n
     rng = random.Random(21)
     lines = [to_graph6(relabel(g, random_permutation(rng, 8))) for g in enumerate_connected(8)]
     (tmp_path / "connected8.g6").write_text("\n".join(lines) + "\n")
