@@ -1,12 +1,15 @@
 """Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, threshold counts.
 
 A spectrum is a plain nonincreasing float64 array, and a stack of spectra is
-an array whose last axis holds each spectrum. Every count, multiplicity and
-cluster snaps with the one fixed tolerance INT_TOL; no caller sets it.
+an array whose last axis holds each spectrum. The threshold counts read one
+spectrum at a time, as a nondecreasing Python list of floats (`values[::-1]`
+of a spectrum's `.tolist()`). Every count, multiplicity and cluster snaps
+with the one fixed tolerance INT_TOL; no caller sets it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,15 +62,18 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-# Both counts take a (R, n) stack of spectra and one threshold per row, and
-# return an int array of one count per row.
+# Both counts take one spectrum as a nondecreasing list `rising` and one
+# threshold c, and find c by bisection. They make the float comparisons
+# `v >= c - INT_TOL` and `abs(v - c) <= INT_TOL` of every eigenvalue they
+# count, so for an integer c they give the integers those tests give over the
+# whole spectrum.
 
-def count_at_least(values: np.ndarray, thresholds) -> np.ndarray:
-    """Per row, the number of eigenvalues >= its threshold - INT_TOL."""
-    return (values >= np.asarray(thresholds, float)[:, None] - INT_TOL).sum(axis=-1)
+def count_at_least(rising: Sequence[float], c: float) -> int:
+    """The number of eigenvalues >= c - INT_TOL."""
+    return len(rising) - bisect_left(rising, c - INT_TOL)
 
 
-def multiplicity(values: np.ndarray, thresholds) -> np.ndarray:
-    """Per row, the number of eigenvalues within INT_TOL of its threshold."""
-    near = np.abs(values - np.asarray(thresholds, float)[:, None]) <= INT_TOL
-    return near.sum(axis=-1)
+def multiplicity(rising: Sequence[float], c: float) -> int:
+    """The number of eigenvalues within INT_TOL of c."""
+    window = rising[bisect_left(rising, c - INT_TOL):bisect_right(rising, c + INT_TOL)]
+    return len([v for v in window if abs(v - c) <= INT_TOL])

@@ -16,10 +16,8 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
@@ -91,9 +89,10 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     """Analyses of same-order connected graphs, in order, sharing one kernel.
 
     Distances, distance Laplacians and spectra are computed for the whole
-    stack at once (one numpy.linalg.eigvalsh call), and so are the distance
-    facts, the edge and universal-vertex counts and, once colorings and twins
-    are known, the spectral counts, one row per (graph, integer threshold).
+    stack at once (one numpy.linalg.eigvalsh call). Every other fact is read
+    from Python lists made once per stack: transmissions, diameters and
+    spectra, one `.tolist()` each, and the degrees from the adjacency masks.
+    The spectral counts bisect each graph's spectrum at its integer thresholds.
     A stack of more than one graph also takes every greedy DSATUR coloring
     and greedy clique from one greedy_starts call, so the per-graph coloring
     only searches where the clique bound leaves the greedy coloring unproven,
@@ -110,63 +109,53 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
         return []
     n = graphs[0].n
     dist = distance_stack(graphs)
-    adjacency = dist == 1
     values = eig_symmetric(distance_laplacian(dist))
     color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
     # alone, a graph's greedy start and complement count cost less in Python
     # than the stacked kernels
     if len(graphs) > 1:
+        adjacency = dist == 1
         starts = greedy_starts(adjacency)
         complements = complement_component_counts(adjacency)
     else:
         starts, complements = [None], [complement_component_count(graphs[0])]
     colorings = [color(g, start) for g, start in zip(graphs, starts)]
-    tr = dist.sum(axis=2)  # each vertex's transmission
+    transmissions = dist.sum(axis=2).tolist()
     diameters = dist.max(axis=(1, 2)).tolist()
-    wieners = (tr.sum(axis=1) // 2).tolist()
-    twins = [tuple(twin_classes(g, t)) for g, t in zip(graphs, tr.tolist())]
-    edges = (adjacency.sum(axis=(1, 2)) // 2).tolist()
-    universal = (adjacency.sum(axis=2) == n - 1).sum(axis=1).tolist()  # of degree n - 1
-
-    ceil_n_chi = [-(-n // c.chi) for c in colorings]
-    b_chi = [n + c for c in ceil_n_chi]
     spectra = values.tolist()
-    # each graph's thresholds: b_chi and n + ell_j (classes of size >= 2) are
-    # counted from above, n and the twin classes' forced values by multiplicity.
-    # A graph's spectrum is repeated once per threshold, one row each.
-    above = [(b, *[n + s for s in c.sizes if s >= 2]) for b, c in zip(b_chi, colorings)]
-    at = [(n, *[t.forced_value for t in ts]) for ts in twins]
-    counts = iter(count_at_least(np.repeat(values, list(map(len, above)), axis=0),
-                                 list(chain.from_iterable(above))).tolist()
-                  + multiplicity(np.repeat(values, list(map(len, at)), axis=0),
-                                 list(chain.from_iterable(at))).tolist())
-    ge_counts = [tuple(islice(counts, len(cs))) for cs in above]
-    at_counts = [tuple(islice(counts, len(cs))) for cs in at]
 
-    return [
-        GraphAnalysis(
+    out = []
+    for g, tr, diameter, spectrum, coloring, complement_components in zip(
+            graphs, transmissions, diameters, spectra, colorings, complements):
+        degrees = [mask.bit_count() for mask in g.adj]
+        twins = tuple(twin_classes(g, tr))
+        rising = spectrum[::-1]
+        # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
+        # and the twin classes' forced values by multiplicity
+        ceil_n_chi = -(-n // coloring.chi)
+        m_ge_b = count_at_least(rising, n + ceil_n_chi)
+        out.append(GraphAnalysis(
             graph=g,
             graph6=to_graph6(g),
             n=n,
-            m=edges[i],
-            chi=colorings[i].chi,
-            b_chi=b_chi[i],
-            ceil_n_chi=ceil_n_chi[i],
-            diameter=diameters[i],
-            wiener=wieners[i],
-            values=spectra[i],
-            coloring=colorings[i],
-            twins=twins[i],
-            complement_components=complements[i],
-            universal_vertices=universal[i],
-            m_ge_b=ge_counts[i][0],
-            mu_below_b=n - ge_counts[i][0],
-            block_counts=ge_counts[i][1:],
-            mu_at_n=at_counts[i][0],
-            twin_mults=at_counts[i][1:],
-        )
-        for i, g in enumerate(graphs)
-    ]
+            m=sum(degrees) // 2,
+            chi=coloring.chi,
+            b_chi=n + ceil_n_chi,
+            ceil_n_chi=ceil_n_chi,
+            diameter=diameter,
+            wiener=sum(tr) // 2,
+            values=spectrum,
+            coloring=coloring,
+            twins=twins,
+            complement_components=complement_components,
+            universal_vertices=degrees.count(n - 1),
+            m_ge_b=m_ge_b,
+            mu_below_b=n - m_ge_b,
+            block_counts=tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
+            mu_at_n=multiplicity(rising, n),
+            twin_mults=tuple([multiplicity(rising, t.forced_value) for t in twins]),
+        ))
+    return out
 
 
 def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:

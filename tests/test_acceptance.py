@@ -139,10 +139,9 @@ def test_criterion_7_coloring_oracle():
 def test_criterion_8_spectral_sanity(corpus_analyses):
     checked = 0
     for n, analyses in corpus_analyses.items():
-        zeros = multiplicity(np.stack([a.values for a in analyses]), [0] * len(analyses))
-        for a, zero in zip(analyses, zeros):
+        for a in analyses:
             vals = np.array(a.values)
-            assert zero == 1, a.graph6
+            assert multiplicity(a.values[::-1], 0) == 1, a.graph6
             assert float(vals.min()) >= -1e-6, a.graph6
             assert abs(float(vals.sum()) - 2 * a.wiener) <= n * 1e-6, a.graph6
             checked += 1

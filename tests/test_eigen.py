@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -113,33 +115,52 @@ def test_closed_form_matches_numeric_sample():
 
 
 # ---------------------------------------------------------------------------
-# threshold counts, one threshold per row of a stack
+# threshold counts, one spectrum (nondecreasing) and one threshold per call
 # ---------------------------------------------------------------------------
 
 def test_count_at_least_examples():
-    sp = analyze(gen_complete_multipartite([4, 4, 2])).values  # 14 (x6), 12, 10, 10, 0
-    assert count_at_least(np.stack([sp, sp, sp, sp]), [14, 12, 11, 0]).tolist() == [6, 7, 7, 10]
+    sp = analyze(gen_complete_multipartite([4, 4, 2])).values[::-1]  # 14 (x6), 12, 10, 10, 0
+    assert [count_at_least(sp, c) for c in (14, 12, 11, 0)] == [6, 7, 7, 10]
 
-    sp8 = analyze(gen_path(8)).values
-    assert count_at_least(np.stack([sp8, sp8]), [12, 38]).tolist() == [7, 1]
+    sp8 = analyze(gen_path(8)).values[::-1]
+    assert [count_at_least(sp8, c) for c in (12, 38)] == [7, 1]
 
 
 def test_count_at_least_above_the_spectral_radius():
-    sp = analyze(gen_complete(5)).values
+    sp = analyze(gen_complete(5)).values[::-1]
     # b_chi = 6 lies above the spectral radius 5: nothing reaches it
-    assert count_at_least(np.stack([sp, sp]), [6, 5]).tolist() == [0, 4]
+    assert [count_at_least(sp, c) for c in (6, 5)] == [0, 4]
 
 
 def test_multiplicity_examples():
-    sp = analyze(gen_complete_multipartite([3, 5])).values  # 13 (x4), 11, 11, 8, 0
-    assert multiplicity(np.stack([sp, sp, sp, sp]), [8, 13, 12, 0]).tolist() == [1, 4, 0, 1]
+    sp = analyze(gen_complete_multipartite([3, 5])).values[::-1]  # 13 (x4), 11, 11, 8, 0
+    assert [multiplicity(sp, c) for c in (8, 13, 12, 0)] == [1, 4, 0, 1]
 
 
 def test_counts_snap_within_int_tol():
-    row = [10 + INT_TOL / 2, 10 - INT_TOL / 2, 10 - 2 * INT_TOL, 0.0]
-    stack = np.array([row, row, row])
-    assert count_at_least(stack, [10, 11, 0]).tolist() == [2, 0, 4]
-    assert multiplicity(stack, [10, 11, 0]).tolist() == [2, 0, 1]
+    rising = [0.0, 10 - 2 * INT_TOL, 10 - INT_TOL / 2, 10 + INT_TOL / 2]
+    assert [count_at_least(rising, c) for c in (10, 11, 0)] == [2, 0, 4]
+    assert [multiplicity(rising, c) for c in (10, 11, 0)] == [2, 0, 1]
+
+
+@pytest.mark.parametrize("c", [0, 12])
+def test_counts_at_the_tolerance_boundary(c):
+    # eigenvalues exactly at c - INT_TOL and c + INT_TOL and one float step to
+    # either side of each, in every combination: each bisected count makes the
+    # comparisons the whole-spectrum formulas below make
+    lo, hi = c - INT_TOL, c + INT_TOL
+    edges = [e for x in (lo, hi)
+             for e in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    far = [c - 1.0, c + 1.0]
+    for r in range(len(edges) + 1):
+        for chosen in itertools.combinations(edges, r):
+            rising = sorted([*far, c, *chosen])
+            values = np.array(rising)
+            assert count_at_least(rising, c) == int((values >= float(c) - INT_TOL).sum())
+            assert multiplicity(rising, c) == int((np.abs(values - c) <= INT_TOL).sum())
+    # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
+    assert count_at_least([math.nextafter(lo, -math.inf)], c) == 0
+    assert count_at_least([lo], c) == 1
 
 
 def test_cluster_values():
@@ -155,8 +176,8 @@ def test_count_at_b_chi_on_multipartite(parts):
     sp = multipartite_spectrum_closed_form(parts)
     n = sum(parts)
     ceil_n_k = -(-n // len(parts))
-    assert count_at_least(sp[None], [n + ceil_n_k]).tolist() == [
-        sum(p - 1 for p in parts if p >= ceil_n_k)]
+    assert count_at_least(sp.tolist()[::-1], n + ceil_n_k) == sum(
+        p - 1 for p in parts if p >= ceil_n_k)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +186,8 @@ def test_count_at_b_chi_on_multipartite(parts):
 
 def test_spectral_sanity_small_corpus(corpus_analyses):
     for n in range(1, 7):
-        stack = np.stack([a.values for a in corpus_analyses[n]])
-        assert (multiplicity(stack, [0] * len(stack)) == 1).all()  # simple zero
         for a in corpus_analyses[n]:
+            assert multiplicity(a.values[::-1], 0) == 1  # simple zero
             vals = np.array(a.values)
             assert vals.min() >= -1e-6                       # PSD
             assert abs(vals.sum() - 2 * a.wiener) <= n * 1e-6

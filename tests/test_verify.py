@@ -296,7 +296,7 @@ def test_check_result_verdict_follows_its_claims():
     # eigenvalue within INT_TOL below 12 and the next two beyond it: each
     # eigenvalue claim is decided by the count, never by a tolerance
     values = np.array([12 - INT_TOL / 2, 12 - 2 * INT_TOL, 12 - 2 * INT_TOL, 5, 4, 3, 2, 0])
-    count = int(count_at_least(values[None], [12])[0])
+    count = count_at_least(values.tolist()[::-1], 12)
     assert count == 1
     a = dataclasses.replace(analyze(gen_path(8)), values=values.tolist(), m_ge_b=count,
                             mu_below_b=8 - count)
@@ -428,13 +428,47 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert a.wiener == int(dist.sum()) // 2
             assert a.m == len(a.graph.edges())
             blocks = [n + s for s in a.coloring.sizes if s >= 2]
-            stack = np.tile(a.values, (1 + len(blocks), 1))
-            assert count_at_least(stack, [a.b_chi, *blocks]).tolist() == [a.m_ge_b,
-                                                                          *a.block_counts]
+            rising = a.values[::-1]
+            assert [count_at_least(rising, c) for c in (a.b_chi, *blocks)] == [
+                a.m_ge_b, *a.block_counts]
             assert a.mu_below_b == n - a.m_ge_b
-            stack = np.tile(a.values, (1 + len(a.twins), 1))
-            assert multiplicity(stack, [n, *(t.forced_value for t in a.twins)]).tolist() == [
+            assert [multiplicity(rising, c) for c in (n, *(t.forced_value for t in a.twins))] == [
                 a.mu_at_n, *a.twin_mults]
+
+
+def test_analyze_many_matches_analyze_on_mixed_stacks_above_n8():
+    # seeded connected graphs with n 9..64 in stacks of 1 to 4 graphs: a stack
+    # of more than one takes its greedy starts and complement counts from the
+    # stacked kernels, a stack of one from the per-graph functions. Each order
+    # mixes sparse graphs with 0-3 vertices joined to every other (clique
+    # twins), complete multipartite graphs (independent twins) and the
+    # complement of a path whose far end has label 1, whose complement
+    # component count needs every squaring (as in the test below)
+    rng = random.Random(964)
+    for n in (9, 12, 16, 23, 37, 64):
+        path = [0, *range(2, n), 1]
+        graphs = [complement(Graph.from_edges(n, zip(path, path[1:])))]
+        for i in range(10):
+            if i % 3 == 2:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 6))))
+                graphs.append(gen_complete_multipartite(
+                    [b - a for a, b in zip([0, *cuts], [*cuts, n])]))
+                continue
+            edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+            edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.1]
+            for w in rng.sample(range(n), i % 4):
+                edges += [(w, v) for v in range(n) if v != w]
+            graphs.append(Graph.from_edges(n, edges))
+        assert any(a.twins for a in map(analyze, graphs)), n
+        modes = ("default", "max-l1") if n <= 16 else ("default",)
+        for mode in modes:
+            start = 0
+            for size in (4, 1, 3, 3):
+                stack = graphs[start:start + size]
+                start += size
+                for g, a in zip(stack, analyze_many(stack, mode), strict=True):
+                    _assert_same_analysis(analyze(g, mode), a)
+            assert start == len(graphs)
 
 
 def test_stacked_universal_vertex_counts_match_the_per_graph_count():
@@ -521,6 +555,23 @@ def test_integer_facts_are_pinned(corpus_analyses, corpus_analyses_max_l1):
                          a.universal_vertices)
                 digest.update(repr(facts).encode())
         assert digest.hexdigest() == INTEGER_FACTS_SHA256[mode], mode
+
+
+# The same kind of digest over the facts the pin above leaves out: the
+# coloring's block counts, the diameter, the Wiener index and the edge count.
+BLOCK_AND_DISTANCE_FACTS_SHA256 = {
+    "default": "6b10af822ade54acc489216650876c8f1018d6165af0b047a04469bb52fb5e77",
+    "max-l1": "f7799f07981b4505826942fef9abc677b3b2c7048c49aaf7d68a95bcaaba6cc4",
+}
+
+
+def test_block_counts_and_distance_facts_are_pinned(corpus_analyses, corpus_analyses_max_l1):
+    for mode, analyses in (("default", corpus_analyses), ("max-l1", corpus_analyses_max_l1)):
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for a in analyses[n]:
+                digest.update(repr((a.graph6, a.block_counts, a.diameter, a.wiener, a.m)).encode())
+        assert digest.hexdigest() == BLOCK_AND_DISTANCE_FACTS_SHA256[mode], mode
 
 
 def test_sweep_analyzes_batch_slices_and_keeps_input_order(monkeypatch):
