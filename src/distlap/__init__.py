@@ -4,7 +4,6 @@ from distlap.graphs import (
     Graph,
     canonical_form,
     complement,
-    connected_components,
     enumerate_connected,
     gen_complete_multipartite,
     gen_named,
@@ -15,14 +14,9 @@ from distlap.graphs import (
     to_graph6,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.eigen import (
-    count_at_least,
-    eig_symmetric,
-    multiplicity,
-    multipartite_spectrum_closed_form,
-)
-from distlap.coloring import ColoringResult, is_proper, max_ell1_coloring, optimal_coloring
-from distlap.twins import TwinClass, complement_component_count, twin_classes, universal_vertex_count
+from distlap.eigen import count_at_least, eig_symmetric, multiplicity
+from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
+from distlap.twins import TwinClass, complement_component_count, twin_classes
 from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, sweep
 
 __version__ = "0.1.0"

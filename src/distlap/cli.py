@@ -263,7 +263,7 @@ def _corpus_item(fmt: str, audit: bool, report) -> tuple:
     fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
     and, if `audit`, its GraphSummary (else None)."""
     encode = _record_encoder(fmt)
-    return (encode(report) if encode else "", tuple([r.verdict for r in report.results]),
+    return (encode(report) if encode else "", report.verdicts,
             report.analysis.summary if audit else None)
 
 

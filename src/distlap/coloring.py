@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,29 +15,12 @@ PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _ext
 GreedyStart = tuple[list[int], int]  # a graph's greedy DSATUR coloring and greedy clique size
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     """An optimal proper coloring with sizes sorted nonincreasing."""
 
     chi: int
     classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
-
-
-def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
-    """True iff no class contains an edge; raises if classes do not partition V."""
-    blocks = [sorted(c) for c in classes]
-    flat = sorted(v for b in blocks for v in b)
-    if flat != list(range(g.n)):
-        raise ValueError("classes do not partition the vertex set")
-    for block in blocks:
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        for v in block:
-            if g.adj[v] & mask:
-                return False
-    return True
 
 
 def _greedy_clique(adj: Sequence[int]) -> list[int]:

@@ -10,11 +10,9 @@ with the one fixed tolerance INT_TOL; no caller sets it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from distlap.graphs import validate_part_sizes
 
 INT_TOL = 1e-6  # snap tolerance for threshold counts, multiplicities and clustering
 
@@ -43,23 +41,6 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap]
     chunks = [vals[a:b] for a, b in zip([0, *cuts], [*cuts, len(vals)])]
     return tuple((sum(c) / len(c), len(c)) for c in chunks if c)
-
-
-def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
-    """Exact distance Laplacian spectrum of a complete multipartite graph.
-
-    For parts l_1 >= ... >= l_k summing to n, the eigenvalues are n + l_j with
-    multiplicity l_j - 1 for every part of size >= 2, then n with multiplicity
-    k - 1, then a single 0. Assembled without any numeric eigensolving.
-    """
-    sizes = validate_part_sizes(parts)
-    k = len(sizes)
-    if k < 2:
-        raise ValueError("a complete 1-partite graph is edgeless, hence disconnected")
-    n = sum(sizes)
-    values = [n + size for size in sizes for _ in range(size - 1)]
-    values += [n] * (k - 1) + [0]
-    return np.array(values, dtype=np.float64)
 
 
 # Both counts take one spectrum as a nondecreasing list `rising` and one

@@ -1,17 +1,15 @@
-"""Twin vertex classes, complement components, and universal vertices."""
+"""Twin vertex classes and complement component counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from distlap.graphs import Graph, _bits, _complement_masks, _component_masks
 
 
-@dataclass(frozen=True)
-class TwinClass:
+class TwinClass(NamedTuple):
     """A maximal clique-twin or independent-twin class with its forced eigenvalue.
 
     Clique twins share closed neighborhoods and force Tr+1; independent twins
@@ -86,8 +84,3 @@ def complement_component_counts(adjacency: np.ndarray) -> list[int]:
         reach = reach @ reach
     lower = np.triu(np.ones((n, n), dtype=bool), 1)  # lower[u, v]: u < v
     return (~(reach & lower).any(axis=1)).sum(axis=1).tolist()
-
-
-def universal_vertex_count(g: Graph) -> int:
-    """Number of vertices adjacent to every other vertex."""
-    return sum(1 for v in range(g.n) if g.degree(v) == g.n - 1)

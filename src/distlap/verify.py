@@ -1,9 +1,17 @@
 """Checkers for every spectral bound, multiplicity, and distribution claim.
 
-Each checker consumes an immutable GraphAnalysis and returns a CheckResult with
-named slack values (always lhs - rhs in the inequality's stated orientation, so
-slack 0 marks a tight bound). Hypothesis failures yield a not-applicable
-verdict rather than a vacuous pass, keeping the gating visible in reports.
+Each checker reads an immutable GraphAnalysis and appends its claims to the
+graph's claim row: each claim's label and slack (always lhs - rhs in the
+inequality's stated orientation, so slack 0 marks a tight bound), and for a
+claim that fails, its lhs, rhs and twin class members. A checker whose
+hypothesis fails returns the reason instead: a not-applicable verdict rather
+than a vacuous pass, keeping the gating visible in reports. run_checks fills
+one row with all nine checks, and each check_* function fills a row with its
+own. A report's CheckResults are a view of its row, built when read (pretty
+verify, CSV, failing graphs). A row with no failed claim writes its JSON
+records into the cached %-template of its shape (its check ids, reasons and
+labels), which also holds its verdicts, so a corpus pass writes records and
+tallies verdicts without building a CheckResult.
 """
 
 from __future__ import annotations
@@ -41,8 +49,7 @@ class GraphSummary(NamedTuple):
     dl1: float
 
 
-@dataclass(frozen=True)
-class GraphAnalysis:
+class GraphAnalysis(NamedTuple):
     """Everything the checkers need about one connected graph, computed once.
 
     The scalar facts are plain fields: `diameter` and `wiener` (half the sum
@@ -164,10 +171,10 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one checker, built in one step: the slack of each claim in the
-    order made, the failed claims, or the failed hypothesis that makes it not
-    applicable; the verdict, `applicable` and witness follow from these. Never
-    mutate a result: the default slack and every not-applicable result are shared."""
+    """Outcome of one checker: the slack of each claim in the order made, the
+    failed claims, or the failed hypothesis that makes it not applicable; the
+    verdict, `applicable` and witness follow from these. Never mutate a
+    result: the default slack and every not-applicable result are shared."""
 
     check_id: str
     slack: dict[str, float] = {}
@@ -189,23 +196,75 @@ class CheckResult(NamedTuple):
         return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
 
-def _decide(check_id: str, claims: Iterable[tuple], detail: dict | None = None) -> CheckResult:
-    """The result of claims (label, lhs, rhs, holds), in order: slack lhs - rhs
-    as a Python float, and for each claim that does not hold a violation entry,
-    with the fields detail[label] if `detail` is given. `holds` is exact: an
-    integer comparison, or for values[k] >= c a count of eigenvalues >= c above k."""
-    slack, violations = {}, ()
-    for label, lhs, rhs, holds in claims:
-        slack[label] = float(lhs - rhs)
+class ClaimRow:
+    """One graph's claims, in check order, as its checkers append them.
+
+    `keys` holds, for each check in turn, None and the check id, then False
+    and the reason if the check's hypothesis fails, then the label of each
+    claim the check makes. `slacks` holds each claim's slack lhs - rhs as a
+    Python float, in label order, and `failed` holds (check position,
+    violation entry) for each claim that does not hold. A tuple of `keys` is
+    the row's record shape, which fixes its record text up to the slacks.
+    """
+
+    __slots__ = ("keys", "slacks", "failed")
+
+    def __init__(self):
+        self.keys, self.slacks, self.failed = [], [], []
+
+    def claim(self, label: str, lhs, rhs, holds: bool, members: Sequence[int] | None = None):
+        """Append claim `label`. `holds` is exact: an integer comparison, or
+        for values[k] >= c a count of eigenvalues >= c above k. The violation
+        entry of a claim that does not hold names lhs, rhs and, if given, the
+        twin class's members."""
+        self.keys.append(label)
+        self.slacks.append(float(lhs - rhs))
         if not holds:
-            violations += ({"claim": label, "lhs": float(lhs), "rhs": float(rhs),
-                            **(detail[label] if detail else {})},)
-    return tuple.__new__(CheckResult, (check_id, slack, violations, None))  # skip the Python __new__
+            entry = {"claim": label, "lhs": float(lhs), "rhs": float(rhs)}
+            if members is not None:
+                entry["members"] = list(members)
+            self.failed.append((self.keys.count(None) - 1, entry))  # checks begun, less one
+
+    @classmethod
+    def of_results(cls, results: Iterable[CheckResult]) -> ClaimRow:
+        """The row whose results are `results`, for a report made from them."""
+        row = cls()
+        for i, r in enumerate(results):
+            row.keys += (None, r.check_id)
+            if r.reason is not None:
+                row.keys += (False, r.reason)
+            row.keys += r.slack
+            row.slacks += r.slack.values()
+            row.failed += [(i, v) for v in r.violations]
+        return row
+
+    def results(self) -> list[CheckResult]:
+        """One CheckResult per check; a not-applicable one is the shared result."""
+        out, at = [], 0
+        for i, (check_id, reason, labels) in enumerate(_checks(self.keys)):
+            if reason is not None and not labels:
+                out.append(_not_applicable(check_id, reason))
+                continue
+            end = at + len(labels)
+            violations = tuple([v for k, v in self.failed if k == i])
+            out.append(tuple.__new__(CheckResult, (  # skip the Python __new__
+                check_id, dict(zip(labels, self.slacks[at:end])), violations, reason)))
+            at = end
+        return out
 
 
-# ---------------------------------------------------------------------------
-# individual checkers
-# ---------------------------------------------------------------------------
+def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
+    """(check id, reason, labels) of each check of a claim row's keys, in order."""
+    heads = [i for i, k in enumerate(keys) if k is None]
+    out = []
+    for start, end in zip(heads, [*heads[1:], len(keys)]):
+        check_id, rest = keys[start + 1], keys[start + 2:end]
+        reason = None
+        if rest and rest[0] is False:
+            reason, rest = rest[1], rest[2:]
+        out.append((check_id, reason, tuple(rest)))
+    return out
+
 
 @functools.cache
 def _not_applicable(check_id: str, reason: str) -> CheckResult:
@@ -213,145 +272,181 @@ def _not_applicable(check_id: str, reason: str) -> CheckResult:
     return CheckResult(check_id, reason=reason)
 
 
-def check_ah_bound(a: GraphAnalysis) -> CheckResult:
+def _checker(check_id: str):
+    """Make decide(a, row) check `check_id`. decide appends the check's claims
+    to the claim row, or returns the reason its hypothesis fails before it
+    makes any. The check itself maps an analysis to its CheckResult, and
+    holds (its head in a row's keys, decide) as `claims`."""
+    def register(decide: Callable[[GraphAnalysis, ClaimRow], str | None]):
+        @functools.wraps(decide)
+        def check(a: GraphAnalysis) -> CheckResult:
+            return _report(a, (check.claims,)).results[0]
+        check.check_id, check.claims = check_id, ((None, check_id), decide)
+        return check
+    return register
+
+
+# ---------------------------------------------------------------------------
+# individual checkers
+# ---------------------------------------------------------------------------
+
+@_checker("ah_bound")
+def check_ah_bound(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.chi > a.n - 1:
-        return _not_applicable("ah_bound", "graph is complete")
-    return _decide("ah_bound", [("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)])
+        return "graph is complete"
+    row.claim("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)
 
 
-def check_color_majorization(a: GraphAnalysis) -> CheckResult:
+@_checker("color_majorization")
+def check_color_majorization(a: GraphAnalysis, row: ClaimRow) -> None:
     """Block lower bounds from the color-class sizes of an optimal coloring.
 
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    values, n = a.values, a.n
-    claims, s_j = [], 0
-    for j, (ell_j, count) in enumerate(zip(a.coloring.sizes, a.block_counts), start=1):
+    values, n, s_j = a.values, a.n, 0
+    for label, ell_j, count in zip(_BLOCK_LABELS, a.coloring.sizes, a.block_counts):
         s_j += ell_j - 1  # block j ends at values[s_j - 1], nonincreasing: its least
-        claims.append((f"block_{j}", values[s_j - 1], n + ell_j, count >= s_j))
-    return _decide("color_majorization", claims)
+        row.claim(label, values[s_j - 1], n + ell_j, count >= s_j)
 
 
-def check_many_above(a: GraphAnalysis) -> CheckResult:
+_BLOCK_LABELS = tuple(f"block_{j}" for j in range(1, 65))  # block j of an n <= 64 coloring
+
+
+@_checker("many_above_b_chi")
+def check_many_above(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Counting bounds around the chromatic threshold b_chi."""
     if a.chi > a.n - 1:
-        return _not_applicable("many_above_b_chi", "chi = n (complete graph)")
+        return "chi = n (complete graph)"
     m, ell1m1, ceilm1 = a.m_ge_b, a.coloring.sizes[0] - 1, a.ceil_n_chi - 1
-    return _decide("many_above_b_chi", [("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1),
-                                        ("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)])
+    row.claim("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1)
+    row.claim("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)
 
 
-def check_k_range(a: GraphAnalysis) -> CheckResult:
+@_checker("k_range")
+def check_k_range(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Literal range claim dL_k >= b_chi for 2 <= k <= ceil(n/chi)-1, plus the
     stronger second-eigenvalue sub-check whenever chi <= n-2."""
     if a.n < 4:
-        return _not_applicable("k_range", "n < 4")
+        return "n < 4"
     if a.chi > a.n - 1:
-        return _not_applicable("k_range", "chi = n (complete graph)")
-    values, b, m = a.values, a.b_chi, a.m_ge_b
-    claims, hi = [], a.ceil_n_chi - 1
+        return "chi = n (complete graph)"
+    values, b, m, hi = a.values, a.b_chi, a.m_ge_b, a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        claims.append(("k_range", values[hi - 1], b, m >= hi))
+        row.claim("k_range", values[hi - 1], b, m >= hi)
     if a.chi <= a.n - 2:
-        claims.append(("second_eigenvalue", values[1], b, m >= 2))
-    return _decide("k_range", claims)
+        row.claim("second_eigenvalue", values[1], b, m >= 2)
 
 
-def check_interval_sandwich(a: GraphAnalysis) -> CheckResult:
+@_checker("interval_sandwich")
+def check_interval_sandwich(a: GraphAnalysis, row: ClaimRow) -> None:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
     m, n, ell1 = a.m_ge_b, a.n, a.coloring.sizes[0]
     complement, universal = n - a.complement_components, n - a.universal_vertices - 1
-    claims = [("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)]
+    row.claim("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)
     if ell1 >= 4:
-        claims.append(("count_minus_3", m, 3, m >= 3))
-    claims.append(("count_minus_complement_bound", m, complement, m <= complement))
+        row.claim("count_minus_3", m, 3, m >= 3)
+    row.claim("count_minus_complement_bound", m, complement, m <= complement)
     if a.chi <= n - 1:
-        claims.append(("count_minus_universal_bound", m, universal, m <= universal))
-    return _decide("interval_sandwich", claims)
+        row.claim("count_minus_universal_bound", m, universal, m <= universal)
 
 
-def check_n_multiplicity(a: GraphAnalysis) -> CheckResult:
+@_checker("n_multiplicity")
+def check_n_multiplicity(a: GraphAnalysis, row: ClaimRow) -> None:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
     mu, cm1 = a.mu_at_n, a.complement_components - 1
-    return _decide("n_multiplicity", [("mu_at_n_minus_cm1", mu, cm1, mu == cm1)])
+    row.claim("mu_at_n_minus_cm1", mu, cm1, mu == cm1)
 
 
-def _twin_refine(a: GraphAnalysis, kind: str, check_id: str) -> CheckResult:
+@functools.cache
+def _twin_labels(i: int) -> tuple[str, str, str, str]:
+    """The labels of the claims of the twin class of rank i."""
+    return f"twin{i}_mult", f"twin{i}_lower", f"twin{i}_b_chi", f"twin{i}_interval_count"
+
+
+def _twin_refine(a: GraphAnalysis, row: ClaimRow, kind: str) -> str | None:
     """Claims of the `kind` twin classes, keyed twin{i}_* by the class's rank i by
     (forced value, size, |external|): tied classes make equal claims, so no key
     holds a label. Each claim is lhs >= rhs; a failing one's violation entry
     names the class's members."""
     classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
     if not classes:
-        return _not_applicable(check_id, f"no {kind} twin class")
+        return f"no {kind} twin class"
     classes.sort(key=lambda c: (c[0].forced_value, len(c[0].members), len(c[0].external)))
-    n, claims, detail = a.n, [], {}
+    n = a.n
     for i, (t, mult) in enumerate(classes, start=1):
-        s, forced = len(t.members), t.forced_value
-        compression = s + len(t.external) if kind == "clique" else len(t.external)
+        members, forced = t.members, t.forced_value
+        compression = len(members) + len(t.external) if kind == "clique" else len(t.external)
+        mult_label, lower_label, b_chi_label, count_label = _twin_labels(i)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1;
         # (b) compression lower estimate on the forced eigenvalue
-        mine = [(f"twin{i}_mult", mult, t.forced_mult), (f"twin{i}_lower", forced, 2 * n - compression)]
+        row.claim(mult_label, mult, t.forced_mult, mult >= t.forced_mult, members)
+        row.claim(lower_label, forced, 2 * n - compression, forced >= 2 * n - compression, members)
         # (c) chromatic criterion pushing the class above b_chi
         if compression <= n - a.ceil_n_chi:
-            mine += [(f"twin{i}_b_chi", forced, a.b_chi), (f"twin{i}_interval_count", a.m_ge_b, s - 1)]
-        members = {"members": list(t.members)}
-        for label, lhs, rhs in mine:
-            claims.append((label, lhs, rhs, lhs >= rhs))
-            detail[label] = members
-    return _decide(check_id, claims, detail)
+            row.claim(b_chi_label, forced, a.b_chi, forced >= a.b_chi, members)
+            s1 = len(members) - 1
+            row.claim(count_label, a.m_ge_b, s1, a.m_ge_b >= s1, members)
 
 
-def check_clique_refine(a: GraphAnalysis) -> CheckResult:
+@_checker("clique_twin_refine")
+def check_clique_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Clique-twin forced eigenvalue Tr+1: realization, lower estimate 2n-s-|N|,
     and the chromatic criterion s+|N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, "clique", "clique_twin_refine")
+    return _twin_refine(a, row, "clique")
 
 
-def check_indep_refine(a: GraphAnalysis) -> CheckResult:
+@_checker("indep_twin_refine")
+def check_indep_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Independent-twin forced eigenvalue Tr+2: realization, lower estimate 2n-|N|,
     and the chromatic criterion |N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, "independent", "indep_twin_refine")
+    return _twin_refine(a, row, "independent")
 
 
-def check_diameter_refine(a: GraphAnalysis) -> CheckResult:
+@_checker("diameter_refine")
+def check_diameter_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
     """Distribution bounds below b_chi, sharpened when the diameter is >= 3;
     also re-asserts the counting identity as a side condition."""
     if a.n < 5:
-        return _not_applicable("diameter_refine", "n < 5")
+        return "n < 5"
     if a.chi > a.n - 1:
-        return _not_applicable("diameter_refine", "chi = n (complete graph)")
+        return "chi = n (complete graph)"
     mu, n, bound = a.mu_below_b, a.n, a.n - a.ceil_n_chi + 1
-    claims = [("mu_below_minus_bound", mu, bound, mu <= bound)]
+    row.claim("mu_below_minus_bound", mu, bound, mu <= bound)
     if a.diameter >= 3:
         bound = n - max(2, a.ceil_n_chi - 1)
-        claims.append(("mu_below_minus_diam_bound", mu, bound, mu <= bound))
-    claims.append(("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n))
-    return _decide("diameter_refine", claims)
+        row.claim("mu_below_minus_diam_bound", mu, bound, mu <= bound)
+    row.claim("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n)
 
 
-CHECKS: tuple[tuple[str, Callable[[GraphAnalysis], CheckResult]], ...] = (
-    ("ah_bound", check_ah_bound),
-    ("color_majorization", check_color_majorization),
-    ("many_above_b_chi", check_many_above),
-    ("k_range", check_k_range),
-    ("interval_sandwich", check_interval_sandwich),
-    ("n_multiplicity", check_n_multiplicity),
-    ("clique_twin_refine", check_clique_refine),
-    ("indep_twin_refine", check_indep_refine),
-    ("diameter_refine", check_diameter_refine),
-)
+CHECKS: tuple[tuple[str, Callable[[GraphAnalysis], CheckResult]], ...] = tuple(
+    (check.check_id, check) for check in (
+        check_ah_bound, check_color_majorization, check_many_above, check_k_range,
+        check_interval_sandwich, check_n_multiplicity, check_clique_refine,
+        check_indep_refine, check_diameter_refine))
+_CLAIMS = tuple(check.claims for _, check in CHECKS)
 
 
-@dataclass
 class CheckReport:
-    """All checker verdicts for one graph."""
+    """All checker verdicts for one graph: its claim row, and the results read
+    from it. A report made from results (`CheckReport(a, results)`) records
+    them in a row first."""
 
-    analysis: GraphAnalysis
-    results: list[CheckResult]
+    __slots__ = ("analysis", "row", "_results", "_entry")
+
+    def __init__(self, analysis: GraphAnalysis, results: Iterable[CheckResult] | None = None,
+                 row: ClaimRow | None = None):
+        self.analysis = analysis
+        self.row = ClaimRow.of_results(results) if row is None else row
+        self._results = self._entry = None
+
+    @property
+    def results(self) -> list[CheckResult]:
+        if self._results is None:
+            self._results = self.row.results()
+        return self._results
 
     @property
     def failures(self) -> list[CheckResult]:
@@ -359,12 +454,37 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.row.failed
+
+    def _record_template(self) -> tuple:
+        """The record template of the row's shape, with its verdicts (_template)."""
+        if self._entry is None:
+            self._entry = _template(tuple(self.row.keys))
+        return self._entry
+
+    @property
+    def verdicts(self) -> tuple[str, ...]:
+        """The verdict of each check, in order."""
+        if self.row.failed:
+            return tuple([r.verdict for r in self.results])
+        return self._record_template()[2]
+
+
+def _report(a: GraphAnalysis, claims: Iterable[tuple]) -> CheckReport:
+    """The report of the checks with `claims` (a check's .claims) on a."""
+    row = ClaimRow()
+    keys = row.keys
+    for head, decide in claims:
+        keys += head
+        reason = decide(a, row)
+        if reason is not None:
+            keys += (False, reason)
+    return CheckReport(a, row=row)
 
 
 def run_checks(a: GraphAnalysis) -> CheckReport:
     """Run every registered checker against an existing analysis."""
-    return CheckReport(analysis=a, results=[fn(a) for _, fn in CHECKS])
+    return _report(a, _CLAIMS)
 
 
 BATCH = 512  # graphs per analyze_many call in a sweep
@@ -496,29 +616,34 @@ CSV_HEADER = ",".join(RECORD_FIELDS) + "\n"
 
 # one encoder for every record; json.dumps(..., sort_keys=True) would build one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
-TEMPLATE_SHAPES = 1024  # record shapes (check id, labels, reason) kept; n=8 has 42
+TEMPLATE_SHAPES = 1024  # claim row shapes kept; n = 8 has 263 over both coloring modes
 
 
 @functools.lru_cache(maxsize=TEMPLATE_SHAPES)
-def _template(check_id: str, labels: tuple[str, ...], reason: str | None) -> tuple:
-    """The record text of one shape with no violation, as json.dumps(record,
-    sort_keys=True) writes it: the text before b_chi, the text between b_chi
-    and the graph's keys chi to n, and a %-template of the rest with one %s
-    slot per slack in sorted label order (a finite float's str, numpy's too,
-    is its JSON text); then the function sorting slack values by label, None if sorted."""
-    def text(s: str) -> str:  # JSON text of a string, literal inside a %-template
-        return _ENCODER.encode(s).replace("%", "%%")
-
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    slack = ", ".join([f"{text(labels[i])}: %s" for i in order])
-    if reason is None:
-        applicable, verdict, witness = "true", "pass", "null"
-    else:
-        applicable, verdict, witness = "false", "not-applicable", text(reason)
-    return (f'{{"applicable": {applicable}, "b_chi": ',
-            f', "check_id": {_ENCODER.encode(check_id)}, ',
-            f', "slack": {{{slack}}}, "verdict": "{verdict}", "witness": {witness}}}\n',
-            None if order == sorted(order) else operator.itemgetter(*order))
+def _template(shape: tuple) -> tuple[str, Callable[[list], tuple], tuple[str, ...]]:
+    """The records of a claim row of this shape (its keys) with no failed
+    claim, as json.dumps(record, sort_keys=True) writes each: a %-template of
+    the text with one %s slot per value, the function picking the slots'
+    values from [*slacks, b_chi, the graph's keys chi to n], and the row's
+    verdicts. A record's slacks fill its slots in sorted label order (a
+    finite float's str, numpy's too, is its JSON text)."""
+    checks = _checks(shape)
+    b_chi = sum(len(labels) for _, _, labels in checks)
+    parts, verdicts, at = [], [], 0  # the JSON text, and the value index of each slot
+    for check_id, reason, labels in checks:
+        verdict = "pass" if reason is None else "not-applicable"
+        verdicts.append(verdict)
+        parts += ['{"applicable": ', "true" if reason is None else "false", ', "b_chi": ', b_chi,
+                  ', "check_id": ', _ENCODER.encode(check_id), ", ", b_chi + 1, ', "slack": {']
+        for k, i in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+            parts += [", " if k else "", _ENCODER.encode(labels[i]), ": ", at + i]
+        at += len(labels)
+        parts += [f'}}, "verdict": "{verdict}", "witness": ',
+                  "null" if reason is None else _ENCODER.encode(reason), "}\n"]
+    slots = [p for p in parts if isinstance(p, int)]
+    text = "".join([p.replace("%", "%%") if isinstance(p, str) else "%s" for p in parts])
+    return (text, operator.itemgetter(*slots) if slots else lambda values: (),
+            tuple(verdicts))
 
 
 def report_jsonl(report: CheckReport) -> str:
@@ -526,23 +651,16 @@ def report_jsonl(report: CheckReport) -> str:
     json.dumps(record, sort_keys=True) of the record of the graph's graph6,
     n, m, chi and b_chi and the result's check_id, applicable, verdict, slack
     and witness (a not-applicable result's reason, if it has no witness).
-    Each line fills the cached text of its shape (_template), unless the graph
-    has a failure witness or a non-finite slack sum, which no template writes:
-    then every record is encoded whole.
+    The lines fill the cached template of the claim row's shape (_template),
+    unless the row has a failed claim or a non-finite slack sum, which no
+    template writes: then every record is encoded whole.
     """
-    a = report.analysis
-    # keys chi to n sort together, so the graph writes them once for every record
-    fields = f'"chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, "m": {a.m}, "n": {a.n}'
-    lines, slacks = [], []
-    for check_id, slack, violations, reason in report.results:
-        if violations:
-            break
-        head, middle, rest, sort = _template(check_id, tuple(slack), reason)
-        values = tuple(slack.values())
-        slacks += values
-        lines.append(f"{head}{a.b_chi}{middle}{fields}{rest % (sort(values) if sort else values)}")
-    if len(lines) == len(report.results) and math.isfinite(sum(slacks)):  # none failed
-        return "".join(lines)
+    a, row = report.analysis, report.row
+    if not row.failed and math.isfinite(sum(row.slacks)):
+        text, pick, _ = report._record_template()
+        # keys chi to n sort together, so the graph writes them once for every record
+        graph = f'"chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, "m": {a.m}, "n": {a.n}'
+        return text % pick([*row.slacks, a.b_chi, graph])
     return "".join([_ENCODER.encode({
         "graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
         "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,

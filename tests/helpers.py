@@ -1,18 +1,19 @@
-"""Independent brute-force oracles, the list-based reference DSATUR search and
-random generators used across the tests."""
+"""Independent brute-force oracles, closed forms and coloring checks that only
+the tests call, the list-based reference DSATUR search and random generators
+used across the tests."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from distlap.coloring import _OverBudget
 from distlap.eigen import eig_symmetric
-from distlap.graphs import Graph, _bits, canonical_form, is_connected
+from distlap.graphs import Graph, _bits, canonical_form, is_connected, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
 
 
@@ -42,6 +43,44 @@ def brute_force_connected_classes(n: int) -> set[bytes]:
         if is_connected(g):
             out.add(canonical_form(g))
     return out
+
+
+def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
+    """True iff no class contains an edge; raises if classes do not partition V."""
+    blocks = [sorted(c) for c in classes]
+    flat = sorted(v for b in blocks for v in b)
+    if flat != list(range(g.n)):
+        raise ValueError("classes do not partition the vertex set")
+    for block in blocks:
+        mask = 0
+        for v in block:
+            mask |= 1 << v
+        for v in block:
+            if g.adj[v] & mask:
+                return False
+    return True
+
+
+def universal_vertex_count(g: Graph) -> int:
+    """Number of vertices adjacent to every other vertex."""
+    return sum(1 for v in range(g.n) if g.degree(v) == g.n - 1)
+
+
+def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
+    """Exact distance Laplacian spectrum of a complete multipartite graph.
+
+    For parts l_1 >= ... >= l_k summing to n, the eigenvalues are n + l_j with
+    multiplicity l_j - 1 for every part of size >= 2, then n with multiplicity
+    k - 1, then a single 0. Assembled without any numeric eigensolving.
+    """
+    sizes = validate_part_sizes(parts)
+    k = len(sizes)
+    if k < 2:
+        raise ValueError("a complete 1-partite graph is edgeless, hence disconnected")
+    n = sum(sizes)
+    values = [n + size for size in sizes for _ in range(size - 1)]
+    values += [n] * (k - 1) + [0]
+    return np.array(values, dtype=np.float64)
 
 
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:

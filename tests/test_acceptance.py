@@ -11,12 +11,13 @@ import time
 import numpy as np
 
 from distlap.cli import compare_table_row, computed_table_row, expected_table_rows, TABLE_GRAPHS
-from distlap.eigen import multipartite_spectrum_closed_form, multiplicity
+from distlap.eigen import multiplicity
 from distlap.graphs import enumerate_connected, gen_complete_multipartite, is_connected
 from distlap.verify import analyze, audit_extremal, run_checks
 from helpers import (
     brute_force_chromatic,
     dl_spectra,
+    multipartite_spectrum_closed_form,
     random_connected_graph,
     random_part_sizes,
     toggle_edge,

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import multiprocessing
@@ -381,6 +382,30 @@ def test_corpus_n6_audit(capsys):
     assert code == 0
     for chi, expect in ((2, 9), (3, 8), (4, 8), (5, 8)):
         assert f"extremal chi={chi}: min dL1 = {expect} (expected {expect})" in out
+
+
+# SHA-256 over every line of `corpus --n 7 --format json`, in order, of the repr
+# of (graph6, n, m, chi, b_chi, check_id, applicable, verdict, sorted slack
+# labels, witness): every field but the slack values, which come from LAPACK,
+# so no BLAS build can move it. A record with a wrong shape or verdict changes it.
+RECORD_SKELETON_SHA256 = {
+    "default": "e2e8161f90db56c2eac80e9ac9bf2d6f293da96f9b6fd99d03922d52e2abb795",
+    "max-l1": "a144910334f1a8df1d8fdb3b6d0e97a9cf0e238dbb25b29fa69de2c4379075e2",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RECORD_SKELETON_SHA256))
+def test_corpus_record_skeleton_is_pinned(tmp_path, mode):
+    out = tmp_path / "r.jsonl"
+    assert main(["corpus", "--n", "7", "--coloring", mode, "--format", "json",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for line in out.read_text().splitlines():
+        r = json.loads(line)
+        digest.update(repr((r["graph6"], r["n"], r["m"], r["chi"], r["b_chi"], r["check_id"],
+                            r["applicable"], r["verdict"], sorted(r["slack"]),
+                            r["witness"])).encode())
+    assert digest.hexdigest() == RECORD_SKELETON_SHA256[mode]
 
 
 def test_corpus_jobs_match_serial(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from distlap import coloring
-from distlap.coloring import is_proper, max_ell1_coloring, optimal_coloring
+from distlap.coloring import max_ell1_coloring, optimal_coloring
 from distlap.graphs import (
     enumerate_connected,
     gen_complete,
@@ -22,6 +22,7 @@ from distlap.verify import BATCH, analyze_many
 from helpers import (
     brute_force_chromatic,
     dense_graphs,
+    is_proper,
     neighbor_lists,
     random_connected_graph,
     random_graph,

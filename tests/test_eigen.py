@@ -12,7 +12,6 @@ from distlap.eigen import (
     cluster_values,
     count_at_least,
     eig_symmetric,
-    multipartite_spectrum_closed_form,
     multiplicity,
 )
 from distlap.graphs import (
@@ -24,7 +23,13 @@ from distlap.graphs import (
 )
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.verify import analyze
-from helpers import dl_spectra, random_connected_graph, random_part_sizes, toggle_edge
+from helpers import (
+    dl_spectra,
+    multipartite_spectrum_closed_form,
+    random_connected_graph,
+    random_part_sizes,
+    toggle_edge,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from distlap import coloring, verify
+from distlap import cli, coloring, verify
 from distlap.coloring import max_ell1_coloring
 from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
@@ -28,11 +27,7 @@ from distlap.graphs import (
     relabel,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.twins import (
-    complement_component_count,
-    complement_component_counts,
-    universal_vertex_count,
-)
+from distlap.twins import complement_component_count, complement_component_counts
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
@@ -58,7 +53,7 @@ from distlap.verify import (
     run_checks,
     sweep,
 )
-from helpers import random_permutation, toggle_edge
+from helpers import random_permutation, toggle_edge, universal_vertex_count
 
 
 def _by_id(report, check_id):
@@ -239,7 +234,7 @@ def test_failing_twin_claim_names_the_class_members():
     a = analyze(gen_complete_multipartite([3, 5]))
     assert [t.members for t in a.twins] == [(0, 1, 2, 3, 4), (5, 6, 7)]
     # the part of size 5 (forced 13, rank 2) one eigenvalue short of its s - 1 = 4
-    r = check_indep_refine(dataclasses.replace(a, twin_mults=(3, a.twin_mults[1])))
+    r = check_indep_refine(a._replace(twin_mults=(3, a.twin_mults[1])))
     assert r.verdict == "fail" and r.slack["twin2_mult"] == -1.0
     assert r.witness == {"violations": [
         {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}]}
@@ -298,8 +293,7 @@ def test_check_result_verdict_follows_its_claims():
     values = np.array([12 - INT_TOL / 2, 12 - 2 * INT_TOL, 12 - 2 * INT_TOL, 5, 4, 3, 2, 0])
     count = count_at_least(values.tolist()[::-1], 12)
     assert count == 1
-    a = dataclasses.replace(analyze(gen_path(8)), values=values.tolist(), m_ge_b=count,
-                            mu_below_b=8 - count)
+    a = analyze(gen_path(8))._replace(values=values.tolist(), m_ge_b=count, mu_below_b=8 - count)
     assert (a.b_chi, a.coloring.sizes, a.complement_components) == (12, (4, 4), 1)
 
     r = check_ah_bound(a)
@@ -332,10 +326,10 @@ def test_check_result_verdict_follows_its_claims():
     # allows it 0 times, and a count below b_chi that breaks the identity
     r = check_n_multiplicity(a)
     assert (r.verdict, r.slack) == ("pass", {"mu_at_n_minus_cm1": 0.0})
-    r = check_n_multiplicity(dataclasses.replace(a, mu_at_n=2))
+    r = check_n_multiplicity(a._replace(mu_at_n=2))
     assert (r.verdict, r.slack) == ("fail", {"mu_at_n_minus_cm1": 2.0})
     assert r.witness == {"violations": [{"claim": "mu_at_n_minus_cm1", "lhs": 2.0, "rhs": 0.0}]}
-    r = check_diameter_refine(dataclasses.replace(a, mu_below_b=6))  # 6 + 1 != 8
+    r = check_diameter_refine(a._replace(mu_below_b=6))  # 6 + 1 != 8
     assert r.slack == {"mu_below_minus_bound": 1.0, "mu_below_minus_diam_bound": 1.0,
                        "counting_identity": -1.0}
     assert r.witness == {"violations": [
@@ -398,12 +392,12 @@ def test_max_ell1_mode_guard_precedes_optimal_coloring(monkeypatch):
 
 
 def _assert_same_analysis(x: GraphAnalysis, y: GraphAnalysis) -> None:
-    for f in dataclasses.fields(GraphAnalysis):
-        u, v = getattr(x, f.name), getattr(y, f.name)
-        if f.name == "values":
+    for name in GraphAnalysis._fields:
+        u, v = getattr(x, name), getattr(y, name)
+        if name == "values":
             assert np.array_equal(u, v), x.graph6  # bit-identical spectra
         else:
-            assert u == v, (x.graph6, f.name)
+            assert u == v, (x.graph6, name)
 
 
 def test_analyze_many_matches_analyze_on_corpus():
@@ -706,11 +700,42 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
     assert report_csv(report) == _dict_writer_rows(report)
 
 
+@pytest.mark.parametrize("case", ["mu_at_n", "twin_mult"])
+def test_a_failing_analysis_writes_its_witness_through_the_record_writer(case):
+    # a failing analysis through run_checks into report_jsonl and the corpus
+    # item: P8 with the eigenvalue n twice where its connected complement
+    # allows it 0 times, and K_{3,5} with its part of size 5 one eigenvalue
+    # short of its forced multiplicity
+    if case == "mu_at_n":
+        a = analyze(gen_path(8))._replace(mu_at_n=2)
+        check_id = "n_multiplicity"
+        violation = {"claim": "mu_at_n_minus_cm1", "lhs": 2.0, "rhs": 0.0}
+    else:
+        a = analyze(gen_complete_multipartite([3, 5]))
+        a = a._replace(twin_mults=(3, a.twin_mults[1]))
+        check_id = "indep_twin_refine"
+        violation = {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}
+    report = run_checks(a)
+    text = report_jsonl(report)
+    assert text == _json_dumps_lines(report)
+    records = [json.loads(line) for line in text.splitlines()]
+    failed = [r for r in records if r["verdict"] == "fail"]
+    assert [r["check_id"] for r in failed] == [check_id]
+    assert failed[0]["witness"] == {"violations": [violation]}
+    ids = [cid for cid, _ in CHECKS]
+    expected = tuple("fail" if cid == check_id else r["verdict"] for cid, r in zip(ids, records))
+    item_text, verdicts, summary = cli._corpus_item("json", False, report)
+    assert (item_text, summary) == (text, None)
+    assert verdicts == expected and verdicts.count("fail") == 1
+    assert cli._corpus_item("pretty", False, report)[1] == expected
+    assert not report.ok and [r.check_id for r in report.failures] == [check_id]
+
+
 def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     # one check id and label tuple passing, failing and with non-finite
-    # slacks, not-applicable results, % signs, quotes and non-ASCII text in
-    # reasons, labels and ids, and numpy float slacks, rendered alone and
-    # together with the cache starting empty, a pass first and then a fail first
+    # slacks, not-applicable results, % signs, braces, quotes and non-ASCII
+    # text in reasons, labels and ids, and numpy float slacks, rendered alone
+    # and together with the cache starting empty, a pass first and then a fail first
     a = corpus_analyses[7][100]
     slack = {"block_2": 1.5, "block_1": -0.0}
     passing = CheckResult("color_majorization", slack)
@@ -722,7 +747,11 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     odd_label = CheckResult("color_majorization", {"100%_b": 2.0, "a %r": 0.1})
     odd_id = CheckResult('id %s "\u00e9"', {"b": 1.0, "a": 2.0})
     numpy_floats = CheckResult("k_range", {"k_range": np.float64(0.1), "second_eigenvalue": np.float64(-2e-17)})
-    shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id, numpy_floats]
+    brace_label = CheckResult("color_majorization", {"{0}": 2.0, "b}{": 0.5, "{{%s}}": -1.0})
+    brace_reason = CheckResult("color_majorization", reason="{} {0} {{ }} {")
+    brace_id = CheckResult("id {0} }", {"{": 1.0, "}": 2.0})
+    shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id, numpy_floats,
+              brace_label, brace_reason, brace_id]
     for results in (shapes, shapes[1:2] + shapes[:1] + shapes[2:]):
         verify._template.cache_clear()
         for r in results:
@@ -735,11 +764,15 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
         assert report_jsonl(report) == _json_dumps_lines(report)
     assert json.loads(report_jsonl(CheckReport(a, [failing])))["verdict"] == "fail"
 
-    # the cache keeps at most TEMPLATE_SHAPES shapes however many it meets
+    # the cache keeps at most TEMPLATE_SHAPES shapes however many it meets:
+    # whole nine-check shapes, each with its own last label
+    verify._template.cache_clear()
+    first = run_checks(a).results[:-1]
     for i in range(verify.TEMPLATE_SHAPES + 100):
-        report = CheckReport(a, [CheckResult("ah_bound", {f"claim_{i}": i / 7, "z": 1.0})])
+        report = CheckReport(a, [*first, CheckResult("diameter_refine", {f"claim_{i}": i / 7, "z": 1.0})])
         assert report_jsonl(report) == _json_dumps_lines(report)
-    assert verify._template.cache_info().currsize <= verify.TEMPLATE_SHAPES
+    info = verify._template.cache_info()
+    assert info.misses > verify.TEMPLATE_SHAPES and info.currsize <= verify.TEMPLATE_SHAPES
 
 
 # ---------------------------------------------------------------------------
