@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
-from distlap.graphs import Graph, is_complete_multipartite, parse_graph6, to_graph6
+from distlap.graphs import MAX_VERTICES, Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import (
     TwinClass,
@@ -311,7 +311,7 @@ def check_color_majorization(a: GraphAnalysis, row: ClaimRow) -> None:
         row.claim(label, values[s_j - 1], n + ell_j, count >= s_j)
 
 
-_BLOCK_LABELS = tuple(f"block_{j}" for j in range(1, 65))  # block j of an n <= 64 coloring
+_BLOCK_LABELS = tuple(f"block_{j}" for j in range(1, MAX_VERTICES + 1))  # block j's label
 
 
 @_checker("many_above_b_chi")
