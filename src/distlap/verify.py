@@ -1,17 +1,17 @@
 """Checkers for every spectral bound, multiplicity, and distribution claim.
 
-Each checker reads an immutable GraphAnalysis and appends its claims to the
-graph's claim row: each claim's label and slack (always lhs - rhs in the
-inequality's stated orientation, so slack 0 marks a tight bound), and for a
-claim that fails, its lhs, rhs and twin class members. A checker whose
-hypothesis fails returns the reason instead: a not-applicable verdict rather
-than a vacuous pass, keeping the gating visible in reports. run_checks fills
-one row with all nine checks, and each check_* function fills a row with its
-own. A report's CheckResults are a view of its row, built when read (pretty
-verify, CSV, failing graphs). A row with no failed claim writes its JSON
-records into the cached %-template of its shape (its check ids, reasons and
-labels), which also holds its verdicts, so a corpus pass writes records and
-tallies verdicts without building a CheckResult.
+run_checks is the one way a check is decided. It fills one CheckReport per
+graph by calling each check_*(a, report) in CHECKS order on the immutable
+GraphAnalysis a. A checker appends its claims to the report: each claim's
+label and slack (always lhs - rhs in the inequality's stated orientation, so
+slack 0 marks a tight bound), and for a claim that fails, its lhs, rhs and
+twin class members. A checker whose hypothesis fails returns the reason
+instead: a not-applicable verdict rather than a vacuous pass, keeping the
+gating visible in reports. A report's CheckResults are read from its claims
+when asked for (pretty verify, CSV, failing graphs). A report with no failed
+claim writes its JSON records into the cached %-template of its shape (its
+check ids, reasons and labels), which also holds its verdicts, so a corpus
+pass writes records and tallies verdicts without building a CheckResult.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
 class CheckResult(NamedTuple):
     """Outcome of one checker: the slack of each claim in the order made, the
     failed claims, or the failed hypothesis that makes it not applicable; the
-    verdict, `applicable` and witness follow from these. Never mutate a
-    result: the default slack and every not-applicable result are shared."""
+    verdict, `applicable` and witness follow from these. CheckReport.results
+    builds them from a report's claims. Never mutate a result: the default
+    slack is shared."""
 
     check_id: str
     slack: dict[str, float] = {}
@@ -196,21 +197,24 @@ class CheckResult(NamedTuple):
         return {"violations": list(self.violations)} if self.verdict == "fail" else None
 
 
-class ClaimRow:
-    """One graph's claims, in check order, as its checkers append them.
+class CheckReport:
+    """One graph's claims, in check order, as run_checks has its checkers
+    append them, and the results and verdicts read from them.
 
     `keys` holds, for each check in turn, None and the check id, then False
     and the reason if the check's hypothesis fails, then the label of each
     claim the check makes. `slacks` holds each claim's slack lhs - rhs as a
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
-    the row's record shape, which fixes its record text up to the slacks.
+    the report's record shape, which fixes its record text up to the slacks.
     """
 
-    __slots__ = ("keys", "slacks", "failed")
+    __slots__ = ("analysis", "keys", "slacks", "failed", "_results", "_entry")
 
-    def __init__(self):
+    def __init__(self, analysis: GraphAnalysis):
+        self.analysis = analysis
         self.keys, self.slacks, self.failed = [], [], []
+        self._results = self._entry = None
 
     def claim(self, label: str, lhs, rhs, holds: bool, members: Sequence[int] | None = None):
         """Append claim `label`. `holds` is exact: an integer comparison, or
@@ -225,36 +229,44 @@ class ClaimRow:
                 entry["members"] = list(members)
             self.failed.append((self.keys.count(None) - 1, entry))  # checks begun, less one
 
-    @classmethod
-    def of_results(cls, results: Iterable[CheckResult]) -> ClaimRow:
-        """The row whose results are `results`, for a report made from them."""
-        row = cls()
-        for i, r in enumerate(results):
-            row.keys += (None, r.check_id)
-            if r.reason is not None:
-                row.keys += (False, r.reason)
-            row.keys += r.slack
-            row.slacks += r.slack.values()
-            row.failed += [(i, v) for v in r.violations]
-        return row
-
+    @property
     def results(self) -> list[CheckResult]:
-        """One CheckResult per check; a not-applicable one is the shared result."""
-        out, at = [], 0
-        for i, (check_id, reason, labels) in enumerate(_checks(self.keys)):
-            if reason is not None and not labels:
-                out.append(_not_applicable(check_id, reason))
-                continue
-            end = at + len(labels)
-            violations = tuple([v for k, v in self.failed if k == i])
-            out.append(tuple.__new__(CheckResult, (  # skip the Python __new__
-                check_id, dict(zip(labels, self.slacks[at:end])), violations, reason)))
-            at = end
-        return out
+        """One CheckResult per check, in order."""
+        if self._results is None:
+            out, at = [], 0
+            for i, (check_id, reason, labels) in enumerate(_checks(self.keys)):
+                end = at + len(labels)
+                violations = tuple([v for k, v in self.failed if k == i])
+                out.append(CheckResult(
+                    check_id, dict(zip(labels, self.slacks[at:end])), violations, reason))
+                at = end
+            self._results = out
+        return self._results
+
+    @property
+    def failures(self) -> list[CheckResult]:
+        return [r for r in self.results if r.verdict == "fail"]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    def _record_template(self) -> tuple:
+        """The record template of the report's shape, with its verdicts (_template)."""
+        if self._entry is None:
+            self._entry = _template(tuple(self.keys))
+        return self._entry
+
+    @property
+    def verdicts(self) -> tuple[str, ...]:
+        """The verdict of each check, in order."""
+        if self.failed:
+            return tuple([r.verdict for r in self.results])
+        return self._record_template()[2]
 
 
 def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
-    """(check id, reason, labels) of each check of a claim row's keys, in order."""
+    """(check id, reason, labels) of each check of a report's keys, in order."""
     heads = [i for i, k in enumerate(keys) if k is None]
     out = []
     for start, end in zip(heads, [*heads[1:], len(keys)]):
@@ -266,40 +278,18 @@ def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
     return out
 
 
-@functools.cache
-def _not_applicable(check_id: str, reason: str) -> CheckResult:
-    """The result of a check whose hypothesis fails, built once and shared."""
-    return CheckResult(check_id, reason=reason)
-
-
-def _checker(check_id: str):
-    """Make decide(a, row) check `check_id`. decide appends the check's claims
-    to the claim row, or returns the reason its hypothesis fails before it
-    makes any. The check itself maps an analysis to its CheckResult, and
-    holds (its head in a row's keys, decide) as `claims`."""
-    def register(decide: Callable[[GraphAnalysis, ClaimRow], str | None]):
-        @functools.wraps(decide)
-        def check(a: GraphAnalysis) -> CheckResult:
-            return _report(a, (check.claims,)).results[0]
-        check.check_id, check.claims = check_id, ((None, check_id), decide)
-        return check
-    return register
-
-
 # ---------------------------------------------------------------------------
 # individual checkers
 # ---------------------------------------------------------------------------
 
-@_checker("ah_bound")
-def check_ah_bound(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_ah_bound(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
     if a.chi > a.n - 1:
         return "graph is complete"
-    row.claim("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)
+    report.claim("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)
 
 
-@_checker("color_majorization")
-def check_color_majorization(a: GraphAnalysis, row: ClaimRow) -> None:
+def check_color_majorization(a: GraphAnalysis, report: CheckReport) -> None:
     """Block lower bounds from the color-class sizes of an optimal coloring.
 
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
@@ -308,24 +298,22 @@ def check_color_majorization(a: GraphAnalysis, row: ClaimRow) -> None:
     values, n, s_j = a.values, a.n, 0
     for label, ell_j, count in zip(_BLOCK_LABELS, a.coloring.sizes, a.block_counts):
         s_j += ell_j - 1  # block j ends at values[s_j - 1], nonincreasing: its least
-        row.claim(label, values[s_j - 1], n + ell_j, count >= s_j)
+        report.claim(label, values[s_j - 1], n + ell_j, count >= s_j)
 
 
 _BLOCK_LABELS = tuple(f"block_{j}" for j in range(1, MAX_VERTICES + 1))  # block j's label
 
 
-@_checker("many_above_b_chi")
-def check_many_above(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_many_above(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Counting bounds around the chromatic threshold b_chi."""
     if a.chi > a.n - 1:
         return "chi = n (complete graph)"
     m, ell1m1, ceilm1 = a.m_ge_b, a.coloring.sizes[0] - 1, a.ceil_n_chi - 1
-    row.claim("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1)
-    row.claim("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)
+    report.claim("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1)
+    report.claim("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)
 
 
-@_checker("k_range")
-def check_k_range(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_k_range(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Literal range claim dL_k >= b_chi for 2 <= k <= ceil(n/chi)-1, plus the
     stronger second-eigenvalue sub-check whenever chi <= n-2."""
     if a.n < 4:
@@ -334,30 +322,28 @@ def check_k_range(a: GraphAnalysis, row: ClaimRow) -> str | None:
         return "chi = n (complete graph)"
     values, b, m, hi = a.values, a.b_chi, a.m_ge_b, a.ceil_n_chi - 1
     if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        row.claim("k_range", values[hi - 1], b, m >= hi)
+        report.claim("k_range", values[hi - 1], b, m >= hi)
     if a.chi <= a.n - 2:
-        row.claim("second_eigenvalue", values[1], b, m >= 2)
+        report.claim("second_eigenvalue", values[1], b, m >= 2)
 
 
-@_checker("interval_sandwich")
-def check_interval_sandwich(a: GraphAnalysis, row: ClaimRow) -> None:
+def check_interval_sandwich(a: GraphAnalysis, report: CheckReport) -> None:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
     m, n, ell1 = a.m_ge_b, a.n, a.coloring.sizes[0]
     complement, universal = n - a.complement_components, n - a.universal_vertices - 1
-    row.claim("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)
+    report.claim("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)
     if ell1 >= 4:
-        row.claim("count_minus_3", m, 3, m >= 3)
-    row.claim("count_minus_complement_bound", m, complement, m <= complement)
+        report.claim("count_minus_3", m, 3, m >= 3)
+    report.claim("count_minus_complement_bound", m, complement, m <= complement)
     if a.chi <= n - 1:
-        row.claim("count_minus_universal_bound", m, universal, m <= universal)
+        report.claim("count_minus_universal_bound", m, universal, m <= universal)
 
 
-@_checker("n_multiplicity")
-def check_n_multiplicity(a: GraphAnalysis, row: ClaimRow) -> None:
+def check_n_multiplicity(a: GraphAnalysis, report: CheckReport) -> None:
     """Multiplicity of the eigenvalue n equals c(complement) - 1, exactly."""
     mu, cm1 = a.mu_at_n, a.complement_components - 1
-    row.claim("mu_at_n_minus_cm1", mu, cm1, mu == cm1)
+    report.claim("mu_at_n_minus_cm1", mu, cm1, mu == cm1)
 
 
 @functools.cache
@@ -366,7 +352,7 @@ def _twin_labels(i: int) -> tuple[str, str, str, str]:
     return f"twin{i}_mult", f"twin{i}_lower", f"twin{i}_b_chi", f"twin{i}_interval_count"
 
 
-def _twin_refine(a: GraphAnalysis, row: ClaimRow, kind: str) -> str | None:
+def _twin_refine(a: GraphAnalysis, report: CheckReport, kind: str) -> str | None:
     """Claims of the `kind` twin classes, keyed twin{i}_* by the class's rank i by
     (forced value, size, |external|): tied classes make equal claims, so no key
     holds a label. Each claim is lhs >= rhs; a failing one's violation entry
@@ -382,31 +368,29 @@ def _twin_refine(a: GraphAnalysis, row: ClaimRow, kind: str) -> str | None:
         mult_label, lower_label, b_chi_label, count_label = _twin_labels(i)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1;
         # (b) compression lower estimate on the forced eigenvalue
-        row.claim(mult_label, mult, t.forced_mult, mult >= t.forced_mult, members)
-        row.claim(lower_label, forced, 2 * n - compression, forced >= 2 * n - compression, members)
+        report.claim(mult_label, mult, t.forced_mult, mult >= t.forced_mult, members)
+        report.claim(lower_label, forced, 2 * n - compression, forced >= 2 * n - compression,
+                     members)
         # (c) chromatic criterion pushing the class above b_chi
         if compression <= n - a.ceil_n_chi:
-            row.claim(b_chi_label, forced, a.b_chi, forced >= a.b_chi, members)
+            report.claim(b_chi_label, forced, a.b_chi, forced >= a.b_chi, members)
             s1 = len(members) - 1
-            row.claim(count_label, a.m_ge_b, s1, a.m_ge_b >= s1, members)
+            report.claim(count_label, a.m_ge_b, s1, a.m_ge_b >= s1, members)
 
 
-@_checker("clique_twin_refine")
-def check_clique_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_clique_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Clique-twin forced eigenvalue Tr+1: realization, lower estimate 2n-s-|N|,
     and the chromatic criterion s+|N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, row, "clique")
+    return _twin_refine(a, report, "clique")
 
 
-@_checker("indep_twin_refine")
-def check_indep_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_indep_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Independent-twin forced eigenvalue Tr+2: realization, lower estimate 2n-|N|,
     and the chromatic criterion |N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, row, "independent")
+    return _twin_refine(a, report, "independent")
 
 
-@_checker("diameter_refine")
-def check_diameter_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
+def check_diameter_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
     """Distribution bounds below b_chi, sharpened when the diameter is >= 3;
     also re-asserts the counting identity as a side condition."""
     if a.n < 5:
@@ -414,77 +398,38 @@ def check_diameter_refine(a: GraphAnalysis, row: ClaimRow) -> str | None:
     if a.chi > a.n - 1:
         return "chi = n (complete graph)"
     mu, n, bound = a.mu_below_b, a.n, a.n - a.ceil_n_chi + 1
-    row.claim("mu_below_minus_bound", mu, bound, mu <= bound)
+    report.claim("mu_below_minus_bound", mu, bound, mu <= bound)
     if a.diameter >= 3:
         bound = n - max(2, a.ceil_n_chi - 1)
-        row.claim("mu_below_minus_diam_bound", mu, bound, mu <= bound)
-    row.claim("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n)
+        report.claim("mu_below_minus_diam_bound", mu, bound, mu <= bound)
+    report.claim("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n)
 
 
-CHECKS: tuple[tuple[str, Callable[[GraphAnalysis], CheckResult]], ...] = tuple(
-    (check.check_id, check) for check in (
-        check_ah_bound, check_color_majorization, check_many_above, check_k_range,
-        check_interval_sandwich, check_n_multiplicity, check_clique_refine,
-        check_indep_refine, check_diameter_refine))
-_CLAIMS = tuple(check.claims for _, check in CHECKS)
-
-
-class CheckReport:
-    """All checker verdicts for one graph: its claim row, and the results read
-    from it. A report made from results (`CheckReport(a, results)`) records
-    them in a row first."""
-
-    __slots__ = ("analysis", "row", "_results", "_entry")
-
-    def __init__(self, analysis: GraphAnalysis, results: Iterable[CheckResult] | None = None,
-                 row: ClaimRow | None = None):
-        self.analysis = analysis
-        self.row = ClaimRow.of_results(results) if row is None else row
-        self._results = self._entry = None
-
-    @property
-    def results(self) -> list[CheckResult]:
-        if self._results is None:
-            self._results = self.row.results()
-        return self._results
-
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.verdict == "fail"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.row.failed
-
-    def _record_template(self) -> tuple:
-        """The record template of the row's shape, with its verdicts (_template)."""
-        if self._entry is None:
-            self._entry = _template(tuple(self.row.keys))
-        return self._entry
-
-    @property
-    def verdicts(self) -> tuple[str, ...]:
-        """The verdict of each check, in order."""
-        if self.row.failed:
-            return tuple([r.verdict for r in self.results])
-        return self._record_template()[2]
-
-
-def _report(a: GraphAnalysis, claims: Iterable[tuple]) -> CheckReport:
-    """The report of the checks with `claims` (a check's .claims) on a."""
-    row = ClaimRow()
-    keys = row.keys
-    for head, decide in claims:
-        keys += head
-        reason = decide(a, row)
-        if reason is not None:
-            keys += (False, reason)
-    return CheckReport(a, row=row)
+CHECKS: tuple[tuple[str, Callable[[GraphAnalysis, CheckReport], str | None]], ...] = (
+    ("ah_bound", check_ah_bound),
+    ("color_majorization", check_color_majorization),
+    ("many_above_b_chi", check_many_above),
+    ("k_range", check_k_range),
+    ("interval_sandwich", check_interval_sandwich),
+    ("n_multiplicity", check_n_multiplicity),
+    ("clique_twin_refine", check_clique_refine),
+    ("indep_twin_refine", check_indep_refine),
+    ("diameter_refine", check_diameter_refine),
+)
 
 
 def run_checks(a: GraphAnalysis) -> CheckReport:
-    """Run every registered checker against an existing analysis."""
-    return _report(a, _CLAIMS)
+    """The report of every check on a, in CHECKS order: each check appends its
+    claims to the report, or returns the reason its hypothesis fails before it
+    makes any."""
+    report = CheckReport(a)
+    keys = report.keys
+    for check_id, check in CHECKS:
+        keys += (None, check_id)
+        reason = check(a, report)
+        if reason is not None:
+            keys += (False, reason)
+    return report
 
 
 BATCH = 512  # graphs per analyze_many call in a sweep
@@ -616,15 +561,15 @@ CSV_HEADER = ",".join(RECORD_FIELDS) + "\n"
 
 # one encoder for every record; json.dumps(..., sort_keys=True) would build one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
-TEMPLATE_SHAPES = 1024  # claim row shapes kept; n = 8 has 263 over both coloring modes
+TEMPLATE_SHAPES = 1024  # report shapes kept; n = 8 has 263 over both coloring modes
 
 
 @functools.lru_cache(maxsize=TEMPLATE_SHAPES)
 def _template(shape: tuple) -> tuple[str, Callable[[list], tuple], tuple[str, ...]]:
-    """The records of a claim row of this shape (its keys) with no failed
+    """The records of a report of this shape (its keys) with no failed
     claim, as json.dumps(record, sort_keys=True) writes each: a %-template of
     the text with one %s slot per value, the function picking the slots'
-    values from [*slacks, b_chi, the graph's keys chi to n], and the row's
+    values from [*slacks, b_chi, the graph's keys chi to n], and the report's
     verdicts. A record's slacks fill its slots in sorted label order (a
     finite float's str, numpy's too, is its JSON text)."""
     checks = _checks(shape)
@@ -651,16 +596,16 @@ def report_jsonl(report: CheckReport) -> str:
     json.dumps(record, sort_keys=True) of the record of the graph's graph6,
     n, m, chi and b_chi and the result's check_id, applicable, verdict, slack
     and witness (a not-applicable result's reason, if it has no witness).
-    The lines fill the cached template of the claim row's shape (_template),
-    unless the row has a failed claim or a non-finite slack sum, which no
+    The lines fill the cached template of the report's shape (_template),
+    unless the report has a failed claim or a non-finite slack sum, which no
     template writes: then every record is encoded whole.
     """
-    a, row = report.analysis, report.row
-    if not row.failed and math.isfinite(sum(row.slacks)):
+    a = report.analysis
+    if not report.failed and math.isfinite(sum(report.slacks)):
         text, pick, _ = report._record_template()
         # keys chi to n sort together, so the graph writes them once for every record
         graph = f'"chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, "m": {a.m}, "n": {a.n}'
-        return text % pick([*row.slacks, a.b_chi, graph])
+        return text % pick([*report.slacks, a.b_chi, graph])
     return "".join([_ENCODER.encode({
         "graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
         "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,

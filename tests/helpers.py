@@ -1,6 +1,6 @@
 """Independent brute-force oracles, closed forms and coloring checks that only
-the tests call, the list-based reference DSATUR search and random generators
-used across the tests."""
+the tests call, the list-based reference DSATUR search, random generators used
+across the tests, and reports made from hand-built results."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from distlap.coloring import _OverBudget
 from distlap.eigen import eig_symmetric
 from distlap.graphs import Graph, _bits, canonical_form, is_connected, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
+from distlap.verify import CheckReport, CheckResult, GraphAnalysis
 
 
 def brute_force_chromatic(g: Graph) -> int:
@@ -81,6 +82,21 @@ def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     values = [n + size for size in sizes for _ in range(size - 1)]
     values += [n] * (k - 1) + [0]
     return np.array(values, dtype=np.float64)
+
+
+def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
+    """The report of a whose results are `results`, for record-writer tests
+    that need results no checker makes: each result's check id, reason,
+    labels, slacks and violations are entered as run_checks enters them."""
+    report = CheckReport(a)
+    for i, r in enumerate(results):
+        report.keys += (None, r.check_id)
+        if r.reason is not None:
+            report.keys += (False, r.reason)
+        report.keys += r.slack
+        report.slacks += r.slack.values()
+        report.failed += [(i, v) for v in r.violations]
+    return report
 
 
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:

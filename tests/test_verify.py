@@ -32,28 +32,18 @@ from distlap.verify import (
     CHECKS,
     CSV_HEADER,
     RECORD_FIELDS,
-    CheckReport,
     CheckResult,
     GraphAnalysis,
     GraphSummary,
     analyze,
     analyze_many,
     audit_extremal,
-    check_ah_bound,
-    check_clique_refine,
-    check_color_majorization,
-    check_diameter_refine,
-    check_indep_refine,
-    check_interval_sandwich,
-    check_k_range,
-    check_many_above,
-    check_n_multiplicity,
     report_csv,
     report_jsonl,
     run_checks,
     sweep,
 )
-from helpers import random_permutation, toggle_edge, universal_vertex_count
+from helpers import random_permutation, report_of, toggle_edge, universal_vertex_count
 
 
 def _by_id(report, check_id):
@@ -66,31 +56,31 @@ def _by_id(report, check_id):
 
 def test_ah_bound():
     a = analyze(gen_complete_multipartite([2, 2, 1, 1, 1]))
-    r = check_ah_bound(a)
+    r = _by_id(run_checks(a), "ah_bound")
     assert r.verdict == "pass"
     assert abs(r.slack["dl1_minus_b_chi"]) < 1e-9  # tight: dL1 = b_chi = 9
 
-    r = check_ah_bound(analyze(gen_complete(5)))
+    r = _by_id(run_checks(analyze(gen_complete(5))), "ah_bound")
     assert r.verdict == "not-applicable" and not r.applicable and r.reason
 
-    r = check_ah_bound(analyze(gen_path(8)))
+    r = _by_id(run_checks(analyze(gen_path(8))), "ah_bound")
     assert r.verdict == "pass"
     assert abs(r.slack["dl1_minus_b_chi"] - 26.446) < 5e-4  # 38.446 - 12
 
 
 def test_color_majorization():
     a = analyze(gen_complete_multipartite([4, 4, 2]))
-    r = check_color_majorization(a)
+    r = _by_id(run_checks(a), "color_majorization")
     assert r.verdict == "pass"
     # blocks: indices 1..3 and 4..6 need 14, index 7 needs 12
     assert abs(r.slack["block_1"]) < 1e-9
     assert abs(r.slack["block_2"]) < 1e-9
     assert abs(r.slack["block_3"]) < 1e-9
 
-    r = check_color_majorization(analyze(gen_complete(6)))
+    r = _by_id(run_checks(analyze(gen_complete(6))), "color_majorization")
     assert r.verdict == "pass" and r.slack == {}  # vacuous: every class is a singleton
 
-    r = check_color_majorization(analyze(gen_path(8)))
+    r = _by_id(run_checks(analyze(gen_path(8))), "color_majorization")
     assert r.verdict == "pass"
     assert r.slack["block_1"] >= -1e-9  # dL_1..3 >= 12
 
@@ -110,10 +100,10 @@ def test_block_minima_match_their_definition(mode_analyses):
                     break
                 want[f"block_{j}"] = min(vals[start:start + ell_j - 1]) - (n + ell_j)
                 start += ell_j - 1
-            got = check_color_majorization(a).slack
+            got = _by_id(run_checks(a), "color_majorization").slack
             assert got == want, a.graph6
             hi = math.ceil(n / a.chi) - 1
-            k_range = check_k_range(a).slack.get("k_range")
+            k_range = _by_id(run_checks(a), "k_range").slack.get("k_range")
             if n >= 4 and a.chi <= n - 1 and hi >= 2:
                 assert k_range == min(vals[1:hi]) - a.b_chi, a.graph6
                 shown.add("k_range")
@@ -125,86 +115,86 @@ def test_block_minima_match_their_definition(mode_analyses):
 
 def test_many_above():
     a = analyze(gen_complete_multipartite([2, 2, 1, 1, 1]))
-    r = check_many_above(a)
+    r = _by_id(run_checks(a), "many_above_b_chi")
     assert r.verdict == "pass"
     assert r.slack["count_ge_b_minus_ell1m1"] == 1.0  # 2 >= 1
 
-    r = check_many_above(analyze(gen_g_ind()))
+    r = _by_id(run_checks(analyze(gen_g_ind())), "many_above_b_chi")
     assert r.verdict == "pass"
     assert r.slack["count_ge_b_minus_ceilm1"] == 4 - (math.ceil(7 / 3) - 1)
 
-    r = check_many_above(analyze(gen_cycle(10)))
+    r = _by_id(run_checks(analyze(gen_cycle(10))), "many_above_b_chi")
     assert r.verdict == "pass"
     assert r.slack["count_ge_b_minus_ceilm1"] == 9 - 4
 
-    r = check_many_above(analyze(gen_complete(4)))
+    r = _by_id(run_checks(analyze(gen_complete(4))), "many_above_b_chi")
     assert r.verdict == "not-applicable"
 
 
 def test_k_range():
-    r = check_k_range(analyze(gen_path(8)))
+    r = _by_id(run_checks(analyze(gen_path(8))), "k_range")
     assert r.verdict == "pass"
     assert "k_range" in r.slack  # range {2,3} is non-empty
     assert "second_eigenvalue" in r.slack
 
-    r = check_k_range(analyze(gen_complete_multipartite([3, 5])))
+    r = _by_id(run_checks(analyze(gen_complete_multipartite([3, 5]))), "k_range")
     assert r.verdict == "pass"
     assert r.slack["k_range"] >= 1.0 - 1e-9  # dL_2 = dL_3 = 13 vs b = 12
 
     a = analyze(gen_complete_multipartite([2, 2, 1, 1, 1]))
-    r = check_k_range(a)
+    r = _by_id(run_checks(a), "k_range")
     assert r.verdict == "pass"
     assert "k_range" not in r.slack          # ceil(7/5) = 2: empty literal range
     assert abs(r.slack["second_eigenvalue"]) < 1e-9  # chi = 5 <= n-2: dL_2 = 9 = b
 
-    r = check_k_range(analyze(gen_path(3)))
+    r = _by_id(run_checks(analyze(gen_path(3))), "k_range")
     assert r.verdict == "not-applicable"  # n < 4
 
 
 def test_interval_sandwich():
     a = analyze(gen_complete_multipartite([4, 4, 2]))
-    r = check_interval_sandwich(a)
+    r = _by_id(run_checks(a), "interval_sandwich")
     assert r.verdict == "pass"
     assert r.slack["count_minus_ell1m1"] == 6 - 3
     assert r.slack["count_minus_complement_bound"] == 6 - 7
     assert r.slack["count_minus_3"] == 3.0
 
-    r = check_interval_sandwich(analyze(gen_complete(5)))
+    r = _by_id(run_checks(analyze(gen_complete(5))), "interval_sandwich")
     assert r.verdict == "pass"  # m = 0 <= n - c = 0: consistency for K_n
     assert r.slack["count_minus_complement_bound"] == 0.0
     assert "count_minus_universal_bound" not in r.slack
 
     a8 = analyze(gen_path(8))
-    r = check_interval_sandwich(a8)
+    r = _by_id(run_checks(a8), "interval_sandwich")
     assert r.verdict == "pass"
     assert r.slack["count_minus_complement_bound"] == 0.0  # tight: m = 7 = n - 1
 
 
 def test_n_multiplicity():
-    r = check_n_multiplicity(analyze(gen_complete_multipartite([3, 5])))
+    r = _by_id(run_checks(analyze(gen_complete_multipartite([3, 5]))), "n_multiplicity")
     assert r.verdict == "pass" and r.slack["mu_at_n_minus_cm1"] == 0.0
 
-    r = check_n_multiplicity(analyze(gen_complete_multipartite([2, 2, 1, 1, 1])))
+    r = _by_id(run_checks(analyze(gen_complete_multipartite([2, 2, 1, 1, 1]))), "n_multiplicity")
     assert r.verdict == "pass"  # mu_at(7) = 4 = c - 1
 
-    r = check_n_multiplicity(analyze(gen_path(8)))
+    r = _by_id(run_checks(analyze(gen_path(8))), "n_multiplicity")
     assert r.verdict == "pass"  # c = 1, no eigenvalue at 8
 
 
 def test_clique_refine():
     a = analyze(gen_g_clq())
-    r = check_clique_refine(a)
+    r = _by_id(run_checks(a), "clique_twin_refine")
     assert r.verdict == "pass"
     # maximal class {0,1,2,4}: forced 14 >= 2n-s-|N| = 11, slack 3
     assert r.slack["twin1_lower"] == 3.0
     assert r.slack["twin1_b_chi"] == 4.0     # 14 >= b_chi = 10
     assert r.slack["twin1_interval_count"] >= 0
 
-    r = check_clique_refine(analyze(gen_path(4)))
+    r = _by_id(run_checks(analyze(gen_path(4))), "clique_twin_refine")
     assert r.verdict == "not-applicable"
 
     a = analyze(gen_complete(6))
-    r = check_clique_refine(a)
+    r = _by_id(run_checks(a), "clique_twin_refine")
     assert r.verdict == "pass"
     assert r.slack["twin1_lower"] == 0.0  # lambda_H = n = 2n - s - 0 exactly
     assert r.slack["twin1_mult"] == 0.0   # multiplicity exactly n - 1
@@ -212,20 +202,20 @@ def test_clique_refine():
 
 def test_indep_refine():
     a = analyze(gen_g_ind())
-    r = check_indep_refine(a)
+    r = _by_id(run_checks(a), "indep_twin_refine")
     assert r.verdict == "pass"
     assert r.slack["twin1_lower"] == 0.0  # 12 = 2n - |N| = 12: tight
     assert r.slack["twin1_b_chi"] == 2.0  # 12 >= 10
     assert r.slack["twin1_interval_count"] == 4 - 3
 
     a = analyze(gen_complete_multipartite([3, 5]))
-    r = check_indep_refine(a)
+    r = _by_id(run_checks(a), "indep_twin_refine")
     assert r.verdict == "pass"
     # the part of size 5 forces 13 with multiplicity 4; the part of size 3
     # forces 11, so it ranks first
     assert r.slack["twin2_mult"] == 0.0
 
-    r = check_indep_refine(analyze(gen_path(3)))
+    r = _by_id(run_checks(analyze(gen_path(3))), "indep_twin_refine")
     assert r.verdict == "pass"
     assert r.slack["twin1_lower"] == 0.0  # 5 = 2*3 - 1
 
@@ -234,7 +224,7 @@ def test_failing_twin_claim_names_the_class_members():
     a = analyze(gen_complete_multipartite([3, 5]))
     assert [t.members for t in a.twins] == [(0, 1, 2, 3, 4), (5, 6, 7)]
     # the part of size 5 (forced 13, rank 2) one eigenvalue short of its s - 1 = 4
-    r = check_indep_refine(a._replace(twin_mults=(3, a.twin_mults[1])))
+    r = _by_id(run_checks(a._replace(twin_mults=(3, a.twin_mults[1]))), "indep_twin_refine")
     assert r.verdict == "fail" and r.slack["twin2_mult"] == -1.0
     assert r.witness == {"violations": [
         {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}]}
@@ -262,22 +252,22 @@ def test_twin_records_do_not_depend_on_vertex_labels(mode_analyses):
 
 def test_diameter_refine():
     a = analyze(gen_comp_s62())
-    r = check_diameter_refine(a)
+    r = _by_id(run_checks(a), "diameter_refine")
     assert r.verdict == "pass"
     assert r.slack["mu_below_minus_diam_bound"] == 0.0  # 6 = 8 - max(2,1): tight
 
     a = analyze(gen_cycle(10))
-    r = check_diameter_refine(a)
+    r = _by_id(run_checks(a), "diameter_refine")
     assert r.verdict == "pass"
     assert r.slack["mu_below_minus_diam_bound"] == 1 - 6
 
     a = analyze(gen_complete_multipartite([3, 3, 3, 2]))
-    r = check_diameter_refine(a)
+    r = _by_id(run_checks(a), "diameter_refine")
     assert r.verdict == "pass"
     assert "mu_below_minus_diam_bound" not in r.slack  # diameter 2
     assert r.slack["mu_below_minus_bound"] == 5 - 9
 
-    r = check_diameter_refine(analyze(gen_path(4)))
+    r = _by_id(run_checks(analyze(gen_path(4))), "diameter_refine")
     assert r.verdict == "not-applicable"  # n < 5
 
 
@@ -296,11 +286,11 @@ def test_check_result_verdict_follows_its_claims():
     a = analyze(gen_path(8))._replace(values=values.tolist(), m_ge_b=count, mu_below_b=8 - count)
     assert (a.b_chi, a.coloring.sizes, a.complement_components) == (12, (4, 4), 1)
 
-    r = check_ah_bound(a)
+    r = _by_id(run_checks(a), "ah_bound")
     assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
     assert r.slack == {"dl1_minus_b_chi": (12 - INT_TOL / 2) - 12.0}
 
-    r = check_k_range(a)  # dL_2 .. dL_3 >= 12, and dL_2 >= 12
+    r = _by_id(run_checks(a), "k_range")  # dL_2 .. dL_3 >= 12, and dL_2 >= 12
     assert (r.verdict, r.applicable) == ("fail", True)
     assert list(r.slack) == ["k_range", "second_eigenvalue"]
     assert r.witness == {"violations": [
@@ -308,11 +298,11 @@ def test_check_result_verdict_follows_its_claims():
         {"claim": "second_eigenvalue", "lhs": 12 - 2 * INT_TOL, "rhs": 12.0},
     ]}
 
-    r = check_many_above(a)  # two integer misses: 1 >= 4 - 1, which no tolerance forgives
+    r = _by_id(run_checks(a), "many_above_b_chi")  # two integer misses: 1 >= 4 - 1, which no tolerance forgives
     assert r.slack == {"count_ge_b_minus_ell1m1": -2.0, "count_ge_b_minus_ceilm1": -2.0}
     assert [v["claim"] for v in r.violations] == list(r.slack)
 
-    r = check_diameter_refine(a)  # two upper bounds miss by 2, the identity holds
+    r = _by_id(run_checks(a), "diameter_refine")  # two upper bounds miss by 2, the identity holds
     assert r.verdict == "fail"
     assert r.slack == {"mu_below_minus_bound": 2.0, "mu_below_minus_diam_bound": 2.0,
                        "counting_identity": 0.0}
@@ -324,12 +314,12 @@ def test_check_result_verdict_follows_its_claims():
 
     # the exact equalities: n twice where the complement's one component
     # allows it 0 times, and a count below b_chi that breaks the identity
-    r = check_n_multiplicity(a)
+    r = _by_id(run_checks(a), "n_multiplicity")
     assert (r.verdict, r.slack) == ("pass", {"mu_at_n_minus_cm1": 0.0})
-    r = check_n_multiplicity(a._replace(mu_at_n=2))
+    r = _by_id(run_checks(a._replace(mu_at_n=2)), "n_multiplicity")
     assert (r.verdict, r.slack) == ("fail", {"mu_at_n_minus_cm1": 2.0})
     assert r.witness == {"violations": [{"claim": "mu_at_n_minus_cm1", "lhs": 2.0, "rhs": 0.0}]}
-    r = check_diameter_refine(a._replace(mu_below_b=6))  # 6 + 1 != 8
+    r = _by_id(run_checks(a._replace(mu_below_b=6)), "diameter_refine")  # 6 + 1 != 8
     assert r.slack == {"mu_below_minus_bound": 1.0, "mu_below_minus_diam_bound": 1.0,
                        "counting_identity": -1.0}
     assert r.witness == {"violations": [
@@ -367,6 +357,34 @@ def test_run_all_max_ell1_mode():
     assert report.ok
     assert report.analysis.coloring == max_ell1_coloring(gen_path(7))
     assert report.analysis.coloring.sizes[0] == 4
+
+
+def test_a_check_that_returns_a_reason_makes_no_claim(mode_analyses):
+    # a report's results read each check's reason and labels back from its
+    # keys: None and the check id, then False and the reason, or the labels.
+    # That holds only if a check returning a reason appended nothing before
+    # it, no label and no failed claim, so its False comes right after its id
+    _, corpus = mode_analyses
+    ids = [cid for cid, _ in CHECKS]
+    gated_ids = set()
+    for analyses in corpus.values():
+        for a in analyses:
+            report = run_checks(a)
+            keys = report.keys
+            heads = [i for i, k in enumerate(keys) if k is None]
+            assert [keys[h + 1] for h in heads] == ids, a.graph6
+            assert [r.check_id for r in report.results] == ids, a.graph6
+            gated = set()
+            for pos, (start, end) in enumerate(zip(heads, [*heads[1:], len(keys)])):
+                body = keys[start + 2:end]
+                if any(k is False for k in body):
+                    assert body[0] is False and len(body) == 2, (a.graph6, ids[pos])
+                    gated.add(pos)
+            assert len(report.slacks) == len(keys) - 2 * len(heads) - 2 * len(gated), a.graph6
+            assert not gated & {pos for pos, _ in report.failed}, a.graph6
+            gated_ids.update(ids[pos] for pos in gated)
+    assert gated_ids == {"ah_bound", "many_above_b_chi", "k_range", "clique_twin_refine",
+                         "indep_twin_refine", "diameter_refine"}
 
 
 def test_max_ell1_mode_finds_chi_once(monkeypatch):
@@ -687,7 +705,7 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
     # a graph6 holding a backslash, which JSON escapes
     a = next(a for a in corpus_analyses[7] if "\\" in a.graph6)
     violation = {"claim": "dl1_minus_b_chi", "lhs": 9.5, "rhs": 10.0}
-    report = CheckReport(a, [
+    report = report_of(a, [
         CheckResult("ah_bound", {"dl1_minus_b_chi": -0.5, "a_first": 0.0}, (violation,)),
         CheckResult("k_range", reason='n < 4, "quoted" \\ \u00e9'),
         CheckResult("color_majorization",
@@ -755,21 +773,21 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     for results in (shapes, shapes[1:2] + shapes[:1] + shapes[2:]):
         verify._template.cache_clear()
         for r in results:
-            report = CheckReport(a, [r])
+            report = report_of(a, [r])
             assert report_jsonl(report) == _json_dumps_lines(report), r
-        report = CheckReport(a, results)
+        report = report_of(a, results)
         assert report_jsonl(report) == _json_dumps_lines(report)
         templated = [r for r in results if r is not failing and r is not non_finite]
-        report = CheckReport(a, templated)
+        report = report_of(a, templated)
         assert report_jsonl(report) == _json_dumps_lines(report)
-    assert json.loads(report_jsonl(CheckReport(a, [failing])))["verdict"] == "fail"
+    assert json.loads(report_jsonl(report_of(a, [failing])))["verdict"] == "fail"
 
     # the cache keeps at most TEMPLATE_SHAPES shapes however many it meets:
     # whole nine-check shapes, each with its own last label
     verify._template.cache_clear()
     first = run_checks(a).results[:-1]
     for i in range(verify.TEMPLATE_SHAPES + 100):
-        report = CheckReport(a, [*first, CheckResult("diameter_refine", {f"claim_{i}": i / 7, "z": 1.0})])
+        report = report_of(a, [*first, CheckResult("diameter_refine", {f"claim_{i}": i / 7, "z": 1.0})])
         assert report_jsonl(report) == _json_dumps_lines(report)
     info = verify._template.cache_info()
     assert info.misses > verify.TEMPLATE_SHAPES and info.currsize <= verify.TEMPLATE_SHAPES
