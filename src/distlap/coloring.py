@@ -276,8 +276,7 @@ def _to_result(colors: Sequence[int]) -> ColoringResult:
         by_color.setdefault(c, []).append(v)
     # the sort is stable, and reverse=True keeps it so
     ordered = sorted(by_color.values(), key=len, reverse=True)
-    return ColoringResult(chi=len(ordered), classes=tuple(map(tuple, ordered)),
-                          sizes=tuple(map(len, ordered)))
+    return ColoringResult(len(ordered), tuple(map(tuple, ordered)), tuple(map(len, ordered)))
 
 
 def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:

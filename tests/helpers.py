@@ -15,6 +15,7 @@ from distlap.coloring import _OverBudget
 from distlap.eigen import eig_symmetric
 from distlap.graphs import Graph, _bits, canonical_form, is_connected, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
+from distlap.twins import TwinClass
 from distlap.verify import CheckReport, CheckResult, GraphAnalysis
 
 
@@ -65,6 +66,32 @@ def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
 def universal_vertex_count(g: Graph) -> int:
     """Number of vertices adjacent to every other vertex."""
     return sum(1 for v in range(g.n) if g.degree(v) == g.n - 1)
+
+
+def brute_force_twin_classes(g: Graph, tr: Sequence[int]) -> list[TwinClass]:
+    """The maximal twin classes of g by their definition, ordered by least
+    member: u and v are clique twins when they are adjacent and have the same
+    other neighbors, independent twins when they have the same neighbors. A
+    class's external set is the common neighborhood outside it, and it reads
+    its transmission from tr at its least member."""
+    nbrs = [set(_bits(a)) for a in g.adj]
+    twins = {
+        "clique": lambda u, v: v in nbrs[u] and nbrs[u] - {v} == nbrs[v] - {u},
+        "independent": lambda u, v: nbrs[u] == nbrs[v],
+    }
+    out = []
+    for kind, bump in (("clique", 1), ("independent", 2)):
+        grouped: set[int] = set()
+        for u in range(g.n):
+            if u in grouped:
+                continue
+            members = [u] + [v for v in range(u + 1, g.n) if twins[kind](u, v)]
+            grouped.update(members)
+            if len(members) > 1:
+                external = set.intersection(*(nbrs[v] for v in members)) - set(members)
+                out.append(TwinClass(kind, tuple(members), tuple(sorted(external)), tr[u],
+                                     tr[u] + bump, len(members) - 1))
+    return sorted(out, key=lambda t: t.members[0])
 
 
 def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:

@@ -2,17 +2,20 @@ import random
 
 from distlap.eigen import multiplicity
 from distlap.graphs import (
+    Graph,
     gen_complete,
+    gen_complete_multipartite,
     gen_cycle,
     gen_double_star,
     gen_g_clq,
     gen_g_ind,
     gen_path,
+    relabel,
 )
 from distlap.metric import distance_stack
-from distlap.twins import complement_component_count
+from distlap.twins import complement_component_count, stacked_twin_classes, twin_classes
 from distlap.verify import analyze
-from helpers import universal_vertex_count
+from helpers import brute_force_twin_classes, random_permutation, universal_vertex_count
 
 
 def test_g_ind_independent_twins():
@@ -55,6 +58,44 @@ def test_p3_leaves_are_independent_twins():
     t = classes[0]
     assert t.kind == "independent" and t.members == (0, 2) and t.external == (1,)
     assert t.forced_value == 5 and t.forced_mult == 1
+
+
+def test_stacked_twin_classes_match_twin_classes_graph_for_graph():
+    # hand-built stacks: n = 1 and 2; n = 64 with classes that hold vertex 63,
+    # the top bit of a uint64 mask, of both kinds; graphs with both kinds and
+    # with three or more classes. Each stack also holds seeded relabelings of
+    # its graphs, so that classes of both kinds interleave by least member
+    def tail_twins(n):  # the path 0 .. n - 3, and n - 2, n - 1 joined to its end and each other
+        edges = [(v, v + 1) for v in range(n - 3)]
+        return Graph.from_edges(n, edges + [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
+
+    rng = random.Random(28)
+    stacks = [
+        [gen_complete(1), gen_complete(1)],
+        [gen_complete(2), gen_complete(2)],
+        [gen_complete_multipartite([1, 1, 2, 2]), gen_complete_multipartite([2, 2, 2]),
+         gen_path(6), gen_double_star(3, 3), gen_complete(6), tail_twins(6)],
+        [gen_complete_multipartite([1, 63]), gen_complete_multipartite([1, 1, 31, 31]),
+         gen_complete_multipartite([2, 30, 32]), tail_twins(64), gen_path(64), gen_complete(64)],
+    ]
+    covered = set()
+    for stack in stacks:
+        n = stack[0].n
+        stack += [relabel(g, random_permutation(rng, n)) for g in stack for _ in range(3)]
+        dist = distance_stack(stack)
+        transmissions = dist.sum(axis=2).tolist()
+        stacked = stacked_twin_classes(dist == 1, transmissions)
+        assert len(stacked) == len(stack)
+        for g, tr, classes in zip(stack, transmissions, stacked):
+            assert classes == tuple(twin_classes(g, tr)) == tuple(brute_force_twin_classes(g, tr))
+            covered.add(("n", n))
+            covered.update(("63", t.kind) for t in classes if 63 in t.members)
+            if len({t.kind for t in classes}) == 2:
+                covered.add("both kinds")
+            if len(classes) >= 3:
+                covered.add("three classes")
+    assert covered == {("n", 1), ("n", 2), ("n", 6), ("n", 64), ("63", "clique"),
+                       ("63", "independent"), "both kinds", "three classes"}
 
 
 def test_transmission_constant_across_classes(corpus_analyses):

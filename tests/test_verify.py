@@ -483,6 +483,22 @@ def test_analyze_many_matches_analyze_on_mixed_stacks_above_n8():
             assert start == len(graphs)
 
 
+def test_analyze_many_matches_analyze_on_relabeled_n8_slices():
+    # the input shape of the corpus8-audit benchmark: sweep-sized slices of
+    # the n = 8 corpus, each graph under a seeded relabeling, analyzed as one
+    # stack (stacked twin classes, edge facts and greedy-proven colorings)
+    # and alone, in both coloring modes
+    graphs = list(enumerate_connected(8))
+    rng = random.Random(2808)
+    for start in (0, 3584, 7168, 10240):
+        stack = [relabel(g, random_permutation(rng, 8))
+                 for g in graphs[start:start + verify.BATCH]]
+        assert len(stack) == 512
+        for mode in ("default", "max-l1"):
+            for g, a in zip(stack, analyze_many(stack, mode), strict=True):
+                _assert_same_analysis(analyze(g, mode), a)
+
+
 def test_stacked_universal_vertex_counts_match_the_per_graph_count():
     # seeded connected graphs up to n = 64, each with 0-3 vertices joined to
     # every other; sparse elsewhere, so their colorings stay quick
