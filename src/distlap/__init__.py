@@ -15,7 +15,7 @@ from distlap.graphs import (
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.eigen import count_at_least, eig_symmetric, multiplicity
 from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
-from distlap.twins import TwinClass, twin_classes
+from distlap.twins import TwinClass, stacked_twin_classes
 from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, sweep
 
 __version__ = "0.1.0"

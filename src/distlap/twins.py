@@ -25,76 +25,54 @@ class TwinClass(NamedTuple):
     forced_mult: int
 
 
-def _twin_class(kind: str, members: list[int], key: int, tr: Sequence[int]) -> TwinClass:
-    """The `kind` class of `members`, ascending, whose shared closed (clique)
-    or open (independent) neighborhood mask is `key`."""
-    external = key
-    if kind == "clique":
-        for v in members:
-            external ^= 1 << v
-    transmission = tr[members[0]]
-    return TwinClass(kind, tuple(members), tuple(_bits(external)), transmission,
-                     transmission + (1 if kind == "clique" else 2), len(members) - 1)
-
-
-def _least_member(t: TwinClass) -> int:
-    return t.members[0]
-
-
-def twin_classes(g: Graph, tr: Sequence[int]) -> list[TwinClass]:
-    """Maximal twin classes of a connected graph, ordered by least member;
-    tr[v] is the transmission of vertex v.
+def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
+                         ) -> list[tuple[TwinClass, ...]]:
+    """The maximal twin classes of each connected graph of a (B, n, n)
+    boolean adjacency stack, ordered by least member; transmissions[b][v] is
+    the transmission of vertex v of graph b.
 
     Vertices are grouped by closed-neighborhood equality (clique twins) and by
     open-neighborhood equality (independent twins); only classes of size >= 2
-    are emitted, and no vertex can appear in both kinds.
-    """
-    closed = [a | 1 << v for v, a in enumerate(g.adj)]
-    out: list[TwinClass] = []
-    for kind, keys in (("clique", closed), ("independent", g.adj)):
-        if len(set(keys)) == g.n:  # n distinct neighborhoods: no class to group
-            continue
-        groups: dict[int, list[int]] = {}
-        for v, key in enumerate(keys):
-            groups.setdefault(key, []).append(v)
-        out += [_twin_class(kind, members, key, tr)
-                for key, members in groups.items() if len(members) > 1]
-    out.sort(key=_least_member)
-    return out
-
-
-def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
-                         ) -> list[tuple[TwinClass, ...]]:
-    """tuple(twin_classes(g, tr)) of each graph of a (B, n, n) boolean
-    adjacency stack, with tr = transmissions[b], for the whole stack at once.
-
-    Each graph's open and closed neighborhood masks are one (B, n) uint64
-    array per kind (n <= 64, so vertex 63 is the top bit). One stable sort of
-    each row puts equal masks next to each other, lowest vertex first, and a
-    class is a run of equal neighbors in that order: its first and last
-    places are where "equal to the one before" turns on and off. Only the
-    runs reach Python, so a graph with no twin pair does no work at all.
+    are emitted, and no vertex can appear in both kinds. Each graph's open and
+    closed neighborhood masks are rows of one (2B, n) uint64 array, the
+    closed ones first (n <= 64, so vertex 63 is the top bit). One stable sort
+    of each row puts equal masks next to each other, lowest vertex first, and
+    a class is a run of equal masks in that order: its first and last places
+    are where "equal to the one before" turns on and off. Only the runs reach
+    Python, so a graph with no twin pair does no work at all.
     """
     b, n, _ = adjacency.shape
     bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     open_masks = adjacency @ bits  # distinct powers of two: the sums are exact
-    found: dict[int, list[TwinClass]] = {}
-    for kind, keys in (("clique", open_masks | bits), ("independent", open_masks)):
-        order = keys.argsort(axis=1, kind="stable")
-        ranked = np.take_along_axis(keys, order, axis=1)
-        same = np.zeros((b, n + 1), dtype=bool)  # same[:, i]: places i - 1 and i are equal
-        same[:, 1:n] = ranked[:, 1:] == ranked[:, :-1]
-        # a run of equal masks turns on at a class's first place and off past its last
-        graph, place = np.nonzero(same[:, 1:] != same[:, :-1])
-        graph, first, last = graph[0::2], place[0::2], place[1::2]
-        for i, row, start, stop, key in zip(graph.tolist(), order[graph].tolist(), first.tolist(),
-                                            last.tolist(), ranked[graph, first].tolist()):
-            found.setdefault(i, []).append(
-                _twin_class(kind, row[start:stop + 1], key, transmissions[i]))
+    keys = np.concatenate((open_masks | bits, open_masks))  # row r < b: graph r's closed masks
+    ranked = np.sort(keys, axis=1)
+    same = np.zeros((2 * b, n + 1), dtype=bool)  # same[:, i]: places i - 1 and i are equal
+    same[:, 1:n] = ranked[:, 1:] == ranked[:, :-1]
     out: list[tuple[TwinClass, ...]] = [()] * b
+    if not same.any():  # n distinct masks of each kind in every graph
+        return out
+    order = keys.argsort(axis=1, kind="stable")
+    # a run of equal masks turns on at a class's first place and off past its last
+    row, place = np.nonzero(same[:, 1:] != same[:, :-1])
+    row, first, last = row[0::2], place[0::2], place[1::2]
+    found: dict[int, list[TwinClass]] = {}
+    for r, ranking, start, stop, external in zip(row.tolist(), order[row].tolist(),
+                                                 first.tolist(), last.tolist(),
+                                                 ranked[row, first].tolist()):
+        members = ranking[start:stop + 1]
+        if r < b:  # a closed mask holds the clique class itself
+            i, kind, bump = r, "clique", 1
+            for v in members:
+                external ^= 1 << v
+        else:
+            i, kind, bump = r - b, "independent", 2
+        transmission = transmissions[i][members[0]]
+        found.setdefault(i, []).append(TwinClass(
+            kind, tuple(members), tuple(_bits(external)), transmission, transmission + bump,
+            len(members) - 1))
     for i, classes in found.items():
         if len(classes) > 1:
-            classes.sort(key=_least_member)
+            classes.sort(key=lambda t: t.members[0])
         out[i] = tuple(classes)
     return out
 

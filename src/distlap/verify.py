@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from distlap.coloring import (
-    ColoringResult,
-    _to_result,
-    greedy_starts,
-    max_ell1_coloring,
-    optimal_coloring,
-)
+from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
 from distlap.graphs import MAX_VERTICES, Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import distance_laplacian, distance_stack
@@ -42,7 +36,6 @@ from distlap.twins import (
     complement_component_count,
     complement_component_counts,
     stacked_twin_classes,
-    twin_classes,
 )
 
 
@@ -103,20 +96,17 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     """Analyses of same-order connected graphs, in order, sharing one kernel.
 
     Distances, distance Laplacians and spectra are computed for the whole
-    stack at once (one numpy.linalg.eigvalsh call), and the transmissions,
-    diameters and spectra are read from one `.tolist()` each. A stack of more
-    than one graph also takes these facts from its adjacency (distance 1) as
-    a whole: m and the universal-vertex counts from the degrees (row sums),
-    the twin classes from one stacked_twin_classes call, the complement
-    component counts from one complement_component_counts call, and every
-    greedy DSATUR coloring and greedy clique from one greedy_starts call. In
-    the default mode a greedy coloring with as many colors as its greedy
-    clique has vertices is optimal, and is the graph's coloring at once; the
-    per-graph search runs only where the clique leaves it unproven. A stack
-    of one takes the same facts from the graph's own masks, which costs less
-    than the numpy calls on one row. Per graph stay the coloring searches,
-    the graph6 text and the spectral counts, which bisect each graph's
-    spectrum at its integer thresholds.
+    stack at once (one numpy.linalg.eigvalsh call), the transmissions,
+    diameters and spectra are read from one `.tolist()` each, and the twin
+    classes come from one stacked_twin_classes call on the adjacency
+    (distance 1). A stack of more than one graph also takes every greedy
+    DSATUR coloring and greedy clique from one greedy_starts call, so the
+    per-graph coloring only searches where the clique bound leaves the greedy
+    coloring unproven, and every complement component count from one
+    complement_component_counts call. Per graph stay the colorings, m and the
+    universal-vertex count (from the degrees, the bit counts of the adjacency
+    masks), the graph6 text and the spectral counts, which bisect each
+    graph's spectrum at its integer thresholds.
     coloring_mode "max-l1" uses an optimal coloring with the largest possible
     first class (guarded to n <= 16) instead of the default optimal coloring.
     A disconnected graph anywhere in the stack raises ValueError (from
@@ -129,36 +119,25 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
     n = graphs[0].n
     dist = distance_stack(graphs)
     values = eig_symmetric(distance_laplacian(dist))
+    adjacency = dist == 1
     transmissions = dist.sum(axis=2).tolist()
     diameters = dist.max(axis=(1, 2)).tolist()
     spectra = values.tolist()
+    twins = stacked_twin_classes(adjacency, transmissions)
+    color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
+    # alone, a graph's greedy start and complement count cost less in Python
+    # than the stacked kernels
     if len(graphs) > 1:
-        adjacency = dist == 1
-        degrees = adjacency.sum(axis=2)
-        edge_counts = (degrees.sum(axis=1) // 2).tolist()
-        universal_counts = (degrees == n - 1).sum(axis=1).tolist()
-        twins = stacked_twin_classes(adjacency, transmissions)
-        complements = complement_component_counts(adjacency)
         starts = greedy_starts(adjacency)
-        if coloring_mode == "max-l1":
-            colorings = [max_ell1_coloring(g, start) for g, start in zip(graphs, starts)]
-        else:  # a greedy coloring with as many colors as its clique has vertices is optimal
-            colorings = [_to_result(greedy) if max(greedy) + 1 == clique
-                         else optimal_coloring(g, (greedy, clique))
-                         for g, (greedy, clique) in zip(graphs, starts)]
+        complements = complement_component_counts(adjacency)
     else:
-        g = graphs[0]
-        degrees = [mask.bit_count() for mask in g.adj]
-        edge_counts, universal_counts = [sum(degrees) // 2], [degrees.count(n - 1)]
-        twins = [tuple(twin_classes(g, transmissions[0]))]
-        complements = [complement_component_count(g)]
-        color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
-        colorings = [color(g)]
+        starts, complements = [None], [complement_component_count(graphs[0])]
+    colorings = [color(g, start) for g, start in zip(graphs, starts)]
 
     out = []
-    for g, m, tr, diameter, spectrum, coloring, twin, components, universal in zip(
-            graphs, edge_counts, transmissions, diameters, spectra, colorings, twins,
-            complements, universal_counts):
+    for g, tr, diameter, spectrum, coloring, twin, components in zip(
+            graphs, transmissions, diameters, spectra, colorings, twins, complements):
+        degrees = [mask.bit_count() for mask in g.adj]
         rising = spectrum[::-1]
         # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
         # and the twin classes' forced values by multiplicity
@@ -166,9 +145,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> lis
         ceil_n_chi = -(-n // chi)
         m_ge_b = count_at_least(rising, n + ceil_n_chi)
         out.append(GraphAnalysis(  # positionally, in field order
-            g, to_graph6(g), n, m, chi, n + ceil_n_chi, ceil_n_chi, diameter, sum(tr) // 2,
-            spectrum, coloring, twin, components, universal, m_ge_b, n - m_ge_b,
-            tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
+            g, to_graph6(g), n, sum(degrees) // 2, chi, n + ceil_n_chi, ceil_n_chi, diameter,
+            sum(tr) // 2, spectrum, coloring, twin, components, degrees.count(n - 1), m_ge_b,
+            n - m_ge_b, tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
             multiplicity(rising, n), tuple([multiplicity(rising, t.forced_value) for t in twin])))
     return out
 

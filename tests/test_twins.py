@@ -13,7 +13,7 @@ from distlap.graphs import (
     relabel,
 )
 from distlap.metric import distance_stack
-from distlap.twins import complement_component_count, stacked_twin_classes, twin_classes
+from distlap.twins import complement_component_count, stacked_twin_classes
 from distlap.verify import analyze
 from helpers import brute_force_twin_classes, random_permutation, universal_vertex_count
 
@@ -60,11 +60,12 @@ def test_p3_leaves_are_independent_twins():
     assert t.forced_value == 5 and t.forced_mult == 1
 
 
-def test_stacked_twin_classes_match_twin_classes_graph_for_graph():
+def test_stacked_twin_classes_match_the_brute_force_oracle():
     # hand-built stacks: n = 1 and 2; n = 64 with classes that hold vertex 63,
     # the top bit of a uint64 mask, of both kinds; graphs with both kinds and
     # with three or more classes. Each stack also holds seeded relabelings of
-    # its graphs, so that classes of both kinds interleave by least member
+    # its graphs, so that classes of both kinds interleave by least member.
+    # Every graph is grouped in its stack and alone, in a stack of one
     def tail_twins(n):  # the path 0 .. n - 3, and n - 2, n - 1 joined to its end and each other
         edges = [(v, v + 1) for v in range(n - 3)]
         return Graph.from_edges(n, edges + [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
@@ -86,8 +87,9 @@ def test_stacked_twin_classes_match_twin_classes_graph_for_graph():
         transmissions = dist.sum(axis=2).tolist()
         stacked = stacked_twin_classes(dist == 1, transmissions)
         assert len(stacked) == len(stack)
-        for g, tr, classes in zip(stack, transmissions, stacked):
-            assert classes == tuple(twin_classes(g, tr)) == tuple(brute_force_twin_classes(g, tr))
+        for b, (g, tr, classes) in enumerate(zip(stack, transmissions, stacked)):
+            assert classes == tuple(brute_force_twin_classes(g, tr))
+            assert stacked_twin_classes(dist[b:b + 1] == 1, [tr]) == [classes]
             covered.add(("n", n))
             covered.update(("63", t.kind) for t in classes if 63 in t.members)
             if len({t.kind for t in classes}) == 2:

@@ -486,8 +486,8 @@ def test_analyze_many_matches_analyze_on_mixed_stacks_above_n8():
 def test_analyze_many_matches_analyze_on_relabeled_n8_slices():
     # the input shape of the corpus8-audit benchmark: sweep-sized slices of
     # the n = 8 corpus, each graph under a seeded relabeling, analyzed as one
-    # stack (stacked twin classes, edge facts and greedy-proven colorings)
-    # and alone, in both coloring modes
+    # stack (stacked greedy starts and complement counts) and alone, in both
+    # coloring modes
     graphs = list(enumerate_connected(8))
     rng = random.Random(2808)
     for start in (0, 3584, 7168, 10240):
