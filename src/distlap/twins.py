@@ -87,13 +87,16 @@ def complement_component_counts(adjacency: np.ndarray) -> list[int]:
     adjacency stack, for the whole stack at once.
 
     The complement with a loop at every vertex is squared (boolean matrix
-    products) until it holds every path of up to n - 1 steps, so that
-    reach[b, u, v] says u and v lie in one component of graph b's complement.
+    products, each a float32 matmul thresholded at > 0, exact since every
+    entry is an integer <= n <= 64) until it holds every path of up to
+    n - 1 steps, so that reach[b, u, v] says u and v lie in one component of
+    graph b's complement.
     A component is counted at its least member, the vertex no lower one reaches.
     """
     n = adjacency.shape[1]
     reach = ~adjacency
     for _ in range(max(n - 2, 0).bit_length()):  # 2**steps >= n - 1
-        reach = reach @ reach
+        square = reach.astype(np.float32)
+        reach = square @ square > 0
     lower = np.triu(np.ones((n, n), dtype=bool), 1)  # lower[u, v]: u < v
     return (~(reach & lower).any(axis=1)).sum(axis=1).tolist()

@@ -1,7 +1,7 @@
 """Checkers for every spectral bound, multiplicity, and distribution claim.
 
-run_checks is the one way a check is decided. It fills one CheckReport per
-graph by calling each check_*(a, report) in CHECKS order on the immutable
+run_checks is the reference way a check is decided. It fills one CheckReport
+per graph by calling each check_*(a, report) in CHECKS order on the immutable
 GraphAnalysis a. A checker appends its claims to the report: each claim's
 label and slack (always lhs - rhs in the inequality's stated orientation, so
 slack 0 marks a tight bound), and for a claim that fails, its lhs, rhs and
@@ -12,6 +12,16 @@ when asked for (pretty verify, CSV, failing graphs). A report with no failed
 claim writes its JSON records into the cached %-template of its shape (its
 check ids, reasons and labels), which also holds its verdicts, so a corpus
 pass writes records and tallies verdicts without building a CheckResult.
+
+run_checks_many is the claim table: it decides every claim of a stack of
+analyses at once, as numpy columns (slack, holds, present) over a fixed
+slot layout per order, and makes the same reports run_checks would.
+Labels, reasons and failure witnesses stay with the checkers: a shape takes
+its keys from run_checks on its first graph, and run_checks decides every
+graph with a failed claim or a non-finite slack. A sweep decides each stack
+of more than one graph by the table; a stack of one (verify, analyze,
+tables) by run_checks, which costs less alone. Per graph stay the spectral
+counts of analyze_many, the colorings and the record text.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
 from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
@@ -193,15 +205,21 @@ class CheckReport:
     claim the check makes. `slacks` holds each claim's slack lhs - rhs as a
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
-    the report's record shape, which fixes its record text up to the slacks.
+    the report's record shape, which fixes its record text up to the slacks;
+    the reports run_checks_many fills share their shape's keys tuple.
     """
 
     __slots__ = ("analysis", "keys", "slacks", "failed", "_results", "_entry")
 
-    def __init__(self, analysis: GraphAnalysis):
+    def __init__(self, analysis: GraphAnalysis, keys: Sequence = (), entry: tuple | None = None,
+                 slacks: Sequence[float] = ()):
+        """An empty report for run_checks to fill, or a passing report of
+        run_checks_many: its shape's keys tuple and _template entry, and its
+        slacks."""
         self.analysis = analysis
-        self.keys, self.slacks, self.failed = [], [], []
-        self._results = self._entry = None
+        self.keys, self.slacks, self.failed = keys or [], slacks or [], []
+        self._results = None
+        self._entry = entry
 
     def claim(self, label: str, lhs, rhs, holds: bool, members: Sequence[int] | None = None):
         """Append claim `label`. `holds` is exact: an integer comparison, or
@@ -419,6 +437,159 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# the claim table: every check of a stack at once
+# ---------------------------------------------------------------------------
+
+# (n, packed presence and gate bits) -> (keys, _template entry) of each shape met
+_SHAPES: dict[tuple[int, bytes], tuple[tuple, tuple]] = {}
+# the facts of a GraphAnalysis the table reads as integer columns, n first
+_FACTS = operator.attrgetter("n", "chi", "b_chi", "ceil_n_chi", "diameter", "m_ge_b",
+                             "mu_below_b", "mu_at_n", "complement_components",
+                             "universal_vertices")
+
+
+def _padded(rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(len(rows), width) int64 array of rows of at most `width` ints, 0 after
+    each row, and the rows' lengths."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows), np.int64,
+                                                          int(lengths.sum()))
+    return out, lengths
+
+
+def run_checks_many(analyses: Sequence[GraphAnalysis]) -> list[CheckReport]:
+    """The reports run_checks makes of same-order analyses, in order, with
+    every claim of the nine checks decided for the whole stack at once.
+
+    Each claim has a column of a fixed slot layout for order n, in CHECKS
+    and claim order: dl1, h = n // 2 blocks, two many-above, two k-range,
+    four interval, one n-multiplicity, four per twin rank for h clique and
+    h independent ranks, then three diameter claims. Each column holds the
+    claim's slack lhs - rhs, whether it holds (the integer comparison its
+    checker makes) and whether the graph makes it; a gate bit per check says
+    its hypothesis fails. Twin ranks come from one stable lexsort of the
+    stack's classes, in least-member order, on (graph, kind, forced value,
+    size, |external|), as _twin_refine sorts them.
+
+    A graph's shape is (n, its packed presence and gate bits). The first
+    graph of a shape met is also decided by run_checks, whose keys the shape
+    takes (so labels and reasons are written only in the checkers) once its
+    slacks equal the table's. Every passing graph gets a CheckReport sharing
+    its shape's keys tuple and _template entry, with its present slacks in
+    slot order. A graph with a failed claim or a non-finite slack is decided
+    by run_checks, so witnesses have one implementation.
+    """
+    if not analyses:
+        return []
+    facts = np.array(list(map(_FACTS, analyses)), dtype=np.int64)
+    n = int(facts[0, 0])
+    if (facts[:, 0] != n).any():
+        raise ValueError("a claim table needs analyses of one order")
+    _, chi, b_chi, ceil, diameter, m, mu_below, mu_at_n, components, universal = facts.T
+    b, h = len(analyses), n // 2
+    values = np.array([a.values for a in analyses], dtype=np.float64)
+    sizes, _ = _padded([a.coloring.sizes for a in analyses], n)
+    counts, blocks = _padded([a.block_counts for a in analyses], h)
+    slack = np.zeros((b, 13 + 9 * h))
+    holds = np.ones(slack.shape, dtype=bool)
+    present = np.zeros(slack.shape, dtype=bool)
+
+    def claim(slot, lhs, rhs, holds_, present_=True, rows=slice(None)):
+        slack[rows, slot], holds[rows, slot], present[rows, slot] = lhs - rhs, holds_, present_
+
+    def value(k):  # values[k] of each graph, for a column of k each; clipped where absent
+        return np.take_along_axis(values, np.clip(k, 0, n - 1), axis=1)
+
+    complete = chi > n - 1
+    ell1 = sizes[:, 0]
+    claim(0, values[:, 0], b_chi, m > 0, ~complete)
+    # block j ends at values[s_j - 1], s_j = the sum of ell_i - 1 over i <= j
+    ell = sizes[:, :h]
+    s = np.cumsum(ell - 1, axis=1)
+    claim(slice(1, 1 + h), value(s - 1), n + ell, counts >= s, np.arange(h) < blocks[:, None])
+    at = 1 + h
+    claim(at, m, ell1 - 1, m >= ell1 - 1, ~complete)
+    claim(at + 1, m, ceil - 1, m >= ceil - 1, ~complete)
+    k_gate = complete | (n < 4)
+    hi = ceil - 1
+    claim(at + 2, value(hi[:, None] - 1)[:, 0], b_chi, m >= hi, ~k_gate & (hi >= 2))
+    # made only when n >= 4; the index is clamped for n = 1
+    claim(at + 3, values[:, min(1, n - 1)], b_chi, m >= 2, ~k_gate & (chi <= n - 2))
+    claim(at + 4, m, ell1 - 1, m >= ell1 - 1)
+    claim(at + 5, m, 3, m >= 3, ell1 >= 4)
+    claim(at + 6, m, n - components, m <= n - components)
+    claim(at + 7, m, n - universal - 1, m <= n - universal - 1, ~complete)
+    claim(at + 8, mu_at_n, components - 1, mu_at_n == components - 1)
+    at += 9
+
+    classes = list(chain.from_iterable(a.twins for a in analyses))
+    has_kind = np.zeros((b, 2), dtype=bool)  # [:, 0] clique, [:, 1] independent
+    if classes:
+        graph = np.repeat(np.arange(b), [len(a.twins) for a in analyses])
+        kind, forced, size, external, forced_mult = np.array(
+            [(t.kind != "clique", t.forced_value, len(t.members), len(t.external), t.forced_mult)
+             for t in classes], dtype=np.int64).T
+        mult = np.fromiter(chain.from_iterable(a.twin_mults for a in analyses), np.int64,
+                           len(classes))
+        order = np.lexsort((external, size, forced, kind, graph))
+        group = (2 * graph + kind)[order]
+        rank = np.empty_like(order)  # place among the graph's classes of its kind
+        rank[order] = np.arange(len(order)) - np.searchsorted(group, group)
+        has_kind[graph, kind] = True
+        slot = at + 4 * (h * kind + rank)
+        compression = external + size * (kind == 0)
+        chromatic = compression <= n - ceil[graph]
+        mg = m[graph]
+        claim(slot, mult, forced_mult, mult >= forced_mult, rows=graph)
+        claim(slot + 1, forced, 2 * n - compression, forced >= 2 * n - compression, rows=graph)
+        claim(slot + 2, forced, b_chi[graph], forced >= b_chi[graph], chromatic, graph)
+        claim(slot + 3, mg, size - 1, mg >= size - 1, chromatic, graph)
+    at += 8 * h
+    d_gate = complete | (n < 5)
+    bound = n - ceil + 1
+    claim(at, mu_below, bound, mu_below <= bound, ~d_gate)
+    bound = n - np.maximum(2, ceil - 1)
+    claim(at + 1, mu_below, bound, mu_below <= bound, ~d_gate & (diameter >= 3))
+    claim(at + 2, mu_below + m, n, mu_below + m == n, ~d_gate)
+
+    no = np.zeros(b, dtype=bool)
+    gates = np.stack((complete, no, complete, k_gate, no, no, ~has_kind[:, 0], ~has_kind[:, 1],
+                      d_gate), axis=1)
+    packed = np.packbits(np.concatenate((present, gates), axis=1), axis=1)
+    lengths = present.sum(axis=1)
+    ends = np.cumsum(lengths)
+    starts, ends = (ends - lengths).tolist(), ends.tolist()
+    flat = slack[present].tolist()  # each graph's present slacks, in slot order
+    passing = np.flatnonzero(~(present & ~(holds & np.isfinite(slack))).any(axis=1))
+    _, first, shape_ids = np.unique(packed[passing].view(f"V{packed.shape[1]}")[:, 0],
+                                    return_index=True, return_inverse=True)
+    shape_of = np.full(b, -1)  # each passing graph's shape, -1 for one run_checks decides
+    shape_of[passing] = shape_ids
+    shapes = [_shape(n, packed[i].tobytes(), analyses[i], flat[starts[i]:ends[i]])
+              for i in passing[first].tolist()]
+    return [run_checks(a) if k < 0 else CheckReport(a, *shapes[k], flat[start:end])
+            for a, k, start, end in zip(analyses, shape_of.tolist(), starts, ends)]
+
+
+def _shape(n: int, bits: bytes, a: GraphAnalysis, slacks: list[float]) -> tuple[tuple, tuple]:
+    """The keys and _template entry of the shape (n, bits), taken from
+    run_checks on a, a passing graph of the shape whose table slacks are
+    `slacks`, if the shape is new. _SHAPES keeps the TEMPLATE_SHAPES
+    shapes last added."""
+    key = (n, bits)
+    if key not in _SHAPES:
+        report = run_checks(a)
+        if report.failed or report.slacks != slacks:
+            raise RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
+        keys = tuple(report.keys)
+        if len(_SHAPES) >= TEMPLATE_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+        _SHAPES[key] = keys, _template(keys)
+    return _SHAPES[key]
+
+
 BATCH = 512  # graphs per analyze_many call in a sweep
 
 
@@ -430,16 +601,23 @@ def _usable_cpus() -> int:
 
 
 def _sweep_batch(each: Callable, coloring_mode: str, batch: Sequence[Graph]) -> list:
-    return [each(run_checks(a)) for a in analyze_many(batch, coloring_mode)]
+    analyses = analyze_many(batch, coloring_mode)
+    # alone, a graph's checks cost less through run_checks than through the table
+    reports = run_checks_many(analyses) if len(analyses) > 1 else map(run_checks, analyses)
+    return [each(report) for report in reports]
 
 
 def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
           coloring_mode: str = "default", jobs: int = 1) -> Iterator:
-    """Yield each(run_checks(a)) for the analysis a of every graph, in order.
+    """Yield each(report) for the report run_checks makes of the analysis of
+    every graph, in order.
 
     Graphs are analyzed BATCH at a time by min(jobs, usable CPUs) spawned
-    workers (serially for one). `each` runs in the worker, so only what it
-    returns is sent back; it must pickle, as a module-level function does.
+    workers (serially for one). Each stack of more than one analysis is
+    decided by the claim table (run_checks_many), a stack of one by
+    run_checks; the reports are the same. `each` runs in the worker, so only
+    what it returns is sent back; it must pickle, as a module-level function
+    does.
     """
     work = functools.partial(_sweep_batch, each, coloring_mode)
     slices = (graphs[i:i + BATCH] for i in range(0, len(graphs), BATCH))

@@ -1,6 +1,7 @@
 """Independent brute-force oracles, closed forms and coloring checks that only
 the tests call, the list-based reference DSATUR search, random generators used
-across the tests, and reports made from hand-built results."""
+across the tests, reports made from hand-built results, and the comparison of
+the claim table with run_checks."""
 
 from __future__ import annotations
 
@@ -16,7 +17,15 @@ from distlap.eigen import eig_symmetric
 from distlap.graphs import Graph, _bits, canonical_form, is_connected, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import TwinClass
-from distlap.verify import CheckReport, CheckResult, GraphAnalysis
+from distlap.verify import (
+    CheckReport,
+    CheckResult,
+    GraphAnalysis,
+    report_csv,
+    report_jsonl,
+    run_checks,
+    run_checks_many,
+)
 
 
 def brute_force_chromatic(g: Graph) -> int:
@@ -124,6 +133,26 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
         report.slacks += r.slack.values()
         report.failed += [(i, v) for v in r.violations]
     return report
+
+
+def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis]) -> int:
+    """Check that run_checks_many on the stack `analyses` makes, report for
+    report, what run_checks makes of each analysis alone: the same keys,
+    slacks bit for bit, failed claims, verdicts and JSON and CSV records.
+    Returns the number of reports the table itself filled (no failed claim,
+    no non-finite slack)."""
+    tabled = 0
+    for x, a in zip(run_checks_many(analyses), analyses, strict=True):
+        y = run_checks(a)
+        assert x.analysis is a
+        assert tuple(x.keys) == tuple(y.keys), a.graph6
+        assert [v.hex() for v in x.slacks] == [v.hex() for v in y.slacks], a.graph6
+        assert x.failed == y.failed, a.graph6
+        assert x.verdicts == y.verdicts, a.graph6
+        assert report_jsonl(x) == report_jsonl(y), a.graph6
+        assert report_csv(x) == report_csv(y), a.graph6
+        tabled += type(x.keys) is tuple  # run_checks fills a list
+    return tabled
 
 
 def toggle_edge(g: Graph, u: int, v: int) -> Graph:

@@ -41,9 +41,16 @@ from distlap.verify import (
     report_csv,
     report_jsonl,
     run_checks,
+    run_checks_many,
     sweep,
 )
-from helpers import random_permutation, report_of, toggle_edge, universal_vertex_count
+from helpers import (
+    assert_table_matches_run_checks,
+    random_permutation,
+    report_of,
+    toggle_edge,
+    universal_vertex_count,
+)
 
 
 def _by_id(report, check_id):
@@ -807,6 +814,161 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
         assert report_jsonl(report) == _json_dumps_lines(report)
     info = verify._template.cache_info()
     assert info.misses > verify.TEMPLATE_SHAPES and info.currsize <= verify.TEMPLATE_SHAPES
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+# ---------------------------------------------------------------------------
+
+def test_claim_table_matches_run_checks_on_corpus(mode_analyses):
+    # every connected graph with n <= 7, in the sweep's stacks
+    _, corpus = mode_analyses
+    for n, analyses in corpus.items():
+        for i in range(0, len(analyses), verify.BATCH):
+            stack = analyses[i:i + verify.BATCH]
+            assert assert_table_matches_run_checks(stack) == len(stack), n  # none fails
+
+
+def test_claim_table_matches_run_checks_on_relabeled_n8_slices():
+    # the corpus8-audit benchmark's input shape: sweep-sized slices of the
+    # n = 8 corpus under a seeded relabeling, in both coloring modes
+    graphs = list(enumerate_connected(8))
+    rng = random.Random(2929)
+    for start in (0, 3584, 7168, 10605):
+        stack = [relabel(g, random_permutation(rng, 8))
+                 for g in graphs[start:start + verify.BATCH]]
+        assert len(stack) == 512
+        for mode in ("default", "max-l1"):
+            assert assert_table_matches_run_checks(analyze_many(stack, mode)) == 512
+
+
+def test_claim_table_matches_run_checks_at_the_gate_edges():
+    # the orders where a check's hypothesis starts to hold (n < 4, n < 5), the
+    # complete graphs every chi-gated check skips, and K_n minus an edge,
+    # whose chi is n - 1
+    stacks = [[gen_complete(1)] * 2, [gen_complete(2)] * 2, [gen_path(3), gen_complete(3)],
+              list(enumerate_connected(4)), list(enumerate_connected(5))]
+    for n in range(3, 11):
+        near = toggle_edge(gen_complete(n), 0, 1)
+        stacks += [[gen_complete(n)] * 2, [gen_complete(n), near, gen_path(n)]]
+    for stack in stacks:
+        for mode in ("default", "max-l1"):
+            assert assert_table_matches_run_checks(analyze_many(stack, mode)) == len(stack)
+
+
+def _joined_cliques(rng: random.Random, n: int) -> Graph:
+    """The join of 2-4 blocks, each a disjoint union of cliques of 1-4
+    vertices, relabeled: each clique of 2 or more is a clique twin class,
+    the single vertices of a block an independent one. A cograph, so exact
+    coloring is quick at any n."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+    blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    edges = [(u, v) for i, x in enumerate(blocks) for y in blocks[:i] for u in x for v in y]
+    for block in blocks:
+        start = block.start
+        while start < block.stop:
+            clique = range(start, min(block.stop, start + rng.randint(1, 4)))
+            edges += [(u, v) for u in clique for v in clique if u < v]
+            start = clique.stop
+    return relabel(Graph.from_edges(n, edges), random_permutation(rng, n))
+
+
+def _tree_with_twins(rng: random.Random, n: int) -> Graph:
+    """A random tree on n // 3 vertices with groups of 2-3 more vertices hung
+    from one tree vertex each, as leaves (an independent twin class with the
+    other leaves there) or as a clique (a clique twin class), relabeled."""
+    start = max(2, n // 3)
+    edges = [(rng.randrange(v), v) for v in range(1, start)]  # a random spanning tree
+    while start < n:
+        group = range(start, min(n, start + rng.randint(2, 3)))
+        hub = rng.randrange(start)
+        edges += [(hub, v) for v in group]
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in group for v in group if u < v]
+        start = group.stop
+    return relabel(Graph.from_edges(n, edges), random_permutation(rng, n))
+
+
+def test_claim_table_matches_run_checks_on_twin_rich_stacks_above_n8():
+    # seeded same-order stacks with n 9..64: joined cliques and trees with
+    # hung twins, each with several twin classes of each kind, and complete
+    # multipartite graphs
+    rng = random.Random(4096)
+    for n in (9, 11, 16, 23, 37, 64):
+        graphs = [make(rng, n) for make in (_joined_cliques, _tree_with_twins) for _ in range(3)]
+        for _ in range(2):
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 7))))
+            graphs.append(gen_complete_multipartite(
+                [b - a for a, b in zip([0, *cuts], [*cuts, n])]))
+        for mode in ("default", "max-l1") if n <= 16 else ("default",):
+            analyses = analyze_many(graphs, mode)
+            for kind in ("clique", "independent"):
+                assert max([t.kind for t in a.twins].count(kind) for a in analyses) >= 2, n
+            assert assert_table_matches_run_checks(analyses) == len(graphs)
+
+
+def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
+    # passing n = 8 rows mixed with P8 holding the eigenvalue n twice, K_{3,5}
+    # one eigenvalue short of its part of 5's forced multiplicity, and rows
+    # whose dL1 is infinite or not a number; only the passing rows are tabled,
+    # and a non-finite value no claim reads changes nothing
+    p8, k35, c8, k44 = analyze_many([gen_path(8), gen_complete_multipartite([3, 5]),
+                                     gen_cycle(8), gen_complete_multipartite([4, 4])])
+    mu_at_n = p8._replace(mu_at_n=2)
+    short = k35._replace(twin_mults=(3, k35.twin_mults[1]))
+    infinite = c8._replace(values=[math.inf, *c8.values[1:]])
+    nan = k44._replace(values=[math.nan, *k44.values[1:]])
+    unread = c8._replace(values=[*c8.values[:-1], math.nan])  # the eigenvalue 0
+    stack = [p8, mu_at_n, c8, short, infinite, k35, nan, unread, k44]
+    assert assert_table_matches_run_checks(stack) == 5
+    reports = run_checks_many(stack)
+    assert [r.ok for r in reports] == [True, False, True, False, True, True, True, True, True]
+    assert [r.failures[0].check_id for r in reports if not r.ok] == [
+        "n_multiplicity", "indep_twin_refine"]
+    assert assert_table_matches_run_checks([mu_at_n, short]) == 0
+
+
+def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, monkeypatch):
+    # every passing report holds its shape's keys tuple and _template's own
+    # entry for those keys; the shape cache keeps at most TEMPLATE_SHAPES shapes
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    reports = run_checks_many(corpus_analyses[7])
+    shapes = {id(keys): (keys, entry) for keys, entry in verify._SHAPES.values()}
+    assert len(shapes) > 10
+    for report in reports:
+        keys, entry = shapes[id(report.keys)]
+        assert report._entry is entry is verify._template(keys)
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    monkeypatch.setattr(verify, "TEMPLATE_SHAPES", 4)
+    assert assert_table_matches_run_checks(corpus_analyses[7]) == len(corpus_analyses[7])
+    assert len(verify._SHAPES) == 4
+
+
+def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses, monkeypatch):
+    # a checker whose slack differs from the table's column on the first
+    # graph of a new shape stops the table before it takes the shape's keys
+    def shifted(a, report):
+        mu, cm1 = a.mu_at_n, a.complement_components - 1
+        report.claim("mu_at_n_minus_cm1", mu, cm1 + 1, mu == cm1)
+
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (cid, shifted if cid == "n_multiplicity" else check) for cid, check in CHECKS))
+    with pytest.raises(RuntimeError, match="disagrees with run_checks"):
+        run_checks_many(corpus_analyses[6])
+    assert not verify._SHAPES
+
+
+def test_sweep_decides_stacks_of_more_than_one_by_the_claim_table(monkeypatch):
+    graphs = list(enumerate_connected(6))[:101]
+    tabled = []
+    real = verify.run_checks_many
+    monkeypatch.setattr(verify, "run_checks_many",
+                        lambda analyses: tabled.append(len(analyses)) or real(analyses))
+    monkeypatch.setattr(verify, "BATCH", 50)
+    got = list(sweep(graphs, report_jsonl))
+    assert tabled == [50, 50]  # the last stack, of one graph, goes through run_checks
+    assert got == [report_jsonl(run_checks(analyze(g))) for g in graphs]
 
 
 # ---------------------------------------------------------------------------
