@@ -384,28 +384,36 @@ def test_corpus_n6_audit(capsys):
         assert f"extremal chi={chi}: min dL1 = {expect} (expected {expect})" in out
 
 
-# SHA-256 over every line of `corpus --n 7 --format json`, in order, of the repr
+# SHA-256 over every line of `corpus --n N --format json`, in order, of the repr
 # of (graph6, n, m, chi, b_chi, check_id, applicable, verdict, sorted slack
 # labels, witness): every field but the slack values, which come from LAPACK,
 # so no BLAS build can move it. A record with a wrong shape or verdict changes it.
 RECORD_SKELETON_SHA256 = {
-    "default": "e2e8161f90db56c2eac80e9ac9bf2d6f293da96f9b6fd99d03922d52e2abb795",
-    "max-l1": "a144910334f1a8df1d8fdb3b6d0e97a9cf0e238dbb25b29fa69de2c4379075e2",
+    (7, "default"): "e2e8161f90db56c2eac80e9ac9bf2d6f293da96f9b6fd99d03922d52e2abb795",
+    (7, "max-l1"): "a144910334f1a8df1d8fdb3b6d0e97a9cf0e238dbb25b29fa69de2c4379075e2",
+    (8, "default"): "7d404c4a99a52d3ed26658801fea7d5b99099e98f2a6068aac07d4ca9d5cccc7",
+    (8, "max-l1"): "cbaf2564cef3a042866352c331a1c5fd8ce7e282510fd506125a14f3ef1708df",
 }
 
 
-@pytest.mark.parametrize("mode", sorted(RECORD_SKELETON_SHA256))
-def test_corpus_record_skeleton_is_pinned(tmp_path, mode):
-    out = tmp_path / "r.jsonl"
-    assert main(["corpus", "--n", "7", "--coloring", mode, "--format", "json",
-                 "--out", str(out)]) == 0
+@pytest.mark.parametrize("n, mode", [
+    pytest.param(7, "default", id="default"),
+    pytest.param(7, "max-l1", id="max-l1"),
+    pytest.param(8, "default", id="n8-default", marks=pytest.mark.corpus8),
+    pytest.param(8, "max-l1", id="n8-max-l1", marks=pytest.mark.corpus8),
+])
+def test_corpus_record_skeleton_is_pinned(corpus_run, n, mode):
+    # --audit-extremal leaves the records as they are; with it, the run is
+    # the serial side of test_corpus_audit_jobs_match_serial's json case
+    code, out = corpus_run(n, mode, "json", audit=True)
+    assert code == 0
     digest = hashlib.sha256()
     for line in out.read_text().splitlines():
         r = json.loads(line)
         digest.update(repr((r["graph6"], r["n"], r["m"], r["chi"], r["b_chi"], r["check_id"],
                             r["applicable"], r["verdict"], sorted(r["slack"]),
                             r["witness"])).encode())
-    assert digest.hexdigest() == RECORD_SKELETON_SHA256[mode]
+    assert digest.hexdigest() == RECORD_SKELETON_SHA256[n, mode]
 
 
 def test_corpus_jobs_match_serial(capsys):
@@ -456,14 +464,19 @@ def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
     assert code == 0 and seen == ["path:5"]
 
 
-@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
-def test_corpus_audit_jobs_match_serial(capsys, fmt):
+@pytest.mark.parametrize("n, mode, fmt", [
+    *(pytest.param(7, "default", fmt, id=fmt) for fmt in ("pretty", "json", "csv")),
+    pytest.param(8, "default", "pretty", id="n8-pretty", marks=pytest.mark.corpus8),
+    *(pytest.param(8, mode, "json", id=f"n8-json-{mode}", marks=pytest.mark.corpus8)
+      for mode in ("default", "max-l1")),
+])
+def test_corpus_audit_jobs_match_serial(corpus_run, n, mode, fmt):
     # pretty output holds the tallies and the audits, json and csv the records
-    argv = ("corpus", "--n", "7", "--audit-extremal", "--format", fmt)
-    code, serial, _ = run_cli(capsys, *argv)
-    code2, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+    code, serial = corpus_run(n, mode, fmt, audit=True)
+    code2, parallel = corpus_run(n, mode, fmt, audit=True, jobs=2)
     assert code == code2 == 0
-    assert serial and serial == parallel
+    serial = serial.read_text()
+    assert serial and serial == parallel.read_text()
 
 
 def test_corpus_jobs_clamped_to_usable_cpus(monkeypatch, capsys):

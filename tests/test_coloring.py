@@ -8,6 +8,7 @@ import pytest
 from distlap import coloring
 from distlap.coloring import max_ell1_coloring, optimal_coloring
 from distlap.graphs import (
+    Graph,
     enumerate_connected,
     gen_complete,
     gen_complete_multipartite,
@@ -16,6 +17,7 @@ from distlap.graphs import (
     gen_comp_s62,
     gen_path,
     parse_graph6,
+    to_graph6,
 )
 from distlap.metric import distance_stack
 from distlap.verify import BATCH, analyze_many
@@ -100,6 +102,26 @@ def test_dense_colorings_are_pinned():
         for res in results:
             digest.update(repr((res.chi, res.classes)).encode())
         assert digest.hexdigest() == DENSE_COLORINGS_SHA256
+
+
+# SHA-256 of repr((graph6, chi, classes)) of max_ell1_coloring over 400 seeded
+# connected graphs with n 9..16 and densities spread over 0.15..0.8, which have
+# many more maximal independent sets per graph than the n = 8 corpus
+MAX_L1_COLORINGS_SHA256 = "d8984a2d8a43cbe232dfc4d8935b467f61fd1bff05aa839292e3dd386897d2eb"
+
+
+def test_max_l1_colorings_above_n8_are_pinned():
+    rng = random.Random(916)
+    digest = hashlib.sha256()
+    for i in range(400):
+        n = 9 + i % 8
+        density = 0.15 + 0.65 * i / 399
+        edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+        edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+        g = Graph.from_edges(n, edges)
+        r = max_ell1_coloring(g)
+        digest.update(repr((to_graph6(g), r.chi, r.classes)).encode())
+    assert digest.hexdigest() == MAX_L1_COLORINGS_SHA256
 
 
 def test_greedy_starts_match_the_per_graph_start():

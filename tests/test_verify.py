@@ -237,19 +237,20 @@ def test_failing_twin_claim_names_the_class_members():
         {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}]}
 
 
-def test_twin_records_do_not_depend_on_vertex_labels(mode_analyses):
-    # Against a seeded relabeling of every corpus graph, the twin checks give
-    # equal slack, verdict and witness, and every check records the same keys
-    # wherever the two colorings have the same size vector. Whole records may
-    # differ: float slacks move by an ulp, and in either mode the coloring's
-    # size vector can depend on the labels.
-    coloring_mode, corpus = mode_analyses
+def test_twin_records_do_not_depend_on_vertex_labels(mode_reports):
+    # Against a seeded relabeling of every corpus graph, swept as the corpus
+    # is, the twin checks give equal slack, verdict and witness, and every
+    # check records the same keys wherever the two colorings have the same
+    # size vector. Whole records may differ: float slacks move by an ulp,
+    # and in either mode the coloring's size vector can depend on the labels.
+    coloring_mode, corpus = mode_reports
     rng = random.Random(7)
-    for analyses in corpus.values():
-        moved = analyze_many([relabel(a.graph, random_permutation(rng, a.n)) for a in analyses],
-                             coloring_mode)
-        for a, b in zip(analyses, moved, strict=True):
-            for r, s in zip(run_checks(a).results, run_checks(b).results, strict=True):
+    for reports in corpus.values():
+        moved = sweep([relabel(r.analysis.graph, random_permutation(rng, r.analysis.n))
+                       for r in reports], lambda report: report, coloring_mode)
+        for x, y in zip(reports, moved, strict=True):
+            a, b = x.analysis, y.analysis
+            for r, s in zip(x.results, y.results, strict=True):
                 if r.check_id in ("clique_twin_refine", "indep_twin_refine"):
                     assert (r.slack, r.verdict, r.witness) == (s.slack, s.verdict, s.witness), \
                         (a.graph6, r.check_id)
@@ -715,13 +716,13 @@ def test_report_records_roundtrip():
            [(rec["check_id"], rec["verdict"]) for rec in parsed]
 
 
-def test_report_jsonl_matches_json_dumps_on_corpus(mode_analyses):
-    _, corpus = mode_analyses
-    for analyses in corpus.values():
-        for a in analyses:
-            report = run_checks(a)
-            assert report_jsonl(report) == _json_dumps_lines(report), a.graph6
-            assert report_csv(report) == _dict_writer_rows(report), a.graph6
+def test_report_jsonl_matches_json_dumps_on_corpus(mode_reports):
+    _, corpus = mode_reports
+    for reports in corpus.values():
+        for report in reports:
+            graph6 = report.analysis.graph6
+            assert report_jsonl(report) == _json_dumps_lines(report), graph6
+            assert report_csv(report) == _dict_writer_rows(report), graph6
 
 
 def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
