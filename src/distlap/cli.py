@@ -264,7 +264,7 @@ def _corpus_item(fmt: str, audit: bool, report) -> tuple:
     and, if `audit`, its GraphSummary (else None)."""
     encode = _record_encoder(fmt)
     return (encode(report) if encode else "", report.verdicts,
-            report.analysis.summary if audit else None)
+            report.summary if audit else None)
 
 
 def cmd_corpus(args) -> int:

@@ -113,9 +113,11 @@ def _search(adj: Sequence[int], k: int, budget: float = math.inf,
         del rec  # rec holds itself through its closure: break the cycle for refcounting
 
 
-def greedy_starts(adjacency: np.ndarray) -> list[GreedyStart]:
-    """(_search(adj, n), len(_greedy_clique(adj))) for each graph of a
-    (B, n, n) boolean adjacency stack, computed for the whole stack at once.
+def greedy_starts(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) array of _search(adj, n) and the (B,) array of
+    len(_greedy_clique(adj)) for the graphs of a (B, n, n) boolean adjacency
+    stack, computed for the whole stack at once. Row b of both is graph b's
+    GreedyStart.
 
     Greedy DSATUR (_search with k = n) never backtracks, so it is n rounds of
     the same few array operations on every graph: the uncolored vertex that
@@ -147,7 +149,7 @@ def greedy_starts(adjacency: np.ndarray) -> list[GreedyStart]:
     while common.any():
         size += common.any(axis=1)
         common &= adjacency[rows, np.where(common, degree, -1).argmax(axis=1)]
-    return list(zip(colors.tolist(), size.tolist()))
+    return colors, size
 
 
 def _by_degree(adj: Sequence[int]) -> Callable[[int], list[int] | None]:
@@ -279,11 +281,17 @@ def _to_result(colors: Sequence[int]) -> ColoringResult:
     return ColoringResult(len(ordered), tuple(map(tuple, ordered)), tuple(map(len, ordered)))
 
 
-def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
-    """The greedy coloring if it is optimal, else the first optimal one:
-    deterministic for a fixed vertex labeling; `start` as for _chromatic."""
+def optimal_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
+    """The color of each vertex in the greedy coloring if it is optimal, else
+    in the first optimal one: deterministic for a fixed vertex labeling;
+    `start` as for _chromatic."""
     chi, greedy, witness = _chromatic(g.adj, start)
-    return _to_result(greedy if chi == max(greedy) + 1 else _k_colorable(g.adj, chi, witness))
+    return greedy if chi == max(greedy) + 1 else _k_colorable(g.adj, chi, witness)
+
+
+def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
+    """The classes of optimal_colors(g, start)."""
+    return _to_result(optimal_colors(g, start))
 
 
 def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
@@ -318,8 +326,9 @@ def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
     return out
 
 
-def max_ell1_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
-    """Among all optimal colorings, one whose largest class is as big as possible.
+def max_ell1_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
+    """The color of each vertex in an optimal coloring whose largest class is
+    as big as possible.
 
     Tries each maximal independent set of size >= ceil(n/chi) as the first
     class, largest first, and keeps the first whose removal leaves a
@@ -339,5 +348,10 @@ def max_ell1_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringRes
         colors = [0] * g.n
         for v, c in zip(rest, sub_colors):
             colors[v] = c + 1
-        return _to_result(colors)
+        return colors
     raise RuntimeError("no optimal coloring found; chromatic number inconsistent")
+
+
+def max_ell1_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
+    """The classes of max_ell1_colors(g, start)."""
+    return _to_result(max_ell1_colors(g, start))

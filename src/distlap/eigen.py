@@ -2,9 +2,10 @@
 
 A spectrum is a plain nonincreasing float64 array, and a stack of spectra is
 an array whose last axis holds each spectrum. The threshold counts read one
-spectrum at a time, as a nondecreasing Python list of floats (`values[::-1]`
-of a spectrum's `.tolist()`). Every count, multiplicity and cluster snaps
-with the one fixed tolerance INT_TOL; no caller sets it.
+spectrum as a nondecreasing Python list of floats (`values[::-1]` of a
+spectrum's `.tolist()`), or a whole stack of spectra with a threshold per
+spectrum at once. Every count, multiplicity and cluster snaps with the one
+fixed tolerance INT_TOL; no caller sets it.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     return tuple((sum(c) / len(c), len(c)) for c in chunks if c)
 
 
-# Both counts take one spectrum as a nondecreasing list `rising` and one
-# threshold c, and find c by bisection. They make the float comparisons
-# `v >= c - INT_TOL` and `abs(v - c) <= INT_TOL` of every eigenvalue they
-# count, so for an integer c they give the integers those tests give over the
-# whole spectrum.
+# count_at_least and multiplicity take one spectrum as a nondecreasing list
+# `rising` and one threshold c, and find c by bisection (one graph, analyze).
+# counts_at_least and multiplicities take a (..., n) array of spectra and
+# thresholds c of the shape of values[..., 0], or one that broadcasts to it,
+# and compare every eigenvalue at once (a stack, analyze_many). All four make
+# the float comparisons `v >= c - INT_TOL` and `abs(v - c) <= INT_TOL` of
+# every eigenvalue they count, so for an integer c they give the integers
+# those tests give over the whole spectrum.
 
 def count_at_least(rising: Sequence[float], c: float) -> int:
     """The number of eigenvalues >= c - INT_TOL."""
@@ -58,3 +62,13 @@ def multiplicity(rising: Sequence[float], c: float) -> int:
     """The number of eigenvalues within INT_TOL of c."""
     window = rising[bisect_left(rising, c - INT_TOL):bisect_right(rising, c + INT_TOL)]
     return len([v for v in window if abs(v - c) <= INT_TOL])
+
+
+def counts_at_least(values: np.ndarray, c) -> np.ndarray:
+    """The number of eigenvalues >= c - INT_TOL of each spectrum."""
+    return (values >= np.asarray(c)[..., None] - INT_TOL).sum(axis=-1)
+
+
+def multiplicities(values: np.ndarray, c) -> np.ndarray:
+    """The number of eigenvalues within INT_TOL of c of each spectrum."""
+    return (np.abs(values - np.asarray(c)[..., None]) <= INT_TOL).sum(axis=-1)

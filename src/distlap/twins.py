@@ -25,21 +25,88 @@ class TwinClass(NamedTuple):
     forced_mult: int
 
 
-def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
-                         ) -> list[tuple[TwinClass, ...]]:
+KINDS = ("clique", "independent")  # a twin table's kind 0 and kind 1
+
+
+class TwinTable(NamedTuple):
+    """The maximal twin classes of a stack of graphs as columns, one entry
+    per class, ordered by graph, then by least member. Classes of graph b
+    are the entries bounds[b]:bounds[b + 1]. `kind` indexes KINDS, `members`
+    and `common` are uint64 vertex masks (the class, and its external set),
+    and `size` and `external` their vertex counts."""
+
+    graph: np.ndarray
+    kind: np.ndarray
+    size: np.ndarray
+    external: np.ndarray
+    transmission: np.ndarray
+    members: np.ndarray
+    common: np.ndarray
+    bounds: list[int]
+
+    @property
+    def forced_value(self) -> np.ndarray:
+        return self.transmission + 1 + self.kind
+
+    @property
+    def forced_mult(self) -> np.ndarray:
+        return self.size - 1
+
+    def classes(self, b: int) -> tuple[TwinClass, ...]:
+        """The TwinClass records of graph b, ordered by least member."""
+        lo, hi = self.bounds[b], self.bounds[b + 1]
+        if lo == hi:
+            return ()
+        return tuple([TwinClass(KINDS[k], tuple(_bits(members)), tuple(_bits(common)), tr,
+                                tr + 1 + k, size - 1)
+                      for k, members, common, tr, size in zip(
+                          *[column[lo:hi].tolist() for column in (
+                              self.kind, self.members, self.common, self.transmission,
+                              self.size)])])
+
+
+def twin_classes(g: Graph, transmissions: Sequence[int]) -> tuple[TwinClass, ...]:
+    """The maximal twin classes of one connected graph, ordered by least
+    member, as twin_table finds them in a stack; transmissions[v] is the
+    transmission of vertex v. Vertices are grouped by their closed and by
+    their open neighborhood masks in two dicts, which on one graph costs
+    less than a stack's arrays."""
+    found = []
+    for kind, bump, masks in (("clique", 1, [a | 1 << v for v, a in enumerate(g.adj)]),
+                              ("independent", 2, g.adj)):
+        groups: dict[int, list[int]] = {}
+        for v, mask in enumerate(masks):
+            groups.setdefault(mask, []).append(v)
+        for mask, members in groups.items():
+            if len(members) > 1:
+                if bump == 1:  # a closed mask holds the clique class itself
+                    for v in members:
+                        mask ^= 1 << v
+                tr = transmissions[members[0]]
+                found.append(TwinClass(kind, tuple(members), tuple(_bits(mask)), tr, tr + bump,
+                                       len(members) - 1))
+    found.sort(key=lambda t: t.members[0])
+    return tuple(found)
+
+
+def twin_table(adjacency: np.ndarray, degrees: np.ndarray,
+               transmissions: np.ndarray) -> TwinTable:
     """The maximal twin classes of each connected graph of a (B, n, n)
-    boolean adjacency stack, ordered by least member; transmissions[b][v] is
-    the transmission of vertex v of graph b.
+    boolean adjacency stack; degrees[b, v] and transmissions[b, v] are the
+    degree and the transmission of vertex v of graph b.
 
     Vertices are grouped by closed-neighborhood equality (clique twins) and by
     open-neighborhood equality (independent twins); only classes of size >= 2
-    are emitted, and no vertex can appear in both kinds. Each graph's open and
+    are kept, and no vertex can appear in both kinds. Each graph's open and
     closed neighborhood masks are rows of one (2B, n) uint64 array, the
-    closed ones first (n <= 64, so vertex 63 is the top bit). One stable sort
-    of each row puts equal masks next to each other, lowest vertex first, and
-    a class is a run of equal masks in that order: its first and last places
-    are where "equal to the one before" turns on and off. Only the runs reach
-    Python, so a graph with no twin pair does no work at all.
+    closed ones first (n <= 64, so vertex 63 is the top bit). One sort of
+    each row puts equal masks next to each other, and a class is a run of
+    equal masks: its first and last places are where "equal to the one
+    before" turns on and off. A stable argsort of the rows that hold a run
+    lists each run's vertices lowest first, and the running sums of their
+    bits give each class's member mask. A class's external set is its
+    shared mask, less the class itself for clique twins, and its size
+    follows from a member's degree. No class reaches Python.
     """
     b, n, _ = adjacency.shape
     bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
@@ -48,33 +115,29 @@ def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence
     ranked = np.sort(keys, axis=1)
     same = np.zeros((2 * b, n + 1), dtype=bool)  # same[:, i]: places i - 1 and i are equal
     same[:, 1:n] = ranked[:, 1:] == ranked[:, :-1]
-    out: list[tuple[TwinClass, ...]] = [()] * b
     if not same.any():  # n distinct masks of each kind in every graph
-        return out
-    order = keys.argsort(axis=1, kind="stable")
+        none = np.zeros(0, dtype=np.int64)
+        return TwinTable(none, none, none, none, none, none, none, [0] * (b + 1))
     # a run of equal masks turns on at a class's first place and off past its last
     row, place = np.nonzero(same[:, 1:] != same[:, :-1])
     row, first, last = row[0::2], place[0::2], place[1::2]
-    found: dict[int, list[TwinClass]] = {}
-    for r, ranking, start, stop, external in zip(row.tolist(), order[row].tolist(),
-                                                 first.tolist(), last.tolist(),
-                                                 ranked[row, first].tolist()):
-        members = ranking[start:stop + 1]
-        if r < b:  # a closed mask holds the clique class itself
-            i, kind, bump = r, "clique", 1
-            for v in members:
-                external ^= 1 << v
-        else:
-            i, kind, bump = r - b, "independent", 2
-        transmission = transmissions[i][members[0]]
-        found.setdefault(i, []).append(TwinClass(
-            kind, tuple(members), tuple(_bits(external)), transmission, transmission + bump,
-            len(members) - 1))
-    for i, classes in found.items():
-        if len(classes) > 1:
-            classes.sort(key=lambda t: t.members[0])
-        out[i] = tuple(classes)
-    return out
+    order = keys[row].argsort(axis=1, kind="stable")
+    taken = np.zeros((len(row), n + 1), dtype=np.uint64)  # taken[:, i]: the bits of places < i
+    np.cumsum(bits[order], axis=1, out=taken[:, 1:])
+    at = np.arange(len(row))
+    members = taken[at, last + 1] - taken[at, first]
+    least = order[at, first]
+    kind = (row >= b).astype(np.int64)
+    graph = row - b * kind
+    size = last - first + 1
+    clique = kind == 0
+    common = ranked[row, first] ^ np.where(clique, members, np.uint64(0))
+    external = degrees[graph, least] - (size - 1) * clique
+    by = np.lexsort((least, graph))
+    graph = graph[by]
+    return TwinTable(graph, kind[by], size[by], external[by], transmissions[graph, least[by]],
+                     members[by], common[by],
+                     np.searchsorted(graph, np.arange(b + 1)).tolist())
 
 
 def complement_component_count(g: Graph) -> int:

@@ -13,15 +13,20 @@ claim writes its JSON records into the cached %-template of its shape (its
 check ids, reasons and labels), which also holds its verdicts, so a corpus
 pass writes records and tallies verdicts without building a CheckResult.
 
-run_checks_many is the claim table: it decides every claim of a stack of
-analyses at once, as numpy columns (slack, holds, present) over a fixed
-slot layout per order, and makes the same reports run_checks would.
-Labels, reasons and failure witnesses stay with the checkers: a shape takes
-its keys from run_checks on its first graph, and run_checks decides every
-graph with a failed claim or a non-finite slack. A sweep decides each stack
-of more than one graph by the table; a stack of one (verify, analyze,
-tables) by run_checks, which costs less alone. Per graph stay the spectral
-counts of analyze_many, the colorings and the record text.
+analyze_many keeps a stack's analyses as columns (AnalysisStack): the
+spectra, the integer facts, the color class sizes and colors, and one twin
+table, from the eigensolve on. run_checks_many is the claim table: it
+decides every claim of a stack at once from those columns, as numpy columns
+(slack, holds, present) over a fixed slot layout per order, and makes the
+same reports run_checks would. Labels, reasons and failure witnesses stay
+with the checkers: a new shape takes its keys from run_checks on its first
+graph, and run_checks decides every graph with a failed claim or a
+non-finite slack; only these graphs build a GraphAnalysis row. A passing
+report reads its record fields and summary from the columns. A sweep
+decides each stack of more than one graph by the table; one graph alone
+(verify, analyze, tables) is analyzed by analyze and decided by run_checks,
+which cost less alone. Per graph stay the colorings the greedy start leaves
+unproven (every max-l1 coloring) and the record text.
 """
 
 from __future__ import annotations
@@ -39,134 +44,120 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.coloring import ColoringResult, greedy_starts, max_ell1_coloring, optimal_coloring
-from distlap.eigen import INT_TOL, count_at_least, eig_symmetric, multiplicity
+from distlap.analysis import AnalysisStack, GraphAnalysis, GraphSummary
+from distlap.coloring import _to_result, greedy_starts, max_ell1_colors, optimal_colors
+from distlap.eigen import (
+    INT_TOL,
+    count_at_least,
+    counts_at_least,
+    eig_symmetric,
+    multiplicities,
+    multiplicity,
+)
 from distlap.graphs import MAX_VERTICES, Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import (
-    TwinClass,
     complement_component_count,
     complement_component_counts,
-    stacked_twin_classes,
+    twin_classes,
+    twin_table,
 )
 
 
-class GraphSummary(NamedTuple):
-    """The fields of one analysis the extremal audit reads. Corpus workers send
-    these back instead of whole GraphAnalysis records."""
-
-    graph6: str
-    n: int
-    chi: int
-    dl1: float
-
-
-class GraphAnalysis(NamedTuple):
-    """Everything the checkers need about one connected graph, computed once.
-
-    The scalar facts are plain fields: `diameter` and `wiener` (half the sum
-    of all distances) come from the distance matrix, `chi` and `b_chi` =
-    n + ceil(n/chi) from `coloring`, the one optimal coloring every chi- and
-    ell-parameterized check reads. `values` is the DL spectrum as Python
-    floats, nonincreasing, and `dl1` its largest. The checkers decide every
-    spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
-    `mu_below_b` = n - m_ge_b are not, `block_counts[j]` are >= n + ell_j for
-    each class of size >= 2, `mu_at_n` is the multiplicity of n and
-    `twin_mults[i]` that of `twins[i].forced_value`.
-    """
-
-    graph: Graph
-    graph6: str
-    n: int
-    m: int
-    chi: int
-    b_chi: int
-    ceil_n_chi: int
-    diameter: int
-    wiener: int
-    values: list[float]
-    coloring: ColoringResult
-    twins: tuple[TwinClass, ...]
-    complement_components: int
-    universal_vertices: int
-    m_ge_b: int
-    mu_below_b: int
-    block_counts: tuple[int, ...]
-    mu_at_n: int
-    twin_mults: tuple[int, ...]
-
-    @property
-    def dl1(self) -> float:
-        return self.values[0]
-
-    @property
-    def summary(self) -> GraphSummary:
-        return GraphSummary(self.graph6, self.n, self.chi, self.dl1)
-
-
-def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> list[GraphAnalysis]:
-    """Analyses of same-order connected graphs, in order, sharing one kernel.
-
-    Distances, distance Laplacians and spectra are computed for the whole
-    stack at once (one numpy.linalg.eigvalsh call), the transmissions,
-    diameters and spectra are read from one `.tolist()` each, and the twin
-    classes come from one stacked_twin_classes call on the adjacency
-    (distance 1). A stack of more than one graph also takes every greedy
-    DSATUR coloring and greedy clique from one greedy_starts call, so the
-    per-graph coloring only searches where the clique bound leaves the greedy
-    coloring unproven, and every complement component count from one
-    complement_component_counts call. Per graph stay the colorings, m and the
-    universal-vertex count (from the degrees, the bit counts of the adjacency
-    masks), the graph6 text and the spectral counts, which bisect each
-    graph's spectrum at its integer thresholds.
-    coloring_mode "max-l1" uses an optimal coloring with the largest possible
-    first class (guarded to n <= 16) instead of the default optimal coloring.
-    A disconnected graph anywhere in the stack raises ValueError (from
-    distance_stack).
-    """
+def _color(coloring_mode: str) -> Callable[..., list[int]]:
+    """The colors function of a coloring mode."""
     if coloring_mode not in ("default", "max-l1"):
         raise ValueError(f"unknown coloring mode {coloring_mode!r}")
+    return max_ell1_colors if coloring_mode == "max-l1" else optimal_colors
+
+
+def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> AnalysisStack:
+    """The AnalysisStack of same-order connected graphs, every fact computed
+    for the whole stack at once.
+
+    Distances, distance Laplacians and spectra come from one distance kernel
+    and one numpy.linalg.eigvalsh call; degrees, transmissions, m, the
+    diameters, the Wiener indices and the universal-vertex counts are
+    reductions of the distance stack, the twin classes one twin_table of its
+    adjacency (distance 1), and the complement component counts one
+    complement_component_counts call. Every greedy DSATUR coloring and
+    greedy clique comes from one greedy_starts call; the per-graph coloring
+    runs only where the clique bound leaves the greedy coloring unproven
+    (and for every graph in max-l1 mode), and its colors replace the greedy
+    ones in the color array. The class sizes are each row's sorted bincount
+    of colors, and every spectral count is one comparison of the spectra
+    with a threshold column (counts_at_least, multiplicities); nothing else
+    is computed per graph. coloring_mode "max-l1" uses an optimal coloring with
+    the largest possible first class (guarded to n <= 16) instead of the
+    default optimal coloring. A disconnected graph anywhere in the stack
+    raises ValueError (from distance_stack). An empty stack is the empty
+    list.
+    """
+    color = _color(coloring_mode)
     if not graphs:
         return []
-    n = graphs[0].n
+    n, b = graphs[0].n, len(graphs)
     dist = distance_stack(graphs)
     values = eig_symmetric(distance_laplacian(dist))
     adjacency = dist == 1
-    transmissions = dist.sum(axis=2).tolist()
-    diameters = dist.max(axis=(1, 2)).tolist()
-    spectra = values.tolist()
-    twins = stacked_twin_classes(adjacency, transmissions)
-    color = max_ell1_coloring if coloring_mode == "max-l1" else optimal_coloring
-    # alone, a graph's greedy start and complement count cost less in Python
-    # than the stacked kernels
-    if len(graphs) > 1:
-        starts = greedy_starts(adjacency)
-        complements = complement_component_counts(adjacency)
-    else:
-        starts, complements = [None], [complement_component_count(graphs[0])]
-    colorings = [color(g, start) for g, start in zip(graphs, starts)]
-
-    out = []
-    for g, tr, diameter, spectrum, coloring, twin, components in zip(
-            graphs, transmissions, diameters, spectra, colorings, twins, complements):
-        degrees = [mask.bit_count() for mask in g.adj]
-        rising = spectrum[::-1]
-        # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
-        # and the twin classes' forced values by multiplicity
-        chi = coloring.chi
-        ceil_n_chi = -(-n // chi)
-        m_ge_b = count_at_least(rising, n + ceil_n_chi)
-        out.append(GraphAnalysis(  # positionally, in field order
-            g, to_graph6(g), n, sum(degrees) // 2, chi, n + ceil_n_chi, ceil_n_chi, diameter,
-            sum(tr) // 2, spectrum, coloring, twin, components, degrees.count(n - 1), m_ge_b,
-            n - m_ge_b, tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
-            multiplicity(rising, n), tuple([multiplicity(rising, t.forced_value) for t in twin])))
-    return out
+    degrees = adjacency.sum(axis=2)
+    transmissions = dist.sum(axis=2)
+    twins = twin_table(adjacency, degrees, transmissions)
+    colors, cliques = greedy_starts(adjacency)
+    # default mode: a greedy coloring no larger than the greedy clique is optimal
+    todo = (np.arange(b) if coloring_mode == "max-l1"
+            else np.flatnonzero(colors.max(axis=1) >= cliques))
+    for i, start, clique in zip(todo.tolist(), colors[todo].tolist(), cliques[todo].tolist()):
+        colors[i] = color(graphs[i], (start, clique))
+    held = np.bincount((colors + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
+    sizes = -np.sort(-held.reshape(b, n), axis=1)
+    chi = (sizes > 0).sum(axis=1)
+    ceil_n_chi = -(-n // chi)
+    m_ge_b = counts_at_least(values, n + ceil_n_chi)
+    ell = sizes[:, :n // 2]
+    block_counts = np.where(ell >= 2, counts_at_least(values[:, None], n + ell), 0)
+    facts = np.stack((chi, n + ceil_n_chi, ceil_n_chi, dist.max(axis=(1, 2)),
+                      transmissions.sum(axis=1) // 2, degrees.sum(axis=1) // 2, m_ge_b,
+                      n - m_ge_b, multiplicities(values, n),
+                      complement_component_counts(adjacency), (degrees == n - 1).sum(axis=1)),
+                     axis=1).astype(np.int64, copy=False)
+    return AnalysisStack(graphs, values, facts, sizes, block_counts, colors, twins,
+                         multiplicities(values[twins.graph], twins.forced_value))
 
 
 def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
-    """The analysis of one connected graph: analyze_many on a stack of one."""
-    return analyze_many([g], coloring_mode)[0]
+    """The analysis of one connected graph: the row analyze_many gives it in
+    any stack, computed for it alone.
+
+    On one graph a stack's columns cost more numpy calls than they save, so
+    the facts are read from Python lists: m and the universal-vertex count
+    from the bit counts of the adjacency masks, the twin classes from dicts
+    of the masks (twin_classes), and the spectral counts by bisecting the
+    spectrum at each threshold (count_at_least, multiplicity), which makes
+    the comparisons the columns make. The coloring, its greedy start and
+    the complement component count are per-graph too; the distances and the
+    spectrum come from the same kernels as a stack's.
+    """
+    color = _color(coloring_mode)
+    n = g.n
+    dist = distance_stack([g])
+    spectrum = eig_symmetric(distance_laplacian(dist))[0].tolist()
+    transmissions = dist[0].sum(axis=1).tolist()
+    twins = twin_classes(g, transmissions)
+    coloring = _to_result(color(g))
+    degrees = [mask.bit_count() for mask in g.adj]
+    rising = spectrum[::-1]
+    # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
+    # and the twin classes' forced values by multiplicity
+    chi = coloring.chi
+    ceil_n_chi = -(-n // chi)
+    m_ge_b = count_at_least(rising, n + ceil_n_chi)
+    return GraphAnalysis(  # positionally, in field order
+        g, to_graph6(g), n, sum(degrees) // 2, chi, n + ceil_n_chi, ceil_n_chi, int(dist.max()),
+        sum(transmissions) // 2, spectrum, coloring, twins, complement_component_count(g),
+        degrees.count(n - 1), m_ge_b, n - m_ge_b,
+        tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
+        multiplicity(rising, n), tuple([multiplicity(rising, t.forced_value) for t in twins]))
 
 
 class CheckResult(NamedTuple):
@@ -206,20 +197,45 @@ class CheckReport:
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
     the report's record shape, which fixes its record text up to the slacks;
-    the reports run_checks_many fills share their shape's keys tuple.
+    the reports run_checks_many fills share their shape's keys tuple, and
+    hold their graph's row of the stack rather than its analysis, which
+    `analysis` builds when read.
     """
 
-    __slots__ = ("analysis", "keys", "slacks", "failed", "_results", "_entry")
+    __slots__ = ("_analysis", "_stack", "_row", "_head", "keys", "slacks", "failed", "_results",
+                 "_entry")
 
-    def __init__(self, analysis: GraphAnalysis, keys: Sequence = (), entry: tuple | None = None,
-                 slacks: Sequence[float] = ()):
-        """An empty report for run_checks to fill, or a passing report of
-        run_checks_many: its shape's keys tuple and _template entry, and its
-        slacks."""
-        self.analysis = analysis
+    def __init__(self, analysis: GraphAnalysis | None, keys: Sequence = (),
+                 entry: tuple | None = None, slacks: Sequence[float] = (),
+                 stack: AnalysisStack | None = None, row: int = 0, head: tuple | None = None):
+        """An empty report of `analysis` for run_checks to fill, or a passing
+        report of run_checks_many: graph `row` of `stack` with its head (as
+        AnalysisStack.heads gives it), its shape's keys tuple and _template
+        entry, and its slacks."""
+        self._analysis, self._stack, self._row, self._head = analysis, stack, row, head
         self.keys, self.slacks, self.failed = keys or [], slacks or [], []
         self._results = None
         self._entry = entry
+
+    @property
+    def analysis(self) -> GraphAnalysis:
+        if self._analysis is None:
+            self._analysis = self._stack[self._row]
+        return self._analysis
+
+    @property
+    def head(self) -> tuple:
+        """(graph6, n, m, chi, b_chi, dl1) of the graph: what its records
+        and its GraphSummary read."""
+        if self._head is None:
+            a = self.analysis
+            self._head = (a.graph6, a.n, a.m, a.chi, a.b_chi, a.dl1)
+        return self._head
+
+    @property
+    def summary(self) -> GraphSummary:
+        graph6, n, _, chi, _, dl1 = self.head
+        return GraphSummary(graph6, n, chi, dl1)
 
     def claim(self, label: str, lhs, rhs, holds: bool, members: Sequence[int] | None = None):
         """Append claim `label`. `holds` is exact: an integer comparison, or
@@ -443,25 +459,12 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
 
 # (n, packed presence and gate bits) -> (keys, _template entry) of each shape met
 _SHAPES: dict[tuple[int, bytes], tuple[tuple, tuple]] = {}
-# the facts of a GraphAnalysis the table reads as integer columns, n first
-_FACTS = operator.attrgetter("n", "chi", "b_chi", "ceil_n_chi", "diameter", "m_ge_b",
-                             "mu_below_b", "mu_at_n", "complement_components",
-                             "universal_vertices")
 
 
-def _padded(rows: Sequence[Sequence[int]], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(len(rows), width) int64 array of rows of at most `width` ints, 0 after
-    each row, and the rows' lengths."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    out[np.arange(width) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows), np.int64,
-                                                          int(lengths.sum()))
-    return out, lengths
-
-
-def run_checks_many(analyses: Sequence[GraphAnalysis]) -> list[CheckReport]:
-    """The reports run_checks makes of same-order analyses, in order, with
-    every claim of the nine checks decided for the whole stack at once.
+def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
+    """The reports run_checks makes of the analyses of a stack, in order,
+    with every claim of the nine checks decided for the whole stack at once,
+    from the stack's columns.
 
     Each claim has a column of a fixed slot layout for order n, in CHECKS
     and claim order: dl1, h = n // 2 blocks, two many-above, two k-range,
@@ -470,28 +473,25 @@ def run_checks_many(analyses: Sequence[GraphAnalysis]) -> list[CheckReport]:
     claim's slack lhs - rhs, whether it holds (the integer comparison its
     checker makes) and whether the graph makes it; a gate bit per check says
     its hypothesis fails. Twin ranks come from one stable lexsort of the
-    stack's classes, in least-member order, on (graph, kind, forced value,
-    size, |external|), as _twin_refine sorts them.
+    stack's twin table, in least-member order, on (graph, kind, forced
+    value, size, |external|), as _twin_refine sorts them.
 
     A graph's shape is (n, its packed presence and gate bits). The first
     graph of a shape met is also decided by run_checks, whose keys the shape
     takes (so labels and reasons are written only in the checkers) once its
     slacks equal the table's. Every passing graph gets a CheckReport sharing
     its shape's keys tuple and _template entry, with its present slacks in
-    slot order. A graph with a failed claim or a non-finite slack is decided
-    by run_checks, so witnesses have one implementation.
+    slot order and its head, but no GraphAnalysis until one is read. A graph
+    with a failed claim or a non-finite slack is decided by run_checks, so
+    witnesses have one implementation. Only those graphs and the first of
+    each new shape build their row of the stack.
     """
-    if not analyses:
+    if not len(stack):
         return []
-    facts = np.array(list(map(_FACTS, analyses)), dtype=np.int64)
-    n = int(facts[0, 0])
-    if (facts[:, 0] != n).any():
-        raise ValueError("a claim table needs analyses of one order")
-    _, chi, b_chi, ceil, diameter, m, mu_below, mu_at_n, components, universal = facts.T
-    b, h = len(analyses), n // 2
-    values = np.array([a.values for a in analyses], dtype=np.float64)
-    sizes, _ = _padded([a.coloring.sizes for a in analyses], n)
-    counts, blocks = _padded([a.block_counts for a in analyses], h)
+    n, values, sizes, counts = stack.n, stack.values, stack.sizes, stack.block_counts
+    chi, b_chi, ceil, diameter, _, _, m, mu_below, mu_at_n, components, universal = stack.facts.T
+    b, h = len(stack), n // 2
+    blocks = (sizes >= 2).sum(axis=1)
     slack = np.zeros((b, 13 + 9 * h))
     holds = np.ones(slack.shape, dtype=bool)
     present = np.zeros(slack.shape, dtype=bool)
@@ -524,15 +524,11 @@ def run_checks_many(analyses: Sequence[GraphAnalysis]) -> list[CheckReport]:
     claim(at + 8, mu_at_n, components - 1, mu_at_n == components - 1)
     at += 9
 
-    classes = list(chain.from_iterable(a.twins for a in analyses))
+    twins = stack.twins
     has_kind = np.zeros((b, 2), dtype=bool)  # [:, 0] clique, [:, 1] independent
-    if classes:
-        graph = np.repeat(np.arange(b), [len(a.twins) for a in analyses])
-        kind, forced, size, external, forced_mult = np.array(
-            [(t.kind != "clique", t.forced_value, len(t.members), len(t.external), t.forced_mult)
-             for t in classes], dtype=np.int64).T
-        mult = np.fromiter(chain.from_iterable(a.twin_mults for a in analyses), np.int64,
-                           len(classes))
+    if len(twins.graph):
+        graph, kind, size, external = twins.graph, twins.kind, twins.size, twins.external
+        forced, forced_mult, mult = twins.forced_value, twins.forced_mult, stack.twin_mults
         order = np.lexsort((external, size, forced, kind, graph))
         group = (2 * graph + kind)[order]
         rank = np.empty_like(order)  # place among the graph's classes of its kind
@@ -567,19 +563,23 @@ def run_checks_many(analyses: Sequence[GraphAnalysis]) -> list[CheckReport]:
                                     return_index=True, return_inverse=True)
     shape_of = np.full(b, -1)  # each passing graph's shape, -1 for one run_checks decides
     shape_of[passing] = shape_ids
-    shapes = [_shape(n, packed[i].tobytes(), analyses[i], flat[starts[i]:ends[i]])
+    shapes = [_shape(n, packed[i].tobytes(), stack, i, flat[starts[i]:ends[i]])
               for i in passing[first].tolist()]
-    return [run_checks(a) if k < 0 else CheckReport(a, *shapes[k], flat[start:end])
-            for a, k, start, end in zip(analyses, shape_of.tolist(), starts, ends)]
+    return [run_checks(stack[i]) if k < 0
+            else CheckReport(None, *shapes[k], flat[start:end], stack, i, head)
+            for i, (k, start, end, head) in enumerate(zip(shape_of.tolist(), starts, ends,
+                                                          stack.heads()))]
 
 
-def _shape(n: int, bits: bytes, a: GraphAnalysis, slacks: list[float]) -> tuple[tuple, tuple]:
+def _shape(n: int, bits: bytes, stack: AnalysisStack, i: int,
+           slacks: list[float]) -> tuple[tuple, tuple]:
     """The keys and _template entry of the shape (n, bits), taken from
-    run_checks on a, a passing graph of the shape whose table slacks are
-    `slacks`, if the shape is new. _SHAPES keeps the TEMPLATE_SHAPES
-    shapes last added."""
+    run_checks on graph i of the stack, a passing graph of the shape whose
+    table slacks are `slacks`, if the shape is new. _SHAPES keeps the
+    TEMPLATE_SHAPES shapes last added."""
     key = (n, bits)
     if key not in _SHAPES:
+        a = stack[i]
         report = run_checks(a)
         if report.failed or report.slacks != slacks:
             raise RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
@@ -601,9 +601,9 @@ def _usable_cpus() -> int:
 
 
 def _sweep_batch(each: Callable, coloring_mode: str, batch: Sequence[Graph]) -> list:
-    analyses = analyze_many(batch, coloring_mode)
+    stack = analyze_many(batch, coloring_mode)
     # alone, a graph's checks cost less through run_checks than through the table
-    reports = run_checks_many(analyses) if len(analyses) > 1 else map(run_checks, analyses)
+    reports = run_checks_many(stack) if len(stack) > 1 else map(run_checks, stack)
     return [each(report) for report in reports]
 
 
@@ -765,14 +765,14 @@ def report_jsonl(report: CheckReport) -> str:
     unless the report has a failed claim or a non-finite slack sum, which no
     template writes: then every record is encoded whole.
     """
-    a = report.analysis
+    graph6, n, m, chi, b_chi, _ = report.head
     if not report.failed and math.isfinite(sum(report.slacks)):
         text, pick, _ = report._record_template()
         # keys chi to n sort together, so the graph writes them once for every record
-        graph = f'"chi": {a.chi}, "graph6": {_ENCODER.encode(a.graph6)}, "m": {a.m}, "n": {a.n}'
-        return text % pick([*report.slacks, a.b_chi, graph])
+        graph = f'"chi": {chi}, "graph6": {_ENCODER.encode(graph6)}, "m": {m}, "n": {n}'
+        return text % pick([*report.slacks, b_chi, graph])
     return "".join([_ENCODER.encode({
-        "graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
+        "graph6": graph6, "n": n, "m": m, "chi": chi, "b_chi": b_chi,
         "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,
         "slack": r.slack, "witness": r.reason if r.witness is None else r.witness,
     }) + "\n" for r in report.results])
@@ -782,10 +782,10 @@ def report_csv(report: CheckReport) -> str:
     """The CSV rows of one graph's records, one per check, in RECORD_FIELDS
     order and without the header (CSV_HEADER). Slack and a failure witness
     are JSON cells; a not-applicable result's witness cell is its reason."""
-    a = report.analysis
+    head = report.head[:5]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
-        (a.graph6, a.n, a.m, a.chi, a.b_chi, r.check_id, r.applicable, r.verdict,
+        (*head, r.check_id, r.applicable, r.verdict,
          _ENCODER.encode(r.slack), r.reason if r.witness is None else _ENCODER.encode(r.witness))
         for r in report.results)
     return buf.getvalue()

@@ -1,7 +1,8 @@
 """Independent brute-force oracles, closed forms and coloring checks that only
-the tests call, the list-based reference DSATUR search, random generators used
-across the tests, reports made from hand-built results, and the comparison of
-the claim table with run_checks."""
+the tests call, each graph's twin classes from one twin table, the list-based
+reference DSATUR search, random generators used across the tests, reports
+made from hand-built results, stacks made from hand-built analyses, and the
+comparison of the claim table with run_checks."""
 
 from __future__ import annotations
 
@@ -12,11 +13,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from distlap.analysis import FACTS, AnalysisStack
 from distlap.coloring import _OverBudget
 from distlap.eigen import eig_symmetric
 from distlap.graphs import Graph, _bits, canonical_form, is_connected, validate_part_sizes
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.twins import TwinClass
+from distlap.twins import KINDS, TwinClass, TwinTable, twin_table
 from distlap.verify import (
     CheckReport,
     CheckResult,
@@ -103,6 +105,45 @@ def brute_force_twin_classes(g: Graph, tr: Sequence[int]) -> list[TwinClass]:
     return sorted(out, key=lambda t: t.members[0])
 
 
+def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
+                         ) -> list[tuple[TwinClass, ...]]:
+    """The TwinClass records of each graph of a (B, n, n) boolean adjacency
+    stack, from one twin_table of the stack."""
+    table = twin_table(adjacency, adjacency.sum(axis=2), np.asarray(transmissions))
+    return [table.classes(b) for b in range(len(adjacency))]
+
+
+def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
+    """The AnalysisStack whose rows are `analyses`, of one order, as they are
+    (hand-edited ones included): every column is read back from the rows."""
+    n = analyses[0].n
+    if any(a.n != n for a in analyses):
+        raise ValueError("a stack needs analyses of one order")
+    padded = np.zeros((2, len(analyses), n), dtype=np.int64)
+    colors = np.zeros((len(analyses), n), dtype=np.int64)
+    for i, a in enumerate(analyses):
+        for row, seq in zip(padded, (a.coloring.sizes, a.block_counts)):
+            row[i, :len(seq)] = seq
+        for c, members in enumerate(a.coloring.classes):
+            colors[i, list(members)] = c
+    classes = [(i, t, mult) for i, a in enumerate(analyses)
+               for t, mult in zip(a.twins, a.twin_mults)]
+    graph = np.array([i for i, _, _ in classes], dtype=np.int64)
+    columns = np.array([(KINDS.index(t.kind), len(t.members), len(t.external), t.transmission)
+                        for _, t, _ in classes], dtype=np.int64).reshape(-1, 4).T
+    masks = np.array([[sum(1 << v for v in vs) for vs in (t.members, t.external)]
+                      for _, t, _ in classes], dtype=np.uint64).reshape(-1, 2).T
+    twins = TwinTable(graph, *columns, *masks,
+                      np.searchsorted(graph, np.arange(len(analyses) + 1)).tolist())
+    stack = AnalysisStack(
+        [a.graph for a in analyses], np.array([a.values for a in analyses], dtype=np.float64),
+        np.array([[getattr(a, name) for name in FACTS] for a in analyses], dtype=np.int64),
+        padded[0], padded[1, :, :n // 2], colors, twins,
+        np.array([mult for _, _, mult in classes], dtype=np.int64))
+    stack._rows[:] = analyses  # the rows are the analyses themselves, not views of the columns
+    return stack
+
+
 def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
     """Exact distance Laplacian spectrum of a complete multipartite graph.
 
@@ -136,11 +177,14 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
 
 
 def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis]) -> int:
-    """Check that run_checks_many on the stack `analyses` makes, report for
-    report, what run_checks makes of each analysis alone: the same keys,
-    slacks bit for bit, failed claims, verdicts and JSON and CSV records.
-    Returns the number of reports the table itself filled (no failed claim,
-    no non-finite slack)."""
+    """Check that run_checks_many on the stack `analyses` (an AnalysisStack,
+    or a list of analyses, made one by stack_of) makes, report for report,
+    what run_checks makes of each analysis alone: the same keys, slacks bit
+    for bit, failed claims, verdicts and JSON and CSV records. Returns the
+    number of reports the table itself filled (no failed claim, no
+    non-finite slack)."""
+    if not isinstance(analyses, AnalysisStack):
+        analyses = stack_of(analyses)
     tabled = 0
     for x, a in zip(run_checks_many(analyses), analyses, strict=True):
         y = run_checks(a)

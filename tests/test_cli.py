@@ -433,9 +433,14 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
         calls.extend(graphs)
         return real(graphs, *args, **kwargs)
 
-    # the sweep and verify.analyze both go through verify.analyze_many, so a
-    # second pass for the audit shows too
+    # a second pass for the audit would show in either way a graph is
+    # analyzed: in a stack (the sweep's verify.analyze_many) or alone
+    # (analyze, wherever it is looked up)
     monkeypatch.setattr(verify, "analyze_many", counted)
+    real_one = verify.analyze
+    for module in (verify, cli):
+        monkeypatch.setattr(module, "analyze",
+                            lambda g, *args: calls.append(g) or real_one(g, *args))
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     assert code == 0
     assert "112 connected graphs" in out
@@ -447,10 +452,29 @@ def test_corpus_builds_summaries_only_for_the_audit(monkeypatch, capsys):
     def summary(self):
         raise AssertionError("a summary built without --audit-extremal")
 
+    # a report's summary is CheckReport.summary, read from its stack's columns
+    # when it passes; an analysis has its own
+    monkeypatch.setattr(verify.CheckReport, "summary", property(summary))
     monkeypatch.setattr(verify.GraphAnalysis, "summary", property(summary))
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--format", "json")
     assert code == 0
     assert out.count("\n") == 112 * len(verify.CHECKS)
+
+
+def test_corpus_audit_builds_no_analysis_row_for_a_passing_graph(monkeypatch, capsys):
+    # once the claim table knows every shape, a corpus pass with the audit
+    # writes every record and summary from the stacks' columns: no graph's
+    # GraphAnalysis is built
+    argv = ("corpus", "--n", "6", "--audit-extremal", "--format", "json")
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    code, expected, _ = run_cli(capsys, *argv)  # meets every shape
+    assert code == 0
+    built = []
+    real = verify.AnalysisStack._row
+    monkeypatch.setattr(verify.AnalysisStack, "_row", lambda self, i: built.append(i) or real(self, i))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    assert built == []
 
 
 def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):

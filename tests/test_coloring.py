@@ -17,6 +17,7 @@ from distlap.graphs import (
     gen_comp_s62,
     gen_path,
     parse_graph6,
+    relabel,
     to_graph6,
 )
 from distlap.metric import distance_stack
@@ -28,6 +29,7 @@ from helpers import (
     neighbor_lists,
     random_connected_graph,
     random_graph,
+    random_permutation,
     reference_search,
 )
 
@@ -136,7 +138,70 @@ def test_greedy_starts_match_the_per_graph_start():
     for stack in stacks:
         expected = [(coloring._search(g.adj, g.n), len(coloring._greedy_clique(g.adj)))
                     for g in stack]
-        assert coloring.greedy_starts(distance_stack(stack) == 1) == expected
+        colors, cliques = coloring.greedy_starts(distance_stack(stack) == 1)
+        assert list(zip(colors.tolist(), cliques.tolist())) == expected
+
+
+def _assert_stacked_colorings(graphs, mode) -> tuple[bool, bool]:
+    """Check that analyze_many's colorings of the same-order `graphs` are
+    those of each graph colored alone: the stack's class sizes (its sorted
+    bincount of colors, 0 past chi) and the classes its rows build from its
+    colors equal the ColoringResult of the graph's own coloring. Returns
+    whether some row has two classes of one size, and whether some row has
+    two such classes whose colors are numbered against the order of their
+    least members, so that the least member, not the color, puts them in
+    order."""
+    color = {"default": optimal_coloring, "max-l1": max_ell1_coloring}[mode]
+    stack = analyze_many(graphs, mode)
+    tied = swapped = False
+    for i, (g, a) in enumerate(zip(graphs, stack, strict=True)):
+        want = color(g)
+        assert stack.sizes[i].tolist() == [*want.sizes, *[0] * (g.n - want.chi)], to_graph6(g)
+        assert a.coloring == want, to_graph6(g)
+        numbers = [stack.colors[i, c[0]] for c in want.classes]
+        for j in range(want.chi - 1):
+            if want.sizes[j] == want.sizes[j + 1]:
+                tied = True
+                swapped |= numbers[j] > numbers[j + 1]
+    return tied, swapped
+
+
+@pytest.mark.parametrize("mode", ["default", "max-l1"])
+def test_stacked_colorings_match_each_graph_colored_alone(mode):
+    # every connected n <= 7 graph in the sweep's slices, and sweep-sized
+    # slices of the n = 8 corpus under a seeded relabeling
+    found = set()
+    for n in range(1, 8):
+        graphs = list(enumerate_connected(n))
+        for i in range(0, len(graphs), BATCH):
+            found.add(_assert_stacked_colorings(graphs[i:i + BATCH], mode))
+    rng = random.Random(3131)
+    graphs = list(enumerate_connected(8))
+    for start in (0, 5120):
+        stack = [relabel(g, random_permutation(rng, 8)) for g in graphs[start:start + BATCH]]
+        assert len(stack) == BATCH
+        found.add(_assert_stacked_colorings(stack, mode))
+    assert (True, True) in found
+
+
+def test_stacked_colorings_match_above_n8():
+    # seeded stacks with n 9..64, each graph under two seeded relabelings:
+    # complete multipartite graphs with three equal parts, cycles and paths
+    # (classes that tie in size), and random graphs, denser up to n = 16;
+    # max-l1 mode up to its guard of n = 16
+    rng = random.Random(6464)
+    found = set()
+    for n in (9, 12, 16, 23, 37, 64):
+        q, r = divmod(n, 3)
+        graphs = [gen_complete_multipartite([q, q, q] + [r] * (r > 0)), gen_cycle(n), gen_path(n)]
+        p = (0.25, 0.45) if n <= 16 else (0.05, 0.1)
+        graphs += [random_connected_graph(rng, n, n, *p) for _ in range(6)]
+        graphs = [relabel(g, random_permutation(rng, n)) for g in graphs for _ in range(2)]
+        for mode in ("default", "max-l1") if n <= 16 else ("default",):
+            tied, swapped = _assert_stacked_colorings(graphs, mode)
+            assert tied, (n, mode)
+            found.add(swapped)
+    assert True in found
 
 
 def test_colorings_leave_no_reference_cycles():

@@ -11,7 +11,9 @@ from distlap.eigen import (
     INT_TOL,
     cluster_values,
     count_at_least,
+    counts_at_least,
     eig_symmetric,
+    multiplicities,
     multiplicity,
 )
 from distlap.graphs import (
@@ -166,6 +168,38 @@ def test_counts_at_the_tolerance_boundary(c):
     # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
     assert count_at_least([math.nextafter(lo, -math.inf)], c) == 0
     assert count_at_least([lo], c) == 1
+
+
+@pytest.mark.parametrize("c", [0, 12])
+def test_column_counts_at_the_tolerance_boundary(c):
+    # the column form of the test above: every combination of the same
+    # boundary eigenvalues is one row of a stack (filled up with c - 1.0, which
+    # neither count takes), counted at once against a threshold column and
+    # against a (B, 3) threshold matrix, and each row equals the bisected
+    # counts of its spectrum alone
+    lo, hi = c - INT_TOL, c + INT_TOL
+    edges = [e for x in (lo, hi)
+             for e in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    far = [c - 1.0, c + 1.0]
+    rows = []
+    for r in range(len(edges) + 1):
+        for chosen in itertools.combinations(edges, r):
+            row = [*far, c, *chosen] + [c - 1.0] * (len(edges) - r)
+            rows.append(sorted(row, reverse=True))  # nonincreasing, as a spectrum
+    values = np.array(rows)
+    assert values.shape == (2 ** len(edges), len(far) + 1 + len(edges))
+    risings = [row[::-1] for row in rows]
+    column = np.full(len(rows), c)
+    assert counts_at_least(values, column).tolist() == [count_at_least(r, c) for r in risings]
+    assert multiplicities(values, column).tolist() == [multiplicity(r, c) for r in risings]
+    assert multiplicities(values, c).tolist() == [multiplicity(r, c) for r in risings]
+    thresholds = np.array([[c, c - 1, c + 1]] * len(rows))
+    assert counts_at_least(values[:, None], thresholds).tolist() == [
+        [count_at_least(r, t) for t in (c, c - 1, c + 1)] for r in risings]
+    assert multiplicities(values[:, None], thresholds).tolist() == [
+        [multiplicity(r, t) for t in (c, c - 1, c + 1)] for r in risings]
+    # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
+    assert counts_at_least(np.array([[math.nextafter(lo, -math.inf)], [lo]]), c).tolist() == [0, 1]
 
 
 def test_cluster_values():

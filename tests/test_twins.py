@@ -13,9 +13,14 @@ from distlap.graphs import (
     relabel,
 )
 from distlap.metric import distance_stack
-from distlap.twins import complement_component_count, stacked_twin_classes
+from distlap.twins import complement_component_count, twin_classes
 from distlap.verify import analyze
-from helpers import brute_force_twin_classes, random_permutation, universal_vertex_count
+from helpers import (
+    brute_force_twin_classes,
+    random_permutation,
+    stacked_twin_classes,
+    universal_vertex_count,
+)
 
 
 def test_g_ind_independent_twins():
@@ -65,7 +70,8 @@ def test_stacked_twin_classes_match_the_brute_force_oracle():
     # the top bit of a uint64 mask, of both kinds; graphs with both kinds and
     # with three or more classes. Each stack also holds seeded relabelings of
     # its graphs, so that classes of both kinds interleave by least member.
-    # Every graph is grouped in its stack and alone, in a stack of one
+    # Every graph is grouped in its stack, alone in a stack of one, and alone
+    # by twin_classes
     def tail_twins(n):  # the path 0 .. n - 3, and n - 2, n - 1 joined to its end and each other
         edges = [(v, v + 1) for v in range(n - 3)]
         return Graph.from_edges(n, edges + [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
@@ -90,6 +96,7 @@ def test_stacked_twin_classes_match_the_brute_force_oracle():
         for b, (g, tr, classes) in enumerate(zip(stack, transmissions, stacked)):
             assert classes == tuple(brute_force_twin_classes(g, tr))
             assert stacked_twin_classes(dist[b:b + 1] == 1, [tr]) == [classes]
+            assert twin_classes(g, tr) == classes  # one graph, as analyze groups it
             covered.add(("n", n))
             covered.update(("63", t.kind) for t in classes if 63 in t.members)
             if len({t.kind for t in classes}) == 2:

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from distlap import cli, coloring, verify
+from distlap import analysis, cli, coloring, verify
 from distlap.coloring import max_ell1_coloring
 from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
@@ -48,6 +48,7 @@ from helpers import (
     assert_table_matches_run_checks,
     random_permutation,
     report_of,
+    stack_of,
     toggle_edge,
     universal_vertex_count,
 )
@@ -410,9 +411,9 @@ def test_max_ell1_mode_finds_chi_once(monkeypatch):
 
 def test_max_ell1_mode_guard_precedes_optimal_coloring(monkeypatch):
     def refuse(g):
-        raise AssertionError("optimal_coloring must not run in max-l1 mode")
+        raise AssertionError("optimal_colors must not run in max-l1 mode")
 
-    monkeypatch.setattr(verify, "optimal_coloring", refuse)
+    monkeypatch.setattr(verify, "optimal_colors", refuse)
     with pytest.raises(ValueError, match="n <= 16"):
         analyze(gen_path(17), coloring_mode="max-l1")
 
@@ -922,7 +923,7 @@ def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
     unread = c8._replace(values=[*c8.values[:-1], math.nan])  # the eigenvalue 0
     stack = [p8, mu_at_n, c8, short, infinite, k35, nan, unread, k44]
     assert assert_table_matches_run_checks(stack) == 5
-    reports = run_checks_many(stack)
+    reports = run_checks_many(stack_of(stack))
     assert [r.ok for r in reports] == [True, False, True, False, True, True, True, True, True]
     assert [r.failures[0].check_id for r in reports if not r.ok] == [
         "n_multiplicity", "indep_twin_refine"]
@@ -933,7 +934,7 @@ def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, mon
     # every passing report holds its shape's keys tuple and _template's own
     # entry for those keys; the shape cache keeps at most TEMPLATE_SHAPES shapes
     monkeypatch.setattr(verify, "_SHAPES", {})
-    reports = run_checks_many(corpus_analyses[7])
+    reports = run_checks_many(stack_of(corpus_analyses[7]))
     shapes = {id(keys): (keys, entry) for keys, entry in verify._SHAPES.values()}
     assert len(shapes) > 10
     for report in reports:
@@ -956,7 +957,7 @@ def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses,
     monkeypatch.setattr(verify, "CHECKS", tuple(
         (cid, shifted if cid == "n_multiplicity" else check) for cid, check in CHECKS))
     with pytest.raises(RuntimeError, match="disagrees with run_checks"):
-        run_checks_many(corpus_analyses[6])
+        run_checks_many(stack_of(corpus_analyses[6]))
     assert not verify._SHAPES
 
 
@@ -970,6 +971,45 @@ def test_sweep_decides_stacks_of_more_than_one_by_the_claim_table(monkeypatch):
     got = list(sweep(graphs, report_jsonl))
     assert tabled == [50, 50]  # the last stack, of one graph, goes through run_checks
     assert got == [report_jsonl(run_checks(analyze(g))) for g in graphs]
+
+
+def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch):
+    # a stack of more than one graph makes no per-graph spectral count: each
+    # column count runs once per stack, over every graph (or twin class) of
+    # it. Once the table knows every shape, no passing row builds its
+    # ColoringResult, so _to_result never runs, also not for the rows whose
+    # greedy coloring is proven; the per-graph search runs only for the rest
+    graphs = list(enumerate_connected(7))[:300]
+    monkeypatch.setattr(verify, "BATCH", 100)
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    expected = list(sweep(graphs, report_jsonl))  # meets every shape of the slices
+    calls = []
+
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called on a stack of more than one graph")
+        return refused
+
+    for module, name in ((verify, "count_at_least"), (verify, "multiplicity"),
+                         (verify, "_to_result"), (analysis, "_to_result"),
+                         (coloring, "_to_result")):
+        monkeypatch.setattr(module, name, refuse(name))
+    for name in ("counts_at_least", "multiplicities"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda values, c, name=name, real=real:
+                            calls.append((name, len(values))) or real(values, c))
+    searched = []
+    real_colors = verify.optimal_colors
+    monkeypatch.setattr(verify, "optimal_colors",
+                        lambda g, start: searched.append(g) or real_colors(g, start))
+    assert list(sweep(graphs, report_jsonl)) == expected
+    assert 0 < len(searched) < len(graphs) // 4  # most greedy colorings are proven
+    # m_ge_b, the block counts and the multiplicity of n over the 100 graphs
+    # of each stack, then the multiplicities of its twin classes' forced values
+    assert [name for name, _ in calls] == [
+        "counts_at_least", "counts_at_least", "multiplicities", "multiplicities"] * 3
+    assert [size for _, size in calls][:3] == [100] * 3
+    assert [size for _, size in calls][4:7] == [100] * 3
 
 
 # ---------------------------------------------------------------------------
