@@ -1,7 +1,9 @@
 """The analysis records: one graph's facts (GraphAnalysis), the few of them
 a corpus audit keeps (GraphSummary), and a stack's facts as columns
 (AnalysisStack), whose rows are GraphAnalysis records built when read.
-verify.analyze and verify.analyze_many compute them."""
+verify.analyze and verify.analyze_many compute them. The checkers read a
+row and a stack alike: the facts by name, value(k), ell1, blocks() and
+ranked_twins(kind), as Python scalars or as columns with one entry per graph."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from distlap.coloring import ColoringResult, _to_result
 from distlap.graphs import Graph, to_graph6
-from distlap.twins import TwinClass, TwinTable
+from distlap.twins import KINDS, TwinClass, TwinTable
 
 
 class GraphSummary(NamedTuple):
@@ -68,6 +70,28 @@ class GraphAnalysis(NamedTuple):
     def summary(self) -> GraphSummary:
         return GraphSummary(self.graph6, self.n, self.chi, self.dl1)
 
+    def value(self, k: int) -> float:
+        return self.values[k]
+
+    @property
+    def ell1(self) -> int:
+        return self.coloring.sizes[0]
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """(ell_j, block_counts[j]) of each color class of size >= 2."""
+        return zip(self.coloring.sizes, self.block_counts)
+
+    def ranked_twins(self, kind: str) -> tuple[bool, list[tuple]]:
+        """Whether the graph has no `kind` twin class, and its classes of that
+        kind by rank, (forced value, size, |external|) in least-member order,
+        each as (mult, forced_mult, forced_value, size, |external|, True,
+        members), mult the multiplicity of its forced value."""
+        ranks = sorted([(mult, t.forced_mult, t.forced_value, len(t.members), len(t.external),
+                         True, t.members)
+                        for t, mult in zip(self.twins, self.twin_mults) if t.kind == kind],
+                       key=lambda rank: rank[2:5])
+        return not ranks, ranks
+
 
 # the integer facts of an AnalysisStack, in the order of its `facts` columns
 FACTS = ("chi", "b_chi", "ceil_n_chi", "diameter", "wiener", "m", "m_ge_b", "mu_below_b",
@@ -86,7 +110,8 @@ class AnalysisStack(Sequence[GraphAnalysis]):
     `twin_mults` the multiplicity of each class's forced value.
 
     stack[i] is graph i's GraphAnalysis, built on first use and then kept,
-    so a stack read twice gives the same rows.
+    so a stack read twice gives the same rows. stack.chi is the column of
+    chi, and so on for every name in FACTS.
     """
 
     __slots__ = ("graphs", "n", "values", "facts", "sizes", "block_counts", "colors", "twins",
@@ -111,6 +136,39 @@ class AnalysisStack(Sequence[GraphAnalysis]):
 
     def __iter__(self) -> Iterator[GraphAnalysis]:
         return map(self.__getitem__, range(len(self._rows)))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in FACTS:
+            raise AttributeError(name)
+        return self.facts[:, FACTS.index(name)]
+
+    def value(self, k) -> np.ndarray:
+        """values[k] of each graph, for an index k or a column of them,
+        clipped to the spectrum (a graph reads it only where k is in it)."""
+        return self.values[np.arange(len(self)), np.clip(k, 0, self.n - 1)]
+
+    @property
+    def ell1(self) -> np.ndarray:
+        return self.sizes[:, 0]
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(ell_j, block_counts[:, j]) of color class j of each graph, j < n // 2."""
+        return zip(self.sizes.T, self.block_counts.T)
+
+    def ranked_twins(self, kind: str) -> tuple[np.ndarray, list[tuple]]:
+        """GraphAnalysis.ranked_twins as columns: n // 2 ranks, rank i holding
+        each graph's class of rank i where it has one, and no members. One
+        stable lexsort of the twin table on (graph, forced value, size, |external|)."""
+        t = self.twins
+        at = np.flatnonzero(t.kind == KINDS.index(kind))
+        order = at[np.lexsort((t.external[at], t.size[at], t.forced_value[at], t.graph[at]))]
+        graph = t.graph[order]
+        rank = np.arange(len(order)) - np.searchsorted(graph, graph)
+        ranks = np.zeros((5, self.n // 2, len(self)), dtype=np.int64)
+        ranks[:, rank, graph] = np.stack((self.twin_mults, t.forced_mult, t.forced_value, t.size,
+                                          t.external))[:, order]
+        present = ranks[3] > 0  # every class has a size
+        return ~present.any(axis=0), [(*row, there, None) for *row, there in zip(*ranks, present)]
 
     def _row(self, i: int) -> GraphAnalysis:
         g, twins = self.graphs[i], self.twins

@@ -1,32 +1,31 @@
 """Checkers for every spectral bound, multiplicity, and distribution claim.
 
-run_checks is the reference way a check is decided. It fills one CheckReport
-per graph by calling each check_*(a, report) in CHECKS order on the immutable
-GraphAnalysis a. A checker appends its claims to the report: each claim's
-label and slack (always lhs - rhs in the inequality's stated orientation, so
-slack 0 marks a tight bound), and for a claim that fails, its lhs, rhs and
-twin class members. A checker whose hypothesis fails returns the reason
-instead: a not-applicable verdict rather than a vacuous pass, keeping the
-gating visible in reports. A report's CheckResults are read from its claims
-when asked for (pretty verify, CSV, failing graphs). A report with no failed
-claim writes its JSON records into the cached %-template of its shape (its
-check ids, reasons and labels), which also holds its verdicts, so a corpus
-pass writes records and tallies verdicts without building a CheckResult.
+Each check_*(a, report) states its gates and claims once, and runs on either
+reading of an analysis (analysis.py): a GraphAnalysis row, whose facts are
+Python scalars, or an AnalysisStack, whose facts are numpy columns with one
+entry per graph. report.gate(reason, cond) marks a failed hypothesis, a
+not-applicable verdict rather than a vacuous pass, after which the check
+makes no claim. report.claim(label, lhs, rhs, holds, when) makes a claim
+where `when` holds: its slack is lhs - rhs in the inequality's stated
+orientation (slack 0 marks a tight bound), and `holds` is exact.
 
-analyze_many keeps a stack's analyses as columns (AnalysisStack): the
-spectra, the integer facts, the color class sizes and colors, and one twin
-table, from the eigensolve on. run_checks_many is the claim table: it
-decides every claim of a stack at once from those columns, as numpy columns
-(slack, holds, present) over a fixed slot layout per order, and makes the
-same reports run_checks would. Labels, reasons and failure witnesses stay
-with the checkers: a new shape takes its keys from run_checks on its first
-graph, and run_checks decides every graph with a failed claim or a
-non-finite slack; only these graphs build a GraphAnalysis row. A passing
-report reads its record fields and summary from the columns. A sweep
-decides each stack of more than one graph by the table; one graph alone
-(verify, analyze, tables) is analyzed by analyze and decided by run_checks,
-which cost less alone. Per graph stay the colorings the greedy start leaves
-unproven (every max-l1 coloring) and the record text.
+run_checks is the reference way a check is decided: it runs the checkers on
+one GraphAnalysis into a CheckReport, which keeps each claim's label and
+slack, and for a claim that fails its lhs, rhs and twin class members. A
+report's CheckResults are read from its claims when asked for (pretty
+verify, CSV, failing graphs). A report with no failed claim writes its JSON
+records into the cached %-template of its shape (its check ids, reasons and
+labels), which also holds its verdicts, so a corpus pass writes records and
+tallies verdicts without building a CheckResult.
+
+run_checks_many, the claim table, runs the same checkers once on a stack's
+columns and makes the reports run_checks would; a sweep decides every stack
+by it. A shape's keys come from the labels and reasons the checkers pass to
+it; run_checks cross-checks the first graph of each new shape and decides
+every graph with a failed claim or a non-finite slack, so witnesses have one
+implementation. One graph alone (verify, analyze, tables) is analyzed by
+analyze and decided by run_checks. Per graph stay the colorings the greedy
+start leaves unproven (every max-l1 coloring) and the record text.
 """
 
 from __future__ import annotations
@@ -237,11 +236,24 @@ class CheckReport:
         graph6, n, _, chi, _, dl1 = self.head
         return GraphSummary(graph6, n, chi, dl1)
 
-    def claim(self, label: str, lhs, rhs, holds: bool, members: Sequence[int] | None = None):
-        """Append claim `label`. `holds` is exact: an integer comparison, or
-        for values[k] >= c a count of eigenvalues >= c above k. The violation
-        entry of a claim that does not hold names lhs, rhs and, if given, the
-        twin class's members."""
+    def begin(self, check_id: str) -> None:
+        self.keys += (None, check_id)
+
+    def gate(self, reason: str, cond: bool) -> bool:
+        """Mark the check begun last not applicable for `reason` if cond holds,
+        and return cond: the check then makes no claim."""
+        if cond:
+            self.keys += (False, reason)
+        return cond
+
+    def claim(self, label: str, lhs, rhs, holds: bool, when: bool = True,
+              members: Sequence[int] | None = None):
+        """Append claim `label` if the graph makes it (`when`). `holds` is
+        exact: an integer comparison, or for values[k] >= c a count of
+        eigenvalues >= c above k. The violation entry of a claim that does
+        not hold names lhs, rhs and, if given, the twin class's members."""
+        if not when:
+            return
         self.keys.append(label)
         self.slacks.append(float(lhs - rhs))
         if not holds:
@@ -303,11 +315,11 @@ def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
 # individual checkers
 # ---------------------------------------------------------------------------
 
-def check_ah_bound(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_ah_bound(a: GraphAnalysis, report: CheckReport) -> None:
     """Spectral radius lower bound dL1 >= n + ceil(n/chi) for incomplete graphs."""
-    if a.chi > a.n - 1:
-        return "graph is complete"
-    report.claim("dl1_minus_b_chi", a.values[0], a.b_chi, a.m_ge_b > 0)
+    if report.gate("graph is complete", a.chi > a.n - 1):
+        return
+    report.claim("dl1_minus_b_chi", a.value(0), a.b_chi, a.m_ge_b > 0)
 
 
 def check_color_majorization(a: GraphAnalysis, report: CheckReport) -> None:
@@ -316,49 +328,46 @@ def check_color_majorization(a: GraphAnalysis, report: CheckReport) -> None:
     The first ell_1 - 1 eigenvalues must reach n + ell_1, and for each class of
     size >= 2 the next block of ell_j - 1 eigenvalues must reach n + ell_j.
     """
-    values, n, s_j = a.values, a.n, 0
-    for label, ell_j, count in zip(_BLOCK_LABELS, a.coloring.sizes, a.block_counts):
+    n, s_j = a.n, 0
+    for label, (ell_j, count) in zip(_BLOCK_LABELS, a.blocks()):
         s_j += ell_j - 1  # block j ends at values[s_j - 1], nonincreasing: its least
-        report.claim(label, values[s_j - 1], n + ell_j, count >= s_j)
+        report.claim(label, a.value(s_j - 1), n + ell_j, count >= s_j, when=ell_j >= 2)
 
 
 _BLOCK_LABELS = tuple(f"block_{j}" for j in range(1, MAX_VERTICES + 1))  # block j's label
 
 
-def check_many_above(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_many_above(a: GraphAnalysis, report: CheckReport) -> None:
     """Counting bounds around the chromatic threshold b_chi."""
-    if a.chi > a.n - 1:
-        return "chi = n (complete graph)"
-    m, ell1m1, ceilm1 = a.m_ge_b, a.coloring.sizes[0] - 1, a.ceil_n_chi - 1
+    if report.gate("chi = n (complete graph)", a.chi > a.n - 1):
+        return
+    m, ell1m1, ceilm1 = a.m_ge_b, a.ell1 - 1, a.ceil_n_chi - 1
     report.claim("count_ge_b_minus_ell1m1", m, ell1m1, m >= ell1m1)
     report.claim("count_ge_b_minus_ceilm1", m, ceilm1, m >= ceilm1)
 
 
-def check_k_range(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_k_range(a: GraphAnalysis, report: CheckReport) -> None:
     """Literal range claim dL_k >= b_chi for 2 <= k <= ceil(n/chi)-1, plus the
     stronger second-eigenvalue sub-check whenever chi <= n-2."""
-    if a.n < 4:
-        return "n < 4"
-    if a.chi > a.n - 1:
-        return "chi = n (complete graph)"
-    values, b, m, hi = a.values, a.b_chi, a.m_ge_b, a.ceil_n_chi - 1
-    if hi >= 2:  # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
-        report.claim("k_range", values[hi - 1], b, m >= hi)
-    if a.chi <= a.n - 2:
-        report.claim("second_eigenvalue", values[1], b, m >= 2)
+    if (report.gate("n < 4", a.n < 4)
+            or report.gate("chi = n (complete graph)", a.chi > a.n - 1)):
+        return
+    b, m, hi = a.b_chi, a.m_ge_b, a.ceil_n_chi - 1
+    # the least of dL_2 .. dL_hi, values[1 .. hi - 1], is the last
+    report.claim("k_range", a.value(hi - 1), b, m >= hi, when=hi >= 2)
+    report.claim("second_eigenvalue", a.value(1), b, m >= 2, when=a.chi <= a.n - 2)
 
 
 def check_interval_sandwich(a: GraphAnalysis, report: CheckReport) -> None:
     """Sandwich ell_1 - 1 <= m([b_chi, dL1]) <= n - c(complement), the ell_1 >= 4
     special case, and the universal-vertex upper bound for incomplete graphs."""
-    m, n, ell1 = a.m_ge_b, a.n, a.coloring.sizes[0]
+    m, n, ell1 = a.m_ge_b, a.n, a.ell1
     complement, universal = n - a.complement_components, n - a.universal_vertices - 1
     report.claim("count_minus_ell1m1", m, ell1 - 1, m >= ell1 - 1)
-    if ell1 >= 4:
-        report.claim("count_minus_3", m, 3, m >= 3)
+    report.claim("count_minus_3", m, 3, m >= 3, when=ell1 >= 4)
     report.claim("count_minus_complement_bound", m, complement, m <= complement)
-    if a.chi <= n - 1:
-        report.claim("count_minus_universal_bound", m, universal, m <= universal)
+    report.claim("count_minus_universal_bound", m, universal, m <= universal,
+                 when=a.chi <= n - 1)
 
 
 def check_n_multiplicity(a: GraphAnalysis, report: CheckReport) -> None:
@@ -373,60 +382,56 @@ def _twin_labels(i: int) -> tuple[str, str, str, str]:
     return f"twin{i}_mult", f"twin{i}_lower", f"twin{i}_b_chi", f"twin{i}_interval_count"
 
 
-def _twin_refine(a: GraphAnalysis, report: CheckReport, kind: str) -> str | None:
+def _twin_refine(a: GraphAnalysis, report: CheckReport, kind: str) -> None:
     """Claims of the `kind` twin classes, keyed twin{i}_* by the class's rank i by
     (forced value, size, |external|): tied classes make equal claims, so no key
     holds a label. Each claim is lhs >= rhs; a failing one's violation entry
     names the class's members."""
-    classes = [(t, mult) for t, mult in zip(a.twins, a.twin_mults) if t.kind == kind]
-    if not classes:
-        return f"no {kind} twin class"
-    classes.sort(key=lambda c: (c[0].forced_value, len(c[0].members), len(c[0].external)))
-    n = a.n
-    for i, (t, mult) in enumerate(classes, start=1):
-        members, forced = t.members, t.forced_value
-        compression = len(members) + len(t.external) if kind == "clique" else len(t.external)
+    absent, ranks = a.ranked_twins(kind)
+    if report.gate(f"no {kind} twin class", absent):
+        return
+    n, m, b, room = a.n, a.m_ge_b, a.b_chi, a.n - a.ceil_n_chi
+    for i, (mult, forced_mult, forced, size, external, present, members) in enumerate(
+            ranks, start=1):
+        compression = size + external if kind == "clique" else external
+        lower, s1 = 2 * n - compression, size - 1
         mult_label, lower_label, b_chi_label, count_label = _twin_labels(i)
         # (a) the forced eigenvalue is realized with multiplicity >= s - 1;
         # (b) compression lower estimate on the forced eigenvalue
-        report.claim(mult_label, mult, t.forced_mult, mult >= t.forced_mult, members)
-        report.claim(lower_label, forced, 2 * n - compression, forced >= 2 * n - compression,
-                     members)
+        report.claim(mult_label, mult, forced_mult, mult >= forced_mult, present, members)
+        report.claim(lower_label, forced, lower, forced >= lower, present, members)
         # (c) chromatic criterion pushing the class above b_chi
-        if compression <= n - a.ceil_n_chi:
-            report.claim(b_chi_label, forced, a.b_chi, forced >= a.b_chi, members)
-            s1 = len(members) - 1
-            report.claim(count_label, a.m_ge_b, s1, a.m_ge_b >= s1, members)
+        chromatic = present & (compression <= room)
+        report.claim(b_chi_label, forced, b, forced >= b, chromatic, members)
+        report.claim(count_label, m, s1, m >= s1, chromatic, members)
 
 
-def check_clique_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_clique_refine(a: GraphAnalysis, report: CheckReport) -> None:
     """Clique-twin forced eigenvalue Tr+1: realization, lower estimate 2n-s-|N|,
     and the chromatic criterion s+|N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, report, "clique")
+    _twin_refine(a, report, "clique")
 
 
-def check_indep_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_indep_refine(a: GraphAnalysis, report: CheckReport) -> None:
     """Independent-twin forced eigenvalue Tr+2: realization, lower estimate 2n-|N|,
     and the chromatic criterion |N| <= n - ceil(n/chi)."""
-    return _twin_refine(a, report, "independent")
+    _twin_refine(a, report, "independent")
 
 
-def check_diameter_refine(a: GraphAnalysis, report: CheckReport) -> str | None:
+def check_diameter_refine(a: GraphAnalysis, report: CheckReport) -> None:
     """Distribution bounds below b_chi, sharpened when the diameter is >= 3;
     also re-asserts the counting identity as a side condition."""
-    if a.n < 5:
-        return "n < 5"
-    if a.chi > a.n - 1:
-        return "chi = n (complete graph)"
+    if (report.gate("n < 5", a.n < 5)
+            or report.gate("chi = n (complete graph)", a.chi > a.n - 1)):
+        return
     mu, n, bound = a.mu_below_b, a.n, a.n - a.ceil_n_chi + 1
     report.claim("mu_below_minus_bound", mu, bound, mu <= bound)
-    if a.diameter >= 3:
-        bound = n - max(2, a.ceil_n_chi - 1)
-        report.claim("mu_below_minus_diam_bound", mu, bound, mu <= bound)
+    bound = n - 2 - (a.ceil_n_chi > 3) * (a.ceil_n_chi - 3)  # n - max(2, ceil(n/chi) - 1)
+    report.claim("mu_below_minus_diam_bound", mu, bound, mu <= bound, when=a.diameter >= 3)
     report.claim("counting_identity", mu + a.m_ge_b, n, mu + a.m_ge_b == n)
 
 
-CHECKS: tuple[tuple[str, Callable[[GraphAnalysis, CheckReport], str | None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[GraphAnalysis, CheckReport], None]], ...] = (
     ("ah_bound", check_ah_bound),
     ("color_majorization", check_color_majorization),
     ("many_above_b_chi", check_many_above),
@@ -439,131 +444,91 @@ CHECKS: tuple[tuple[str, Callable[[GraphAnalysis, CheckReport], str | None]], ..
 )
 
 
+def _decide(a, report):
+    """Run every check of CHECKS on a, in order, into report; return it."""
+    for check_id, check in CHECKS:
+        report.begin(check_id)
+        check(a, report)
+    return report
+
+
 def run_checks(a: GraphAnalysis) -> CheckReport:
     """The report of every check on a, in CHECKS order: each check appends its
-    claims to the report, or returns the reason its hypothesis fails before it
+    claims to the report, unless a gate of its hypothesis fails before it
     makes any."""
-    report = CheckReport(a)
-    keys = report.keys
-    for check_id, check in CHECKS:
-        keys += (None, check_id)
-        reason = check(a, report)
-        if reason is not None:
-            keys += (False, reason)
-    return report
+    return _decide(a, CheckReport(a))
 
 
 # ---------------------------------------------------------------------------
 # the claim table: every check of a stack at once
 # ---------------------------------------------------------------------------
 
-# (n, packed presence and gate bits) -> (keys, _template entry) of each shape met
+class _ClaimColumns:
+    """The report the checkers fill on a stack's columns: for each gate and
+    claim in call order, a bit column (the graphs it stops, or that make the
+    claim), and each claim's slack and holds columns (every claim reads a
+    column). `steps` pairs the keys each gives a report with its bit column,
+    None for a check's head."""
+
+    def __init__(self, b: int):
+        self.b, self.active = b, None
+        self.steps, self.bits, self.claimed, self.slack, self.holds = [], [], [], [], []
+
+    def begin(self, check_id: str) -> None:
+        self.steps.append(((None, check_id), None))
+        self.active = np.ones(self.b, dtype=bool)  # the graphs no gate of the check stops
+
+    def gate(self, reason: str, cond) -> bool:
+        fired = self.active & cond
+        self.active = self.active & ~fired
+        self.steps.append(((False, reason), len(self.bits)))
+        self.bits.append(fired)
+        return False  # the check goes on: its claims are made by the graphs no gate stops
+
+    def claim(self, label: str, lhs, rhs, holds, when=True, members=None) -> None:
+        self.claimed.append(len(self.bits))
+        self.steps.append(((label,), len(self.bits)))
+        self.bits.append(self.active & when)
+        self.slack.append(lhs - rhs)
+        self.holds.append(holds)
+
+
+# (claim layout, packed gate and claim bits) -> (keys, _template entry) of each shape met
 _SHAPES: dict[tuple[int, bytes], tuple[tuple, tuple]] = {}
+# the steps of each claim layout met (one per order n, while CHECKS stays), numbered
+_LAYOUTS: dict[tuple, int] = {}
 
 
 def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
-    """The reports run_checks makes of the analyses of a stack, in order,
-    with every claim of the nine checks decided for the whole stack at once,
-    from the stack's columns.
+    """The reports run_checks makes of the analyses of a stack, in order:
+    the checkers run once on the stack's columns (_ClaimColumns).
 
-    Each claim has a column of a fixed slot layout for order n, in CHECKS
-    and claim order: dl1, h = n // 2 blocks, two many-above, two k-range,
-    four interval, one n-multiplicity, four per twin rank for h clique and
-    h independent ranks, then three diameter claims. Each column holds the
-    claim's slack lhs - rhs, whether it holds (the integer comparison its
-    checker makes) and whether the graph makes it; a gate bit per check says
-    its hypothesis fails. Twin ranks come from one stable lexsort of the
-    stack's twin table, in least-member order, on (graph, kind, forced
-    value, size, |external|), as _twin_refine sorts them.
-
-    A graph's shape is (n, its packed presence and gate bits). The first
-    graph of a shape met is also decided by run_checks, whose keys the shape
-    takes (so labels and reasons are written only in the checkers) once its
-    slacks equal the table's. Every passing graph gets a CheckReport sharing
-    its shape's keys tuple and _template entry, with its present slacks in
-    slot order and its head, but no GraphAnalysis until one is read. A graph
-    with a failed claim or a non-finite slack is decided by run_checks, so
-    witnesses have one implementation. Only those graphs and the first of
-    each new shape build their row of the stack.
+    A graph's shape is the stack's claim layout with its packed gate and
+    claim bits (_shape). Every passing graph gets a CheckReport sharing its
+    shape's keys tuple and _template entry, with its slacks and its head, but
+    no GraphAnalysis until one is read. A graph with a failed claim or a
+    non-finite slack is decided by run_checks, so witnesses have one
+    implementation. Only those graphs and the first of each new shape build
+    their row of the stack.
     """
     if not len(stack):
         return []
-    n, values, sizes, counts = stack.n, stack.values, stack.sizes, stack.block_counts
-    chi, b_chi, ceil, diameter, _, _, m, mu_below, mu_at_n, components, universal = stack.facts.T
-    b, h = len(stack), n // 2
-    blocks = (sizes >= 2).sum(axis=1)
-    slack = np.zeros((b, 13 + 9 * h))
-    holds = np.ones(slack.shape, dtype=bool)
-    present = np.zeros(slack.shape, dtype=bool)
-
-    def claim(slot, lhs, rhs, holds_, present_=True, rows=slice(None)):
-        slack[rows, slot], holds[rows, slot], present[rows, slot] = lhs - rhs, holds_, present_
-
-    def value(k):  # values[k] of each graph, for a column of k each; clipped where absent
-        return np.take_along_axis(values, np.clip(k, 0, n - 1), axis=1)
-
-    complete = chi > n - 1
-    ell1 = sizes[:, 0]
-    claim(0, values[:, 0], b_chi, m > 0, ~complete)
-    # block j ends at values[s_j - 1], s_j = the sum of ell_i - 1 over i <= j
-    ell = sizes[:, :h]
-    s = np.cumsum(ell - 1, axis=1)
-    claim(slice(1, 1 + h), value(s - 1), n + ell, counts >= s, np.arange(h) < blocks[:, None])
-    at = 1 + h
-    claim(at, m, ell1 - 1, m >= ell1 - 1, ~complete)
-    claim(at + 1, m, ceil - 1, m >= ceil - 1, ~complete)
-    k_gate = complete | (n < 4)
-    hi = ceil - 1
-    claim(at + 2, value(hi[:, None] - 1)[:, 0], b_chi, m >= hi, ~k_gate & (hi >= 2))
-    # made only when n >= 4; the index is clamped for n = 1
-    claim(at + 3, values[:, min(1, n - 1)], b_chi, m >= 2, ~k_gate & (chi <= n - 2))
-    claim(at + 4, m, ell1 - 1, m >= ell1 - 1)
-    claim(at + 5, m, 3, m >= 3, ell1 >= 4)
-    claim(at + 6, m, n - components, m <= n - components)
-    claim(at + 7, m, n - universal - 1, m <= n - universal - 1, ~complete)
-    claim(at + 8, mu_at_n, components - 1, mu_at_n == components - 1)
-    at += 9
-
-    twins = stack.twins
-    has_kind = np.zeros((b, 2), dtype=bool)  # [:, 0] clique, [:, 1] independent
-    if len(twins.graph):
-        graph, kind, size, external = twins.graph, twins.kind, twins.size, twins.external
-        forced, forced_mult, mult = twins.forced_value, twins.forced_mult, stack.twin_mults
-        order = np.lexsort((external, size, forced, kind, graph))
-        group = (2 * graph + kind)[order]
-        rank = np.empty_like(order)  # place among the graph's classes of its kind
-        rank[order] = np.arange(len(order)) - np.searchsorted(group, group)
-        has_kind[graph, kind] = True
-        slot = at + 4 * (h * kind + rank)
-        compression = external + size * (kind == 0)
-        chromatic = compression <= n - ceil[graph]
-        mg = m[graph]
-        claim(slot, mult, forced_mult, mult >= forced_mult, rows=graph)
-        claim(slot + 1, forced, 2 * n - compression, forced >= 2 * n - compression, rows=graph)
-        claim(slot + 2, forced, b_chi[graph], forced >= b_chi[graph], chromatic, graph)
-        claim(slot + 3, mg, size - 1, mg >= size - 1, chromatic, graph)
-    at += 8 * h
-    d_gate = complete | (n < 5)
-    bound = n - ceil + 1
-    claim(at, mu_below, bound, mu_below <= bound, ~d_gate)
-    bound = n - np.maximum(2, ceil - 1)
-    claim(at + 1, mu_below, bound, mu_below <= bound, ~d_gate & (diameter >= 3))
-    claim(at + 2, mu_below + m, n, mu_below + m == n, ~d_gate)
-
-    no = np.zeros(b, dtype=bool)
-    gates = np.stack((complete, no, complete, k_gate, no, no, ~has_kind[:, 0], ~has_kind[:, 1],
-                      d_gate), axis=1)
-    packed = np.packbits(np.concatenate((present, gates), axis=1), axis=1)
+    table = _decide(stack, _ClaimColumns(len(stack)))
+    bits, slack, holds = (np.array(columns).T for columns in (table.bits, table.slack, table.holds))
+    present = bits[:, table.claimed]
+    packed = np.packbits(bits, axis=1)
+    layout = _LAYOUTS.setdefault(tuple(table.steps), len(_LAYOUTS))
     lengths = present.sum(axis=1)
     ends = np.cumsum(lengths)
     starts, ends = (ends - lengths).tolist(), ends.tolist()
-    flat = slack[present].tolist()  # each graph's present slacks, in slot order
+    flat = slack[present].tolist()  # each graph's present slacks, in claim order
     passing = np.flatnonzero(~(present & ~(holds & np.isfinite(slack))).any(axis=1))
     _, first, shape_ids = np.unique(packed[passing].view(f"V{packed.shape[1]}")[:, 0],
                                     return_index=True, return_inverse=True)
-    shape_of = np.full(b, -1)  # each passing graph's shape, -1 for one run_checks decides
+    shape_of = np.full(len(stack), -1)  # each passing graph's shape, -1 for one run_checks decides
     shape_of[passing] = shape_ids
-    shapes = [_shape(n, packed[i].tobytes(), stack, i, flat[starts[i]:ends[i]])
+    shapes = [_shape((layout, packed[i].tobytes()), table, bits[i], stack, i,
+                     flat[starts[i]:ends[i]])
               for i in passing[first].tolist()]
     return [run_checks(stack[i]) if k < 0
             else CheckReport(None, *shapes[k], flat[start:end], stack, i, head)
@@ -571,19 +536,19 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
                                                           stack.heads()))]
 
 
-def _shape(n: int, bits: bytes, stack: AnalysisStack, i: int,
-           slacks: list[float]) -> tuple[tuple, tuple]:
-    """The keys and _template entry of the shape (n, bits), taken from
-    run_checks on graph i of the stack, a passing graph of the shape whose
-    table slacks are `slacks`, if the shape is new. _SHAPES keeps the
-    TEMPLATE_SHAPES shapes last added."""
-    key = (n, bits)
+def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack: AnalysisStack,
+           i: int, slacks: list[float]) -> tuple[tuple, tuple]:
+    """The keys and _template entry of the shape `key` of graph i of the
+    stack, a passing graph whose gate and claim bits in `table` are `bits`
+    and whose slacks are `slacks`. A new shape's keys are read from the
+    table's steps and checked against run_checks on graph i. _SHAPES keeps
+    the TEMPLATE_SHAPES shapes last added."""
     if key not in _SHAPES:
-        a = stack[i]
+        bits, a = bits.tolist(), stack[i]
+        keys = tuple([k for step, at in table.steps if at is None or bits[at] for k in step])
         report = run_checks(a)
-        if report.failed or report.slacks != slacks:
+        if report.failed or tuple(report.keys) != keys or report.slacks != slacks:
             raise RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
-        keys = tuple(report.keys)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
         _SHAPES[key] = keys, _template(keys)
@@ -601,10 +566,7 @@ def _usable_cpus() -> int:
 
 
 def _sweep_batch(each: Callable, coloring_mode: str, batch: Sequence[Graph]) -> list:
-    stack = analyze_many(batch, coloring_mode)
-    # alone, a graph's checks cost less through run_checks than through the table
-    reports = run_checks_many(stack) if len(stack) > 1 else map(run_checks, stack)
-    return [each(report) for report in reports]
+    return [each(report) for report in run_checks_many(analyze_many(batch, coloring_mode))]
 
 
 def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
@@ -613,11 +575,10 @@ def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
     every graph, in order.
 
     Graphs are analyzed BATCH at a time by min(jobs, usable CPUs) spawned
-    workers (serially for one). Each stack of more than one analysis is
-    decided by the claim table (run_checks_many), a stack of one by
-    run_checks; the reports are the same. `each` runs in the worker, so only
-    what it returns is sent back; it must pickle, as a module-level function
-    does.
+    workers (serially for one), and each stack is decided by the claim table
+    (run_checks_many), which makes the reports run_checks would. `each` runs
+    in the worker, so only what it returns is sent back; it must pickle, as a
+    module-level function does.
     """
     work = functools.partial(_sweep_batch, each, coloring_mode)
     slices = (graphs[i:i + BATCH] for i in range(0, len(graphs), BATCH))

@@ -18,22 +18,10 @@ import pytest
 
 from distlap.coloring import max_ell1_coloring, optimal_coloring
 from distlap.graphs import enumerate_connected, to_graph6
-from distlap.verify import BATCH
-from helpers import assert_table_matches_run_checks
 
 pytestmark = pytest.mark.corpus8
 
 MODES = ("default", "max-l1")
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_claim_table_matches_run_checks_on_the_n8_corpus(corpus_reports, mode):
-    # every n = 8 graph, in the sweep's stacks; none fails a claim, so the
-    # table fills every report
-    analyses = [r.analysis for r in corpus_reports[mode, 8]]
-    tabled = sum(assert_table_matches_run_checks(analyses[i:i + BATCH])
-                 for i in range(0, len(analyses), BATCH))
-    assert tabled == len(analyses) == 11117
 
 
 # SHA-256 of repr((graph6, chi, classes)) over the 11117 graphs that corpus --n 8

@@ -371,7 +371,7 @@ def test_run_all_max_ell1_mode():
 def test_a_check_that_returns_a_reason_makes_no_claim(mode_analyses):
     # a report's results read each check's reason and labels back from its
     # keys: None and the check id, then False and the reason, or the labels.
-    # That holds only if a check returning a reason appended nothing before
+    # That holds only if a check whose gate fails appended nothing before
     # it, no label and no failed claim, so its False comes right after its id
     _, corpus = mode_analyses
     ids = [cid for cid, _ in CHECKS]
@@ -822,13 +822,18 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
 # the claim table
 # ---------------------------------------------------------------------------
 
-def test_claim_table_matches_run_checks_on_corpus(mode_analyses):
-    # every connected graph with n <= 7, in the sweep's stacks
-    _, corpus = mode_analyses
-    for n, analyses in corpus.items():
-        for i in range(0, len(analyses), verify.BATCH):
-            stack = analyses[i:i + verify.BATCH]
-            assert assert_table_matches_run_checks(stack) == len(stack), n  # none fails
+def test_claim_table_matches_run_checks_on_corpus(mode_reports):
+    # every connected graph with n <= 7, and as corpus8 cases every n = 8
+    # graph, in the sweep's stacks; none fails a claim, so the table fills
+    # every report
+    _, corpus = mode_reports
+    for n, reports in corpus.items():
+        analyses = [r.analysis for r in reports]
+        tabled = sum(assert_table_matches_run_checks(analyses[i:i + verify.BATCH])
+                     for i in range(0, len(analyses), verify.BATCH))
+        assert tabled == len(analyses), n
+    if 8 in corpus:
+        assert len(corpus[8]) == 11117
 
 
 def test_claim_table_matches_run_checks_on_relabeled_n8_slices():
@@ -947,21 +952,43 @@ def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, mon
 
 
 def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses, monkeypatch):
-    # a checker whose slack differs from the table's column on the first
-    # graph of a new shape stops the table before it takes the shape's keys
-    def shifted(a, report):
-        mu, cm1 = a.mu_at_n, a.complement_components - 1
-        report.claim("mu_at_n_minus_cm1", mu, cm1 + 1, mu == cm1)
-
+    # columns that disagree with their rows on the first graph of a new shape
+    # stop the table before it takes the shape's keys: here each incomplete
+    # graph's dL1 column entry is one above its row's dL1, which moves the
+    # slack of a claim every one of them makes, but no verdict
     monkeypatch.setattr(verify, "_SHAPES", {})
-    monkeypatch.setattr(verify, "CHECKS", tuple(
-        (cid, shifted if cid == "n_multiplicity" else check) for cid, check in CHECKS))
+    stack = stack_of([a for a in corpus_analyses[6] if a.chi < a.n])
+    stack.values[:, 0] += 1
     with pytest.raises(RuntimeError, match="disagrees with run_checks"):
-        run_checks_many(stack_of(corpus_analyses[6]))
+        run_checks_many(stack)
     assert not verify._SHAPES
 
 
-def test_sweep_decides_stacks_of_more_than_one_by_the_claim_table(monkeypatch):
+def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
+    # a changed checker changes the claim table with it: a shifted rhs and an
+    # added claim in check_n_multiplicity reach run_checks_many's reports with
+    # run_checks's keys, slacks and records, also on the shapes the table met
+    # before the change
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    analyses = corpus_analyses[6]
+    run_checks_many(stack_of(analyses))
+
+    def changed(a, report):
+        mu, cm1 = a.mu_at_n, a.complement_components - 1
+        report.claim("mu_at_n_minus_cm1", mu, cm1 + 0.5, mu == cm1)
+        report.claim("mu_at_n_below_n", mu, a.n - 1, mu <= a.n - 1, when=a.diameter >= 2)
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (cid, changed if cid == "n_multiplicity" else check) for cid, check in CHECKS))
+    assert assert_table_matches_run_checks(analyses) == len(analyses)
+    for report, a in zip(run_checks_many(stack_of(analyses)), analyses, strict=True):
+        slack = {"mu_at_n_minus_cm1": -0.5}
+        if a.diameter >= 2:
+            slack["mu_at_n_below_n"] = float(a.mu_at_n - a.n + 1)
+        assert {r.check_id: r.slack for r in report.results}["n_multiplicity"] == slack, a.graph6
+
+
+def test_sweep_decides_every_stack_by_the_claim_table(monkeypatch):
     graphs = list(enumerate_connected(6))[:101]
     tabled = []
     real = verify.run_checks_many
@@ -969,7 +996,7 @@ def test_sweep_decides_stacks_of_more_than_one_by_the_claim_table(monkeypatch):
                         lambda analyses: tabled.append(len(analyses)) or real(analyses))
     monkeypatch.setattr(verify, "BATCH", 50)
     got = list(sweep(graphs, report_jsonl))
-    assert tabled == [50, 50]  # the last stack, of one graph, goes through run_checks
+    assert tabled == [50, 50, 1]  # the last stack, of one graph, too
     assert got == [report_jsonl(run_checks(analyze(g))) for g in graphs]
 
 
