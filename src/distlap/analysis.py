@@ -1,35 +1,38 @@
-"""The analysis records: one graph's facts (GraphAnalysis), the few of them
-a corpus audit keeps (GraphSummary), and a stack's facts as columns
-(AnalysisStack), whose rows are GraphAnalysis records built when read.
-verify.analyze and verify.analyze_many compute them. The checkers read a
-row and a stack alike: the facts by name, value(k), ell1, blocks() and
-ranked_twins(kind), as Python scalars or as columns with one entry per graph."""
+"""The analysis records: one graph's facts (GraphAnalysis), which only
+verify.analyze builds, the few of them its records and the extremal audit
+read (Head), and a stack's facts as columns (AnalysisStack), which
+verify.analyze_many computes and whose rows are GraphAnalysis records built
+by verify.analyze when read. The checkers read a GraphAnalysis and a stack
+alike: the facts by name, value(k), ell1, blocks() and ranked_twins(kind),
+as Python scalars or as columns with one entry per graph."""
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.coloring import ColoringResult, _to_result
+from distlap.coloring import ColoringResult
 from distlap.graphs import Graph, to_graph6
 from distlap.twins import KINDS, TwinClass, TwinTable
 
 
-class GraphSummary(NamedTuple):
-    """The fields of one analysis the extremal audit reads. Corpus workers send
-    these back instead of whole GraphAnalysis records."""
+class Head(NamedTuple):
+    """The fields of one analysis that a graph's records and the extremal
+    audit read. Corpus workers send these back instead of whole reports."""
 
     graph6: str
     n: int
+    m: int
     chi: int
+    b_chi: int
     dl1: float
 
 
 class GraphAnalysis(NamedTuple):
-    """Everything the checkers need about one connected graph: one row of an
-    AnalysisStack, built when something reads it, or verify.analyze's
-    analysis of the graph alone.
+    """Everything the checkers need about one connected graph, as
+    verify.analyze computes it for the graph alone; a row of an
+    AnalysisStack is one too.
 
     The scalar facts are plain fields: `diameter` and `wiener` (half the sum
     of all distances) come from the distance matrix, `chi` and `b_chi` =
@@ -67,8 +70,8 @@ class GraphAnalysis(NamedTuple):
         return self.values[0]
 
     @property
-    def summary(self) -> GraphSummary:
-        return GraphSummary(self.graph6, self.n, self.chi, self.dl1)
+    def head(self) -> Head:
+        return Head(self.graph6, self.n, self.m, self.chi, self.b_chi, self.dl1)
 
     def value(self, k: int) -> float:
         return self.values[k]
@@ -105,24 +108,24 @@ class AnalysisStack(Sequence[GraphAnalysis]):
     `facts` the (B, len(FACTS)) int64 integer facts, one column per name in
     FACTS; `sizes` the (B, n) color class sizes, nonincreasing and 0 past
     chi; `block_counts` the (B, n // 2) counts of eigenvalues >= n + ell_j
-    for each class of size >= 2, 0 past them; `colors` the (B, n) color of
-    each vertex in the coloring; `twins` the TwinTable of the stack, and
-    `twin_mults` the multiplicity of each class's forced value.
+    for each class of size >= 2, 0 past them; `twins` the TwinTable of the
+    stack, and `twin_mults` the multiplicity of each class's forced value.
 
-    stack[i] is graph i's GraphAnalysis, built on first use and then kept,
-    so a stack read twice gives the same rows. stack.chi is the column of
-    chi, and so on for every name in FACTS.
+    stack[i] is analyze(graphs[i]), graph i's GraphAnalysis computed alone
+    (verify.analyze in the stack's coloring mode), built on first use and
+    then kept, so a stack read twice gives the same rows. stack.chi is the
+    column of chi, and so on for every name in FACTS.
     """
 
-    __slots__ = ("graphs", "n", "values", "facts", "sizes", "block_counts", "colors", "twins",
-                 "twin_mults", "_rows")
+    __slots__ = ("graphs", "n", "values", "facts", "sizes", "block_counts", "twins", "twin_mults",
+                 "_analyze", "_rows")
 
-    def __init__(self, graphs: Sequence[Graph], values: np.ndarray, facts: np.ndarray,
-                 sizes: np.ndarray, block_counts: np.ndarray, colors: np.ndarray,
-                 twins: TwinTable, twin_mults: np.ndarray):
-        self.graphs, self.n = graphs, graphs[0].n
+    def __init__(self, graphs: Sequence[Graph], analyze: Callable[[Graph], GraphAnalysis],
+                 values: np.ndarray, facts: np.ndarray, sizes: np.ndarray,
+                 block_counts: np.ndarray, twins: TwinTable, twin_mults: np.ndarray):
+        self.graphs, self.n, self._analyze = graphs, graphs[0].n, analyze
         self.values, self.facts, self.sizes, self.block_counts = values, facts, sizes, block_counts
-        self.colors, self.twins, self.twin_mults = colors, twins, twin_mults
+        self.twins, self.twin_mults = twins, twin_mults
         self._rows: list[GraphAnalysis | None] = [None] * len(graphs)
 
     def __len__(self) -> int:
@@ -131,7 +134,7 @@ class AnalysisStack(Sequence[GraphAnalysis]):
     def __getitem__(self, i: int) -> GraphAnalysis:
         row = self._rows[i]
         if row is None:
-            row = self._rows[i] = self._row(i)
+            row = self._rows[i] = self._analyze(self.graphs[i])
         return row
 
     def __iter__(self) -> Iterator[GraphAnalysis]:
@@ -170,22 +173,7 @@ class AnalysisStack(Sequence[GraphAnalysis]):
         present = ranks[3] > 0  # every class has a size
         return ~present.any(axis=0), [(*row, there, None) for *row, there in zip(*ranks, present)]
 
-    def _row(self, i: int) -> GraphAnalysis:
-        g, twins = self.graphs[i], self.twins
-        (chi, b_chi, ceil_n_chi, diameter, wiener, m, m_ge_b, mu_below_b, mu_at_n, components,
-         universal) = self.facts[i].tolist()
-        blocks = int((self.sizes[i] >= 2).sum())
-        lo, hi = twins.bounds[i], twins.bounds[i + 1]
-        return GraphAnalysis(  # positionally, in field order
-            g, to_graph6(g), self.n, m, chi, b_chi, ceil_n_chi, diameter, wiener,
-            self.values[i].tolist(), _to_result(self.colors[i].tolist()), twins.classes(i),
-            components, universal, m_ge_b, mu_below_b,
-            tuple(self.block_counts[i, :blocks].tolist()), mu_at_n,
-            tuple(self.twin_mults[lo:hi].tolist()))
-
-    def heads(self) -> list[tuple]:
-        """(graph6, n, m, chi, b_chi, dl1) of each graph, in order: what a
-        passing graph's records and its GraphSummary read."""
-        chi, b_chi, m = self.facts[:, [0, 1, 5]].T.tolist()
-        return list(zip(map(to_graph6, self.graphs), [self.n] * len(self), m, chi, b_chi,
-                        self.values[:, 0].tolist()))
+    def heads(self) -> list[Head]:
+        """The Head of each graph, in order, read from the columns."""
+        return list(map(Head, map(to_graph6, self.graphs), [self.n] * len(self), self.m.tolist(),
+                        self.chi.tolist(), self.b_chi.tolist(), self.values[:, 0].tolist()))

@@ -261,10 +261,10 @@ def cmd_verify(args) -> int:
 def _corpus_item(fmt: str, audit: bool, report) -> tuple:
     """What a corpus sweep keeps of one graph's report: its records in format
     fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
-    and, if `audit`, its GraphSummary (else None)."""
+    and, if `audit`, its Head (else None)."""
     encode = _record_encoder(fmt)
     return (encode(report) if encode else "", report.verdicts,
-            report.summary if audit else None)
+            report.head if audit else None)
 
 
 def cmd_corpus(args) -> int:
@@ -273,7 +273,7 @@ def cmd_corpus(args) -> int:
     except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
     outcomes = collections.Counter()  # graphs per verdict tuple
-    summaries = []
+    heads = []
     audits = []
     with _output(args.out) as write:
         if args.format == "csv":
@@ -282,14 +282,14 @@ def cmd_corpus(args) -> int:
         # (for the audit) no graph of some chromatic number
         try:
             each = functools.partial(_corpus_item, args.format, args.audit_extremal)
-            for text, verdicts, summary in sweep(corpus, each, args.coloring, args.jobs):
+            for text, verdicts, head in sweep(corpus, each, args.coloring, args.jobs):
                 write(text)
                 outcomes[verdicts] += 1
                 if args.audit_extremal:
-                    summaries.append(summary)
+                    heads.append(head)
             if args.audit_extremal:
                 for chi in range(2, args.n):
-                    audits.append(audit_extremal(args.n, chi, analyses=summaries))
+                    audits.append(audit_extremal(args.n, chi, analyses=heads))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
 

@@ -31,17 +31,14 @@ KINDS = ("clique", "independent")  # a twin table's kind 0 and kind 1
 class TwinTable(NamedTuple):
     """The maximal twin classes of a stack of graphs as columns, one entry
     per class, ordered by graph, then by least member. Classes of graph b
-    are the entries bounds[b]:bounds[b + 1]. `kind` indexes KINDS, `members`
-    and `common` are uint64 vertex masks (the class, and its external set),
-    and `size` and `external` their vertex counts."""
+    are the entries bounds[b]:bounds[b + 1]. `kind` indexes KINDS, `size`
+    is the class's vertex count and `external` that of its external set."""
 
     graph: np.ndarray
     kind: np.ndarray
     size: np.ndarray
     external: np.ndarray
     transmission: np.ndarray
-    members: np.ndarray
-    common: np.ndarray
     bounds: list[int]
 
     @property
@@ -51,18 +48,6 @@ class TwinTable(NamedTuple):
     @property
     def forced_mult(self) -> np.ndarray:
         return self.size - 1
-
-    def classes(self, b: int) -> tuple[TwinClass, ...]:
-        """The TwinClass records of graph b, ordered by least member."""
-        lo, hi = self.bounds[b], self.bounds[b + 1]
-        if lo == hi:
-            return ()
-        return tuple([TwinClass(KINDS[k], tuple(_bits(members)), tuple(_bits(common)), tr,
-                                tr + 1 + k, size - 1)
-                      for k, members, common, tr, size in zip(
-                          *[column[lo:hi].tolist() for column in (
-                              self.kind, self.members, self.common, self.transmission,
-                              self.size)])])
 
 
 def twin_classes(g: Graph, transmissions: Sequence[int]) -> tuple[TwinClass, ...]:
@@ -102,11 +87,10 @@ def twin_table(adjacency: np.ndarray, degrees: np.ndarray,
     closed ones first (n <= 64, so vertex 63 is the top bit). One sort of
     each row puts equal masks next to each other, and a class is a run of
     equal masks: its first and last places are where "equal to the one
-    before" turns on and off. A stable argsort of the rows that hold a run
-    lists each run's vertices lowest first, and the running sums of their
-    bits give each class's member mask. A class's external set is its
-    shared mask, less the class itself for clique twins, and its size
-    follows from a member's degree. No class reaches Python.
+    before" turns on and off. A class's least member is the first vertex
+    holding its mask, and the size of its external set follows from that
+    member's degree, less the other members for clique twins. No class
+    reaches Python.
     """
     b, n, _ = adjacency.shape
     bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
@@ -117,26 +101,18 @@ def twin_table(adjacency: np.ndarray, degrees: np.ndarray,
     same[:, 1:n] = ranked[:, 1:] == ranked[:, :-1]
     if not same.any():  # n distinct masks of each kind in every graph
         none = np.zeros(0, dtype=np.int64)
-        return TwinTable(none, none, none, none, none, none, none, [0] * (b + 1))
+        return TwinTable(none, none, none, none, none, [0] * (b + 1))
     # a run of equal masks turns on at a class's first place and off past its last
     row, place = np.nonzero(same[:, 1:] != same[:, :-1])
     row, first, last = row[0::2], place[0::2], place[1::2]
-    order = keys[row].argsort(axis=1, kind="stable")
-    taken = np.zeros((len(row), n + 1), dtype=np.uint64)  # taken[:, i]: the bits of places < i
-    np.cumsum(bits[order], axis=1, out=taken[:, 1:])
-    at = np.arange(len(row))
-    members = taken[at, last + 1] - taken[at, first]
-    least = order[at, first]
+    least = (keys[row] == ranked[row, first][:, None]).argmax(axis=1)
     kind = (row >= b).astype(np.int64)
     graph = row - b * kind
     size = last - first + 1
-    clique = kind == 0
-    common = ranked[row, first] ^ np.where(clique, members, np.uint64(0))
-    external = degrees[graph, least] - (size - 1) * clique
+    external = degrees[graph, least] - (size - 1) * (kind == 0)
     by = np.lexsort((least, graph))
     graph = graph[by]
     return TwinTable(graph, kind[by], size[by], external[by], transmissions[graph, least[by]],
-                     members[by], common[by],
                      np.searchsorted(graph, np.arange(b + 1)).tolist())
 
 

@@ -1,7 +1,7 @@
 """Checkers for every spectral bound, multiplicity, and distribution claim.
 
 Each check_*(a, report) states its gates and claims once, and runs on either
-reading of an analysis (analysis.py): a GraphAnalysis row, whose facts are
+reading of an analysis (analysis.py): a GraphAnalysis, whose facts are
 Python scalars, or an AnalysisStack, whose facts are numpy columns with one
 entry per graph. report.gate(reason, cond) marks a failed hypothesis, a
 not-applicable verdict rather than a vacuous pass, after which the check
@@ -21,11 +21,15 @@ tallies verdicts without building a CheckResult.
 run_checks_many, the claim table, runs the same checkers once on a stack's
 columns and makes the reports run_checks would; a sweep decides every stack
 by it. A shape's keys come from the labels and reasons the checkers pass to
-it; run_checks cross-checks the first graph of each new shape and decides
-every graph with a failed claim or a non-finite slack, so witnesses have one
-implementation. One graph alone (verify, analyze, tables) is analyzed by
-analyze and decided by run_checks. Per graph stay the colorings the greedy
-start leaves unproven (every max-l1 coloring) and the record text.
+it. A stack's row is analyze of its graph alone, built when read, so
+run_checks on a row reads the per-graph kernels, not the stack's: it
+cross-checks the first graph of each new shape, and decides every graph
+with a failed claim or a non-finite slack, so witnesses have one
+implementation. A new shape whose keys or slacks differ, or a graph the
+table fails and run_checks does not, raises RuntimeError. One graph alone
+(verify, analyze, tables) is analyzed by analyze and decided by run_checks.
+Per graph stay the colorings the greedy start leaves unproven (every max-l1
+coloring) and the record text.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.analysis import AnalysisStack, GraphAnalysis, GraphSummary
+from distlap.analysis import AnalysisStack, GraphAnalysis, Head
 from distlap.coloring import _to_result, greedy_starts, max_ell1_colors, optimal_colors
 from distlap.eigen import (
     INT_TOL,
@@ -86,11 +90,12 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     ones in the color array. The class sizes are each row's sorted bincount
     of colors, and every spectral count is one comparison of the spectra
     with a threshold column (counts_at_least, multiplicities); nothing else
-    is computed per graph. coloring_mode "max-l1" uses an optimal coloring with
-    the largest possible first class (guarded to n <= 16) instead of the
-    default optimal coloring. A disconnected graph anywhere in the stack
-    raises ValueError (from distance_stack). An empty stack is the empty
-    list.
+    is computed per graph. The stack keeps no colors: its row i is
+    analyze(graphs[i], coloring_mode), built when read. coloring_mode
+    "max-l1" uses an optimal coloring with the largest possible first class
+    (guarded to n <= 16) instead of the default optimal coloring. A
+    disconnected graph anywhere in the stack raises ValueError (from
+    distance_stack). An empty stack is the empty list.
     """
     color = _color(coloring_mode)
     if not graphs:
@@ -120,13 +125,14 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
                       n - m_ge_b, multiplicities(values, n),
                       complement_component_counts(adjacency), (degrees == n - 1).sum(axis=1)),
                      axis=1).astype(np.int64, copy=False)
-    return AnalysisStack(graphs, values, facts, sizes, block_counts, colors, twins,
+    return AnalysisStack(graphs, functools.partial(analyze, coloring_mode=coloring_mode), values,
+                         facts, sizes, block_counts, twins,
                          multiplicities(values[twins.graph], twins.forced_value))
 
 
 def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
-    """The analysis of one connected graph: the row analyze_many gives it in
-    any stack, computed for it alone.
+    """The analysis of one connected graph, and the only code that builds a
+    GraphAnalysis: an analyze_many stack's rows are its analyses too.
 
     On one graph a stack's columns cost more numpy calls than they save, so
     the facts are read from Python lists: m and the universal-vertex count
@@ -197,8 +203,8 @@ class CheckReport:
     violation entry) for each claim that does not hold. A tuple of `keys` is
     the report's record shape, which fixes its record text up to the slacks;
     the reports run_checks_many fills share their shape's keys tuple, and
-    hold their graph's row of the stack rather than its analysis, which
-    `analysis` builds when read.
+    hold their stack and row rather than the analysis, which `analysis`
+    reads from the stack (so builds by analyze) when asked for.
     """
 
     __slots__ = ("_analysis", "_stack", "_row", "_head", "keys", "slacks", "failed", "_results",
@@ -206,7 +212,7 @@ class CheckReport:
 
     def __init__(self, analysis: GraphAnalysis | None, keys: Sequence = (),
                  entry: tuple | None = None, slacks: Sequence[float] = (),
-                 stack: AnalysisStack | None = None, row: int = 0, head: tuple | None = None):
+                 stack: AnalysisStack | None = None, row: int = 0, head: Head | None = None):
         """An empty report of `analysis` for run_checks to fill, or a passing
         report of run_checks_many: graph `row` of `stack` with its head (as
         AnalysisStack.heads gives it), its shape's keys tuple and _template
@@ -223,18 +229,11 @@ class CheckReport:
         return self._analysis
 
     @property
-    def head(self) -> tuple:
-        """(graph6, n, m, chi, b_chi, dl1) of the graph: what its records
-        and its GraphSummary read."""
+    def head(self) -> Head:
+        """The graph's Head: what its records and the extremal audit read."""
         if self._head is None:
-            a = self.analysis
-            self._head = (a.graph6, a.n, a.m, a.chi, a.b_chi, a.dl1)
+            self._head = self.analysis.head
         return self._head
-
-    @property
-    def summary(self) -> GraphSummary:
-        graph6, n, _, chi, _, dl1 = self.head
-        return GraphSummary(graph6, n, chi, dl1)
 
     def begin(self, check_id: str) -> None:
         self.keys += (None, check_id)
@@ -508,8 +507,9 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
     shape's keys tuple and _template entry, with its slacks and its head, but
     no GraphAnalysis until one is read. A graph with a failed claim or a
     non-finite slack is decided by run_checks, so witnesses have one
-    implementation. Only those graphs and the first of each new shape build
-    their row of the stack.
+    implementation; where the table fails a claim and run_checks fails
+    none, it raises RuntimeError. Only those graphs and the first of each
+    new shape build their row of the stack, by analyze.
     """
     if not len(stack):
         return []
@@ -522,7 +522,8 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
     ends = np.cumsum(lengths)
     starts, ends = (ends - lengths).tolist(), ends.tolist()
     flat = slack[present].tolist()  # each graph's present slacks, in claim order
-    passing = np.flatnonzero(~(present & ~(holds & np.isfinite(slack))).any(axis=1))
+    failing = (present & ~holds).any(axis=1)
+    passing = np.flatnonzero(~(failing | (present & ~np.isfinite(slack)).any(axis=1)))
     _, first, shape_ids = np.unique(packed[passing].view(f"V{packed.shape[1]}")[:, 0],
                                     return_index=True, return_inverse=True)
     shape_of = np.full(len(stack), -1)  # each passing graph's shape, -1 for one run_checks decides
@@ -530,10 +531,18 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
     shapes = [_shape((layout, packed[i].tobytes()), table, bits[i], stack, i,
                      flat[starts[i]:ends[i]])
               for i in passing[first].tolist()]
-    return [run_checks(stack[i]) if k < 0
-            else CheckReport(None, *shapes[k], flat[start:end], stack, i, head)
-            for i, (k, start, end, head) in enumerate(zip(shape_of.tolist(), starts, ends,
-                                                          stack.heads()))]
+    reports = [run_checks(stack[i]) if k < 0
+               else CheckReport(None, *shapes[k], flat[start:end], stack, i, head)
+               for i, (k, start, end, head) in enumerate(zip(shape_of.tolist(), starts, ends,
+                                                             stack.heads()))]
+    for i in np.flatnonzero(failing).tolist():
+        if reports[i].ok:
+            raise _disagreement(stack[i])
+    return reports
+
+
+def _disagreement(a: GraphAnalysis) -> RuntimeError:
+    return RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
 
 
 def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack: AnalysisStack,
@@ -548,7 +557,7 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
         keys = tuple([k for step, at in table.steps if at is None or bits[at] for k in step])
         report = run_checks(a)
         if report.failed or tuple(report.keys) != keys or report.slacks != slacks:
-            raise RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
+            raise _disagreement(a)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
         _SHAPES[key] = keys, _template(keys)
@@ -617,7 +626,7 @@ class ExtremalAudit:
 
 
 def audit_extremal(n: int, chi: int,
-                   analyses: Iterable[GraphAnalysis | GraphSummary]) -> ExtremalAudit:
+                   analyses: Iterable[GraphAnalysis | Head]) -> ExtremalAudit:
     """Audit the minimum-dL1 theorem at fixed chi over all connected n-vertex graphs.
 
     Hard assertions: the minimum equals n + ceil(n/chi) and every minimizer is a
@@ -626,9 +635,9 @@ def audit_extremal(n: int, chi: int,
     audited separately: minimizers violating it are reported as findings, never
     as failures, since the corpus itself decides whether the clause holds.
 
-    One pass over `analyses`, which may be GraphAnalysis or GraphSummary
-    records: only graph6, n, chi and dl1 are read, and only the minimizers are
-    parsed back from graph6.
+    One pass over `analyses`, which may be GraphAnalysis or Head records:
+    only graph6, n, chi and dl1 are read, and only the minimizers are parsed
+    back from graph6.
     """
     considered = 0
     observed = math.inf

@@ -1,8 +1,9 @@
 """Independent brute-force oracles, closed forms and coloring checks that only
-the tests call, each graph's twin classes from one twin table, the list-based
-reference DSATUR search, random generators used across the tests, reports
-made from hand-built results, stacks made from hand-built analyses, and the
-comparison of the claim table with run_checks."""
+the tests call, each graph's twin table entries, the list-based reference
+DSATUR search, random generators used across the tests, reports made from
+hand-built results, stacks made from hand-built analyses, the comparison of a
+stack's columns with analyze, and the comparison of the claim table with
+run_checks."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from distlap.verify import (
     CheckReport,
     CheckResult,
     GraphAnalysis,
+    analyze,
     report_csv,
     report_jsonl,
     run_checks,
@@ -105,42 +107,72 @@ def brute_force_twin_classes(g: Graph, tr: Sequence[int]) -> list[TwinClass]:
     return sorted(out, key=lambda t: t.members[0])
 
 
+def twin_entries(classes: Iterable[TwinClass]) -> list[tuple]:
+    """(kind, size, |external|, transmission) of each TwinClass, in order:
+    what a twin table keeps of a class."""
+    return [(t.kind, len(t.members), len(t.external), t.transmission) for t in classes]
+
+
+def table_entries(table: TwinTable, b: int) -> list[tuple]:
+    """Graph b's entries of a twin table as twin_entries gives them, in the
+    table's (least-member) order."""
+    lo, hi = table.bounds[b], table.bounds[b + 1]
+    return list(zip([KINDS[k] for k in table.kind[lo:hi].tolist()], table.size[lo:hi].tolist(),
+                    table.external[lo:hi].tolist(), table.transmission[lo:hi].tolist()))
+
+
 def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
-                         ) -> list[tuple[TwinClass, ...]]:
-    """The TwinClass records of each graph of a (B, n, n) boolean adjacency
-    stack, from one twin_table of the stack."""
+                         ) -> list[list[tuple]]:
+    """The twin table entries of each graph of a (B, n, n) boolean adjacency
+    stack (table_entries), from one twin_table of the stack."""
     table = twin_table(adjacency, adjacency.sum(axis=2), np.asarray(transmissions))
-    return [table.classes(b) for b in range(len(adjacency))]
+    return [table_entries(table, b) for b in range(len(adjacency))]
+
+
+def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default") -> None:
+    """Check each column of an analyze_many stack against analyze(g, mode) of
+    each of its graphs alone, without reading a row of the stack: the
+    spectra bit for bit, every FACTS column, the class sizes and block
+    counts padded with 0, the twin table entries (table_entries) and the
+    multiplicities of their forced values."""
+    n = stack.n
+    assert len(stack.twins.bounds) == len(stack) + 1
+    for i, g in enumerate(stack.graphs):
+        a = analyze(g, mode)
+        assert stack.values[i].tobytes() == np.array(a.values).tobytes(), a.graph6
+        assert stack.facts[i].tolist() == [getattr(a, name) for name in FACTS], a.graph6
+        assert stack.sizes[i].tolist() == [*a.coloring.sizes, *[0] * (n - a.chi)], a.graph6
+        assert stack.block_counts[i].tolist() == [
+            *a.block_counts, *[0] * (n // 2 - len(a.block_counts))], a.graph6
+        assert table_entries(stack.twins, i) == twin_entries(a.twins), a.graph6
+        lo, hi = stack.twins.bounds[i], stack.twins.bounds[i + 1]
+        assert stack.twin_mults[lo:hi].tolist() == list(a.twin_mults), a.graph6
 
 
 def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
     """The AnalysisStack whose rows are `analyses`, of one order, as they are
-    (hand-edited ones included): every column is read back from the rows."""
+    (hand-edited ones included): every column is read back from the rows,
+    and the rows are preset, so no row is analyzed."""
     n = analyses[0].n
     if any(a.n != n for a in analyses):
         raise ValueError("a stack needs analyses of one order")
     padded = np.zeros((2, len(analyses), n), dtype=np.int64)
-    colors = np.zeros((len(analyses), n), dtype=np.int64)
     for i, a in enumerate(analyses):
         for row, seq in zip(padded, (a.coloring.sizes, a.block_counts)):
             row[i, :len(seq)] = seq
-        for c, members in enumerate(a.coloring.classes):
-            colors[i, list(members)] = c
     classes = [(i, t, mult) for i, a in enumerate(analyses)
                for t, mult in zip(a.twins, a.twin_mults)]
     graph = np.array([i for i, _, _ in classes], dtype=np.int64)
     columns = np.array([(KINDS.index(t.kind), len(t.members), len(t.external), t.transmission)
                         for _, t, _ in classes], dtype=np.int64).reshape(-1, 4).T
-    masks = np.array([[sum(1 << v for v in vs) for vs in (t.members, t.external)]
-                      for _, t, _ in classes], dtype=np.uint64).reshape(-1, 2).T
-    twins = TwinTable(graph, *columns, *masks,
-                      np.searchsorted(graph, np.arange(len(analyses) + 1)).tolist())
+    twins = TwinTable(graph, *columns, np.searchsorted(graph, np.arange(len(analyses) + 1)).tolist())
     stack = AnalysisStack(
-        [a.graph for a in analyses], np.array([a.values for a in analyses], dtype=np.float64),
+        [a.graph for a in analyses], None,
+        np.array([a.values for a in analyses], dtype=np.float64),
         np.array([[getattr(a, name) for name in FACTS] for a in analyses], dtype=np.int64),
-        padded[0], padded[1, :, :n // 2], colors, twins,
+        padded[0], padded[1, :, :n // 2], twins,
         np.array([mult for _, _, mult in classes], dtype=np.int64))
-    stack._rows[:] = analyses  # the rows are the analyses themselves, not views of the columns
+    stack._rows[:] = analyses  # the rows are the analyses themselves, not analyzed again
     return stack
 
 

@@ -435,12 +435,15 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
 
     # a second pass for the audit would show in either way a graph is
     # analyzed: in a stack (the sweep's verify.analyze_many) or alone
-    # (analyze, wherever it is looked up)
+    # (analyze, wherever it is looked up). A stack's rows are analyze's too,
+    # read for the first graph of each shape the claim table has not met, so
+    # a first pass meets every shape
+    run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     monkeypatch.setattr(verify, "analyze_many", counted)
     real_one = verify.analyze
     for module in (verify, cli):
-        monkeypatch.setattr(module, "analyze",
-                            lambda g, *args: calls.append(g) or real_one(g, *args))
+        monkeypatch.setattr(module, "analyze", lambda g, *args, **kwargs:
+                            calls.append(g) or real_one(g, *args, **kwargs))
     code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     assert code == 0
     assert "112 connected graphs" in out
@@ -448,30 +451,19 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
     assert len(set(calls)) == 112
 
 
-def test_corpus_builds_summaries_only_for_the_audit(monkeypatch, capsys):
-    def summary(self):
-        raise AssertionError("a summary built without --audit-extremal")
-
-    # a report's summary is CheckReport.summary, read from its stack's columns
-    # when it passes; an analysis has its own
-    monkeypatch.setattr(verify.CheckReport, "summary", property(summary))
-    monkeypatch.setattr(verify.GraphAnalysis, "summary", property(summary))
-    code, out, _ = run_cli(capsys, "corpus", "--n", "6", "--format", "json")
-    assert code == 0
-    assert out.count("\n") == 112 * len(verify.CHECKS)
-
-
 def test_corpus_audit_builds_no_analysis_row_for_a_passing_graph(monkeypatch, capsys):
     # once the claim table knows every shape, a corpus pass with the audit
-    # writes every record and summary from the stacks' columns: no graph's
-    # GraphAnalysis is built
+    # writes every record and head from the stacks' columns: no graph is
+    # analyzed alone, which is how a stack builds a GraphAnalysis row
     argv = ("corpus", "--n", "6", "--audit-extremal", "--format", "json")
     monkeypatch.setattr(verify, "_SHAPES", {})
-    code, expected, _ = run_cli(capsys, *argv)  # meets every shape
-    assert code == 0
     built = []
-    real = verify.AnalysisStack._row
-    monkeypatch.setattr(verify.AnalysisStack, "_row", lambda self, i: built.append(i) or real(self, i))
+    real = verify.analyze
+    monkeypatch.setattr(verify, "analyze", lambda g, *args, **kwargs:
+                        built.append(g) or real(g, *args, **kwargs))
+    code, expected, _ = run_cli(capsys, *argv)  # meets every shape
+    assert code == 0 and built  # the first graph of each shape is analyzed alone
+    built.clear()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == expected
     assert built == []
@@ -587,8 +579,8 @@ def test_tables_mismatch_exits_1(monkeypatch, capsys):
 
 def test_corpus_summary_prints_audit_failures():
     # P4 (Ch) ties K_{2,2} (C]) at the minimum, and is not complete multipartite
-    audit = verify.audit_extremal(4, 2, [verify.GraphSummary("Ch", 4, 2, 6.0),
-                                         verify.GraphSummary("C]", 4, 2, 6.0)])
+    audit = verify.audit_extremal(4, 2, [verify.Head("Ch", 4, 3, 2, 6, 6.0),
+                                         verify.Head("C]", 4, 4, 2, 6, 6.0)])
     text = cli._corpus_summary(4, 2, {}, [audit], 0)
     assert ("extremal chi=2: min dL1 = 6 (expected 6) over 2 graphs, 2 minimizer(s) "
             "[FAILED]\n  FAILURE: minimizer Ch is not complete multipartite\n") in text

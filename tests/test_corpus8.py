@@ -6,8 +6,10 @@ with the n = 8 cases of the other test modules, by
     PYTHONPATH=src python -m pytest -q -m corpus8
 
 The sweeps come from conftest's corpus_reports, once per coloring mode, and
-the CLI outputs from corpus_run, once per command. The digests hash integers
-and text only, so no BLAS build can move them.
+the CLI outputs from corpus_run, once per command. A report's analysis is
+analyze of its graph alone, so the pins below pin analyze; the sweep's stacked
+columns are tied to it by test_every_n8_sweep_stack_matches_analyze. The
+digests hash integers and text only, so no BLAS build can move them.
 """
 
 import csv
@@ -18,6 +20,8 @@ import pytest
 
 from distlap.coloring import max_ell1_coloring, optimal_coloring
 from distlap.graphs import enumerate_connected, to_graph6
+from distlap.verify import BATCH, analyze_many
+from helpers import assert_columns_match_analyze
 
 pytestmark = pytest.mark.corpus8
 
@@ -34,12 +38,12 @@ COLORINGS_SHA256 = {
 
 @pytest.mark.parametrize("mode", MODES)
 def test_the_n8_colorings_are_pinned(corpus_reports, mode):
-    # each graph colored alone and the colorings sweep yields, which start
-    # from greedy_starts on 512-graph stacks, give the same digest
+    # the coloring functions and the colorings of the sweep's reports (each
+    # made by analyze of the graph alone) give the same digest
     color = {"default": optimal_coloring, "max-l1": max_ell1_coloring}[mode]
     graphs = list(enumerate_connected(8))
-    stacked = [r.analysis.coloring for r in corpus_reports[mode, 8]]
-    for path, results in (("alone", map(color, graphs)), ("sweep", stacked)):
+    analyzed = [r.analysis.coloring for r in corpus_reports[mode, 8]]
+    for path, results in (("alone", map(color, graphs)), ("analyze", analyzed)):
         digest = hashlib.sha256()
         for g, r in zip(graphs, results, strict=True):
             digest.update(repr((to_graph6(g), r.chi, r.classes)).encode())
@@ -47,8 +51,8 @@ def test_the_n8_colorings_are_pinned(corpus_reports, mode):
 
 
 # SHA-256 of repr((graph6, m_ge_b, block_counts, mu_at_n, twin_mults, diameter,
-# wiener)) over the n = 8 corpus as sweep analyzes it; the Tier-1 pins of these
-# facts stop at n = 7
+# wiener)) over the analyses of the n = 8 corpus's sweep reports; the Tier-1
+# pins of these facts stop at n = 7
 SPECTRAL_FACTS_SHA256 = {
     "default": "7a5ba77355bb1aaf7bba9b066fa46515ea6fb4ef7a4f12b62acce34368d37081",
     "max-l1": "801350e6ba508fbf83b2761f17efe0607371b0029180e03194c1ffddcdb50500",
@@ -65,9 +69,10 @@ def test_the_n8_spectral_counts_and_distance_facts_are_pinned(corpus_reports, mo
     assert digest.hexdigest() == SPECTRAL_FACTS_SHA256[mode]
 
 
-# SHA-256 of repr((graph6, twins)) over the n = 8 corpus as sweep analyzes it:
-# each class's kind, members, external set, transmission and forced value and
-# multiplicity, of which the pin above holds only the realized multiplicities.
+# SHA-256 of repr((graph6, twins)) over the analyses of the n = 8 corpus's
+# sweep reports: each class's kind, members, external set, transmission and
+# forced value and multiplicity, of which the pin above holds only the
+# realized multiplicities.
 # The classes do not depend on the coloring, so both modes have one digest.
 TWIN_CLASSES_SHA256 = "a9f742c25f570dc788613d003130f02476a679056b1abbdcd528fa9edbc3222a"
 
@@ -79,6 +84,18 @@ def test_the_n8_twin_classes_are_pinned(corpus_reports, mode):
         a = report.analysis
         digest.update(repr((a.graph6, a.twins)).encode())
     assert digest.hexdigest() == TWIN_CLASSES_SHA256
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_n8_sweep_stack_matches_analyze(mode):
+    # the stacks sweep makes of the corpus (BATCH graphs in enumeration
+    # order; greedy_starts, twin_table and the spectral counts on columns),
+    # column by column against analyze of each graph alone. The claim table
+    # reads these columns, and at run time only a graph of a new shape or a
+    # failed claim is checked against its analysis.
+    graphs = list(enumerate_connected(8))
+    for start in range(0, len(graphs), BATCH):
+        assert_columns_match_analyze(analyze_many(graphs[start:start + BATCH], mode), mode)
 
 
 # SHA-256 of the pretty `corpus --n 8 --audit-extremal` report. It holds only

@@ -19,6 +19,7 @@ from helpers import (
     brute_force_twin_classes,
     random_permutation,
     stacked_twin_classes,
+    twin_entries,
     universal_vertex_count,
 )
 
@@ -71,7 +72,8 @@ def test_stacked_twin_classes_match_the_brute_force_oracle():
     # with three or more classes. Each stack also holds seeded relabelings of
     # its graphs, so that classes of both kinds interleave by least member.
     # Every graph is grouped in its stack, alone in a stack of one, and alone
-    # by twin_classes
+    # by twin_classes. A twin table keeps each class's kind, size, |external|
+    # and transmission, in least-member order; twin_classes its members too
     def tail_twins(n):  # the path 0 .. n - 3, and n - 2, n - 1 joined to its end and each other
         edges = [(v, v + 1) for v in range(n - 3)]
         return Graph.from_edges(n, edges + [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
@@ -93,9 +95,10 @@ def test_stacked_twin_classes_match_the_brute_force_oracle():
         transmissions = dist.sum(axis=2).tolist()
         stacked = stacked_twin_classes(dist == 1, transmissions)
         assert len(stacked) == len(stack)
-        for b, (g, tr, classes) in enumerate(zip(stack, transmissions, stacked)):
-            assert classes == tuple(brute_force_twin_classes(g, tr))
-            assert stacked_twin_classes(dist[b:b + 1] == 1, [tr]) == [classes]
+        for b, (g, tr, entries) in enumerate(zip(stack, transmissions, stacked)):
+            classes = tuple(brute_force_twin_classes(g, tr))
+            assert entries == twin_entries(classes)
+            assert stacked_twin_classes(dist[b:b + 1] == 1, [tr]) == [entries]
             assert twin_classes(g, tr) == classes  # one graph, as analyze groups it
             covered.add(("n", n))
             covered.update(("63", t.kind) for t in classes if 63 in t.members)

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from distlap import analysis, cli, coloring, verify
+from distlap import cli, coloring, verify
 from distlap.coloring import max_ell1_coloring
 from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
@@ -34,7 +34,7 @@ from distlap.verify import (
     RECORD_FIELDS,
     CheckResult,
     GraphAnalysis,
-    GraphSummary,
+    Head,
     analyze,
     analyze_many,
     audit_extremal,
@@ -45,6 +45,7 @@ from distlap.verify import (
     sweep,
 )
 from helpers import (
+    assert_columns_match_analyze,
     assert_table_matches_run_checks,
     random_permutation,
     report_of,
@@ -418,25 +419,13 @@ def test_max_ell1_mode_guard_precedes_optimal_coloring(monkeypatch):
         analyze(gen_path(17), coloring_mode="max-l1")
 
 
-def _assert_same_analysis(x: GraphAnalysis, y: GraphAnalysis) -> None:
-    for name in GraphAnalysis._fields:
-        u, v = getattr(x, name), getattr(y, name)
-        if name == "values":
-            assert np.array_equal(u, v), x.graph6  # bit-identical spectra
-        else:
-            assert u == v, (x.graph6, name)
-
-
 def test_analyze_many_matches_analyze_on_corpus():
     for n in range(1, 8):
         graphs = list(enumerate_connected(n))
         single = [analyze(g) for g in graphs]
         for size in (len(graphs), 1, 64):
-            batched = [a for i in range(0, len(graphs), size)
-                       for a in analyze_many(graphs[i:i + size])]
-            assert len(batched) == len(single)
-            for x, y in zip(single, batched):
-                _assert_same_analysis(x, y)
+            for i in range(0, len(graphs), size):
+                assert_columns_match_analyze(analyze_many(graphs[i:i + size]))
         # the stacked facts and counts equal their one-graph definitions
         for a in single:
             assert (a.n, a.chi) == (n, a.coloring.chi)
@@ -485,10 +474,8 @@ def test_analyze_many_matches_analyze_on_mixed_stacks_above_n8():
         for mode in modes:
             start = 0
             for size in (4, 1, 3, 3):
-                stack = graphs[start:start + size]
+                assert_columns_match_analyze(analyze_many(graphs[start:start + size], mode), mode)
                 start += size
-                for g, a in zip(stack, analyze_many(stack, mode), strict=True):
-                    _assert_same_analysis(analyze(g, mode), a)
             assert start == len(graphs)
 
 
@@ -504,8 +491,7 @@ def test_analyze_many_matches_analyze_on_relabeled_n8_slices():
                  for g in graphs[start:start + verify.BATCH]]
         assert len(stack) == 512
         for mode in ("default", "max-l1"):
-            for g, a in zip(stack, analyze_many(stack, mode), strict=True):
-                _assert_same_analysis(analyze(g, mode), a)
+            assert_columns_match_analyze(analyze_many(stack, mode), mode)
 
 
 def test_stacked_universal_vertex_counts_match_the_per_graph_count():
@@ -565,10 +551,7 @@ def test_stacked_complement_component_counts_match_the_per_graph_count():
 
 
 def test_analyze_many_max_ell1_mode_matches_analyze():
-    graphs = list(enumerate_connected(6))
-    batched = analyze_many(graphs, coloring_mode="max-l1")
-    for g, a in zip(graphs, batched, strict=True):
-        _assert_same_analysis(analyze(g, coloring_mode="max-l1"), a)
+    assert_columns_match_analyze(analyze_many(list(enumerate_connected(6)), "max-l1"), "max-l1")
 
 
 # SHA-256 over every connected graph with n <= 7, in enumeration order, of the
@@ -767,8 +750,8 @@ def test_a_failing_analysis_writes_its_witness_through_the_record_writer(case):
     assert failed[0]["witness"] == {"violations": [violation]}
     ids = [cid for cid, _ in CHECKS]
     expected = tuple("fail" if cid == check_id else r["verdict"] for cid, r in zip(ids, records))
-    item_text, verdicts, summary = cli._corpus_item("json", False, report)
-    assert (item_text, summary) == (text, None)
+    item_text, verdicts, head = cli._corpus_item("json", False, report)
+    assert (item_text, head) == (text, None)
     assert verdicts == expected and verdicts.count("fail") == 1
     assert cli._corpus_item("pretty", False, report)[1] == expected
     assert not report.ok and [r.check_id for r in report.failures] == [check_id]
@@ -964,6 +947,35 @@ def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses,
     assert not verify._SHAPES
 
 
+def test_claim_table_refuses_stacked_counts_the_rows_disagree_with(monkeypatch):
+    # every stacked count one too many: a row is analyze's, which counts its
+    # graph alone, so run_checks on the first graph of a new shape gets other
+    # slacks; and once every shape is known, the n = 6 graphs that the extra
+    # count takes over an upper bound fail in the table and not in run_checks
+    graphs = list(enumerate_connected(6))
+    real = verify.counts_at_least
+    monkeypatch.setattr(verify, "_SHAPES", {})
+    for known in (False, True):
+        if known:
+            monkeypatch.setattr(verify, "counts_at_least", real)
+            assert all(sweep(graphs, operator.attrgetter("ok")))
+        monkeypatch.setattr(verify, "counts_at_least", lambda values, c: real(values, c) + 1)
+        with pytest.raises(RuntimeError, match="disagrees with run_checks"):
+            list(sweep(graphs, operator.attrgetter("ok")))
+
+
+def test_claim_table_refuses_a_failing_row_its_analysis_passes():
+    # a real n = 6 stack with the first block count of one graph with
+    # ell_1 >= 2 zeroed: the table fails that graph's block_1 claim alone,
+    # which run_checks on its row, analyze's, holds
+    stack = analyze_many(list(enumerate_connected(6)))
+    i = int(np.flatnonzero(stack.ell1 >= 2)[0])
+    stack.block_counts[i, 0] = 0
+    with pytest.raises(RuntimeError, match="disagrees with run_checks") as raised:
+        run_checks_many(stack)
+    assert str(raised.value).endswith(f" on {stack[i].graph6}")
+
+
 def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
     # a changed checker changes the claim table with it: a shifted rhs and an
     # added claim in check_n_multiplicity reach run_checks_many's reports with
@@ -1018,8 +1030,7 @@ def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch)
         return refused
 
     for module, name in ((verify, "count_at_least"), (verify, "multiplicity"),
-                         (verify, "_to_result"), (analysis, "_to_result"),
-                         (coloring, "_to_result")):
+                         (verify, "_to_result"), (coloring, "_to_result")):
         monkeypatch.setattr(module, name, refuse(name))
     for name in ("counts_at_least", "multiplicities"):
         real = getattr(verify, name)
@@ -1077,20 +1088,20 @@ def test_audit_extremal_large_chi_unique_minimizer(corpus_analyses):
 
 
 def test_audit_extremal_summaries_match_analyses(corpus_analyses):
-    summaries = [a.summary for a in corpus_analyses[7]]
+    heads = [a.head for a in corpus_analyses[7]]
     for chi in range(2, 7):
-        assert audit_extremal(7, chi, analyses=summaries) == \
+        assert audit_extremal(7, chi, analyses=heads) == \
             audit_extremal(7, chi, analyses=corpus_analyses[7])
 
 
 def test_audit_extremal_fails_on_a_wrong_minimizer():
-    # hand-built summaries: P4 (Ch) ties K_{2,2} (C]) at the minimum 6
-    tie = audit_extremal(4, 2, [GraphSummary("Ch", 4, 2, 6.0), GraphSummary("C]", 4, 2, 6.0)])
+    # hand-built heads: P4 (Ch) ties K_{2,2} (C]) at the minimum 6
+    tie = audit_extremal(4, 2, [Head("Ch", 4, 3, 2, 6, 6.0), Head("C]", 4, 4, 2, 6, 6.0)])
     assert not tie.ok
     assert tie.failures == ["minimizer Ch is not complete multipartite"]
     assert tie.minimizer_parts == [None, (2, 2)]
     # K_{2,2} claimed at chi = 3 and below the bound 6
-    low = audit_extremal(4, 3, [GraphSummary("C]", 4, 3, 5.0)])
+    low = audit_extremal(4, 3, [Head("C]", 4, 4, 3, 6, 5.0)])
     assert low.failures == ["min dL1 = 5.0, expected 6",
                             "minimizer C] is complete 2-partite, not 3"]
 
