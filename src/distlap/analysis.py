@@ -1,14 +1,13 @@
 """The analysis records: one graph's facts (GraphAnalysis), which only
 verify.analyze builds, the few of them its records and the extremal audit
 read (Head), and a stack's facts as columns (AnalysisStack), which
-verify.analyze_many computes and whose rows are GraphAnalysis records built
-by verify.analyze when read. The checkers read a GraphAnalysis and a stack
+verify.analyze_many computes. The checkers read a GraphAnalysis and a stack
 alike: the facts by name, value(k), ell1, blocks() and ranked_twins(kind),
 as Python scalars or as columns with one entry per graph."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class Head(NamedTuple):
 
 class GraphAnalysis(NamedTuple):
     """Everything the checkers need about one connected graph, as
-    verify.analyze computes it for the graph alone; a row of an
-    AnalysisStack is one too.
+    verify.analyze computes it for the graph alone.
 
     The scalar facts are plain fields: `diameter` and `wiener` (half the sum
     of all distances) come from the distance matrix, `chi` and `b_chi` =
@@ -101,7 +99,7 @@ FACTS = ("chi", "b_chi", "ceil_n_chi", "diameter", "wiener", "m", "m_ge_b", "mu_
          "mu_at_n", "complement_components", "universal_vertices")
 
 
-class AnalysisStack(Sequence[GraphAnalysis]):
+class AnalysisStack:
     """The analyses of a stack of same-order connected graphs, as columns.
 
     `values` is the (B, n) float64 spectra, nonincreasing along each row;
@@ -110,35 +108,23 @@ class AnalysisStack(Sequence[GraphAnalysis]):
     chi; `block_counts` the (B, n // 2) counts of eigenvalues >= n + ell_j
     for each class of size >= 2, 0 past them; `twins` the TwinTable of the
     stack, and `twin_mults` the multiplicity of each class's forced value.
-
-    stack[i] is analyze(graphs[i]), graph i's GraphAnalysis computed alone
-    (verify.analyze in the stack's coloring mode), built on first use and
-    then kept, so a stack read twice gives the same rows. stack.chi is the
-    column of chi, and so on for every name in FACTS.
+    Graph i's columns hold what verify.analyze(graphs[i], coloring_mode)
+    computes for it alone; the stack keeps no GraphAnalysis. stack.chi is
+    the column of chi, and so on for every name in FACTS.
     """
 
-    __slots__ = ("graphs", "n", "values", "facts", "sizes", "block_counts", "twins", "twin_mults",
-                 "_analyze", "_rows")
+    __slots__ = ("graphs", "n", "coloring_mode", "values", "facts", "sizes", "block_counts",
+                 "twins", "twin_mults")
 
-    def __init__(self, graphs: Sequence[Graph], analyze: Callable[[Graph], GraphAnalysis],
-                 values: np.ndarray, facts: np.ndarray, sizes: np.ndarray,
-                 block_counts: np.ndarray, twins: TwinTable, twin_mults: np.ndarray):
-        self.graphs, self.n, self._analyze = graphs, graphs[0].n, analyze
+    def __init__(self, graphs: Sequence[Graph], coloring_mode: str, values: np.ndarray,
+                 facts: np.ndarray, sizes: np.ndarray, block_counts: np.ndarray,
+                 twins: TwinTable, twin_mults: np.ndarray):
+        self.graphs, self.n, self.coloring_mode = graphs, graphs[0].n, coloring_mode
         self.values, self.facts, self.sizes, self.block_counts = values, facts, sizes, block_counts
         self.twins, self.twin_mults = twins, twin_mults
-        self._rows: list[GraphAnalysis | None] = [None] * len(graphs)
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> GraphAnalysis:
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = self._analyze(self.graphs[i])
-        return row
-
-    def __iter__(self) -> Iterator[GraphAnalysis]:
-        return map(self.__getitem__, range(len(self._rows)))
+        return len(self.graphs)
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in FACTS:

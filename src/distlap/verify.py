@@ -21,11 +21,11 @@ tallies verdicts without building a CheckResult.
 run_checks_many, the claim table, runs the same checkers once on a stack's
 columns and makes the reports run_checks would; a sweep decides every stack
 by it. A shape's keys come from the labels and reasons the checkers pass to
-it. A stack's row is analyze of its graph alone, built when read, so
-run_checks on a row reads the per-graph kernels, not the stack's: it
-cross-checks the first graph of each new shape, and decides every graph
-with a failed claim or a non-finite slack, so witnesses have one
-implementation. A new shape whose keys or slacks differ, or a graph the
+it. The table calls analyze on a graph of the stack alone, which reads the
+per-graph kernels, not the stack's, and decides it by run_checks: the first
+graph of each new shape, as a cross-check of its keys, slacks and block
+counts, and every graph with a failed claim or a non-finite slack, so
+witnesses have one implementation. A new shape that differs, or a graph the
 table fails and run_checks does not, raises RuntimeError. One graph alone
 (verify, analyze, tables) is analyzed by analyze and decided by run_checks.
 Per graph stay the colorings the greedy start leaves unproven (every max-l1
@@ -90,8 +90,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     ones in the color array. The class sizes are each row's sorted bincount
     of colors, and every spectral count is one comparison of the spectra
     with a threshold column (counts_at_least, multiplicities); nothing else
-    is computed per graph. The stack keeps no colors: its row i is
-    analyze(graphs[i], coloring_mode), built when read. coloring_mode
+    is computed per graph. The stack keeps no colors, and no GraphAnalysis:
+    analyze(graphs[i], coloring_mode) is graph i's. coloring_mode
     "max-l1" uses an optimal coloring with the largest possible first class
     (guarded to n <= 16) instead of the default optimal coloring. A
     disconnected graph anywhere in the stack raises ValueError (from
@@ -125,14 +125,14 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
                       n - m_ge_b, multiplicities(values, n),
                       complement_component_counts(adjacency), (degrees == n - 1).sum(axis=1)),
                      axis=1).astype(np.int64, copy=False)
-    return AnalysisStack(graphs, functools.partial(analyze, coloring_mode=coloring_mode), values,
-                         facts, sizes, block_counts, twins,
+    return AnalysisStack(graphs, coloring_mode, values, facts, sizes, block_counts, twins,
                          multiplicities(values[twins.graph], twins.forced_value))
 
 
 def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     """The analysis of one connected graph, and the only code that builds a
-    GraphAnalysis: an analyze_many stack's rows are its analyses too.
+    GraphAnalysis: the claim table calls it for the graphs of a stack it
+    decides by run_checks.
 
     On one graph a stack's columns cost more numpy calls than they save, so
     the facts are read from Python lists: m and the universal-vertex count
@@ -202,38 +202,21 @@ class CheckReport:
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
     the report's record shape, which fixes its record text up to the slacks;
-    the reports run_checks_many fills share their shape's keys tuple, and
-    hold their stack and row rather than the analysis, which `analysis`
-    reads from the stack (so builds by analyze) when asked for.
+    the reports run_checks_many fills share their shape's keys tuple. `head`
+    is the graph's Head, what its records and the extremal audit read.
     """
 
-    __slots__ = ("_analysis", "_stack", "_row", "_head", "keys", "slacks", "failed", "_results",
-                 "_entry")
+    __slots__ = ("head", "keys", "slacks", "failed", "_results", "_entry")
 
-    def __init__(self, analysis: GraphAnalysis | None, keys: Sequence = (),
-                 entry: tuple | None = None, slacks: Sequence[float] = (),
-                 stack: AnalysisStack | None = None, row: int = 0, head: Head | None = None):
-        """An empty report of `analysis` for run_checks to fill, or a passing
-        report of run_checks_many: graph `row` of `stack` with its head (as
-        AnalysisStack.heads gives it), its shape's keys tuple and _template
-        entry, and its slacks."""
-        self._analysis, self._stack, self._row, self._head = analysis, stack, row, head
+    def __init__(self, head: Head, keys: Sequence = (), entry: tuple | None = None,
+                 slacks: Sequence[float] = ()):
+        """A report of the graph of `head`: empty, for run_checks to fill, or
+        a passing report of run_checks_many with its shape's keys tuple and
+        _template entry, and its slacks."""
+        self.head = head
         self.keys, self.slacks, self.failed = keys or [], slacks or [], []
         self._results = None
         self._entry = entry
-
-    @property
-    def analysis(self) -> GraphAnalysis:
-        if self._analysis is None:
-            self._analysis = self._stack[self._row]
-        return self._analysis
-
-    @property
-    def head(self) -> Head:
-        """The graph's Head: what its records and the extremal audit read."""
-        if self._head is None:
-            self._head = self.analysis.head
-        return self._head
 
     def begin(self, check_id: str) -> None:
         self.keys += (None, check_id)
@@ -455,7 +438,7 @@ def run_checks(a: GraphAnalysis) -> CheckReport:
     """The report of every check on a, in CHECKS order: each check appends its
     claims to the report, unless a gate of its hypothesis fails before it
     makes any."""
-    return _decide(a, CheckReport(a))
+    return _decide(a, CheckReport(a.head))
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +487,12 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
 
     A graph's shape is the stack's claim layout with its packed gate and
     claim bits (_shape). Every passing graph gets a CheckReport sharing its
-    shape's keys tuple and _template entry, with its slacks and its head, but
-    no GraphAnalysis until one is read. A graph with a failed claim or a
-    non-finite slack is decided by run_checks, so witnesses have one
-    implementation; where the table fails a claim and run_checks fails
-    none, it raises RuntimeError. Only those graphs and the first of each
-    new shape build their row of the stack, by analyze.
+    shape's keys tuple and _template entry, with its slacks and its head. A
+    graph with a failed claim or a non-finite slack is decided by run_checks
+    on analyze of the graph alone, so witnesses have one implementation;
+    where the table fails a claim and run_checks fails none, it raises
+    RuntimeError. Only those graphs and the first of each new shape are
+    analyzed alone.
     """
     if not len(stack):
         return []
@@ -531,17 +514,17 @@ def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
     shapes = [_shape((layout, packed[i].tobytes()), table, bits[i], stack, i,
                      flat[starts[i]:ends[i]])
               for i in passing[first].tolist()]
-    reports = [run_checks(stack[i]) if k < 0
-               else CheckReport(None, *shapes[k], flat[start:end], stack, i, head)
+    reports = [run_checks(analyze(stack.graphs[i], stack.coloring_mode)) if k < 0
+               else CheckReport(head, *shapes[k], flat[start:end])
                for i, (k, start, end, head) in enumerate(zip(shape_of.tolist(), starts, ends,
                                                              stack.heads()))]
     for i in np.flatnonzero(failing).tolist():
         if reports[i].ok:
-            raise _disagreement(stack[i])
+            raise _disagreement(reports[i].head)
     return reports
 
 
-def _disagreement(a: GraphAnalysis) -> RuntimeError:
+def _disagreement(a: GraphAnalysis | Head) -> RuntimeError:
     return RuntimeError(f"the claim table disagrees with run_checks on {a.graph6}")
 
 
@@ -550,13 +533,17 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
     """The keys and _template entry of the shape `key` of graph i of the
     stack, a passing graph whose gate and claim bits in `table` are `bits`
     and whose slacks are `slacks`. A new shape's keys are read from the
-    table's steps and checked against run_checks on graph i. _SHAPES keeps
-    the TEMPLATE_SHAPES shapes last added."""
+    table's steps and checked against run_checks on analyze of graph i
+    alone, and its block counts against the analysis's: the one column that
+    reaches a verdict only through `holds`, so no slack or key shows it.
+    _SHAPES keeps the TEMPLATE_SHAPES shapes last added."""
     if key not in _SHAPES:
-        bits, a = bits.tolist(), stack[i]
+        bits, a = bits.tolist(), analyze(stack.graphs[i], stack.coloring_mode)
         keys = tuple([k for step, at in table.steps if at is None or bits[at] for k in step])
         report = run_checks(a)
-        if report.failed or tuple(report.keys) != keys or report.slacks != slacks:
+        blocks = [*a.block_counts, *[0] * (stack.n // 2 - len(a.block_counts))]
+        if (report.failed or tuple(report.keys) != keys or report.slacks != slacks
+                or stack.block_counts[i].tolist() != blocks):
             raise _disagreement(a)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]

@@ -1,5 +1,6 @@
-"""Shared fixtures: each corpus is swept once per session and coloring mode,
-and its reports and CLI outputs are reused."""
+"""Shared fixtures: each corpus is swept once, and each of its graphs
+analyzed once, per session and coloring mode, and its reports, analyses and
+CLI outputs are reused."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 
 from distlap.cli import main
 from distlap.graphs import enumerate_connected
-from distlap.verify import sweep
+from distlap.verify import analyze, sweep
 
 MODES = ("default", "max-l1")
 
@@ -24,6 +25,17 @@ class _Sweeps(dict):
         return reports
 
 
+class _Analyses(dict):
+    """analyze(g, mode) of every connected graph g of order n, in enumeration
+    order, keyed by (mode, n); each order is analyzed on first use, so the
+    n = 8 corpus only by the corpus8 cases."""
+
+    def __missing__(self, key):
+        mode, n = key
+        self[key] = analyses = [analyze(g, mode) for g in enumerate_connected(n)]
+        return analyses
+
+
 @pytest.fixture(scope="session")
 def corpus_reports():
     """The sweep's reports, corpus_reports[mode, n], shared by the session."""
@@ -31,15 +43,21 @@ def corpus_reports():
 
 
 @pytest.fixture(scope="session")
-def corpus_analyses(corpus_reports):
-    """GraphAnalysis records for every connected isomorphism class, n = 1..7."""
-    return {n: [r.analysis for r in corpus_reports["default", n]] for n in range(1, 8)}
+def mode_corpus_analyses():
+    """Each graph's analysis, mode_corpus_analyses[mode, n], shared by the session."""
+    return _Analyses()
 
 
 @pytest.fixture(scope="session")
-def corpus_analyses_max_l1(corpus_reports):
+def corpus_analyses(mode_corpus_analyses):
+    """GraphAnalysis records for every connected isomorphism class, n = 1..7."""
+    return {n: mode_corpus_analyses["default", n] for n in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def corpus_analyses_max_l1(mode_corpus_analyses):
     """The same records with coloring_mode "max-l1"."""
-    return {n: [r.analysis for r in corpus_reports["max-l1", n]] for n in range(1, 8)}
+    return {n: mode_corpus_analyses["max-l1", n] for n in range(1, 8)}
 
 
 @pytest.fixture(params=MODES)

@@ -1,19 +1,21 @@
 """Independent brute-force oracles, closed forms and coloring checks that only
 the tests call, each graph's twin table entries, the list-based reference
 DSATUR search, random generators used across the tests, reports made from
-hand-built results, stacks made from hand-built analyses, the comparison of a
-stack's columns with analyze, and the comparison of the claim table with
-run_checks."""
+hand-built results, stacks made from hand-built analyses and the analyze
+that hands them to the claim table, the comparison of a stack's columns with
+analyze, and the comparison of the claim table with run_checks."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from distlap import verify
 from distlap.analysis import FACTS, AnalysisStack
 from distlap.coloring import _OverBudget
 from distlap.eigen import eig_symmetric
@@ -129,16 +131,19 @@ def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence
     return [table_entries(table, b) for b in range(len(adjacency))]
 
 
-def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default") -> None:
+def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default",
+                                 analyses: Sequence[GraphAnalysis] | None = None) -> None:
     """Check each column of an analyze_many stack against analyze(g, mode) of
-    each of its graphs alone, without reading a row of the stack: the
-    spectra bit for bit, every FACTS column, the class sizes and block
-    counts padded with 0, the twin table entries (table_entries) and the
-    multiplicities of their forced values."""
+    each of its graphs alone (or against `analyses`, those analyses made
+    before): the spectra bit for bit, every FACTS column, the class sizes
+    and block counts padded with 0, the twin table entries (table_entries)
+    and the multiplicities of their forced values."""
     n = stack.n
     assert len(stack.twins.bounds) == len(stack) + 1
-    for i, g in enumerate(stack.graphs):
-        a = analyze(g, mode)
+    if analyses is None:
+        analyses = [analyze(g, mode) for g in stack.graphs]
+    for i, (g, a) in enumerate(zip(stack.graphs, analyses, strict=True)):
+        assert a.graph == g, a.graph6
         assert stack.values[i].tobytes() == np.array(a.values).tobytes(), a.graph6
         assert stack.facts[i].tolist() == [getattr(a, name) for name in FACTS], a.graph6
         assert stack.sizes[i].tolist() == [*a.coloring.sizes, *[0] * (n - a.chi)], a.graph6
@@ -150,9 +155,10 @@ def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default") ->
 
 
 def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
-    """The AnalysisStack whose rows are `analyses`, of one order, as they are
-    (hand-edited ones included): every column is read back from the rows,
-    and the rows are preset, so no row is analyzed."""
+    """The AnalysisStack of `analyses`, of one order, as they are
+    (hand-edited ones included): every column is read back from them, and
+    graph i is a copy of analyses[i].graph of its own, so that analyzed_as
+    can tell the graphs apart."""
     n = analyses[0].n
     if any(a.n != n for a in analyses):
         raise ValueError("a stack needs analyses of one order")
@@ -166,14 +172,26 @@ def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
     columns = np.array([(KINDS.index(t.kind), len(t.members), len(t.external), t.transmission)
                         for _, t, _ in classes], dtype=np.int64).reshape(-1, 4).T
     twins = TwinTable(graph, *columns, np.searchsorted(graph, np.arange(len(analyses) + 1)).tolist())
-    stack = AnalysisStack(
-        [a.graph for a in analyses], None,
+    return AnalysisStack(
+        [Graph(n, a.graph.adj) for a in analyses], "default",
         np.array([a.values for a in analyses], dtype=np.float64),
         np.array([[getattr(a, name) for name in FACTS] for a in analyses], dtype=np.int64),
         padded[0], padded[1, :, :n // 2], twins,
         np.array([mult for _, _, mult in classes], dtype=np.int64))
-    stack._rows[:] = analyses  # the rows are the analyses themselves, not analyzed again
-    return stack
+
+
+@contextlib.contextmanager
+def analyzed_as(stack: AnalysisStack, analyses: Sequence[GraphAnalysis]) -> Iterator[None]:
+    """Within the block, verify.analyze of graph i of the stack (that very
+    object) is analyses[i], so the claim table decides hand-edited analyses
+    by run_checks as they are; any other graph raises KeyError."""
+    rows = {id(g): a for g, a in zip(stack.graphs, analyses, strict=True)}
+    real = verify.analyze
+    verify.analyze = lambda g, coloring_mode="default": rows[id(g)]
+    try:
+        yield
+    finally:
+        verify.analyze = real
 
 
 def multipartite_spectrum_closed_form(parts: Iterable[int]) -> np.ndarray:
@@ -197,7 +215,7 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
     """The report of a whose results are `results`, for record-writer tests
     that need results no checker makes: each result's check id, reason,
     labels, slacks and violations are entered as run_checks enters them."""
-    report = CheckReport(a)
+    report = CheckReport(a.head)
     for i, r in enumerate(results):
         report.keys += (None, r.check_id)
         if r.reason is not None:
@@ -208,19 +226,25 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
     return report
 
 
-def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis]) -> int:
-    """Check that run_checks_many on the stack `analyses` (an AnalysisStack,
-    or a list of analyses, made one by stack_of) makes, report for report,
-    what run_checks makes of each analysis alone: the same keys, slacks bit
-    for bit, failed claims, verdicts and JSON and CSV records. Returns the
-    number of reports the table itself filled (no failed claim, no
-    non-finite slack)."""
-    if not isinstance(analyses, AnalysisStack):
-        analyses = stack_of(analyses)
+def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis] | AnalysisStack) -> int:
+    """Check that run_checks_many on a stack makes, report for report, what
+    run_checks makes of each of its analyses alone: the same head, keys,
+    slacks bit for bit, failed claims, verdicts and JSON and CSV records.
+    The stack is an analyze_many stack, whose analyses are analyze's of its
+    graphs, or stack_of a list of analyses; the table reads them through
+    analyzed_as. Returns the number of reports the table itself filled (no
+    failed claim, no non-finite slack)."""
+    if isinstance(analyses, AnalysisStack):
+        stack = analyses
+        analyses = [analyze(g, stack.coloring_mode) for g in stack.graphs]
+    else:
+        stack = stack_of(analyses)
+    with analyzed_as(stack, analyses):
+        reports = run_checks_many(stack)
     tabled = 0
-    for x, a in zip(run_checks_many(analyses), analyses, strict=True):
+    for x, a in zip(reports, analyses, strict=True):
         y = run_checks(a)
-        assert x.analysis is a
+        assert x.head == y.head, a.graph6
         assert tuple(x.keys) == tuple(y.keys), a.graph6
         assert [v.hex() for v in x.slacks] == [v.hex() for v in y.slacks], a.graph6
         assert x.failed == y.failed, a.graph6

@@ -80,7 +80,7 @@ def test_criterion_4_exhaustive_theorem_suite(corpus_analyses):
             graphs_checked += 1
             for r in report.results:
                 if r.verdict == "fail":
-                    failures.append((report.analysis.graph6, r.check_id, r.witness))
+                    failures.append((report.head.graph6, r.check_id, r.witness))
     elapsed = time.time() - t0
     ok = not failures and elapsed < 120.0
     _report("criterion 4 (exhaustive theorem suite, all n<=7)", ok,

@@ -435,9 +435,9 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
 
     # a second pass for the audit would show in either way a graph is
     # analyzed: in a stack (the sweep's verify.analyze_many) or alone
-    # (analyze, wherever it is looked up). A stack's rows are analyze's too,
-    # read for the first graph of each shape the claim table has not met, so
-    # a first pass meets every shape
+    # (analyze, wherever it is looked up). The claim table analyzes alone
+    # the first graph of each shape it has not met, so a first pass meets
+    # every shape
     run_cli(capsys, "corpus", "--n", "6", "--audit-extremal")
     monkeypatch.setattr(verify, "analyze_many", counted)
     real_one = verify.analyze
@@ -454,7 +454,7 @@ def test_corpus_audit_analyzes_each_graph_once(monkeypatch, capsys):
 def test_corpus_audit_builds_no_analysis_row_for_a_passing_graph(monkeypatch, capsys):
     # once the claim table knows every shape, a corpus pass with the audit
     # writes every record and head from the stacks' columns: no graph is
-    # analyzed alone, which is how a stack builds a GraphAnalysis row
+    # analyzed alone, which is the only way the table builds a GraphAnalysis
     argv = ("corpus", "--n", "6", "--audit-extremal", "--format", "json")
     monkeypatch.setattr(verify, "_SHAPES", {})
     built = []

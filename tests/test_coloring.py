@@ -21,7 +21,7 @@ from distlap.graphs import (
     to_graph6,
 )
 from distlap.metric import distance_stack
-from distlap.verify import BATCH, analyze_many
+from distlap.verify import BATCH, analyze, analyze_many
 from helpers import (
     assert_columns_match_analyze,
     brute_force_chromatic,
@@ -90,21 +90,22 @@ DENSE_COLORINGS_SHA256 = "27f8b90cbe61881716c9dcd1193b0b93f0472c35271dc59753cd1f
 def test_dense_colorings_are_pinned():
     # n 30-44: the search backtracks deeply and _k_colorable calls _extend,
     # which n <= 7 (test_integer_facts_are_pinned) rarely reaches. The pin
-    # holds one graph at a time and through analyze_many's stacks, one per
-    # order, whose colorings start from greedy_starts.
+    # holds for optimal_coloring and for analyze, one graph at a time, and
+    # the class sizes of analyze_many's stacks, one per order, whose
+    # colorings start from greedy_starts, are those of the pinned colorings.
     graphs = dense_graphs(1, 40)
     orders = {g.n for g in graphs}
     assert len(orders) < len(graphs)  # so some stack holds more than one graph
-    stacked = [None] * len(graphs)
-    for n in orders:
-        at = [i for i, g in enumerate(graphs) if g.n == n]
-        for i, a in zip(at, analyze_many([graphs[i] for i in at])):
-            stacked[i] = a.coloring
-    for results in ([optimal_coloring(g) for g in graphs], stacked):
+    analyzed = [analyze(g).coloring for g in graphs]
+    for results in ([optimal_coloring(g) for g in graphs], analyzed):
         digest = hashlib.sha256()
         for res in results:
             digest.update(repr((res.chi, res.classes)).encode())
         assert digest.hexdigest() == DENSE_COLORINGS_SHA256
+    for n in orders:
+        at = [i for i, g in enumerate(graphs) if g.n == n]
+        assert analyze_many([graphs[i] for i in at]).sizes.tolist() == [
+            [*analyzed[i].sizes, *[0] * (n - analyzed[i].chi)] for i in at]
 
 
 # SHA-256 of repr((graph6, chi, classes)) of max_ell1_coloring over 400 seeded

@@ -5,11 +5,12 @@ with the n = 8 cases of the other test modules, by
 
     PYTHONPATH=src python -m pytest -q -m corpus8
 
-The sweeps come from conftest's corpus_reports, once per coloring mode, and
-the CLI outputs from corpus_run, once per command. A report's analysis is
-analyze of its graph alone, so the pins below pin analyze; the sweep's stacked
-columns are tied to it by test_every_n8_sweep_stack_matches_analyze. The
-digests hash integers and text only, so no BLAS build can move them.
+The sweeps come from conftest's corpus_reports and the analyses from
+mode_corpus_analyses, once per coloring mode, and the CLI outputs from
+corpus_run, once per command. The analyses are analyze of each graph alone,
+so the pins below pin analyze; the sweep's stacked columns are tied to it by
+test_every_n8_sweep_stack_matches_analyze. The digests hash integers and text
+only, so no BLAS build can move them.
 """
 
 import csv
@@ -37,12 +38,12 @@ COLORINGS_SHA256 = {
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_n8_colorings_are_pinned(corpus_reports, mode):
-    # the coloring functions and the colorings of the sweep's reports (each
-    # made by analyze of the graph alone) give the same digest
+def test_the_n8_colorings_are_pinned(mode_corpus_analyses, mode):
+    # the coloring functions and the colorings of the shared analyses (analyze
+    # of each graph alone) give the same digest
     color = {"default": optimal_coloring, "max-l1": max_ell1_coloring}[mode]
     graphs = list(enumerate_connected(8))
-    analyzed = [r.analysis.coloring for r in corpus_reports[mode, 8]]
+    analyzed = [a.coloring for a in mode_corpus_analyses[mode, 8]]
     for path, results in (("alone", map(color, graphs)), ("analyze", analyzed)):
         digest = hashlib.sha256()
         for g, r in zip(graphs, results, strict=True):
@@ -51,8 +52,8 @@ def test_the_n8_colorings_are_pinned(corpus_reports, mode):
 
 
 # SHA-256 of repr((graph6, m_ge_b, block_counts, mu_at_n, twin_mults, diameter,
-# wiener)) over the analyses of the n = 8 corpus's sweep reports; the Tier-1
-# pins of these facts stop at n = 7
+# wiener)) over analyze of each n = 8 corpus graph alone, in enumeration order;
+# the Tier-1 pins of these facts stop at n = 7
 SPECTRAL_FACTS_SHA256 = {
     "default": "7a5ba77355bb1aaf7bba9b066fa46515ea6fb4ef7a4f12b62acce34368d37081",
     "max-l1": "801350e6ba508fbf83b2761f17efe0607371b0029180e03194c1ffddcdb50500",
@@ -60,42 +61,41 @@ SPECTRAL_FACTS_SHA256 = {
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_n8_spectral_counts_and_distance_facts_are_pinned(corpus_reports, mode):
+def test_the_n8_spectral_counts_and_distance_facts_are_pinned(mode_corpus_analyses, mode):
     digest = hashlib.sha256()
-    for report in corpus_reports[mode, 8]:
-        a = report.analysis
+    for a in mode_corpus_analyses[mode, 8]:
         digest.update(repr((a.graph6, a.m_ge_b, a.block_counts, a.mu_at_n,
                             a.twin_mults, a.diameter, a.wiener)).encode())
     assert digest.hexdigest() == SPECTRAL_FACTS_SHA256[mode]
 
 
-# SHA-256 of repr((graph6, twins)) over the analyses of the n = 8 corpus's
-# sweep reports: each class's kind, members, external set, transmission and
-# forced value and multiplicity, of which the pin above holds only the
-# realized multiplicities.
+# SHA-256 of repr((graph6, twins)) over analyze of each n = 8 corpus graph
+# alone, in enumeration order: each class's kind, members, external set,
+# transmission and forced value and multiplicity, of which the pin above holds
+# only the realized multiplicities.
 # The classes do not depend on the coloring, so both modes have one digest.
 TWIN_CLASSES_SHA256 = "a9f742c25f570dc788613d003130f02476a679056b1abbdcd528fa9edbc3222a"
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_n8_twin_classes_are_pinned(corpus_reports, mode):
+def test_the_n8_twin_classes_are_pinned(mode_corpus_analyses, mode):
     digest = hashlib.sha256()
-    for report in corpus_reports[mode, 8]:
-        a = report.analysis
+    for a in mode_corpus_analyses[mode, 8]:
         digest.update(repr((a.graph6, a.twins)).encode())
     assert digest.hexdigest() == TWIN_CLASSES_SHA256
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_every_n8_sweep_stack_matches_analyze(mode):
+def test_every_n8_sweep_stack_matches_analyze(mode_corpus_analyses, mode):
     # the stacks sweep makes of the corpus (BATCH graphs in enumeration
     # order; greedy_starts, twin_table and the spectral counts on columns),
-    # column by column against analyze of each graph alone. The claim table
-    # reads these columns, and at run time only a graph of a new shape or a
-    # failed claim is checked against its analysis.
-    graphs = list(enumerate_connected(8))
+    # column by column against analyze of each graph alone (the shared
+    # analyses). The claim table reads these columns, and at run time only a
+    # graph of a new shape or a failed claim is checked against its analysis.
+    graphs, analyses = list(enumerate_connected(8)), mode_corpus_analyses[mode, 8]
     for start in range(0, len(graphs), BATCH):
-        assert_columns_match_analyze(analyze_many(graphs[start:start + BATCH], mode), mode)
+        assert_columns_match_analyze(analyze_many(graphs[start:start + BATCH], mode), mode,
+                                     analyses[start:start + BATCH])
 
 
 # SHA-256 of the pretty `corpus --n 8 --audit-extremal` report. It holds only

@@ -25,9 +25,10 @@ from distlap.graphs import (
     gen_path,
     parse_graph6,
     relabel,
+    to_graph6,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.twins import complement_component_count, complement_component_counts
+from distlap.twins import KINDS, complement_component_count, complement_component_counts
 from distlap.verify import (
     CHECKS,
     CSV_HEADER,
@@ -45,6 +46,7 @@ from distlap.verify import (
     sweep,
 )
 from helpers import (
+    analyzed_as,
     assert_columns_match_analyze,
     assert_table_matches_run_checks,
     random_permutation,
@@ -243,21 +245,26 @@ def test_twin_records_do_not_depend_on_vertex_labels(mode_reports):
     # Against a seeded relabeling of every corpus graph, swept as the corpus
     # is, the twin checks give equal slack, verdict and witness, and every
     # check records the same keys wherever the two colorings have the same
-    # size vector. Whole records may differ: float slacks move by an ulp,
-    # and in either mode the coloring's size vector can depend on the labels.
+    # size vector (the sizes columns of the sweep's stacks of either side).
+    # Whole records may differ: float slacks move by an ulp, and in either
+    # mode the coloring's size vector can depend on the labels.
     coloring_mode, corpus = mode_reports
     rng = random.Random(7)
-    for reports in corpus.values():
-        moved = sweep([relabel(r.analysis.graph, random_permutation(rng, r.analysis.n))
-                       for r in reports], lambda report: report, coloring_mode)
-        for x, y in zip(reports, moved, strict=True):
-            a, b = x.analysis, y.analysis
+    for n, reports in corpus.items():
+        graphs = list(enumerate_connected(n))
+        moved = [relabel(g, random_permutation(rng, n)) for g in graphs]
+        same_sizes = np.equal(*[
+            np.concatenate([analyze_many(side[i:i + verify.BATCH], coloring_mode).sizes
+                            for i in range(0, len(side), verify.BATCH)])
+            for side in (graphs, moved)]).all(axis=1).tolist()
+        moved = sweep(moved, lambda report: report, coloring_mode)
+        for x, y, same in zip(reports, moved, same_sizes, strict=True):
             for r, s in zip(x.results, y.results, strict=True):
                 if r.check_id in ("clique_twin_refine", "indep_twin_refine"):
                     assert (r.slack, r.verdict, r.witness) == (s.slack, s.verdict, s.witness), \
-                        (a.graph6, r.check_id)
-                if a.coloring.sizes == b.coloring.sizes:
-                    assert r.slack.keys() == s.slack.keys(), (a.graph6, r.check_id)
+                        (x.head.graph6, r.check_id)
+                if same:
+                    assert r.slack.keys() == s.slack.keys(), (x.head.graph6, r.check_id)
 
 
 def test_diameter_refine():
@@ -363,10 +370,10 @@ def test_run_all_rejects_disconnected():
 
 
 def test_run_all_max_ell1_mode():
-    report = run_checks(analyze(gen_path(7), "max-l1"))
-    assert report.ok
-    assert report.analysis.coloring == max_ell1_coloring(gen_path(7))
-    assert report.analysis.coloring.sizes[0] == 4
+    a = analyze(gen_path(7), "max-l1")
+    assert run_checks(a).ok
+    assert a.coloring == max_ell1_coloring(gen_path(7))
+    assert a.coloring.sizes[0] == 4
 
 
 def test_a_check_that_returns_a_reason_makes_no_claim(mode_analyses):
@@ -508,7 +515,7 @@ def test_stacked_universal_vertex_counts_match_the_per_graph_count():
             graphs.append(Graph.from_edges(n, edges))
         counts = [universal_vertex_count(g) for g in graphs]
         assert max(counts) >= 3, n
-        assert [a.universal_vertices for a in analyze_many(graphs)] == counts
+        assert analyze_many(graphs).universal_vertices.tolist() == counts
         assert [analyze(g).universal_vertices for g in graphs] == counts  # stacks of one
 
 
@@ -540,7 +547,7 @@ def test_stacked_complement_component_counts_match_the_per_graph_count():
         counts = [complement_component_count(g) for g in graphs]
         assert max(counts) >= 4, n
         assert complement_component_counts(distance_stack(graphs) == 1) == counts
-        assert [a.complement_components for a in analyze_many(graphs)] == counts
+        assert analyze_many(graphs).complement_components.tolist() == counts
         assert [analyze(g).complement_components for g in graphs] == counts  # stacks of one
         # the complement of the path 0, 2, 3, ..., n - 1, 1: in the path every
         # vertex but 0 and 1 has a lower neighbor, and 0 reaches 1 only in
@@ -601,9 +608,9 @@ def test_sweep_analyzes_batch_slices_and_keeps_input_order(monkeypatch):
     monkeypatch.setattr(verify, "analyze_many",
                         lambda gs, *a: sizes.append(len(gs)) or real(gs, *a))
     monkeypatch.setattr(verify, "BATCH", 50)
-    got = list(sweep(graphs, operator.attrgetter("analysis.graph6", "ok")))
+    got = list(sweep(graphs, operator.attrgetter("head.graph6", "ok")))
     assert sizes == [50, 50, 12]
-    assert got == [(a.graph6, True) for a in real(graphs)]
+    assert got == [(head.graph6, True) for head in real(graphs).heads()]
     assert list(sweep([], operator.attrgetter("ok"))) == []
 
 
@@ -654,7 +661,7 @@ def test_count_verdicts_equal_the_float_comparisons(mode_analyses):
 
 def _records(report):
     """The dict form of a graph's records, the reference both encoders match."""
-    a = report.analysis
+    a = report.head
     return [{"graph6": a.graph6, "n": a.n, "m": a.m, "chi": a.chi, "b_chi": a.b_chi,
              "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,
              "slack": r.slack, "witness": r.witness if r.witness is not None else r.reason}
@@ -704,7 +711,7 @@ def test_report_jsonl_matches_json_dumps_on_corpus(mode_reports):
     _, corpus = mode_reports
     for reports in corpus.values():
         for report in reports:
-            graph6 = report.analysis.graph6
+            graph6 = report.head.graph6
             assert report_jsonl(report) == _json_dumps_lines(report), graph6
             assert report_csv(report) == _dict_writer_rows(report), graph6
 
@@ -805,13 +812,13 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
 # the claim table
 # ---------------------------------------------------------------------------
 
-def test_claim_table_matches_run_checks_on_corpus(mode_reports):
+def test_claim_table_matches_run_checks_on_corpus(mode_reports, mode_corpus_analyses):
     # every connected graph with n <= 7, and as corpus8 cases every n = 8
     # graph, in the sweep's stacks; none fails a claim, so the table fills
     # every report
-    _, corpus = mode_reports
-    for n, reports in corpus.items():
-        analyses = [r.analysis for r in reports]
+    mode, corpus = mode_reports
+    for n in corpus:
+        analyses = mode_corpus_analyses[mode, n]
         tabled = sum(assert_table_matches_run_checks(analyses[i:i + verify.BATCH])
                      for i in range(0, len(analyses), verify.BATCH))
         assert tabled == len(analyses), n
@@ -891,10 +898,11 @@ def test_claim_table_matches_run_checks_on_twin_rich_stacks_above_n8():
             graphs.append(gen_complete_multipartite(
                 [b - a for a, b in zip([0, *cuts], [*cuts, n])]))
         for mode in ("default", "max-l1") if n <= 16 else ("default",):
-            analyses = analyze_many(graphs, mode)
+            stack = analyze_many(graphs, mode)
             for kind in ("clique", "independent"):
-                assert max([t.kind for t in a.twins].count(kind) for a in analyses) >= 2, n
-            assert assert_table_matches_run_checks(analyses) == len(graphs)
+                classes = stack.twins.graph[stack.twins.kind == KINDS.index(kind)]
+                assert np.bincount(classes).max() >= 2, n  # some graph has two such classes
+            assert assert_table_matches_run_checks(stack) == len(graphs)
 
 
 def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
@@ -902,7 +910,7 @@ def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
     # one eigenvalue short of its part of 5's forced multiplicity, and rows
     # whose dL1 is infinite or not a number; only the passing rows are tabled,
     # and a non-finite value no claim reads changes nothing
-    p8, k35, c8, k44 = analyze_many([gen_path(8), gen_complete_multipartite([3, 5]),
+    p8, k35, c8, k44 = map(analyze, [gen_path(8), gen_complete_multipartite([3, 5]),
                                      gen_cycle(8), gen_complete_multipartite([4, 4])])
     mu_at_n = p8._replace(mu_at_n=2)
     short = k35._replace(twin_mults=(3, k35.twin_mults[1]))
@@ -911,7 +919,9 @@ def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
     unread = c8._replace(values=[*c8.values[:-1], math.nan])  # the eigenvalue 0
     stack = [p8, mu_at_n, c8, short, infinite, k35, nan, unread, k44]
     assert assert_table_matches_run_checks(stack) == 5
-    reports = run_checks_many(stack_of(stack))
+    table = stack_of(stack)
+    with analyzed_as(table, stack):
+        reports = run_checks_many(table)
     assert [r.ok for r in reports] == [True, False, True, False, True, True, True, True, True]
     assert [r.failures[0].check_id for r in reports if not r.ok] == [
         "n_multiplicity", "indep_twin_refine"]
@@ -935,10 +945,10 @@ def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, mon
 
 
 def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses, monkeypatch):
-    # columns that disagree with their rows on the first graph of a new shape
+    # columns that disagree with analyze on the first graph of a new shape
     # stop the table before it takes the shape's keys: here each incomplete
-    # graph's dL1 column entry is one above its row's dL1, which moves the
-    # slack of a claim every one of them makes, but no verdict
+    # graph's dL1 column entry is one above its analysis's dL1, which moves
+    # the slack of a claim every one of them makes, but no verdict
     monkeypatch.setattr(verify, "_SHAPES", {})
     stack = stack_of([a for a in corpus_analyses[6] if a.chi < a.n])
     stack.values[:, 0] += 1
@@ -948,10 +958,10 @@ def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses,
 
 
 def test_claim_table_refuses_stacked_counts_the_rows_disagree_with(monkeypatch):
-    # every stacked count one too many: a row is analyze's, which counts its
-    # graph alone, so run_checks on the first graph of a new shape gets other
-    # slacks; and once every shape is known, the n = 6 graphs that the extra
-    # count takes over an upper bound fail in the table and not in run_checks
+    # every stacked count one too many: analyze counts each graph alone, so
+    # run_checks on the first graph of a new shape gets other slacks; and
+    # once every shape is known, the n = 6 graphs that the extra count takes
+    # over an upper bound fail in the table and not in run_checks
     graphs = list(enumerate_connected(6))
     real = verify.counts_at_least
     monkeypatch.setattr(verify, "_SHAPES", {})
@@ -967,13 +977,26 @@ def test_claim_table_refuses_stacked_counts_the_rows_disagree_with(monkeypatch):
 def test_claim_table_refuses_a_failing_row_its_analysis_passes():
     # a real n = 6 stack with the first block count of one graph with
     # ell_1 >= 2 zeroed: the table fails that graph's block_1 claim alone,
-    # which run_checks on its row, analyze's, holds
+    # which run_checks on analyze of the graph holds
     stack = analyze_many(list(enumerate_connected(6)))
     i = int(np.flatnonzero(stack.ell1 >= 2)[0])
     stack.block_counts[i, 0] = 0
     with pytest.raises(RuntimeError, match="disagrees with run_checks") as raised:
         run_checks_many(stack)
-    assert str(raised.value).endswith(f" on {stack[i].graph6}")
+    assert str(raised.value).endswith(f" on {to_graph6(stack.graphs[i])}")
+
+
+def test_claim_table_refuses_block_counts_its_analyses_disagree_with(monkeypatch):
+    # a real n = 6 stack with every nonzero block count one too many: a block
+    # claim reads count >= s_j, so every claim still holds and no slack
+    # moves; the first graph of a new shape compares its block counts with
+    # analyze's and stops the table
+    for mode in ("default", "max-l1"):
+        stack = analyze_many(list(enumerate_connected(6)), mode)
+        stack.block_counts[stack.block_counts > 0] += 1
+        monkeypatch.setattr(verify, "_SHAPES", {})
+        with pytest.raises(RuntimeError, match="disagrees with run_checks"):
+            run_checks_many(stack)
 
 
 def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
