@@ -14,7 +14,7 @@ from distlap.graphs import (
 )
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.eigen import count_at_least, eig_symmetric, multiplicity
-from distlap.coloring import ColoringResult, max_ell1_coloring, optimal_coloring
+from distlap.coloring import max_ell1_colors, optimal_colors
 from distlap.twins import TwinClass
 from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, sweep
 

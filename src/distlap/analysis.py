@@ -3,7 +3,8 @@ verify.analyze builds, the few of them its records and the extremal audit
 read (Head), and a stack's facts as columns (AnalysisStack), which
 verify.analyze_many computes. The checkers read a GraphAnalysis and a stack
 alike: the facts by name, value(k), ell1, blocks() and ranked_twins(kind),
-as Python scalars or as columns with one entry per graph."""
+as Python scalars or as columns with one entry per graph. Of a coloring
+the claims read only its class sizes, `sizes` in both."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.coloring import ColoringResult
 from distlap.graphs import Graph, to_graph6
 from distlap.twins import KINDS, TwinClass, TwinTable
 
@@ -33,10 +33,12 @@ class GraphAnalysis(NamedTuple):
     verify.analyze computes it for the graph alone.
 
     The scalar facts are plain fields: `diameter` and `wiener` (half the sum
-    of all distances) come from the distance matrix, `chi` and `b_chi` =
-    n + ceil(n/chi) from `coloring`, the one optimal coloring every chi- and
-    ell-parameterized check reads. `values` is the DL spectrum as Python
-    floats, nonincreasing, and `dl1` its largest. The checkers decide every
+    of all distances) come from the distance matrix. `colors` is the color of
+    each vertex in the one optimal coloring every chi- and ell-parameterized
+    check rests on, and `sizes` its class sizes, nonincreasing, as a stack
+    row's nonzero prefix; `chi` = len(sizes) and `b_chi` = n + ceil(n/chi).
+    `values` is the DL spectrum as Python floats, nonincreasing, and `dl1`
+    its largest. The checkers decide every
     spectral claim by integer counts: `m_ge_b` eigenvalues are >= b_chi and
     `mu_below_b` = n - m_ge_b are not, `block_counts[j]` are >= n + ell_j for
     each class of size >= 2, `mu_at_n` is the multiplicity of n and
@@ -53,7 +55,8 @@ class GraphAnalysis(NamedTuple):
     diameter: int
     wiener: int
     values: list[float]
-    coloring: ColoringResult
+    colors: list[int]
+    sizes: tuple[int, ...]
     twins: tuple[TwinClass, ...]
     complement_components: int
     universal_vertices: int
@@ -76,11 +79,11 @@ class GraphAnalysis(NamedTuple):
 
     @property
     def ell1(self) -> int:
-        return self.coloring.sizes[0]
+        return self.sizes[0]
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """(ell_j, block_counts[j]) of each color class of size >= 2."""
-        return zip(self.coloring.sizes, self.block_counts)
+        return zip(self.sizes, self.block_counts)
 
     def ranked_twins(self, kind: str) -> tuple[bool, list[tuple]]:
         """Whether the graph has no `kind` twin class, and its classes of that
@@ -95,8 +98,8 @@ class GraphAnalysis(NamedTuple):
 
 
 # the integer facts of an AnalysisStack, in the order of its `facts` columns
-FACTS = ("chi", "b_chi", "ceil_n_chi", "diameter", "wiener", "m", "m_ge_b", "mu_below_b",
-         "mu_at_n", "complement_components", "universal_vertices")
+FACTS = ("chi", "b_chi", "ceil_n_chi", "diameter", "m", "m_ge_b", "mu_below_b", "mu_at_n",
+         "complement_components", "universal_vertices")
 
 
 class AnalysisStack:
@@ -104,12 +107,14 @@ class AnalysisStack:
 
     `values` is the (B, n) float64 spectra, nonincreasing along each row;
     `facts` the (B, len(FACTS)) int64 integer facts, one column per name in
-    FACTS; `sizes` the (B, n) color class sizes, nonincreasing and 0 past
-    chi; `block_counts` the (B, n // 2) counts of eigenvalues >= n + ell_j
-    for each class of size >= 2, 0 past them; `twins` the TwinTable of the
-    stack, and `twin_mults` the multiplicity of each class's forced value.
+    FACTS; `sizes` the (B, n) color class sizes, row i graph i's `sizes`
+    padded with 0 past chi; `block_counts` the (B, n // 2) counts of
+    eigenvalues >= n + ell_j for each class of size >= 2, 0 past them;
+    `twins` the TwinTable of the stack, and `twin_mults` the multiplicity of
+    each class's forced value.
     Graph i's columns hold what verify.analyze(graphs[i], coloring_mode)
-    computes for it alone; the stack keeps no GraphAnalysis. stack.chi is
+    computes for it alone; the stack keeps no GraphAnalysis, no colors, and
+    no column of what only analyze's output reads (`wiener`). stack.chi is
     the column of chi, and so on for every name in FACTS.
     """
 

@@ -179,7 +179,7 @@ def _analysis_record(a) -> dict:
         "m": a.m,
         "diameter": a.diameter,
         "chi": a.chi,
-        "class_sizes": list(a.coloring.sizes),
+        "class_sizes": list(a.sizes),
         "b_chi": a.b_chi,
         "spectrum": a.values,
         "clusters": [[float(v), int(k)] for v, k in cluster_values(a.values)],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -13,14 +13,6 @@ MAX_ELL1_VERTICES = 16
 PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _extend
 
 GreedyStart = tuple[list[int], int]  # a graph's greedy DSATUR coloring and greedy clique size
-
-
-class ColoringResult(NamedTuple):
-    """An optimal proper coloring with sizes sorted nonincreasing."""
-
-    chi: int
-    classes: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
 
 
 def _greedy_clique(adj: Sequence[int]) -> list[int]:
@@ -271,27 +263,12 @@ def _chromatic(adj: Sequence[int], start: GreedyStart | None = None
     return k + 1, greedy, best
 
 
-def _to_result(colors: Sequence[int]) -> ColoringResult:
-    """The coloring's classes, largest first and equal sizes by least member."""
-    by_color: dict[int, list[int]] = {}  # in order of each class's least member
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    # the sort is stable, and reverse=True keeps it so
-    ordered = sorted(by_color.values(), key=len, reverse=True)
-    return ColoringResult(len(ordered), tuple(map(tuple, ordered)), tuple(map(len, ordered)))
-
-
 def optimal_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
     """The color of each vertex in the greedy coloring if it is optimal, else
     in the first optimal one: deterministic for a fixed vertex labeling;
     `start` as for _chromatic."""
     chi, greedy, witness = _chromatic(g.adj, start)
     return greedy if chi == max(greedy) + 1 else _k_colorable(g.adj, chi, witness)
-
-
-def optimal_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
-    """The classes of optimal_colors(g, start)."""
-    return _to_result(optimal_colors(g, start))
 
 
 def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
@@ -335,7 +312,7 @@ def max_ell1_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
     (chi-1)-colorable graph. Guarded to n <= 16. `start` as for _chromatic.
     """
     if g.n > MAX_ELL1_VERTICES:
-        raise ValueError(f"max_ell1_coloring is guarded to n <= {MAX_ELL1_VERTICES}")
+        raise ValueError(f"max-l1 coloring is guarded to n <= {MAX_ELL1_VERTICES}")
     chi = _chromatic(g.adj, start)[0]
     candidates = _maximal_independent_sets(g.adj, math.ceil(g.n / chi))
     candidates.sort(key=lambda m: (-m.bit_count(), m))
@@ -350,8 +327,3 @@ def max_ell1_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
             colors[v] = c + 1
         return colors
     raise RuntimeError("no optimal coloring found; chromatic number inconsistent")
-
-
-def max_ell1_coloring(g: Graph, start: GreedyStart | None = None) -> ColoringResult:
-    """The classes of max_ell1_colors(g, start)."""
-    return _to_result(max_ell1_colors(g, start))

@@ -30,16 +30,16 @@ KINDS = ("clique", "independent")  # a twin table's kind 0 and kind 1
 
 class TwinTable(NamedTuple):
     """The maximal twin classes of a stack of graphs as columns, one entry
-    per class, ordered by graph, then by least member. Classes of graph b
-    are the entries bounds[b]:bounds[b + 1]. `kind` indexes KINDS, `size`
-    is the class's vertex count and `external` that of its external set."""
+    per class, ordered by graph, then by least member: `graph` holds each
+    class's graph, so graph b's classes are one run of entries. `kind`
+    indexes KINDS, `size` is the class's vertex count and `external` that of
+    its external set."""
 
     graph: np.ndarray
     kind: np.ndarray
     size: np.ndarray
     external: np.ndarray
     transmission: np.ndarray
-    bounds: list[int]
 
     @property
     def forced_value(self) -> np.ndarray:
@@ -101,7 +101,7 @@ def twin_table(adjacency: np.ndarray, degrees: np.ndarray,
     same[:, 1:n] = ranked[:, 1:] == ranked[:, :-1]
     if not same.any():  # n distinct masks of each kind in every graph
         none = np.zeros(0, dtype=np.int64)
-        return TwinTable(none, none, none, none, none, [0] * (b + 1))
+        return TwinTable(none, none, none, none, none)
     # a run of equal masks turns on at a class's first place and off past its last
     row, place = np.nonzero(same[:, 1:] != same[:, :-1])
     row, first, last = row[0::2], place[0::2], place[1::2]
@@ -112,8 +112,7 @@ def twin_table(adjacency: np.ndarray, degrees: np.ndarray,
     external = degrees[graph, least] - (size - 1) * (kind == 0)
     by = np.lexsort((least, graph))
     graph = graph[by]
-    return TwinTable(graph, kind[by], size[by], external[by], transmissions[graph, least[by]],
-                     np.searchsorted(graph, np.arange(b + 1)).tolist())
+    return TwinTable(graph, kind[by], size[by], external[by], transmissions[graph, least[by]])
 
 
 def complement_component_count(g: Graph) -> int:

@@ -41,14 +41,15 @@ import json
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.analysis import AnalysisStack, GraphAnalysis, Head
-from distlap.coloring import _to_result, greedy_starts, max_ell1_colors, optimal_colors
+from distlap.analysis import FACTS, AnalysisStack, GraphAnalysis, Head
+from distlap.coloring import greedy_starts, max_ell1_colors, optimal_colors
 from distlap.eigen import (
     INT_TOL,
     count_at_least,
@@ -80,9 +81,9 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
 
     Distances, distance Laplacians and spectra come from one distance kernel
     and one numpy.linalg.eigvalsh call; degrees, transmissions, m, the
-    diameters, the Wiener indices and the universal-vertex counts are
-    reductions of the distance stack, the twin classes one twin_table of its
-    adjacency (distance 1), and the complement component counts one
+    diameters and the universal-vertex counts are reductions of the
+    distance stack, the twin classes one twin_table of its adjacency
+    (distance 1), and the complement component counts one
     complement_component_counts call. Every greedy DSATUR coloring and
     greedy clique comes from one greedy_starts call; the per-graph coloring
     runs only where the clique bound leaves the greedy coloring unproven
@@ -90,7 +91,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     ones in the color array. The class sizes are each row's sorted bincount
     of colors, and every spectral count is one comparison of the spectra
     with a threshold column (counts_at_least, multiplicities); nothing else
-    is computed per graph. The stack keeps no colors, and no GraphAnalysis:
+    is computed per graph. The integer facts are named columns, stacked in
+    FACTS order. The stack keeps no colors, and no GraphAnalysis:
     analyze(graphs[i], coloring_mode) is graph i's. coloring_mode
     "max-l1" uses an optimal coloring with the largest possible first class
     (guarded to n <= 16) instead of the default optimal coloring. A
@@ -120,11 +122,12 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     m_ge_b = counts_at_least(values, n + ceil_n_chi)
     ell = sizes[:, :n // 2]
     block_counts = np.where(ell >= 2, counts_at_least(values[:, None], n + ell), 0)
-    facts = np.stack((chi, n + ceil_n_chi, ceil_n_chi, dist.max(axis=(1, 2)),
-                      transmissions.sum(axis=1) // 2, degrees.sum(axis=1) // 2, m_ge_b,
-                      n - m_ge_b, multiplicities(values, n),
-                      complement_component_counts(adjacency), (degrees == n - 1).sum(axis=1)),
-                     axis=1).astype(np.int64, copy=False)
+    columns = {"chi": chi, "b_chi": n + ceil_n_chi, "ceil_n_chi": ceil_n_chi,
+               "diameter": dist.max(axis=(1, 2)), "m": degrees.sum(axis=1) // 2,
+               "m_ge_b": m_ge_b, "mu_below_b": n - m_ge_b, "mu_at_n": multiplicities(values, n),
+               "complement_components": complement_component_counts(adjacency),
+               "universal_vertices": (degrees == n - 1).sum(axis=1)}
+    facts = np.stack([columns[name] for name in FACTS], axis=1).astype(np.int64, copy=False)
     return AnalysisStack(graphs, coloring_mode, values, facts, sizes, block_counts, twins,
                          multiplicities(values[twins.graph], twins.forced_value))
 
@@ -140,8 +143,9 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     of the masks (twin_classes), and the spectral counts by bisecting the
     spectrum at each threshold (count_at_least, multiplicity), which makes
     the comparisons the columns make. The coloring, its greedy start and
-    the complement component count are per-graph too; the distances and the
-    spectrum come from the same kernels as a stack's.
+    the complement component count are per-graph too, and the class sizes
+    are counted from the colors; the distances and the spectrum come from
+    the same kernels as a stack's.
     """
     color = _color(coloring_mode)
     n = g.n
@@ -149,19 +153,20 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     spectrum = eig_symmetric(distance_laplacian(dist))[0].tolist()
     transmissions = dist[0].sum(axis=1).tolist()
     twins = twin_classes(g, transmissions)
-    coloring = _to_result(color(g))
+    colors = color(g)
+    sizes = tuple(sorted(Counter(colors).values(), reverse=True))
     degrees = [mask.bit_count() for mask in g.adj]
     rising = spectrum[::-1]
     # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
     # and the twin classes' forced values by multiplicity
-    chi = coloring.chi
+    chi = len(sizes)
     ceil_n_chi = -(-n // chi)
     m_ge_b = count_at_least(rising, n + ceil_n_chi)
     return GraphAnalysis(  # positionally, in field order
         g, to_graph6(g), n, sum(degrees) // 2, chi, n + ceil_n_chi, ceil_n_chi, int(dist.max()),
-        sum(transmissions) // 2, spectrum, coloring, twins, complement_component_count(g),
+        sum(transmissions) // 2, spectrum, colors, sizes, twins, complement_component_count(g),
         degrees.count(n - 1), m_ge_b, n - m_ge_b,
-        tuple([count_at_least(rising, n + s) for s in coloring.sizes if s >= 2]),
+        tuple([count_at_least(rising, n + s) for s in sizes if s >= 2]),
         multiplicity(rising, n), tuple([multiplicity(rising, t.forced_value) for t in twins]))
 
 

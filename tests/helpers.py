@@ -62,6 +62,16 @@ def brute_force_connected_classes(n: int) -> set[bytes]:
     return out
 
 
+def classes_of(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The color classes of a coloring, largest first and equal sizes by
+    least member: the order the pinned coloring digests hash."""
+    by_color: dict[int, list[int]] = {}  # in order of each class's least member
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    # the sort is stable, and reverse=True keeps it so
+    return tuple(map(tuple, sorted(by_color.values(), key=len, reverse=True)))
+
+
 def is_proper(g: Graph, classes: Iterable[Iterable[int]]) -> bool:
     """True iff no class contains an edge; raises if classes do not partition V."""
     blocks = [sorted(c) for c in classes]
@@ -118,9 +128,9 @@ def twin_entries(classes: Iterable[TwinClass]) -> list[tuple]:
 def table_entries(table: TwinTable, b: int) -> list[tuple]:
     """Graph b's entries of a twin table as twin_entries gives them, in the
     table's (least-member) order."""
-    lo, hi = table.bounds[b], table.bounds[b + 1]
-    return list(zip([KINDS[k] for k in table.kind[lo:hi].tolist()], table.size[lo:hi].tolist(),
-                    table.external[lo:hi].tolist(), table.transmission[lo:hi].tolist()))
+    at = table.graph == b
+    return list(zip([KINDS[k] for k in table.kind[at].tolist()], table.size[at].tolist(),
+                    table.external[at].tolist(), table.transmission[at].tolist()))
 
 
 def stacked_twin_classes(adjacency: np.ndarray, transmissions: Sequence[Sequence[int]]
@@ -136,22 +146,22 @@ def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default",
     """Check each column of an analyze_many stack against analyze(g, mode) of
     each of its graphs alone (or against `analyses`, those analyses made
     before): the spectra bit for bit, every FACTS column, the class sizes
-    and block counts padded with 0, the twin table entries (table_entries)
-    and the multiplicities of their forced values."""
+    and block counts padded with 0, the twin table entries (table_entries),
+    their order by graph and the multiplicities of their forced values."""
     n = stack.n
-    assert len(stack.twins.bounds) == len(stack) + 1
     if analyses is None:
         analyses = [analyze(g, mode) for g in stack.graphs]
     for i, (g, a) in enumerate(zip(stack.graphs, analyses, strict=True)):
         assert a.graph == g, a.graph6
         assert stack.values[i].tobytes() == np.array(a.values).tobytes(), a.graph6
         assert stack.facts[i].tolist() == [getattr(a, name) for name in FACTS], a.graph6
-        assert stack.sizes[i].tolist() == [*a.coloring.sizes, *[0] * (n - a.chi)], a.graph6
+        assert stack.sizes[i].tolist() == [*a.sizes, *[0] * (n - a.chi)], a.graph6
         assert stack.block_counts[i].tolist() == [
             *a.block_counts, *[0] * (n // 2 - len(a.block_counts))], a.graph6
         assert table_entries(stack.twins, i) == twin_entries(a.twins), a.graph6
-        lo, hi = stack.twins.bounds[i], stack.twins.bounds[i + 1]
-        assert stack.twin_mults[lo:hi].tolist() == list(a.twin_mults), a.graph6
+        assert stack.twin_mults[stack.twins.graph == i].tolist() == list(a.twin_mults), a.graph6
+    # graph by graph, so that each graph's entries are one run
+    assert stack.twins.graph.tolist() == [i for i, a in enumerate(analyses) for _ in a.twins]
 
 
 def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
@@ -164,14 +174,14 @@ def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
         raise ValueError("a stack needs analyses of one order")
     padded = np.zeros((2, len(analyses), n), dtype=np.int64)
     for i, a in enumerate(analyses):
-        for row, seq in zip(padded, (a.coloring.sizes, a.block_counts)):
+        for row, seq in zip(padded, (a.sizes, a.block_counts)):
             row[i, :len(seq)] = seq
     classes = [(i, t, mult) for i, a in enumerate(analyses)
                for t, mult in zip(a.twins, a.twin_mults)]
     graph = np.array([i for i, _, _ in classes], dtype=np.int64)
     columns = np.array([(KINDS.index(t.kind), len(t.members), len(t.external), t.transmission)
                         for _, t, _ in classes], dtype=np.int64).reshape(-1, 4).T
-    twins = TwinTable(graph, *columns, np.searchsorted(graph, np.arange(len(analyses) + 1)).tolist())
+    twins = TwinTable(graph, *columns)
     return AnalysisStack(
         [Graph(n, a.graph.adj) for a in analyses], "default",
         np.array([a.values for a in analyses], dtype=np.float64),

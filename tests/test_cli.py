@@ -158,6 +158,10 @@ def test_exit_status_contract(tmp_path, capsys):
     for spec in ("path:x", "path:+8", "path:\u0668", "path:1_0", "K:4, 4"):
         code, out, err = run_cli(capsys, "verify", "--gen", spec)
         assert (code, out, err) == (2, "", f"error: bad generator parameters in {spec!r}\n")
+    # max-l1 mode above its guard -> 2, naming the mode
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli(capsys, command, "--gen", "path:17", "--coloring", "max-l1")
+        assert (code, out, err) == (2, "", "error: max-l1 coloring is guarded to n <= 16\n")
     # missing edge-list file -> 2
     missing = tmp_path / "none.edges"
     code, out, err = run_cli(capsys, "verify", "--edges", str(missing))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from distlap import coloring
-from distlap.coloring import max_ell1_coloring, optimal_coloring
+from distlap.coloring import max_ell1_colors, optimal_colors
 from distlap.graphs import (
     Graph,
     enumerate_connected,
@@ -25,6 +25,7 @@ from distlap.verify import BATCH, analyze, analyze_many
 from helpers import (
     assert_columns_match_analyze,
     brute_force_chromatic,
+    classes_of,
     dense_graphs,
     is_proper,
     neighbor_lists,
@@ -35,51 +36,56 @@ from helpers import (
 )
 
 
+def _chi(g: Graph) -> int:
+    """The number of colors of optimal_colors(g)."""
+    return len(set(optimal_colors(g)))
+
+
 def test_chromatic_number_examples():
-    assert optimal_coloring(gen_path(8)).chi == 2
-    assert optimal_coloring(gen_cycle(5)).chi == 3
-    assert optimal_coloring(gen_g_clq()).chi == 5
-    assert optimal_coloring(gen_comp_s62()).chi == 6
-    assert optimal_coloring(gen_complete(7)).chi == 7
+    assert _chi(gen_path(8)) == 2
+    assert _chi(gen_cycle(5)) == 3
+    assert _chi(gen_g_clq()) == 5
+    assert _chi(gen_comp_s62()) == 6
+    assert _chi(gen_complete(7)) == 7
 
 
 def test_chromatic_number_matches_brute_force_n6():
     for n in range(1, 7):
         for g in enumerate_connected(n):
-            assert optimal_coloring(g).chi == brute_force_chromatic(g)
+            assert _chi(g) == brute_force_chromatic(g)
 
 
 def test_chromatic_number_matches_brute_force_n7():
     for g in enumerate_connected(7):
-        assert optimal_coloring(g).chi == brute_force_chromatic(g)
+        assert _chi(g) == brute_force_chromatic(g)
 
 
 def test_chromatic_number_on_disconnected():
     # works without a connectivity precondition
     from distlap.graphs import complement
     g = complement(gen_complete(4))
-    assert optimal_coloring(g).chi == 1
+    assert _chi(g) == 1
 
 
 def test_optimal_coloring_structure():
-    res = optimal_coloring(gen_complete_multipartite([4, 4, 2]))
-    assert res.chi == 3 and res.sizes == (4, 4, 2)
+    classes = classes_of(optimal_colors(gen_complete_multipartite([4, 4, 2])))
+    assert len(classes) == 3 and tuple(map(len, classes)) == (4, 4, 2)
 
-    res = optimal_coloring(gen_complete(5))
-    assert res.chi == 5 and res.sizes == (1,) * 5
+    classes = classes_of(optimal_colors(gen_complete(5)))
+    assert len(classes) == 5 and tuple(map(len, classes)) == (1,) * 5
 
-    res = optimal_coloring(gen_comp_s62())
-    assert res.chi == 6
+    assert _chi(gen_comp_s62()) == 6
 
 
 def test_optimal_coloring_is_proper_and_exact(corpus_analyses):
     for n in range(1, 7):
         for a in corpus_analyses[n]:
-            res = a.coloring
-            assert is_proper(a.graph, res.classes)
-            assert len(res.classes) == res.chi
-            assert res.sizes == tuple(sorted(res.sizes, reverse=True))
-            assert res.sizes[0] >= math.ceil(n / res.chi)  # pigeonhole
+            classes = classes_of(a.colors)
+            assert is_proper(a.graph, classes)
+            assert len(classes) == a.chi == len(a.sizes)
+            assert tuple(map(len, classes)) == a.sizes
+            assert a.sizes == tuple(sorted(a.sizes, reverse=True))
+            assert a.sizes[0] >= math.ceil(n / a.chi)  # pigeonhole
 
 
 # SHA-256 of repr((chi, classes)) over dense_graphs(1, 40), from the list-based
@@ -90,25 +96,28 @@ DENSE_COLORINGS_SHA256 = "27f8b90cbe61881716c9dcd1193b0b93f0472c35271dc59753cd1f
 def test_dense_colorings_are_pinned():
     # n 30-44: the search backtracks deeply and _k_colorable calls _extend,
     # which n <= 7 (test_integer_facts_are_pinned) rarely reaches. The pin
-    # holds for optimal_coloring and for analyze, one graph at a time, and
-    # the class sizes of analyze_many's stacks, one per order, whose
-    # colorings start from greedy_starts, are those of the pinned colorings.
+    # holds for optimal_colors and for analyze, one graph at a time, and
+    # the class sizes of analyze's and of analyze_many's stacks, one per
+    # order, whose colorings start from greedy_starts, are those of the
+    # pinned colorings.
     graphs = dense_graphs(1, 40)
     orders = {g.n for g in graphs}
     assert len(orders) < len(graphs)  # so some stack holds more than one graph
-    analyzed = [analyze(g).coloring for g in graphs]
-    for results in ([optimal_coloring(g) for g in graphs], analyzed):
+    analyzed = [analyze(g) for g in graphs]
+    for colorings in ([optimal_colors(g) for g in graphs], [a.colors for a in analyzed]):
         digest = hashlib.sha256()
-        for res in results:
-            digest.update(repr((res.chi, res.classes)).encode())
+        for classes in map(classes_of, colorings):
+            digest.update(repr((len(classes), classes)).encode())
         assert digest.hexdigest() == DENSE_COLORINGS_SHA256
+    sizes = [tuple(map(len, classes_of(a.colors))) for a in analyzed]
+    assert [a.sizes for a in analyzed] == sizes
     for n in orders:
         at = [i for i, g in enumerate(graphs) if g.n == n]
         assert analyze_many([graphs[i] for i in at]).sizes.tolist() == [
-            [*analyzed[i].sizes, *[0] * (n - analyzed[i].chi)] for i in at]
+            [*sizes[i], *[0] * (n - len(sizes[i]))] for i in at]
 
 
-# SHA-256 of repr((graph6, chi, classes)) of max_ell1_coloring over 400 seeded
+# SHA-256 of repr((graph6, chi, classes)) of max_ell1_colors over 400 seeded
 # connected graphs with n 9..16 and densities spread over 0.15..0.8, which have
 # many more maximal independent sets per graph than the n = 8 corpus
 MAX_L1_COLORINGS_SHA256 = "d8984a2d8a43cbe232dfc4d8935b467f61fd1bff05aa839292e3dd386897d2eb"
@@ -123,8 +132,8 @@ def test_max_l1_colorings_above_n8_are_pinned():
         edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
         edges += [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
         g = Graph.from_edges(n, edges)
-        r = max_ell1_coloring(g)
-        digest.update(repr((to_graph6(g), r.chi, r.classes)).encode())
+        classes = classes_of(max_ell1_colors(g))
+        digest.update(repr((to_graph6(g), len(classes), classes)).encode())
     assert digest.hexdigest() == MAX_L1_COLORINGS_SHA256
 
 
@@ -150,14 +159,14 @@ def _assert_stacked_colorings(graphs, mode) -> bool:
     bincount of colors, 0 past chi) equal those of the graph's own
     coloring, and every column equals analyze's (assert_columns_match_analyze).
     Returns whether some graph has two classes of one size."""
-    color = {"default": optimal_coloring, "max-l1": max_ell1_coloring}[mode]
+    color = {"default": optimal_colors, "max-l1": max_ell1_colors}[mode]
     stack = analyze_many(graphs, mode)
     assert_columns_match_analyze(stack, mode)
     tied = False
     for i, g in enumerate(graphs):
-        want = color(g)
-        assert stack.sizes[i].tolist() == [*want.sizes, *[0] * (g.n - want.chi)], to_graph6(g)
-        tied |= len(set(want.sizes)) < want.chi
+        want = tuple(map(len, classes_of(color(g))))
+        assert stack.sizes[i].tolist() == [*want, *[0] * (g.n - len(want))], to_graph6(g)
+        tied |= len(set(want)) < len(want)
     return tied
 
 
@@ -202,7 +211,7 @@ def test_colorings_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        for color in (optimal_coloring, max_ell1_coloring):
+        for color in (optimal_colors, max_ell1_colors):
             color(g)
             assert gc.collect() == 0, color.__name__
     finally:
@@ -211,9 +220,9 @@ def test_colorings_leave_no_reference_cycles():
 
 def test_optimal_coloring_deterministic():
     g = gen_cycle(9)
-    first = optimal_coloring(g)
+    first = optimal_colors(g)
     for _ in range(3):
-        assert optimal_coloring(g) == first
+        assert optimal_colors(g) == first
 
 
 def test_is_proper():
@@ -228,16 +237,16 @@ def test_is_proper():
 
 
 def test_max_ell1_examples():
-    assert max_ell1_coloring(gen_complete_multipartite([3, 5])).sizes[0] == 5
-    res = max_ell1_coloring(gen_cycle(6))
-    assert res.chi == 2 and res.sizes == (3, 3)
-    res = max_ell1_coloring(gen_path(7))
-    assert res.chi == 2 and res.sizes[0] == 4
+    assert len(classes_of(max_ell1_colors(gen_complete_multipartite([3, 5])))[0]) == 5
+    classes = classes_of(max_ell1_colors(gen_cycle(6)))
+    assert len(classes) == 2 and tuple(map(len, classes)) == (3, 3)
+    classes = classes_of(max_ell1_colors(gen_path(7)))
+    assert len(classes) == 2 and len(classes[0]) == 4
 
 
 def test_max_ell1_guard():
     with pytest.raises(ValueError):
-        max_ell1_coloring(gen_path(17))
+        max_ell1_colors(gen_path(17))
 
 
 def test_max_ell1_dominates_default(corpus_analyses):
@@ -249,10 +258,10 @@ def test_max_ell1_dominates_default(corpus_analyses):
         else:
             picked = rng.sample(sample, 60)
         for a in picked:
-            best = max_ell1_coloring(a.graph)
-            assert best.chi == a.coloring.chi
-            assert best.sizes[0] >= a.coloring.sizes[0] >= math.ceil(n / best.chi)
-            assert is_proper(a.graph, best.classes)
+            best = classes_of(max_ell1_colors(a.graph))
+            assert len(best) == a.chi
+            assert len(best[0]) >= a.sizes[0] >= math.ceil(n / len(best))
+            assert is_proper(a.graph, best)
 
 
 def test_max_ell1_exhaustive_against_all_colorings():
@@ -271,7 +280,7 @@ def test_max_ell1_exhaustive_against_all_colorings():
             if all(assignment[u] != assignment[v] for u, v in g.edges()):
                 largest = max(assignment.count(c) for c in range(chi))
                 best = max(best, largest)
-        assert max_ell1_coloring(g).sizes[0] == best
+        assert len(classes_of(max_ell1_colors(g))[0]) == best
 
 
 def test_maximal_independent_sets_above_a_floor_match_brute_force():
@@ -324,7 +333,7 @@ def test_k_colorable_finds_plain_backtracking_first(monkeypatch, plain_nodes):
     # graphs whose first coloring takes a fresh color where the witness has another
     graphs += [parse_graph6(s) for s in ("G~LZ][", "HMbMA\\U", "JHQOpWwwMB?")]
     for g in graphs:
-        # with k = n nothing backtracks: the greedy DSATUR coloring optimal_coloring starts from
+        # with k = n nothing backtracks: the greedy DSATUR coloring optimal_colors starts from
         for k in [*range(1, 7), g.n]:
             assert coloring._k_colorable(g.adj, k) == _first_by_plain_backtracking(g, k)
 
@@ -374,7 +383,7 @@ def test_extend_keeps_the_partial_coloring():
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
-        k = optimal_coloring(g).chi
+        k = _chi(g)
         full = coloring._k_colorable(g.adj, k)
         partial = [c if rng.random() < 0.4 else -1 for c in full]
         found = coloring._extend(g.adj, k, partial)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from distlap import cli, coloring, verify
-from distlap.coloring import max_ell1_coloring
+from distlap.coloring import max_ell1_colors
 from distlap.eigen import INT_TOL, count_at_least, multiplicity
 from distlap.graphs import (
     Graph,
@@ -49,6 +49,7 @@ from helpers import (
     analyzed_as,
     assert_columns_match_analyze,
     assert_table_matches_run_checks,
+    classes_of,
     random_permutation,
     report_of,
     stack_of,
@@ -103,7 +104,7 @@ def test_block_minima_match_their_definition(mode_analyses):
     shown = set()
     for analyses in corpus.values():
         for a in analyses:
-            vals, n, ell = [float(v) for v in a.values], a.n, a.coloring.sizes
+            vals, n, ell = [float(v) for v in a.values], a.n, a.sizes
             want = {}
             start = 0
             for j, ell_j in enumerate(ell, start=1):
@@ -241,11 +242,12 @@ def test_failing_twin_claim_names_the_class_members():
         {"claim": "twin2_mult", "lhs": 3.0, "rhs": 4.0, "members": [0, 1, 2, 3, 4]}]}
 
 
-def test_twin_records_do_not_depend_on_vertex_labels(mode_reports):
+def test_twin_records_do_not_depend_on_vertex_labels(mode_reports, mode_corpus_analyses):
     # Against a seeded relabeling of every corpus graph, swept as the corpus
     # is, the twin checks give equal slack, verdict and witness, and every
     # check records the same keys wherever the two colorings have the same
-    # size vector (the sizes columns of the sweep's stacks of either side).
+    # size vector (the session's analyses of the corpus, whose sizes are its
+    # sweep's, and the sizes columns of the relabeled side's stacks).
     # Whole records may differ: float slacks move by an ulp, and in either
     # mode the coloring's size vector can depend on the labels.
     coloring_mode, corpus = mode_reports
@@ -253,10 +255,10 @@ def test_twin_records_do_not_depend_on_vertex_labels(mode_reports):
     for n, reports in corpus.items():
         graphs = list(enumerate_connected(n))
         moved = [relabel(g, random_permutation(rng, n)) for g in graphs]
-        same_sizes = np.equal(*[
-            np.concatenate([analyze_many(side[i:i + verify.BATCH], coloring_mode).sizes
-                            for i in range(0, len(side), verify.BATCH)])
-            for side in (graphs, moved)]).all(axis=1).tolist()
+        sizes = [[*a.sizes, *[0] * (n - a.chi)] for a in mode_corpus_analyses[coloring_mode, n]]
+        same_sizes = (np.array(sizes) == np.concatenate([
+            analyze_many(moved[i:i + verify.BATCH], coloring_mode).sizes
+            for i in range(0, len(moved), verify.BATCH)])).all(axis=1).tolist()
         moved = sweep(moved, lambda report: report, coloring_mode)
         for x, y, same in zip(reports, moved, same_sizes, strict=True):
             for r, s in zip(x.results, y.results, strict=True):
@@ -301,7 +303,7 @@ def test_check_result_verdict_follows_its_claims():
     count = count_at_least(values.tolist()[::-1], 12)
     assert count == 1
     a = analyze(gen_path(8))._replace(values=values.tolist(), m_ge_b=count, mu_below_b=8 - count)
-    assert (a.b_chi, a.coloring.sizes, a.complement_components) == (12, (4, 4), 1)
+    assert (a.b_chi, a.sizes, a.complement_components) == (12, (4, 4), 1)
 
     r = _by_id(run_checks(a), "ah_bound")
     assert (r.verdict, r.applicable, r.witness) == ("pass", True, None)
@@ -372,8 +374,8 @@ def test_run_all_rejects_disconnected():
 def test_run_all_max_ell1_mode():
     a = analyze(gen_path(7), "max-l1")
     assert run_checks(a).ok
-    assert a.coloring == max_ell1_coloring(gen_path(7))
-    assert a.coloring.sizes[0] == 4
+    assert a.colors == max_ell1_colors(gen_path(7))
+    assert a.sizes[0] == 4
 
 
 def test_a_check_that_returns_a_reason_makes_no_claim(mode_analyses):
@@ -435,7 +437,7 @@ def test_analyze_many_matches_analyze_on_corpus():
                 assert_columns_match_analyze(analyze_many(graphs[i:i + size]))
         # the stacked facts and counts equal their one-graph definitions
         for a in single:
-            assert (a.n, a.chi) == (n, a.coloring.chi)
+            assert (a.n, a.chi) == (n, len(set(a.colors)))
             assert a.b_chi == n + math.ceil(n / a.chi)
             assert a.ceil_n_chi == math.ceil(n / a.chi)
             assert a.dl1 == a.values[0] and all(type(v) is float for v in a.values)
@@ -444,7 +446,7 @@ def test_analyze_many_matches_analyze_on_corpus():
             assert a.diameter == int(dist.max())
             assert a.wiener == int(dist.sum()) // 2
             assert a.m == len(a.graph.edges())
-            blocks = [n + s for s in a.coloring.sizes if s >= 2]
+            blocks = [n + s for s in a.sizes if s >= 2]
             rising = a.values[::-1]
             assert [count_at_least(rising, c) for c in (a.b_chi, *blocks)] == [
                 a.m_ge_b, *a.block_counts]
@@ -577,7 +579,7 @@ def test_integer_facts_are_pinned(corpus_analyses, corpus_analyses_max_l1):
         digest = hashlib.sha256()
         for n in range(1, 8):
             for a in analyses[n]:
-                facts = (a.graph6, a.chi, a.b_chi, a.coloring.classes, a.m_ge_b,
+                facts = (a.graph6, a.chi, a.b_chi, classes_of(a.colors), a.m_ge_b,
                          a.mu_below_b, a.mu_at_n, a.twin_mults, a.complement_components,
                          a.universal_vertices)
                 digest.update(repr(facts).encode())
@@ -631,7 +633,7 @@ def test_counting_identity_on_corpus(corpus_analyses):
 
 def _eigenvalue_claims(a: GraphAnalysis) -> dict[tuple[str, str], tuple[int, int]]:
     """(k, c) of each claim values[k] >= c, by check id and label."""
-    ell, n, b = a.coloring.sizes, a.n, a.b_chi
+    ell, n, b = a.sizes, a.n, a.b_chi
     claims = {("ah_bound", "dl1_minus_b_chi"): (0, b),
               ("k_range", "k_range"): (a.ceil_n_chi - 2, b),
               ("k_range", "second_eigenvalue"): (1, b)}
@@ -1038,9 +1040,10 @@ def test_sweep_decides_every_stack_by_the_claim_table(monkeypatch):
 def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch):
     # a stack of more than one graph makes no per-graph spectral count: each
     # column count runs once per stack, over every graph (or twin class) of
-    # it. Once the table knows every shape, no passing row builds its
-    # ColoringResult, so _to_result never runs, also not for the rows whose
-    # greedy coloring is proven; the per-graph search runs only for the rest
+    # it. Once the table knows every shape, no passing row is analyzed
+    # alone, so no row counts its class sizes from its colors, also not the
+    # rows whose greedy coloring is proven; the per-graph search runs only
+    # for the rest
     graphs = list(enumerate_connected(7))[:300]
     monkeypatch.setattr(verify, "BATCH", 100)
     monkeypatch.setattr(verify, "_SHAPES", {})
@@ -1052,9 +1055,8 @@ def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch)
             raise AssertionError(f"{name} called on a stack of more than one graph")
         return refused
 
-    for module, name in ((verify, "count_at_least"), (verify, "multiplicity"),
-                         (verify, "_to_result"), (coloring, "_to_result")):
-        monkeypatch.setattr(module, name, refuse(name))
+    for name in ("count_at_least", "multiplicity", "analyze"):
+        monkeypatch.setattr(verify, name, refuse(name))
     for name in ("counts_at_least", "multiplicities"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda values, c, name=name, real=real:
