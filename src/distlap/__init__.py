@@ -16,6 +16,14 @@ from distlap.metric import distance_laplacian, distance_stack
 from distlap.eigen import count_at_least, eig_symmetric, multiplicity
 from distlap.coloring import max_ell1_colors, optimal_colors
 from distlap.twins import TwinClass
-from distlap.verify import CheckResult, GraphAnalysis, analyze, analyze_many, audit_extremal, sweep
+from distlap.verify import (
+    CheckResult,
+    GraphAnalysis,
+    StackReports,
+    analyze,
+    analyze_many,
+    audit_extremal,
+    sweep,
+)
 
 __version__ = "0.1.0"

@@ -229,18 +229,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _record_encoder(fmt: str):
-    """The function encoding one report's records in format fmt, None for
-    pretty. CSV rows come without CSV_HEADER, which cmd_verify and
-    cmd_corpus write once. The names are resolved at each call, so that a
-    function a test or a tracer has since replaced is the one returned."""
-    return {"json": report_jsonl, "csv": report_csv}.get(fmt)
-
-
 def cmd_verify(args) -> int:
     a = _analyze_input(args)
     report = run_checks(a)
-    encode = _record_encoder(args.format)
+    # CSV rows come without CSV_HEADER, which verify and corpus write once
+    encode = {"json": report_jsonl, "csv": report_csv}.get(args.format)
     if encode:
         header = CSV_HEADER if args.format == "csv" else ""
         _emit(header + encode(report), args.out)
@@ -258,13 +251,18 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _corpus_item(fmt: str, audit: bool, report) -> tuple:
-    """What a corpus sweep keeps of one graph's report: its records in format
-    fmt (CSV without the header, "" for pretty), its verdicts in CHECKS order
-    and, if `audit`, its Head (else None)."""
-    encode = _record_encoder(fmt)
-    return (encode(report) if encode else "", report.verdicts,
-            report.head if audit else None)
+def _corpus_fold(fmt: str, audit: bool, table) -> tuple:
+    """What a corpus sweep keeps of one stack's claim table: its records in
+    format fmt (CSV without the header, "" for pretty), the number of its
+    graphs with each verdict tuple (CHECKS order) and, if `audit`, its
+    heads (else None)."""
+    if fmt == "json":
+        text = table.jsonl()
+    elif fmt == "csv":
+        text = "".join(map(report_csv, table.reports()))
+    else:
+        text = ""
+    return text, table.tallies(), table.heads if audit else None
 
 
 def cmd_corpus(args) -> int:
@@ -281,12 +279,12 @@ def cmd_corpus(args) -> int:
         # a ValueError is a fixture file at fault: a disconnected graph, or
         # (for the audit) no graph of some chromatic number
         try:
-            each = functools.partial(_corpus_item, args.format, args.audit_extremal)
-            for text, verdicts, head in sweep(corpus, each, args.coloring, args.jobs):
+            fold = functools.partial(_corpus_fold, args.format, args.audit_extremal)
+            for text, tally, stack_heads in sweep(corpus, fold, args.coloring, args.jobs):
                 write(text)
-                outcomes[verdicts] += 1
+                outcomes.update(tally)
                 if args.audit_extremal:
-                    heads.append(head)
+                    heads.extend(stack_heads)
             if args.audit_extremal:
                 for chi in range(2, args.n):
                     audits.append(audit_extremal(args.n, chi, analyses=heads))

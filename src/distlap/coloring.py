@@ -11,6 +11,7 @@ from distlap.graphs import Graph, _bits, _complement_masks, _quotient_masks
 
 MAX_ELL1_VERTICES = 16
 PLAIN_NODES = 1000  # plain backtracking nodes before _k_colorable turns to _extend
+CLIQUE_NODES = 20000  # search nodes for k colors before _chromatic looks for a (k+1)-clique
 
 GreedyStart = tuple[list[int], int]  # a graph's greedy DSATUR coloring and greedy clique size
 
@@ -144,9 +145,10 @@ def greedy_starts(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return colors, size
 
 
-def _by_degree(adj: Sequence[int]) -> Callable[[int], list[int] | None]:
-    """k -> _search's coloring in k colors, or None, with ties going to the
-    highest degree, then the lowest index.
+def _by_degree(adj: Sequence[int]) -> Callable[..., list[int] | None]:
+    """(k, budget) -> _search's coloring in k colors, or None, with ties
+    going to the highest degree, then the lowest index; past `budget` nodes
+    (none by default) it raises _OverBudget.
 
     The graph is relabeled once, by degree descending and index ascending, so
     that _search's lowest-index tie rule picks the vertex this rule picks;
@@ -155,8 +157,8 @@ def _by_degree(adj: Sequence[int]) -> Callable[[int], list[int] | None]:
     order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())  # stable: ties by index
     relabeled = _quotient_masks(adj, [[v] for v in order])
 
-    def color(k: int) -> list[int] | None:
-        found = _search(relabeled, k)
+    def color(k: int, budget: float = math.inf) -> list[int] | None:
+        found = _search(relabeled, k, budget)
         if found is None:
             return None
         out = [0] * len(adj)
@@ -251,13 +253,27 @@ def _chromatic(adj: Sequence[int], start: GreedyStart | None = None
     """The chromatic number, the greedy DSATUR coloring, and a coloring that
     attains the chromatic number, searching down from one color fewer than
     greedy uses. `start`, if given, is the graph's entry of greedy_starts:
-    the greedy coloring and the greedy clique's size."""
+    the greedy coloring and the greedy clique's size.
+
+    The greedy clique can be smaller than the largest, and refuting k
+    colors by search alone can then take longer than any caller waits. So
+    each search for k colors runs for at most CLIQUE_NODES nodes first; if
+    it runs out, a clique of k + 1 vertices ends the descent, since it
+    refutes k colors, and without one the search runs again unbounded. A
+    search that ends within the budget returns what the unbounded one
+    would, so the colors are the same either way."""
     greedy, lb = start or (_search(adj, len(adj)), len(_greedy_clique(adj)))
     best = greedy
     k = max(greedy)
     if k >= lb:
         search = _by_degree(adj)
-        while k >= lb and (found := search(k)) is not None:
+        while k >= lb:
+            try:
+                found = search(k, CLIQUE_NODES)
+            except _OverBudget:
+                found = None if _maximal_cliques(adj, k + 1, limit=1) else search(k)
+            if found is None:
+                break
             best = found
             k -= 1
     return k + 1, greedy, best
@@ -271,15 +287,15 @@ def optimal_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:
     return greedy if chi == max(greedy) + 1 else _k_colorable(g.adj, chi, witness)
 
 
-def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
-    """The maximal independent sets with at least `floor` vertices, as bitmasks.
+def _maximal_cliques(adj: Sequence[int], floor: int, limit: float = math.inf) -> list[int]:
+    """The maximal cliques with at least `floor` vertices, as bitmasks, in the
+    order found, stopping once `limit` are found.
 
-    Bron-Kerbosch on the complement, pivoting on the lowest vertex of P | X;
-    any pivot lists every maximal set exactly once. Every set listed below a
-    node (R, P, X) lies between R and R | P, so a node with |R| + |P| < floor
-    is cut.
+    Bron-Kerbosch, pivoting on the lowest vertex of P | X; any pivot lists
+    every maximal clique exactly once. Every clique listed below a node
+    (R, P, X) lies between R and R | P, so a node with |R| + |P| < floor is
+    cut.
     """
-    comp = _complement_masks(adj)
     out: list[int] = []
 
     def expand(r: int, size: int, p: int, x: int) -> None:
@@ -288,19 +304,29 @@ def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
         if not p:
             if not x:
                 out.append(r)
+                if len(out) >= limit:
+                    raise _OverBudget  # ends the walk; checked only where a set is found
             return
         pool = p | x
         pivot = (pool & -pool).bit_length() - 1
-        for v in _bits(p & ~comp[pivot]):
-            expand(r | 1 << v, size + 1, p & comp[v], x & comp[v])
+        for v in _bits(p & ~adj[pivot]):
+            expand(r | 1 << v, size + 1, p & adj[v], x & adj[v])
             p &= ~(1 << v)
             x |= 1 << v
 
     try:
         expand(0, 0, (1 << len(adj)) - 1, 0)
+    except _OverBudget:
+        pass
     finally:
         del expand  # as in _search: expand holds itself through its closure
     return out
+
+
+def _maximal_independent_sets(adj: Sequence[int], floor: int) -> list[int]:
+    """The maximal independent sets with at least `floor` vertices, as
+    bitmasks: the maximal cliques of the complement."""
+    return _maximal_cliques(_complement_masks(adj), floor)
 
 
 def max_ell1_colors(g: Graph, start: GreedyStart | None = None) -> list[int]:

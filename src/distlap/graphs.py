@@ -329,6 +329,9 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
+    """Whether g is connected. Public on purpose: no code in the package
+    calls it (the kernels refuse a disconnected graph themselves), but the
+    tests and the benchmark's input check do."""
     return len(connected_components(g)) == 1
 
 

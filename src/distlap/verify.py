@@ -14,22 +14,30 @@ one GraphAnalysis into a CheckReport, which keeps each claim's label and
 slack, and for a claim that fails its lhs, rhs and twin class members. A
 report's CheckResults are read from its claims when asked for (pretty
 verify, CSV, failing graphs). A report with no failed claim writes its JSON
-records into the cached %-template of its shape (its check ids, reasons and
-labels), which also holds its verdicts, so a corpus pass writes records and
-tallies verdicts without building a CheckResult.
+records by the cached plan of its shape (its check ids, reasons and labels):
+the static text between two values, and one itemgetter that puts the text
+and the values in record order for one join. The plan also holds the
+shape's verdicts.
 
 run_checks_many, the claim table, runs the same checkers once on a stack's
-columns and makes the reports run_checks would; a sweep decides every stack
-by it. A shape's keys come from the labels and reasons the checkers pass to
-it. The table calls analyze on a graph of the stack alone, which reads the
-per-graph kernels, not the stack's, and decides it by run_checks: the first
-graph of each new shape, as a cross-check of its keys, slacks and block
-counts, and every graph with a failed claim or a non-finite slack, so
-witnesses have one implementation. A new shape that differs, or a graph the
-table fails and run_checks does not, raises RuntimeError. One graph alone
-(verify, analyze, tables) is analyzed by analyze and decided by run_checks.
-Per graph stay the colorings the greedy start leaves unproven (every max-l1
-coloring) and the record text.
+columns and decides the stack into one StackReports value. A shape's keys
+come from the labels and reasons the checkers pass to it. The table calls
+analyze on a graph of the stack alone, which reads the per-graph kernels,
+not the stack's, and decides it by run_checks: the first graph of each new
+shape, as a cross-check of its keys, slacks and block counts, and every
+graph with a failed claim or a non-finite slack, so witnesses have one
+implementation. A new shape that differs, or a graph the table fails and
+run_checks does not, raises RuntimeError. A passing graph keeps its shape,
+its slice of the stack's flat slack array and its Head; nothing is built
+per graph. From that one value, StackReports.jsonl writes the stack's
+records with one join (each passing graph by its shape's plan, the same
+plan report_jsonl uses), tallies() counts verdict tuples once per shape,
+and reports() builds the CheckReports only when asked (tests, CSV).
+
+sweep yields one fold per stack, computed in the worker when there is a
+pool. One graph alone (verify, analyze, tables) is analyzed by analyze and
+decided by run_checks. Per graph stay the colorings the greedy start leaves
+unproven (every max-l1 coloring).
 """
 
 from __future__ import annotations
@@ -41,9 +49,10 @@ import json
 import math
 import operator
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -207,21 +216,21 @@ class CheckReport:
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
     the report's record shape, which fixes its record text up to the slacks;
-    the reports run_checks_many fills share their shape's keys tuple. `head`
+    the reports the claim table builds share their shape's keys tuple. `head`
     is the graph's Head, what its records and the extremal audit read.
     """
 
-    __slots__ = ("head", "keys", "slacks", "failed", "_results", "_entry")
+    __slots__ = ("head", "keys", "slacks", "failed", "_results", "_plan")
 
-    def __init__(self, head: Head, keys: Sequence = (), entry: tuple | None = None,
+    def __init__(self, head: Head, keys: Sequence = (), plan: _Plan | None = None,
                  slacks: Sequence[float] = ()):
         """A report of the graph of `head`: empty, for run_checks to fill, or
-        a passing report of run_checks_many with its shape's keys tuple and
-        _template entry, and its slacks."""
+        a passing report of the claim table with its shape's keys tuple and
+        _record_plan, and its slacks."""
         self.head = head
         self.keys, self.slacks, self.failed = keys or [], slacks or [], []
         self._results = None
-        self._entry = entry
+        self._plan = plan
 
     def begin(self, check_id: str) -> None:
         self.keys += (None, check_id)
@@ -271,18 +280,18 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failed
 
-    def _record_template(self) -> tuple:
-        """The record template of the report's shape, with its verdicts (_template)."""
-        if self._entry is None:
-            self._entry = _template(tuple(self.keys))
-        return self._entry
+    def _record_plan(self) -> _Plan:
+        """The record plan of the report's shape, with its verdicts (_record_plan)."""
+        if self._plan is None:
+            self._plan = _record_plan(tuple(self.keys))
+        return self._plan
 
     @property
     def verdicts(self) -> tuple[str, ...]:
         """The verdict of each check, in order."""
         if self.failed:
             return tuple([r.verdict for r in self.results])
-        return self._record_template()[2]
+        return self._record_plan().verdicts
 
 
 def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
@@ -480,53 +489,102 @@ class _ClaimColumns:
         self.holds.append(holds)
 
 
-# (claim layout, packed gate and claim bits) -> (keys, _template entry) of each shape met
-_SHAPES: dict[tuple[int, bytes], tuple[tuple, tuple]] = {}
+# (claim layout, packed gate and claim bits) -> (keys, _record_plan) of each shape met
+_SHAPES: dict[tuple[int, bytes], tuple[tuple, _Plan]] = {}
 # the steps of each claim layout met (one per order n, while CHECKS stays), numbered
 _LAYOUTS: dict[tuple, int] = {}
 
 
-def run_checks_many(stack: AnalysisStack) -> list[CheckReport]:
-    """The reports run_checks makes of the analyses of a stack, in order:
-    the checkers run once on the stack's columns (_ClaimColumns).
+@dataclass(eq=False)
+class StackReports:
+    """The claim table's decision of a stack (run_checks_many): per row, in
+    stack order, what its CheckReport would hold, kept as the table's
+    columns and built into reports only when asked for.
+
+    `heads` holds each row's Head. `shape_of` holds each row's shape, an
+    index into `shapes`, whose entries are (keys tuple, _record_plan) and
+    `counts` the number of rows of each; it is -1 for a row that run_checks
+    decides alone (a failed claim or a non-finite slack), whose report
+    `alone` keeps by row. `slacks` is the flat float64 array of every row's
+    slacks, row i's being slacks[bounds[i]:bounds[i + 1]].
+    """
+
+    heads: list[Head]
+    shapes: list[tuple[tuple, _Plan]]
+    shape_of: list[int]
+    counts: list[int]
+    slacks: np.ndarray
+    bounds: list[int]
+    alone: dict[int, CheckReport]
+
+    def reports(self) -> list[CheckReport]:
+        """The CheckReport of each row, in order."""
+        slacks, bounds, shapes, alone = self.slacks.tolist(), self.bounds, self.shapes, self.alone
+        return [alone[i] if k < 0 else CheckReport(head, *shapes[k], slacks[bounds[i]:bounds[i + 1]])
+                for i, (k, head) in enumerate(zip(self.shape_of, self.heads))]
+
+    def jsonl(self) -> str:
+        """report_jsonl of every row's report, joined: each passing row's
+        records from its shape's plan, with one join for the stack."""
+        texts = list(map(float.__repr__, self.slacks.tolist()))
+        bounds, shapes, parts = self.bounds, self.shapes, []
+        for i, (k, head) in enumerate(zip(self.shape_of, self.heads)):
+            if k < 0:
+                parts.append(report_jsonl(self.alone[i]))
+            else:
+                parts += _record_parts(shapes[k][1], head, texts[bounds[i]:bounds[i + 1]])
+        return "".join(parts)
+
+    def tallies(self) -> Counter:
+        """The number of rows with each verdict tuple (CHECKS order): one count
+        per shape, and one per row decided alone."""
+        tally = Counter()
+        for (_, plan), count in zip(self.shapes, self.counts):
+            tally[plan.verdicts] += count
+        tally.update(report.verdicts for report in self.alone.values())
+        return tally
+
+
+def run_checks_many(stack: AnalysisStack) -> StackReports:
+    """The claim table's decision of the analyses of a stack, holding the
+    reports run_checks makes of them: the checkers run once on the stack's
+    columns (_ClaimColumns).
 
     A graph's shape is the stack's claim layout with its packed gate and
-    claim bits (_shape). Every passing graph gets a CheckReport sharing its
-    shape's keys tuple and _template entry, with its slacks and its head. A
-    graph with a failed claim or a non-finite slack is decided by run_checks
-    on analyze of the graph alone, so witnesses have one implementation;
-    where the table fails a claim and run_checks fails none, it raises
-    RuntimeError. Only those graphs and the first of each new shape are
-    analyzed alone.
+    claim bits (_shape), and a passing graph keeps only its shape, its
+    slacks and its head. A graph with a failed claim or a non-finite slack
+    is decided by run_checks on analyze of the graph alone, so witnesses
+    have one implementation; where the table fails a claim and run_checks
+    fails none, it raises RuntimeError. Only those graphs and the first of
+    each new shape are analyzed alone.
     """
     if not len(stack):
-        return []
+        return StackReports([], [], [], [], np.zeros(0), [0], {})
     table = _decide(stack, _ClaimColumns(len(stack)))
     bits, slack, holds = (np.array(columns).T for columns in (table.bits, table.slack, table.holds))
     present = bits[:, table.claimed]
     packed = np.packbits(bits, axis=1)
     layout = _LAYOUTS.setdefault(tuple(table.steps), len(_LAYOUTS))
-    lengths = present.sum(axis=1)
-    ends = np.cumsum(lengths)
-    starts, ends = (ends - lengths).tolist(), ends.tolist()
-    flat = slack[present].tolist()  # each graph's present slacks, in claim order
+    bounds = [0, *np.cumsum(present.sum(axis=1)).tolist()]
+    flat = slack[present]  # each graph's present slacks, in claim order
     failing = (present & ~holds).any(axis=1)
     passing = np.flatnonzero(~(failing | (present & ~np.isfinite(slack)).any(axis=1)))
-    _, first, shape_ids = np.unique(packed[passing].view(f"V{packed.shape[1]}")[:, 0],
-                                    return_index=True, return_inverse=True)
+    _, first, shape_ids, counts = np.unique(packed[passing].view(f"V{packed.shape[1]}")[:, 0],
+                                            return_index=True, return_inverse=True,
+                                            return_counts=True)
     shape_of = np.full(len(stack), -1)  # each passing graph's shape, -1 for one run_checks decides
     shape_of[passing] = shape_ids
     shapes = [_shape((layout, packed[i].tobytes()), table, bits[i], stack, i,
-                     flat[starts[i]:ends[i]])
+                     flat[bounds[i]:bounds[i + 1]].tolist())
               for i in passing[first].tolist()]
-    reports = [run_checks(analyze(stack.graphs[i], stack.coloring_mode)) if k < 0
-               else CheckReport(head, *shapes[k], flat[start:end])
-               for i, (k, start, end, head) in enumerate(zip(shape_of.tolist(), starts, ends,
-                                                             stack.heads()))]
-    for i in np.flatnonzero(failing).tolist():
-        if reports[i].ok:
-            raise _disagreement(reports[i].head)
-    return reports
+    heads = stack.heads()
+    alone = {}
+    for i in np.flatnonzero(shape_of < 0).tolist():
+        alone[i] = report = run_checks(analyze(stack.graphs[i], stack.coloring_mode))
+        heads[i] = report.head
+        if failing[i] and report.ok:
+            raise _disagreement(report.head)
+    return StackReports(heads, shapes, shape_of.tolist(), counts.tolist(), flat, bounds, alone)
 
 
 def _disagreement(a: GraphAnalysis | Head) -> RuntimeError:
@@ -534,8 +592,8 @@ def _disagreement(a: GraphAnalysis | Head) -> RuntimeError:
 
 
 def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack: AnalysisStack,
-           i: int, slacks: list[float]) -> tuple[tuple, tuple]:
-    """The keys and _template entry of the shape `key` of graph i of the
+           i: int, slacks: list[float]) -> tuple[tuple, _Plan]:
+    """The keys and _record_plan of the shape `key` of graph i of the
     stack, a passing graph whose gate and claim bits in `table` are `bits`
     and whose slacks are `slacks`. A new shape's keys are read from the
     table's steps and checked against run_checks on analyze of graph i
@@ -552,7 +610,7 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
             raise _disagreement(a)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
-        _SHAPES[key] = keys, _template(keys)
+        _SHAPES[key] = keys, _record_plan(keys)
     return _SHAPES[key]
 
 
@@ -566,32 +624,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_batch(each: Callable, coloring_mode: str, batch: Sequence[Graph]) -> list:
-    return [each(report) for report in run_checks_many(analyze_many(batch, coloring_mode))]
+def _sweep_batch(fold: Callable, coloring_mode: str, batch: Sequence[Graph]):
+    return fold(run_checks_many(analyze_many(batch, coloring_mode)))
 
 
-def sweep(graphs: Sequence[Graph], each: Callable[[CheckReport], object],
+def sweep(graphs: Sequence[Graph], fold: Callable[[StackReports], object],
           coloring_mode: str = "default", jobs: int = 1) -> Iterator:
-    """Yield each(report) for the report run_checks makes of the analysis of
-    every graph, in order.
+    """Yield fold(stack reports) for the claim table's decision of each stack
+    of the graphs, in order: its rows hold the reports run_checks makes of
+    the analysis of every graph.
 
     Graphs are analyzed BATCH at a time by min(jobs, usable CPUs) spawned
     workers (serially for one), and each stack is decided by the claim table
-    (run_checks_many), which makes the reports run_checks would. `each` runs
-    in the worker, so only what it returns is sent back; it must pickle, as a
-    module-level function does.
+    (run_checks_many). `fold` runs in the worker, so only what it returns is
+    sent back; it must pickle, as a module-level function does.
     """
-    work = functools.partial(_sweep_batch, each, coloring_mode)
+    work = functools.partial(_sweep_batch, fold, coloring_mode)
     slices = (graphs[i:i + BATCH] for i in range(0, len(graphs), BATCH))
     jobs = min(jobs, _usable_cpus())
     if jobs == 1:
-        yield from chain.from_iterable(map(work, slices))
+        yield from map(work, slices)
         return
     import multiprocessing  # here, not at the top: only the pool needs it
 
     # spawn, not fork: the parent may already hold BLAS threads
     with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        yield from chain.from_iterable(pool.imap(work, slices))
+        yield from pool.imap(work, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -691,31 +749,54 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 TEMPLATE_SHAPES = 1024  # report shapes kept; n = 8 has 263 over both coloring modes
 
 
+class _Plan(NamedTuple):
+    """How a report of one shape with no failed claim writes its records:
+    `pick` takes the record text, in order, from [*slack texts, b_chi text,
+    graph text, *pieces], and `verdicts` are the report's verdicts."""
+
+    pieces: tuple[str, ...]
+    pick: Callable[[list[str]], tuple[str, ...]]
+    verdicts: tuple[str, ...]
+
+
 @functools.lru_cache(maxsize=TEMPLATE_SHAPES)
-def _template(shape: tuple) -> tuple[str, Callable[[list], tuple], tuple[str, ...]]:
+def _record_plan(shape: tuple) -> _Plan:
     """The records of a report of this shape (its keys) with no failed
-    claim, as json.dumps(record, sort_keys=True) writes each: a %-template of
-    the text with one %s slot per value, the function picking the slots'
-    values from [*slacks, b_chi, the graph's keys chi to n], and the report's
-    verdicts. A record's slacks fill its slots in sorted label order (a
-    finite float's str, numpy's too, is its JSON text)."""
+    claim, as json.dumps(record, sort_keys=True) writes each: the static
+    text between two values is one piece, interned, so shapes share their
+    equal pieces. A record's slacks come in sorted label order, its b_chi
+    and the graph's keys chi to n, which sort together, from the graph; a
+    finite Python float's repr is its JSON text."""
     checks = _checks(shape)
-    b_chi = sum(len(labels) for _, _, labels in checks)
-    parts, verdicts, at = [], [], 0  # the JSON text, and the value index of each slot
+    b_chi = sum(len(labels) for _, _, labels in checks)  # the value index of b_chi
+    text, verdicts, at = [], [], 0  # the static text and the value index of each slot
     for check_id, reason, labels in checks:
         verdict = "pass" if reason is None else "not-applicable"
         verdicts.append(verdict)
-        parts += ['{"applicable": ', "true" if reason is None else "false", ', "b_chi": ', b_chi,
-                  ', "check_id": ', _ENCODER.encode(check_id), ", ", b_chi + 1, ', "slack": {']
+        text += ['{"applicable": ', "true" if reason is None else "false", ', "b_chi": ', b_chi,
+                 ', "check_id": ', _ENCODER.encode(check_id), ", ", b_chi + 1, ', "slack": {']
         for k, i in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
-            parts += [", " if k else "", _ENCODER.encode(labels[i]), ": ", at + i]
+            text += [", " if k else "", _ENCODER.encode(labels[i]), ": ", at + i]
         at += len(labels)
-        parts += [f'}}, "verdict": "{verdict}", "witness": ',
-                  "null" if reason is None else _ENCODER.encode(reason), "}\n"]
-    slots = [p for p in parts if isinstance(p, int)]
-    text = "".join([p.replace("%", "%%") if isinstance(p, str) else "%s" for p in parts])
-    return (text, operator.itemgetter(*slots) if slots else lambda values: (),
-            tuple(verdicts))
+        text += [f'}}, "verdict": "{verdict}", "witness": ',
+                 "null" if reason is None else _ENCODER.encode(reason), "}\n"]
+    pieces, order = [], []
+    for is_slot, run in groupby(text, key=lambda part: isinstance(part, int)):
+        if is_slot:
+            order += run
+        else:
+            order.append(b_chi + 2 + len(pieces))
+            pieces.append(sys.intern("".join(run)))
+    pick = operator.itemgetter(*order) if order else lambda values: ()  # no check, no record
+    return _Plan(tuple(pieces), pick, tuple(verdicts))
+
+
+def _record_parts(plan: _Plan, head: Head, texts: list[str]) -> tuple[str, ...]:
+    """The text of the records of the graph of `head`, whose report has the
+    shape of `plan` and slack texts `texts`, in order, to be joined."""
+    graph6, n, m, chi, b_chi, _ = head
+    graph = f'"chi": {chi}, "graph6": {_ENCODER.encode(graph6)}, "m": {m}, "n": {n}'
+    return plan.pick([*texts, str(b_chi), graph, *plan.pieces])
 
 
 def report_jsonl(report: CheckReport) -> str:
@@ -723,16 +804,15 @@ def report_jsonl(report: CheckReport) -> str:
     json.dumps(record, sort_keys=True) of the record of the graph's graph6,
     n, m, chi and b_chi and the result's check_id, applicable, verdict, slack
     and witness (a not-applicable result's reason, if it has no witness).
-    The lines fill the cached template of the report's shape (_template),
-    unless the report has a failed claim or a non-finite slack sum, which no
-    template writes: then every record is encoded whole.
+    The lines follow the cached plan of the report's shape (_record_plan),
+    as StackReports.jsonl's do, unless the report has a failed claim or a
+    non-finite slack sum, which no plan writes: then every record is encoded
+    whole.
     """
-    graph6, n, m, chi, b_chi, _ = report.head
     if not report.failed and math.isfinite(sum(report.slacks)):
-        text, pick, _ = report._record_template()
-        # keys chi to n sort together, so the graph writes them once for every record
-        graph = f'"chi": {chi}, "graph6": {_ENCODER.encode(graph6)}, "m": {m}, "n": {n}'
-        return text % pick([*report.slacks, b_chi, graph])
+        texts = list(map(float.__repr__, report.slacks))  # a numpy float64's too
+        return "".join(_record_parts(report._record_plan(), report.head, texts))
+    graph6, n, m, chi, b_chi, _ = report.head
     return "".join([_ENCODER.encode({
         "graph6": graph6, "n": n, "m": m, "chi": chi, "b_chi": b_chi,
         "check_id": r.check_id, "applicable": r.applicable, "verdict": r.verdict,

@@ -8,7 +8,8 @@ import pytest
 
 from distlap.cli import main
 from distlap.graphs import enumerate_connected
-from distlap.verify import analyze, sweep
+from distlap.verify import analyze
+from helpers import swept_reports
 
 MODES = ("default", "max-l1")
 
@@ -21,7 +22,7 @@ class _Sweeps(dict):
     def __missing__(self, key):
         mode, n = key
         graphs = list(enumerate_connected(n))
-        self[key] = reports = list(sweep(graphs, lambda report: report, mode))
+        self[key] = reports = swept_reports(graphs, mode)
         return reports
 
 

@@ -2,8 +2,9 @@
 the tests call, each graph's twin table entries, the list-based reference
 DSATUR search, random generators used across the tests, reports made from
 hand-built results, stacks made from hand-built analyses and the analyze
-that hands them to the claim table, the comparison of a stack's columns with
-analyze, and the comparison of the claim table with run_checks."""
+that hands them to the claim table, the reports of a sweep's stacks, the
+comparison of a stack's columns with analyze, and the comparison of the
+claim table with run_checks."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import contextlib
 import itertools
 import math
 import random
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,11 +28,13 @@ from distlap.verify import (
     CheckReport,
     CheckResult,
     GraphAnalysis,
+    StackReports,
     analyze,
     report_csv,
     report_jsonl,
     run_checks,
     run_checks_many,
+    sweep,
 )
 
 
@@ -236,10 +240,19 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
     return report
 
 
+def swept_reports(graphs: Sequence[Graph], coloring_mode: str = "default") -> list[CheckReport]:
+    """The CheckReport of every graph, in order, from sweep's stacks."""
+    return [report for table in sweep(graphs, StackReports.reports, coloring_mode)
+            for report in table]
+
+
 def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis] | AnalysisStack) -> int:
     """Check that run_checks_many on a stack makes, report for report, what
     run_checks makes of each of its analyses alone: the same head, keys,
     slacks bit for bit, failed claims, verdicts and JSON and CSV records.
+    The stack's own records and tallies must equal those of its reports:
+    its jsonl the joined report_jsonl, its tallies a Counter of the verdicts,
+    its heads the reports' heads.
     The stack is an analyze_many stack, whose analyses are analyze's of its
     graphs, or stack_of a list of analyses; the table reads them through
     analyzed_as. Returns the number of reports the table itself filled (no
@@ -250,7 +263,11 @@ def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis] | Analysis
     else:
         stack = stack_of(analyses)
     with analyzed_as(stack, analyses):
-        reports = run_checks_many(stack)
+        table = run_checks_many(stack)
+    reports = table.reports()
+    assert table.jsonl() == "".join(map(report_jsonl, reports))
+    assert table.tallies() == Counter(report.verdicts for report in reports)
+    assert table.heads == [report.head for report in reports]
     tabled = 0
     for x, a in zip(reports, analyses, strict=True):
         y = run_checks(a)

@@ -288,6 +288,22 @@ def _env_with_distlap() -> dict[str, str]:
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+# a sparse 37-vertex graph (88 edges, maximum degree 9) with a clique of 6
+# where the greedy clique has 5: a search for 5 colors alone did not finish.
+# Its graph6 text holds three backticks
+SHORT_GREEDY_CLIQUE_37 = ("dGA?cO??__K??C_kAP??GW@?G??[A???K@_?@??CQ???K?CCWGHW@A?PG?@?B?@KAL????`"
+                          "??KQ??P?O?A??OG_??`?O???CaC??K?`?G?A?_O??")
+
+
+def test_verify_finishes_where_the_greedy_clique_is_short():
+    # the whole process, start-up included, within 30 s (about 0.3 s here)
+    proc = subprocess.run([sys.executable, "-m", "distlap", "verify", "--g6",
+                           SHORT_GREEDY_CLIQUE_37], capture_output=True, text=True,
+                          env=_env_with_distlap(), timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert " n=37 m=88 chi=6 " in proc.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ["verify", "--gen", "path:4"],
@@ -333,13 +349,6 @@ def test_write_error_on_stdout_exits_2(monkeypatch, capsys, argv, fail_on):
     assert code == 2
     why = "it is closed" if fail_on == "closed" else os.strerror(errno.ENOSPC)
     assert capsys.readouterr().err == f"error: cannot write standard output: {why}\n"
-
-
-def _env_with_distlap() -> dict[str, str]:
-    """The environment for a child interpreter that imports this distlap."""
-    src = os.path.dirname(os.path.dirname(distlap.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

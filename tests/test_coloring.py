@@ -117,6 +117,23 @@ def test_dense_colorings_are_pinned():
             [*sizes[i], *[0] * (n - len(sizes[i]))] for i in at]
 
 
+def test_a_spent_clique_budget_leaves_the_colors_as_they_are(monkeypatch):
+    # with no node to spend, every search of _chromatic for k colors ends in
+    # the clique test: a clique of k + 1 stops the descent, and without one
+    # the search runs again unbounded; both must give the colors of a
+    # search that is never stopped
+    graphs = dense_graphs(1, 40)
+    monkeypatch.setattr(coloring, "CLIQUE_NODES", math.inf)
+    expected = [optimal_colors(g) for g in graphs]
+    found = []
+    real = coloring._maximal_cliques
+    monkeypatch.setattr(coloring, "_maximal_cliques",
+                        lambda *args, **kw: found.append(bool(sets := real(*args, **kw))) or sets)
+    monkeypatch.setattr(coloring, "CLIQUE_NODES", 0)
+    assert [optimal_colors(g) for g in graphs] == expected
+    assert True in found and False in found
+
+
 # SHA-256 of repr((graph6, chi, classes)) of max_ell1_colors over 400 seeded
 # connected graphs with n 9..16 and densities spread over 0.15..0.8, which have
 # many more maximal independent sets per graph than the n = 8 corpus
@@ -297,6 +314,9 @@ def test_maximal_independent_sets_above_a_floor_match_brute_force():
                 found = coloring._maximal_independent_sets(g.adj, floor)
                 assert len(found) == len(set(found))
                 assert set(found) == {s for s in maximal if s.bit_count() >= floor}
+                # the independent sets of g are the cliques of its complement
+                comp = [(1 << n) - 1 & ~(a | 1 << v) for v, a in enumerate(g.adj)]
+                assert coloring._maximal_cliques(comp, floor, limit=1) == found[:1]
 
 
 def _first_by_plain_backtracking(g, k):

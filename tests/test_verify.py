@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import operator
 import random
 
 import numpy as np
@@ -36,6 +35,7 @@ from distlap.verify import (
     CheckResult,
     GraphAnalysis,
     Head,
+    StackReports,
     analyze,
     analyze_many,
     audit_extremal,
@@ -53,6 +53,7 @@ from helpers import (
     random_permutation,
     report_of,
     stack_of,
+    swept_reports,
     toggle_edge,
     universal_vertex_count,
 )
@@ -259,7 +260,7 @@ def test_twin_records_do_not_depend_on_vertex_labels(mode_reports, mode_corpus_a
         same_sizes = (np.array(sizes) == np.concatenate([
             analyze_many(moved[i:i + verify.BATCH], coloring_mode).sizes
             for i in range(0, len(moved), verify.BATCH)])).all(axis=1).tolist()
-        moved = sweep(moved, lambda report: report, coloring_mode)
+        moved = swept_reports(moved, coloring_mode)
         for x, y, same in zip(reports, moved, same_sizes, strict=True):
             for r, s in zip(x.results, y.results, strict=True):
                 if r.check_id in ("clique_twin_refine", "indep_twin_refine"):
@@ -610,10 +611,11 @@ def test_sweep_analyzes_batch_slices_and_keeps_input_order(monkeypatch):
     monkeypatch.setattr(verify, "analyze_many",
                         lambda gs, *a: sizes.append(len(gs)) or real(gs, *a))
     monkeypatch.setattr(verify, "BATCH", 50)
-    got = list(sweep(graphs, operator.attrgetter("head.graph6", "ok")))
-    assert sizes == [50, 50, 12]
-    assert got == [(head.graph6, True) for head in real(graphs).heads()]
-    assert list(sweep([], operator.attrgetter("ok"))) == []
+    got = list(sweep(graphs, StackReports.reports))
+    assert sizes == [50, 50, 12] and list(map(len, got)) == sizes
+    assert [(r.head.graph6, r.ok) for reports in got for r in reports] == [
+        (head.graph6, True) for head in real(graphs).heads()]
+    assert list(sweep([], StackReports.tallies)) == []
 
 
 def test_analyze_many_rejects_a_disconnected_graph_in_the_batch():
@@ -737,10 +739,10 @@ def test_report_jsonl_matches_json_dumps_on_rare_values(corpus_analyses):
 
 @pytest.mark.parametrize("case", ["mu_at_n", "twin_mult"])
 def test_a_failing_analysis_writes_its_witness_through_the_record_writer(case):
-    # a failing analysis through run_checks into report_jsonl and the corpus
-    # item: P8 with the eigenvalue n twice where its connected complement
-    # allows it 0 times, and K_{3,5} with its part of size 5 one eigenvalue
-    # short of its forced multiplicity
+    # a failing analysis through run_checks into report_jsonl, and through
+    # the claim table into the corpus fold: P8 with the eigenvalue n twice
+    # where its connected complement allows it 0 times, and K_{3,5} with its
+    # part of size 5 one eigenvalue short of its forced multiplicity
     if case == "mu_at_n":
         a = analyze(gen_path(8))._replace(mu_at_n=2)
         check_id = "n_multiplicity"
@@ -759,10 +761,13 @@ def test_a_failing_analysis_writes_its_witness_through_the_record_writer(case):
     assert failed[0]["witness"] == {"violations": [violation]}
     ids = [cid for cid, _ in CHECKS]
     expected = tuple("fail" if cid == check_id else r["verdict"] for cid, r in zip(ids, records))
-    item_text, verdicts, head = cli._corpus_item("json", False, report)
-    assert (item_text, head) == (text, None)
-    assert verdicts == expected and verdicts.count("fail") == 1
-    assert cli._corpus_item("pretty", False, report)[1] == expected
+    stack = stack_of([a])
+    with analyzed_as(stack, [a]):
+        table = run_checks_many(stack)
+    assert cli._corpus_fold("json", False, table) == (text, {expected: 1}, None)
+    assert expected.count("fail") == 1
+    assert cli._corpus_fold("csv", False, table)[0] == report_csv(report)
+    assert cli._corpus_fold("pretty", True, table) == ("", {expected: 1}, [report.head])
     assert not report.ok and [r.check_id for r in report.failures] == [check_id]
 
 
@@ -788,7 +793,7 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
     shapes = [passing, failing, non_finite, odd_reason, other_reason, odd_label, odd_id, numpy_floats,
               brace_label, brace_reason, brace_id]
     for results in (shapes, shapes[1:2] + shapes[:1] + shapes[2:]):
-        verify._template.cache_clear()
+        verify._record_plan.cache_clear()
         for r in results:
             report = report_of(a, [r])
             assert report_jsonl(report) == _json_dumps_lines(report), r
@@ -801,18 +806,62 @@ def test_record_shapes_stay_apart_in_the_template_cache(corpus_analyses):
 
     # the cache keeps at most TEMPLATE_SHAPES shapes however many it meets:
     # whole nine-check shapes, each with its own last label
-    verify._template.cache_clear()
+    verify._record_plan.cache_clear()
     first = run_checks(a).results[:-1]
     for i in range(verify.TEMPLATE_SHAPES + 100):
         report = report_of(a, [*first, CheckResult("diameter_refine", {f"claim_{i}": i / 7, "z": 1.0})])
         assert report_jsonl(report) == _json_dumps_lines(report)
-    info = verify._template.cache_info()
+    info = verify._record_plan.cache_info()
     assert info.misses > verify.TEMPLATE_SHAPES and info.currsize <= verify.TEMPLATE_SHAPES
 
 
 # ---------------------------------------------------------------------------
 # the claim table
 # ---------------------------------------------------------------------------
+
+def _both_ways(a: GraphAnalysis) -> list:
+    """The reports of a by run_checks and by the claim table, in a stack of a alone."""
+    stack = stack_of([a])
+    with analyzed_as(stack, [a]):
+        return [run_checks(a), *run_checks_many(stack).reports()]
+
+
+def _boundary_cases():
+    """(check id, the analysis at a claim's threshold, the analysis one step
+    below it, the violations of the check below it): a claim whose count is
+    weakened by one still passes every real graph, since no real graph
+    comes near (dl1_minus_b_chi, block_j and k_range)."""
+    near = analyze(toggle_edge(gen_complete(6), 0, 1))  # m_ge_b = 1, as dL1 > b_chi needs
+    assert near.m_ge_b == 1
+    yield ("ah_bound", near, near._replace(m_ge_b=0, mu_below_b=6),
+           [{"claim": "dl1_minus_b_chi", "lhs": near.dl1, "rhs": 8.0}])
+    k33 = analyze(gen_complete_multipartite([3, 3]))  # hi = ceil(6/2) - 1 = 2
+    below = k33._replace(m_ge_b=1, mu_below_b=5)
+    yield ("k_range", k33._replace(m_ge_b=2, mu_below_b=4), below,
+           [{"claim": "k_range", "lhs": k33.values[1], "rhs": 9.0},
+            {"claim": "second_eigenvalue", "lhs": k33.values[1], "rhs": 9.0}])
+    k332 = analyze(gen_complete_multipartite([3, 3, 2]))  # s_j = 2, 4 and 5
+    for j, (s_j, ell_j) in enumerate([(2, 3), (4, 3), (5, 2)]):
+        counts = [2, 4, 5]
+        at = k332._replace(block_counts=tuple(counts))
+        counts[j] -= 1
+        yield ("color_majorization", at, k332._replace(block_counts=tuple(counts)),
+               [{"claim": f"block_{j + 1}", "lhs": k332.values[s_j - 1], "rhs": 8.0 + ell_j}])
+
+
+def test_claims_hold_exactly_at_their_thresholds():
+    # run_checks and the claim table pass each analysis at the threshold,
+    # the table deciding it from its columns, and fail the check one step
+    # below it with exactly the violations expected
+    for check_id, at, below, violations in _boundary_cases():
+        for report in _both_ways(at):
+            assert report.ok, (check_id, at.block_counts)
+        assert type(_both_ways(at)[1].keys) is tuple  # filled by the table itself
+        for report in _both_ways(below):
+            (result,) = [r for r in report.results if r.check_id == check_id]
+            assert result.verdict == "fail", (check_id, below.block_counts)
+            assert result.witness == {"violations": violations}, check_id
+
 
 def test_claim_table_matches_run_checks_on_corpus(mode_reports, mode_corpus_analyses):
     # every connected graph with n <= 7, and as corpus8 cases every n = 8
@@ -923,23 +972,28 @@ def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
     assert assert_table_matches_run_checks(stack) == 5
     table = stack_of(stack)
     with analyzed_as(table, stack):
-        reports = run_checks_many(table)
+        decided = run_checks_many(table)
+    reports = decided.reports()
     assert [r.ok for r in reports] == [True, False, True, False, True, True, True, True, True]
     assert [r.failures[0].check_id for r in reports if not r.ok] == [
         "n_multiplicity", "indep_twin_refine"]
+    # the rows decided alone keep their reports; the stack's records and
+    # tallies hold them in row order (assert_table_matches_run_checks)
+    assert sorted(decided.alone) == [1, 3, 4, 6]
+    assert sum(count for verdicts, count in decided.tallies().items() if "fail" in verdicts) == 2
     assert assert_table_matches_run_checks([mu_at_n, short]) == 0
 
 
 def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, monkeypatch):
-    # every passing report holds its shape's keys tuple and _template's own
-    # entry for those keys; the shape cache keeps at most TEMPLATE_SHAPES shapes
+    # every passing report holds its shape's keys tuple and _record_plan's
+    # own plan for those keys; the shape cache keeps at most TEMPLATE_SHAPES shapes
     monkeypatch.setattr(verify, "_SHAPES", {})
-    reports = run_checks_many(stack_of(corpus_analyses[7]))
-    shapes = {id(keys): (keys, entry) for keys, entry in verify._SHAPES.values()}
+    reports = run_checks_many(stack_of(corpus_analyses[7])).reports()
+    shapes = {id(keys): (keys, plan) for keys, plan in verify._SHAPES.values()}
     assert len(shapes) > 10
     for report in reports:
-        keys, entry = shapes[id(report.keys)]
-        assert report._entry is entry is verify._template(keys)
+        keys, plan = shapes[id(report.keys)]
+        assert report._plan is plan is verify._record_plan(keys)
     monkeypatch.setattr(verify, "_SHAPES", {})
     monkeypatch.setattr(verify, "TEMPLATE_SHAPES", 4)
     assert assert_table_matches_run_checks(corpus_analyses[7]) == len(corpus_analyses[7])
@@ -970,10 +1024,10 @@ def test_claim_table_refuses_stacked_counts_the_rows_disagree_with(monkeypatch):
     for known in (False, True):
         if known:
             monkeypatch.setattr(verify, "counts_at_least", real)
-            assert all(sweep(graphs, operator.attrgetter("ok")))
+            assert all(report.ok for report in swept_reports(graphs))
         monkeypatch.setattr(verify, "counts_at_least", lambda values, c: real(values, c) + 1)
         with pytest.raises(RuntimeError, match="disagrees with run_checks"):
-            list(sweep(graphs, operator.attrgetter("ok")))
+            list(sweep(graphs, StackReports.tallies))
 
 
 def test_claim_table_refuses_a_failing_row_its_analysis_passes():
@@ -1008,7 +1062,7 @@ def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
     # before the change
     monkeypatch.setattr(verify, "_SHAPES", {})
     analyses = corpus_analyses[6]
-    run_checks_many(stack_of(analyses))
+    run_checks_many(stack_of(analyses))  # meets the shapes before the change
 
     def changed(a, report):
         mu, cm1 = a.mu_at_n, a.complement_components - 1
@@ -1018,7 +1072,7 @@ def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", tuple(
         (cid, changed if cid == "n_multiplicity" else check) for cid, check in CHECKS))
     assert assert_table_matches_run_checks(analyses) == len(analyses)
-    for report, a in zip(run_checks_many(stack_of(analyses)), analyses, strict=True):
+    for report, a in zip(run_checks_many(stack_of(analyses)).reports(), analyses, strict=True):
         slack = {"mu_at_n_minus_cm1": -0.5}
         if a.diameter >= 2:
             slack["mu_at_n_below_n"] = float(a.mu_at_n - a.n + 1)
@@ -1032,9 +1086,9 @@ def test_sweep_decides_every_stack_by_the_claim_table(monkeypatch):
     monkeypatch.setattr(verify, "run_checks_many",
                         lambda analyses: tabled.append(len(analyses)) or real(analyses))
     monkeypatch.setattr(verify, "BATCH", 50)
-    got = list(sweep(graphs, report_jsonl))
+    got = list(sweep(graphs, StackReports.jsonl))
     assert tabled == [50, 50, 1]  # the last stack, of one graph, too
-    assert got == [report_jsonl(run_checks(analyze(g))) for g in graphs]
+    assert "".join(got) == "".join(report_jsonl(run_checks(analyze(g))) for g in graphs)
 
 
 def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch):
@@ -1047,7 +1101,7 @@ def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch)
     graphs = list(enumerate_connected(7))[:300]
     monkeypatch.setattr(verify, "BATCH", 100)
     monkeypatch.setattr(verify, "_SHAPES", {})
-    expected = list(sweep(graphs, report_jsonl))  # meets every shape of the slices
+    expected = list(sweep(graphs, StackReports.jsonl))  # meets every shape of the slices
     calls = []
 
     def refuse(name):
@@ -1065,7 +1119,7 @@ def test_sweep_stacks_count_by_columns_and_build_no_proven_coloring(monkeypatch)
     real_colors = verify.optimal_colors
     monkeypatch.setattr(verify, "optimal_colors",
                         lambda g, start: searched.append(g) or real_colors(g, start))
-    assert list(sweep(graphs, report_jsonl)) == expected
+    assert list(sweep(graphs, StackReports.jsonl)) == expected
     assert 0 < len(searched) < len(graphs) // 4  # most greedy colorings are proven
     # m_ge_b, the block counts and the multiplicity of n over the 100 graphs
     # of each stack, then the multiplicities of its twin classes' forced values
