@@ -13,7 +13,7 @@ from distlap.graphs import (
     to_graph6,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.eigen import count_at_least, eig_symmetric, multiplicity
+from distlap.eigen import counts_at_least, eig_symmetric, multiplicities
 from distlap.coloring import max_ell1_colors, optimal_colors
 from distlap.twins import TwinClass
 from distlap.verify import (

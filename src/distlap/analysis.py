@@ -97,7 +97,7 @@ class GraphAnalysis(NamedTuple):
         return not ranks, ranks
 
 
-# the integer facts of an AnalysisStack, in the order of its `facts` columns
+# the names of the integer facts of an AnalysisStack, the keys of its `facts`
 FACTS = ("chi", "b_chi", "ceil_n_chi", "diameter", "m", "m_ge_b", "mu_below_b", "mu_at_n",
          "complement_components", "universal_vertices")
 
@@ -106,7 +106,7 @@ class AnalysisStack:
     """The analyses of a stack of same-order connected graphs, as columns.
 
     `values` is the (B, n) float64 spectra, nonincreasing along each row;
-    `facts` the (B, len(FACTS)) int64 integer facts, one column per name in
+    `facts` holds the (B,) int64 column of each integer fact by its name in
     FACTS; `sizes` the (B, n) color class sizes, row i graph i's `sizes`
     padded with 0 past chi; `block_counts` the (B, n // 2) counts of
     eigenvalues >= n + ell_j for each class of size >= 2, 0 past them;
@@ -122,7 +122,7 @@ class AnalysisStack:
                  "twins", "twin_mults")
 
     def __init__(self, graphs: Sequence[Graph], coloring_mode: str, values: np.ndarray,
-                 facts: np.ndarray, sizes: np.ndarray, block_counts: np.ndarray,
+                 facts: dict[str, np.ndarray], sizes: np.ndarray, block_counts: np.ndarray,
                  twins: TwinTable, twin_mults: np.ndarray):
         self.graphs, self.n, self.coloring_mode = graphs, graphs[0].n, coloring_mode
         self.values, self.facts, self.sizes, self.block_counts = values, facts, sizes, block_counts
@@ -134,7 +134,7 @@ class AnalysisStack:
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in FACTS:
             raise AttributeError(name)
-        return self.facts[:, FACTS.index(name)]
+        return self.facts[name]
 
     def value(self, k) -> np.ndarray:
         """values[k] of each graph, for an index k or a column of them,

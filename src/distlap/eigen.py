@@ -1,16 +1,16 @@
 """Symmetric eigenvalues (LAPACK via numpy), spectra, multiplicity clusters, threshold counts.
 
 A spectrum is a plain nonincreasing float64 array, and a stack of spectra is
-an array whose last axis holds each spectrum. The threshold counts read one
-spectrum as a nondecreasing Python list of floats (`values[::-1]` of a
-spectrum's `.tolist()`), or a whole stack of spectra with a threshold per
-spectrum at once. Every count, multiplicity and cluster snaps with the one
-fixed tolerance INT_TOL; no caller sets it.
+an array whose last axis holds each spectrum. The threshold counts take
+either, with thresholds c whose shape broadcasts with values[..., 0], and
+compare every eigenvalue with each c at once, by `v >= c - INT_TOL` and
+`abs(v - c) <= INT_TOL`: for an integer c they give the integers those
+tests give over the whole spectrum. Every count, multiplicity and cluster
+snaps with the one fixed tolerance INT_TOL; no caller sets it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -42,26 +42,6 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     cuts = [i for i in range(1, len(vals)) if vals[i - 1] - vals[i] > gap]
     chunks = [vals[a:b] for a, b in zip([0, *cuts], [*cuts, len(vals)])]
     return tuple((sum(c) / len(c), len(c)) for c in chunks if c)
-
-
-# count_at_least and multiplicity take one spectrum as a nondecreasing list
-# `rising` and one threshold c, and find c by bisection (one graph, analyze).
-# counts_at_least and multiplicities take a (..., n) array of spectra and
-# thresholds c of the shape of values[..., 0], or one that broadcasts to it,
-# and compare every eigenvalue at once (a stack, analyze_many). All four make
-# the float comparisons `v >= c - INT_TOL` and `abs(v - c) <= INT_TOL` of
-# every eigenvalue they count, so for an integer c they give the integers
-# those tests give over the whole spectrum.
-
-def count_at_least(rising: Sequence[float], c: float) -> int:
-    """The number of eigenvalues >= c - INT_TOL."""
-    return len(rising) - bisect_left(rising, c - INT_TOL)
-
-
-def multiplicity(rising: Sequence[float], c: float) -> int:
-    """The number of eigenvalues within INT_TOL of c."""
-    window = rising[bisect_left(rising, c - INT_TOL):bisect_right(rising, c + INT_TOL)]
-    return len([v for v in window if abs(v - c) <= INT_TOL])
 
 
 def counts_at_least(values: np.ndarray, c) -> np.ndarray:

@@ -120,9 +120,9 @@ def complement_component_count(g: Graph) -> int:
     return len(_component_masks(_complement_masks(g.adj)))
 
 
-def complement_component_counts(adjacency: np.ndarray) -> list[int]:
+def complement_component_counts(adjacency: np.ndarray) -> np.ndarray:
     """complement_component_count of each graph of a (B, n, n) boolean
-    adjacency stack, for the whole stack at once.
+    adjacency stack, as a (B,) int64 column, for the whole stack at once.
 
     The complement with a loop at every vertex is squared (boolean matrix
     products, each a float32 matmul thresholded at > 0, exact since every
@@ -137,4 +137,4 @@ def complement_component_counts(adjacency: np.ndarray) -> list[int]:
         square = reach.astype(np.float32)
         reach = square @ square > 0
     lower = np.triu(np.ones((n, n), dtype=bool), 1)  # lower[u, v]: u < v
-    return (~(reach & lower).any(axis=1)).sum(axis=1).tolist()
+    return (~(reach & lower).any(axis=1)).sum(axis=1)

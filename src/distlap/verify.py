@@ -22,17 +22,18 @@ shape's verdicts.
 run_checks_many, the claim table, runs the same checkers once on a stack's
 columns and decides the stack into one StackReports value. A shape's keys
 come from the labels and reasons the checkers pass to it. The table calls
-analyze on a graph of the stack alone, which reads the per-graph kernels,
-not the stack's, and decides it by run_checks: the first graph of each new
-shape, as a cross-check of its keys, slacks and block counts, and every
-graph with a failed claim or a non-finite slack, so witnesses have one
-implementation. A new shape that differs, or a graph the table fails and
-run_checks does not, raises RuntimeError. A passing graph keeps its shape,
-its slice of the stack's flat slack array and its Head; nothing is built
-per graph. From that one value, StackReports.jsonl writes the stack's
-records with one join (each passing graph by its shape's plan, the same
-plan report_jsonl uses), tallies() counts verdict tuples once per shape,
-and reports() builds the CheckReports only when asked (tests, CSV).
+analyze on a graph of the stack alone, which reads the per-graph coloring,
+class size, twin and complement kernels, not the stack's, and decides it
+by run_checks: the first graph of each new shape, as a cross-check of its
+keys, slacks and block counts, and every graph with a failed claim or a
+non-finite slack, so witnesses have one implementation. A new shape that
+differs, or a graph the table fails and run_checks does not, raises
+RuntimeError. A passing graph keeps its shape, its slice of the stack's
+flat slack array and its Head; nothing is built per graph. From that one
+value, StackReports.jsonl writes the stack's records with one join (each
+passing graph by its shape's plan, the same plan report_jsonl uses),
+tallies() counts verdict tuples once per shape, and reports() builds the
+CheckReports only when asked (tests, CSV).
 
 sweep yields one fold per stack, computed in the worker when there is a
 pool. One graph alone (verify, analyze, tables) is analyzed by analyze and
@@ -57,16 +58,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from distlap.analysis import FACTS, AnalysisStack, GraphAnalysis, Head
+from distlap.analysis import AnalysisStack, GraphAnalysis, Head
 from distlap.coloring import greedy_starts, max_ell1_colors, optimal_colors
-from distlap.eigen import (
-    INT_TOL,
-    count_at_least,
-    counts_at_least,
-    eig_symmetric,
-    multiplicities,
-    multiplicity,
-)
+from distlap.eigen import INT_TOL, counts_at_least, eig_symmetric, multiplicities
 from distlap.graphs import MAX_VERTICES, Graph, is_complete_multipartite, parse_graph6, to_graph6
 from distlap.metric import distance_laplacian, distance_stack
 from distlap.twins import (
@@ -100,8 +94,8 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     ones in the color array. The class sizes are each row's sorted bincount
     of colors, and every spectral count is one comparison of the spectra
     with a threshold column (counts_at_least, multiplicities); nothing else
-    is computed per graph. The integer facts are named columns, stacked in
-    FACTS order. The stack keeps no colors, and no GraphAnalysis:
+    is computed per graph. The integer facts are int64 columns, keyed by
+    their names in FACTS. The stack keeps no colors, and no GraphAnalysis:
     analyze(graphs[i], coloring_mode) is graph i's. coloring_mode
     "max-l1" uses an optimal coloring with the largest possible first class
     (guarded to n <= 16) instead of the default optimal coloring. A
@@ -131,12 +125,11 @@ def analyze_many(graphs: Sequence[Graph], coloring_mode: str = "default") -> Ana
     m_ge_b = counts_at_least(values, n + ceil_n_chi)
     ell = sizes[:, :n // 2]
     block_counts = np.where(ell >= 2, counts_at_least(values[:, None], n + ell), 0)
-    columns = {"chi": chi, "b_chi": n + ceil_n_chi, "ceil_n_chi": ceil_n_chi,
-               "diameter": dist.max(axis=(1, 2)), "m": degrees.sum(axis=1) // 2,
-               "m_ge_b": m_ge_b, "mu_below_b": n - m_ge_b, "mu_at_n": multiplicities(values, n),
-               "complement_components": complement_component_counts(adjacency),
-               "universal_vertices": (degrees == n - 1).sum(axis=1)}
-    facts = np.stack([columns[name] for name in FACTS], axis=1).astype(np.int64, copy=False)
+    facts = {"chi": chi, "b_chi": n + ceil_n_chi, "ceil_n_chi": ceil_n_chi,
+             "diameter": dist.max(axis=(1, 2)), "m": degrees.sum(axis=1) // 2,
+             "m_ge_b": m_ge_b, "mu_below_b": n - m_ge_b, "mu_at_n": multiplicities(values, n),
+             "complement_components": complement_component_counts(adjacency),
+             "universal_vertices": (degrees == n - 1).sum(axis=1)}
     return AnalysisStack(graphs, coloring_mode, values, facts, sizes, block_counts, twins,
                          multiplicities(values[twins.graph], twins.forced_value))
 
@@ -149,34 +142,34 @@ def analyze(g: Graph, coloring_mode: str = "default") -> GraphAnalysis:
     On one graph a stack's columns cost more numpy calls than they save, so
     the facts are read from Python lists: m and the universal-vertex count
     from the bit counts of the adjacency masks, the twin classes from dicts
-    of the masks (twin_classes), and the spectral counts by bisecting the
-    spectrum at each threshold (count_at_least, multiplicity), which makes
-    the comparisons the columns make. The coloring, its greedy start and
-    the complement component count are per-graph too, and the class sizes
-    are counted from the colors; the distances and the spectrum come from
-    the same kernels as a stack's.
+    of the masks (twin_classes). The coloring, its greedy start and the
+    complement component count are per-graph too, and the class sizes are
+    counted from the colors. The distances, the spectrum and the spectral
+    counts come from the same kernels as a stack's: one counts_at_least of
+    the spectrum at b_chi and every n + ell_j, and one multiplicities at n
+    and every twin class's forced value.
     """
     color = _color(coloring_mode)
     n = g.n
     dist = distance_stack([g])
-    spectrum = eig_symmetric(distance_laplacian(dist))[0].tolist()
+    values = eig_symmetric(distance_laplacian(dist))[0]
     transmissions = dist[0].sum(axis=1).tolist()
     twins = twin_classes(g, transmissions)
     colors = color(g)
     sizes = tuple(sorted(Counter(colors).values(), reverse=True))
     degrees = [mask.bit_count() for mask in g.adj]
-    rising = spectrum[::-1]
-    # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
-    # and the twin classes' forced values by multiplicity
     chi = len(sizes)
     ceil_n_chi = -(-n // chi)
-    m_ge_b = count_at_least(rising, n + ceil_n_chi)
+    # b_chi and n + ell_j (classes of size >= 2) are counted from above, n
+    # and the twin classes' forced values by multiplicity
+    m_ge_b, *block_counts = counts_at_least(
+        values, [n + ceil_n_chi, *[n + s for s in sizes if s >= 2]]).tolist()
+    mu_at_n, *twin_mults = multiplicities(values, [n, *[t.forced_value for t in twins]]).tolist()
     return GraphAnalysis(  # positionally, in field order
         g, to_graph6(g), n, sum(degrees) // 2, chi, n + ceil_n_chi, ceil_n_chi, int(dist.max()),
-        sum(transmissions) // 2, spectrum, colors, sizes, twins, complement_component_count(g),
-        degrees.count(n - 1), m_ge_b, n - m_ge_b,
-        tuple([count_at_least(rising, n + s) for s in sizes if s >= 2]),
-        multiplicity(rising, n), tuple([multiplicity(rising, t.forced_value) for t in twins]))
+        sum(transmissions) // 2, values.tolist(), colors, sizes, twins,
+        complement_component_count(g), degrees.count(n - 1), m_ge_b, n - m_ge_b,
+        tuple(block_counts), mu_at_n, tuple(twin_mults))
 
 
 class CheckResult(NamedTuple):
@@ -216,21 +209,19 @@ class CheckReport:
     Python float, in label order, and `failed` holds (check position,
     violation entry) for each claim that does not hold. A tuple of `keys` is
     the report's record shape, which fixes its record text up to the slacks;
-    the reports the claim table builds share their shape's keys tuple. `head`
-    is the graph's Head, what its records and the extremal audit read.
+    the reports the claim table builds share their shape's keys tuple, which
+    its plan holds. `head` is the graph's Head, what its records and the
+    extremal audit read.
     """
 
     __slots__ = ("head", "keys", "slacks", "failed", "_results", "_plan")
 
-    def __init__(self, head: Head, keys: Sequence = (), plan: _Plan | None = None,
-                 slacks: Sequence[float] = ()):
+    def __init__(self, head: Head, plan: _Plan | None = None, slacks: Sequence[float] = ()):
         """A report of the graph of `head`: empty, for run_checks to fill, or
-        a passing report of the claim table with its shape's keys tuple and
-        _record_plan, and its slacks."""
-        self.head = head
-        self.keys, self.slacks, self.failed = keys or [], slacks or [], []
-        self._results = None
-        self._plan = plan
+        a passing report of the claim table with its shape's _record_plan,
+        whose keys it shares, and its slacks."""
+        self.head, self._plan, self._results = head, plan, None
+        self.keys, self.slacks, self.failed = plan.keys if plan else [], slacks or [], []
 
     def begin(self, check_id: str) -> None:
         self.keys += (None, check_id)
@@ -489,8 +480,8 @@ class _ClaimColumns:
         self.holds.append(holds)
 
 
-# (claim layout, packed gate and claim bits) -> (keys, _record_plan) of each shape met
-_SHAPES: dict[tuple[int, bytes], tuple[tuple, _Plan]] = {}
+# (claim layout, packed gate and claim bits) -> the _record_plan of each shape met
+_SHAPES: dict[tuple[int, bytes], _Plan] = {}
 # the steps of each claim layout met (one per order n, while CHECKS stays), numbered
 _LAYOUTS: dict[tuple, int] = {}
 
@@ -502,7 +493,7 @@ class StackReports:
     columns and built into reports only when asked for.
 
     `heads` holds each row's Head. `shape_of` holds each row's shape, an
-    index into `shapes`, whose entries are (keys tuple, _record_plan) and
+    index into `shapes`, whose entries are the shapes' _record_plans, and
     `counts` the number of rows of each; it is -1 for a row that run_checks
     decides alone (a failed claim or a non-finite slack), whose report
     `alone` keeps by row. `slacks` is the flat float64 array of every row's
@@ -510,7 +501,7 @@ class StackReports:
     """
 
     heads: list[Head]
-    shapes: list[tuple[tuple, _Plan]]
+    shapes: list[_Plan]
     shape_of: list[int]
     counts: list[int]
     slacks: np.ndarray
@@ -520,7 +511,7 @@ class StackReports:
     def reports(self) -> list[CheckReport]:
         """The CheckReport of each row, in order."""
         slacks, bounds, shapes, alone = self.slacks.tolist(), self.bounds, self.shapes, self.alone
-        return [alone[i] if k < 0 else CheckReport(head, *shapes[k], slacks[bounds[i]:bounds[i + 1]])
+        return [alone[i] if k < 0 else CheckReport(head, shapes[k], slacks[bounds[i]:bounds[i + 1]])
                 for i, (k, head) in enumerate(zip(self.shape_of, self.heads))]
 
     def jsonl(self) -> str:
@@ -532,14 +523,14 @@ class StackReports:
             if k < 0:
                 parts.append(report_jsonl(self.alone[i]))
             else:
-                parts += _record_parts(shapes[k][1], head, texts[bounds[i]:bounds[i + 1]])
+                parts += _record_parts(shapes[k], head, texts[bounds[i]:bounds[i + 1]])
         return "".join(parts)
 
     def tallies(self) -> Counter:
         """The number of rows with each verdict tuple (CHECKS order): one count
         per shape, and one per row decided alone."""
         tally = Counter()
-        for (_, plan), count in zip(self.shapes, self.counts):
+        for plan, count in zip(self.shapes, self.counts):
             tally[plan.verdicts] += count
         tally.update(report.verdicts for report in self.alone.values())
         return tally
@@ -592,14 +583,18 @@ def _disagreement(a: GraphAnalysis | Head) -> RuntimeError:
 
 
 def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack: AnalysisStack,
-           i: int, slacks: list[float]) -> tuple[tuple, _Plan]:
-    """The keys and _record_plan of the shape `key` of graph i of the
-    stack, a passing graph whose gate and claim bits in `table` are `bits`
-    and whose slacks are `slacks`. A new shape's keys are read from the
-    table's steps and checked against run_checks on analyze of graph i
-    alone, and its block counts against the analysis's: the one column that
-    reaches a verdict only through `holds`, so no slack or key shows it.
-    _SHAPES keeps the TEMPLATE_SHAPES shapes last added."""
+           i: int, slacks: list[float]) -> _Plan:
+    """The _record_plan of the shape `key` of graph i of the stack, a
+    passing graph whose gate and claim bits in `table` are `bits` and whose
+    slacks are `slacks`. A new shape's keys are read from the table's steps
+    and checked against run_checks on analyze of graph i alone, and its
+    block counts against the analysis's: the one column that reaches a
+    verdict only through `holds`, so no slack or key shows it. Both count
+    with the same counts_at_least and multiplicities, so the check compares
+    what the counts rest on: the stacked greedy start, bincount class sizes,
+    twin table and complement component counts against the per-graph
+    coloring, class sizes, twin classes and count. _SHAPES keeps the
+    TEMPLATE_SHAPES shapes last added."""
     if key not in _SHAPES:
         bits, a = bits.tolist(), analyze(stack.graphs[i], stack.coloring_mode)
         keys = tuple([k for step, at in table.steps if at is None or bits[at] for k in step])
@@ -610,7 +605,7 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
             raise _disagreement(a)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
-        _SHAPES[key] = keys, _record_plan(keys)
+        _SHAPES[key] = _record_plan(keys)
     return _SHAPES[key]
 
 
@@ -751,9 +746,11 @@ TEMPLATE_SHAPES = 1024  # report shapes kept; n = 8 has 263 over both coloring m
 
 class _Plan(NamedTuple):
     """How a report of one shape with no failed claim writes its records:
-    `pick` takes the record text, in order, from [*slack texts, b_chi text,
-    graph text, *pieces], and `verdicts` are the report's verdicts."""
+    `keys` is the shape, `pick` takes the record text, in order, from
+    [*slack texts, b_chi text, graph text, *pieces], and `verdicts` are the
+    report's verdicts."""
 
+    keys: tuple
     pieces: tuple[str, ...]
     pick: Callable[[list[str]], tuple[str, ...]]
     verdicts: tuple[str, ...]
@@ -788,7 +785,7 @@ def _record_plan(shape: tuple) -> _Plan:
             order.append(b_chi + 2 + len(pieces))
             pieces.append(sys.intern("".join(run)))
     pick = operator.itemgetter(*order) if order else lambda values: ()  # no check, no record
-    return _Plan(tuple(pieces), pick, tuple(verdicts))
+    return _Plan(shape, tuple(pieces), pick, tuple(verdicts))
 
 
 def _record_parts(plan: _Plan, head: Head, texts: list[str]) -> tuple[str, ...]:

@@ -153,12 +153,15 @@ def assert_columns_match_analyze(stack: AnalysisStack, mode: str = "default",
     and block counts padded with 0, the twin table entries (table_entries),
     their order by graph and the multiplicities of their forced values."""
     n = stack.n
+    assert list(stack.facts) == list(FACTS)
+    assert {column.dtype for column in stack.facts.values()} == {np.dtype(np.int64)}
     if analyses is None:
         analyses = [analyze(g, mode) for g in stack.graphs]
     for i, (g, a) in enumerate(zip(stack.graphs, analyses, strict=True)):
         assert a.graph == g, a.graph6
         assert stack.values[i].tobytes() == np.array(a.values).tobytes(), a.graph6
-        assert stack.facts[i].tolist() == [getattr(a, name) for name in FACTS], a.graph6
+        assert [stack.facts[name][i] for name in FACTS] == [
+            getattr(a, name) for name in FACTS], a.graph6
         assert stack.sizes[i].tolist() == [*a.sizes, *[0] * (n - a.chi)], a.graph6
         assert stack.block_counts[i].tolist() == [
             *a.block_counts, *[0] * (n // 2 - len(a.block_counts))], a.graph6
@@ -189,7 +192,7 @@ def stack_of(analyses: Sequence[GraphAnalysis]) -> AnalysisStack:
     return AnalysisStack(
         [Graph(n, a.graph.adj) for a in analyses], "default",
         np.array([a.values for a in analyses], dtype=np.float64),
-        np.array([[getattr(a, name) for name in FACTS] for a in analyses], dtype=np.int64),
+        {name: np.array([getattr(a, name) for a in analyses], dtype=np.int64) for name in FACTS},
         padded[0], padded[1, :, :n // 2], twins,
         np.array([mult for _, _, mult in classes], dtype=np.int64))
 

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlap.eigen import (
-    INT_TOL,
-    cluster_values,
-    count_at_least,
-    counts_at_least,
-    eig_symmetric,
-    multiplicities,
-    multiplicity,
-)
+from distlap.coloring import _maximal_independent_sets
+from distlap.eigen import INT_TOL, cluster_values, counts_at_least, eig_symmetric, multiplicities
 from distlap.graphs import (
     gen_comp_s62,
     gen_complete,
@@ -24,7 +17,7 @@ from distlap.graphs import (
     is_connected,
 )
 from distlap.metric import distance_laplacian, distance_stack
-from distlap.verify import analyze
+from distlap.verify import analyze, run_checks
 from helpers import (
     dl_spectra,
     multipartite_spectrum_closed_form,
@@ -122,82 +115,69 @@ def test_closed_form_matches_numeric_sample():
 
 
 # ---------------------------------------------------------------------------
-# threshold counts, one spectrum (nondecreasing) and one threshold per call
+# threshold counts, of one spectrum or of a stack, at one or more thresholds
 # ---------------------------------------------------------------------------
 
 def test_count_at_least_examples():
-    sp = analyze(gen_complete_multipartite([4, 4, 2])).values[::-1]  # 14 (x6), 12, 10, 10, 0
-    assert [count_at_least(sp, c) for c in (14, 12, 11, 0)] == [6, 7, 7, 10]
+    sp = np.array(analyze(gen_complete_multipartite([4, 4, 2])).values)  # 14 (x6), 12, 10, 10, 0
+    assert counts_at_least(sp, [14, 12, 11, 0]).tolist() == [6, 7, 7, 10]
 
-    sp8 = analyze(gen_path(8)).values[::-1]
-    assert [count_at_least(sp8, c) for c in (12, 38)] == [7, 1]
+    sp8 = np.array(analyze(gen_path(8)).values)
+    assert counts_at_least(sp8, [12, 38]).tolist() == [7, 1]
 
 
 def test_count_at_least_above_the_spectral_radius():
-    sp = analyze(gen_complete(5)).values[::-1]
+    sp = np.array(analyze(gen_complete(5)).values)
     # b_chi = 6 lies above the spectral radius 5: nothing reaches it
-    assert [count_at_least(sp, c) for c in (6, 5)] == [0, 4]
+    assert counts_at_least(sp, [6, 5]).tolist() == [0, 4]
 
 
 def test_multiplicity_examples():
-    sp = analyze(gen_complete_multipartite([3, 5])).values[::-1]  # 13 (x4), 11, 11, 8, 0
-    assert [multiplicity(sp, c) for c in (8, 13, 12, 0)] == [1, 4, 0, 1]
+    sp = np.array(analyze(gen_complete_multipartite([3, 5])).values)  # 13 (x4), 11, 11, 8, 0
+    assert multiplicities(sp, [8, 13, 12, 0]).tolist() == [1, 4, 0, 1]
 
 
 def test_counts_snap_within_int_tol():
-    rising = [0.0, 10 - 2 * INT_TOL, 10 - INT_TOL / 2, 10 + INT_TOL / 2]
-    assert [count_at_least(rising, c) for c in (10, 11, 0)] == [2, 0, 4]
-    assert [multiplicity(rising, c) for c in (10, 11, 0)] == [2, 0, 1]
+    values = np.array([10 + INT_TOL / 2, 10 - INT_TOL / 2, 10 - 2 * INT_TOL, 0.0])
+    assert counts_at_least(values, [10, 11, 0]).tolist() == [2, 0, 4]
+    assert multiplicities(values, [10, 11, 0]).tolist() == [2, 0, 1]
 
 
 @pytest.mark.parametrize("c", [0, 12])
 def test_counts_at_the_tolerance_boundary(c):
     # eigenvalues exactly at c - INT_TOL and c + INT_TOL and one float step to
-    # either side of each, in every combination: each bisected count makes the
-    # comparisons the whole-spectrum formulas below make
+    # either side of each, in every combination: each combination is counted
+    # as one spectrum alone and as one row of a stack (filled up with
+    # c - 1.0, which neither count takes), against a threshold column and a
+    # (B, 3) threshold matrix, and every count equals the count of the
+    # comparisons written out here, eigenvalue by eigenvalue
     lo, hi = c - INT_TOL, c + INT_TOL
     edges = [e for x in (lo, hi)
              for e in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
-    far = [c - 1.0, c + 1.0]
-    for r in range(len(edges) + 1):
-        for chosen in itertools.combinations(edges, r):
-            rising = sorted([*far, c, *chosen])
-            values = np.array(rising)
-            assert count_at_least(rising, c) == int((values >= float(c) - INT_TOL).sum())
-            assert multiplicity(rising, c) == int((np.abs(values - c) <= INT_TOL).sum())
-    # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
-    assert count_at_least([math.nextafter(lo, -math.inf)], c) == 0
-    assert count_at_least([lo], c) == 1
+    far, thresholds = [c - 1.0, c + 1.0], [c, c - 1, c + 1]
 
+    def counted(spectrum):  # (counts from above, multiplicities) at each threshold
+        return ([sum(v >= t - INT_TOL for v in spectrum) for t in thresholds],
+                [sum(abs(v - t) <= INT_TOL for v in spectrum) for t in thresholds])
 
-@pytest.mark.parametrize("c", [0, 12])
-def test_column_counts_at_the_tolerance_boundary(c):
-    # the column form of the test above: every combination of the same
-    # boundary eigenvalues is one row of a stack (filled up with c - 1.0, which
-    # neither count takes), counted at once against a threshold column and
-    # against a (B, 3) threshold matrix, and each row equals the bisected
-    # counts of its spectrum alone
-    lo, hi = c - INT_TOL, c + INT_TOL
-    edges = [e for x in (lo, hi)
-             for e in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
-    far = [c - 1.0, c + 1.0]
     rows = []
     for r in range(len(edges) + 1):
         for chosen in itertools.combinations(edges, r):
-            row = [*far, c, *chosen] + [c - 1.0] * (len(edges) - r)
-            rows.append(sorted(row, reverse=True))  # nonincreasing, as a spectrum
+            spectrum = sorted([*far, c, *chosen], reverse=True)
+            alone = np.array(spectrum)
+            assert (counts_at_least(alone, thresholds).tolist(),
+                    multiplicities(alone, thresholds).tolist()) == counted(spectrum)
+            rows.append(spectrum + [c - 1.0] * (len(edges) - r))
     values = np.array(rows)
     assert values.shape == (2 ** len(edges), len(far) + 1 + len(edges))
-    risings = [row[::-1] for row in rows]
+    at_least, near = (list(counts) for counts in zip(*map(counted, rows)))
     column = np.full(len(rows), c)
-    assert counts_at_least(values, column).tolist() == [count_at_least(r, c) for r in risings]
-    assert multiplicities(values, column).tolist() == [multiplicity(r, c) for r in risings]
-    assert multiplicities(values, c).tolist() == [multiplicity(r, c) for r in risings]
-    thresholds = np.array([[c, c - 1, c + 1]] * len(rows))
-    assert counts_at_least(values[:, None], thresholds).tolist() == [
-        [count_at_least(r, t) for t in (c, c - 1, c + 1)] for r in risings]
-    assert multiplicities(values[:, None], thresholds).tolist() == [
-        [multiplicity(r, t) for t in (c, c - 1, c + 1)] for r in risings]
+    assert counts_at_least(values, column).tolist() == [row[0] for row in at_least]
+    assert multiplicities(values, column).tolist() == [row[0] for row in near]
+    assert multiplicities(values, c).tolist() == [row[0] for row in near]
+    matrix = np.array([thresholds] * len(rows))
+    assert counts_at_least(values[:, None], matrix).tolist() == at_least
+    assert multiplicities(values[:, None], matrix).tolist() == near
     # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
     assert counts_at_least(np.array([[math.nextafter(lo, -math.inf)], [lo]]), c).tolist() == [0, 1]
 
@@ -215,7 +195,7 @@ def test_count_at_b_chi_on_multipartite(parts):
     sp = multipartite_spectrum_closed_form(parts)
     n = sum(parts)
     ceil_n_k = -(-n // len(parts))
-    assert count_at_least(sp.tolist()[::-1], n + ceil_n_k) == sum(
+    assert counts_at_least(sp, n + ceil_n_k) == sum(
         p - 1 for p in parts if p >= ceil_n_k)
 
 
@@ -226,8 +206,8 @@ def test_count_at_b_chi_on_multipartite(parts):
 def test_spectral_sanity_small_corpus(corpus_analyses):
     for n in range(1, 7):
         for a in corpus_analyses[n]:
-            assert multiplicity(a.values[::-1], 0) == 1  # simple zero
             vals = np.array(a.values)
+            assert multiplicities(vals, 0) == 1  # simple zero
             assert vals.min() >= -1e-6                       # PSD
             assert abs(vals.sum() - 2 * a.wiener) <= n * 1e-6
             assert sum(m for _, m in cluster_values(vals)) == n
@@ -242,3 +222,62 @@ def test_edge_deletion_monotonicity_sample():
         base, *spectra = dl_spectra([g, *deleted])
         for vals in spectra:
             assert (vals >= base - 1e-8).all()
+
+
+# ---------------------------------------------------------------------------
+# domination by the complete multipartite graph of a coloring
+# ---------------------------------------------------------------------------
+# For a proper coloring P of a connected graph G, G is a subgraph of the
+# complete multipartite graph K_P on P's classes, and d_G(u, v) >= d_K_P(u, v)
+# for every pair (1 across classes, 2 within one). DL(G) - DL(K_P) is the sum
+# of the edge Laplacians L_uv weighted by d_G - d_K_P >= 0, so it is positive
+# semidefinite, and by Weyl lambda_i(G) >= lambda_i(K_P) for every i. The
+# gaps sum to the trace difference 2(W(G) - W(K_P)), W(K_P) = C(n, 2) +
+# sum_j C(l_j, 2). Every check takes delta = 1e-9 * n; a violation is a fault
+# of the program (its coloring, spectrum or Wiener index), never a reason to
+# widen delta.
+
+def assert_dominated(a):
+    """The spectrum of `a` dominates that of K_P, and the gaps sum to twice
+    the Wiener gap, for P the program's coloring and, where n <= 16, for
+    P = {a maximum independent set, singletons}."""
+    delta = 1e-9 * a.n
+    partitions = [a.sizes]
+    if a.n <= 16:
+        alpha = max(mask.bit_count() for mask in _maximal_independent_sets(a.graph.adj, 1))
+        partitions.append([alpha, *[1] * (a.n - alpha)])
+    for parts in partitions:
+        gaps = np.array(a.values) - multipartite_spectrum_closed_form(parts)
+        wiener_k_p = math.comb(a.n, 2) + sum(math.comb(size, 2) for size in parts)
+        assert gaps.min() >= -delta, (a.graph6, parts, gaps.min())
+        assert abs(gaps.sum() - 2 * (a.wiener - wiener_k_p)) <= delta * a.n, (a.graph6, parts)
+
+
+def test_spectrum_dominates_the_complete_multipartite_graph_of_a_coloring(mode_corpus_analyses):
+    # every connected graph with 2 <= n <= 7 in both coloring modes, then 40
+    # seeded sparse connected graphs with n 9..64 (density <= 0.3; max-l1 too
+    # where n <= 16); about 0.4 s
+    for mode in ("default", "max-l1"):
+        for n in range(2, 8):
+            for a in mode_corpus_analyses[mode, n]:
+                assert_dominated(a)
+    rng = random.Random(18)
+    for _ in range(40):
+        g = random_connected_graph(rng, 9, 64, 0.05, 0.3)
+        for mode in ("default", "max-l1")[:1 + (g.n <= 16)]:
+            assert_dominated(analyze(g, mode))
+
+
+def test_complete_multipartite_graphs_meet_every_block_bound_exactly():
+    # on K_P itself the domination is equality: every block_j slack is 0
+    # within delta = 1e-9 * n, and every claim holds
+    rng = random.Random(180)
+    for _ in range(60):
+        n = rng.randint(2, 64)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 12))))
+        report = run_checks(analyze(gen_complete_multipartite(
+            [b - a for a, b in zip([0, *cuts], [*cuts, n])])))
+        assert report.ok, report.head.graph6
+        blocks = {label: slack for r in report.results if r.check_id == "color_majorization"
+                  for label, slack in r.slack.items()}
+        assert all(abs(slack) <= 1e-9 * n for slack in blocks.values()), (report.head, blocks)
