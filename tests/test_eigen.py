@@ -143,34 +143,49 @@ def test_counts_snap_within_int_tol():
     assert multiplicities(values, [10, 11, 0]).tolist() == [2, 0, 1]
 
 
-@pytest.mark.parametrize("c", [0, 12])
-def test_counts_at_the_tolerance_boundary(c):
+def _boundary_spectra(c):
     # eigenvalues exactly at c - INT_TOL and c + INT_TOL and one float step to
-    # either side of each, in every combination: each combination is counted
-    # as one spectrum alone and as one row of a stack (filled up with
-    # c - 1.0, which neither count takes), against a threshold column and a
-    # (B, 3) threshold matrix, and every count equals the count of the
-    # comparisons written out here, eigenvalue by eigenvalue
-    lo, hi = c - INT_TOL, c + INT_TOL
-    edges = [e for x in (lo, hi)
+    # either side of each, in every combination, beside c and two far values;
+    # each spectrum is nonincreasing, and the number of edge values it left out
+    edges = [e for x in (c - INT_TOL, c + INT_TOL)
              for e in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
-    far, thresholds = [c - 1.0, c + 1.0], [c, c - 1, c + 1]
-
-    def counted(spectrum):  # (counts from above, multiplicities) at each threshold
-        return ([sum(v >= t - INT_TOL for v in spectrum) for t in thresholds],
-                [sum(abs(v - t) <= INT_TOL for v in spectrum) for t in thresholds])
-
-    rows = []
     for r in range(len(edges) + 1):
         for chosen in itertools.combinations(edges, r):
-            spectrum = sorted([*far, c, *chosen], reverse=True)
-            alone = np.array(spectrum)
-            assert (counts_at_least(alone, thresholds).tolist(),
-                    multiplicities(alone, thresholds).tolist()) == counted(spectrum)
-            rows.append(spectrum + [c - 1.0] * (len(edges) - r))
+            yield sorted([c - 1.0, c + 1.0, c, *chosen], reverse=True), len(edges) - r
+
+
+def _counted(spectrum, thresholds):
+    # (counts from above, multiplicities) at each threshold, the comparisons
+    # written out eigenvalue by eigenvalue
+    return ([sum(v >= t - INT_TOL for v in spectrum) for t in thresholds],
+            [sum(abs(v - t) <= INT_TOL for v in spectrum) for t in thresholds])
+
+
+@pytest.mark.parametrize("c", [0, 12])
+def test_counts_at_the_tolerance_boundary(c):
+    # every boundary spectrum counted alone equals the comparisons written out
+    thresholds = [c, c - 1, c + 1]
+    for spectrum, _ in _boundary_spectra(c):
+        alone = np.array(spectrum)
+        assert (counts_at_least(alone, thresholds).tolist(),
+                multiplicities(alone, thresholds).tolist()) == _counted(spectrum, thresholds)
+    # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
+    lo = c - INT_TOL
+    assert counts_at_least(np.array([math.nextafter(lo, -math.inf)]), [c]).tolist() == [0]
+    assert counts_at_least(np.array([lo]), [c]).tolist() == [1]
+
+
+@pytest.mark.parametrize("c", [0, 12])
+def test_column_counts_at_the_tolerance_boundary(c):
+    # the column form of the test above: every boundary spectrum is one row of
+    # a stack (filled up with c - 1.0, which neither count takes), counted at
+    # once against a threshold column and against a (B, 3) threshold matrix,
+    # and each row equals the comparisons written out for its spectrum
+    thresholds = [c, c - 1, c + 1]
+    rows = [spectrum + [c - 1.0] * fill for spectrum, fill in _boundary_spectra(c)]
     values = np.array(rows)
-    assert values.shape == (2 ** len(edges), len(far) + 1 + len(edges))
-    at_least, near = (list(counts) for counts in zip(*map(counted, rows)))
+    assert values.shape == (2 ** 6, 3 + 6)
+    at_least, near = (list(counts) for counts in zip(*(_counted(r, thresholds) for r in rows)))
     column = np.full(len(rows), c)
     assert counts_at_least(values, column).tolist() == [row[0] for row in at_least]
     assert multiplicities(values, column).tolist() == [row[0] for row in near]
@@ -179,6 +194,7 @@ def test_counts_at_the_tolerance_boundary(c):
     assert counts_at_least(values[:, None], matrix).tolist() == at_least
     assert multiplicities(values[:, None], matrix).tolist() == near
     # the step below c - INT_TOL is not counted from above, and c - INT_TOL is
+    lo = c - INT_TOL
     assert counts_at_least(np.array([[math.nextafter(lo, -math.inf)], [lo]]), c).tolist() == [0, 1]
 
 
