@@ -10,23 +10,23 @@ where `when` holds: its slack is lhs - rhs in the inequality's stated
 orientation (slack 0 marks a tight bound), and `holds` is exact.
 
 run_checks is the reference way a check is decided: it runs the checkers on
-one GraphAnalysis into a CheckReport, which keeps each claim's label and
-slack, and for a claim that fails its lhs, rhs and twin class members. A
-report's CheckResults are read from its claims when asked for (pretty
-verify, CSV, failing graphs). A report with no failed claim writes its JSON
-records by the cached plan of its shape (its check ids, reasons and labels):
-the static text between two values, and one itemgetter that puts the text
-and the values in record order for one join. The plan also holds the
-shape's verdicts.
+one GraphAnalysis into a CheckReport. A report's shape is one (check id,
+reason, labels) entry per check; the report also keeps each claim's slack,
+and for a claim that fails its lhs, rhs and twin class members. A report's
+CheckResults are read from its entries when asked for (pretty verify, CSV,
+failing graphs). A report with no failed claim writes its JSON records by
+the cached plan of its shape: the static text between two values, and one
+itemgetter that puts the text and the values in record order for one join.
+The plan also holds the shape's verdicts.
 
 run_checks_many, the claim table, runs the same checkers once on a stack's
-columns and decides the stack into one StackReports value. A shape's keys
-come from the labels and reasons the checkers pass to it. The table calls
-analyze on a graph of the stack alone, which reads the per-graph coloring,
-class size, twin and complement kernels, not the stack's, and decides it
-by run_checks: the first graph of each new shape, as a cross-check of its
-keys, slacks and block counts, and every graph with a failed claim or a
-non-finite slack, so witnesses have one implementation. A new shape that
+columns and decides the stack into one StackReports value. A shape's
+entries come from the labels and reasons the checkers pass to it. The
+table calls analyze on a graph of the stack alone, which reads the
+per-graph coloring, class size, twin and complement kernels, not the
+stack's, and decides it by run_checks: the first graph of each new shape,
+as a cross-check of its entries, slacks and block counts, and every graph
+with a failed claim or a non-finite slack, so witnesses have one implementation. A new shape that
 differs, or a graph the table fails and run_checks does not, raises
 RuntimeError. A passing graph keeps its shape, its slice of the stack's
 flat slack array and its Head; nothing is built per graph. From that one
@@ -203,34 +203,35 @@ class CheckReport:
     """One graph's claims, in check order, as run_checks has its checkers
     append them, and the results and verdicts read from them.
 
-    `keys` holds, for each check in turn, None and the check id, then False
-    and the reason if the check's hypothesis fails, then the label of each
-    claim the check makes. `slacks` holds each claim's slack lhs - rhs as a
-    Python float, in label order, and `failed` holds (check position,
-    violation entry) for each claim that does not hold. A tuple of `keys` is
-    the report's record shape, which fixes its record text up to the slacks;
-    the reports the claim table builds share their shape's keys tuple, which
-    its plan holds. `head` is the graph's Head, what its records and the
-    extremal audit read.
+    `checks` holds one (check id, reason, labels) entry per check: the
+    reason is None unless the check's hypothesis fails, and labels is the
+    tuple of the claims it makes, in order. `slacks` holds each claim's
+    slack lhs - rhs as a Python float, in label order, and `failed` holds
+    (check position, violation entry) for each claim that does not hold. A
+    tuple of `checks` is the report's record shape, which fixes its record
+    text up to the slacks; the reports the claim table builds share their
+    shape's tuple, which its plan holds. `head` is the graph's Head, what
+    its records and the extremal audit read.
     """
 
-    __slots__ = ("head", "keys", "slacks", "failed", "_results", "_plan")
+    __slots__ = ("head", "checks", "slacks", "failed", "_results", "_plan")
 
     def __init__(self, head: Head, plan: _Plan | None = None, slacks: Sequence[float] = ()):
         """A report of the graph of `head`: empty, for run_checks to fill, or
         a passing report of the claim table with its shape's _record_plan,
-        whose keys it shares, and its slacks."""
+        whose shape it shares, and its slacks."""
         self.head, self._plan, self._results = head, plan, None
-        self.keys, self.slacks, self.failed = plan.keys if plan else [], slacks or [], []
+        self.checks, self.slacks, self.failed = plan.shape if plan else [], slacks or [], []
 
     def begin(self, check_id: str) -> None:
-        self.keys += (None, check_id)
+        self.checks.append((check_id, None, ()))
 
     def gate(self, reason: str, cond: bool) -> bool:
         """Mark the check begun last not applicable for `reason` if cond holds,
         and return cond: the check then makes no claim."""
         if cond:
-            self.keys += (False, reason)
+            check_id, _, labels = self.checks[-1]
+            self.checks[-1] = (check_id, reason, labels)
         return cond
 
     def claim(self, label: str, lhs, rhs, holds: bool, when: bool = True,
@@ -241,20 +242,21 @@ class CheckReport:
         not hold names lhs, rhs and, if given, the twin class's members."""
         if not when:
             return
-        self.keys.append(label)
+        check_id, reason, labels = self.checks[-1]
+        self.checks[-1] = (check_id, reason, labels + (label,))
         self.slacks.append(float(lhs - rhs))
         if not holds:
             entry = {"claim": label, "lhs": float(lhs), "rhs": float(rhs)}
             if members is not None:
                 entry["members"] = list(members)
-            self.failed.append((self.keys.count(None) - 1, entry))  # checks begun, less one
+            self.failed.append((len(self.checks) - 1, entry))
 
     @property
     def results(self) -> list[CheckResult]:
         """One CheckResult per check, in order."""
         if self._results is None:
             out, at = [], 0
-            for i, (check_id, reason, labels) in enumerate(_checks(self.keys)):
+            for i, (check_id, reason, labels) in enumerate(self.checks):
                 end = at + len(labels)
                 violations = tuple([v for k, v in self.failed if k == i])
                 out.append(CheckResult(
@@ -274,7 +276,7 @@ class CheckReport:
     def _record_plan(self) -> _Plan:
         """The record plan of the report's shape, with its verdicts (_record_plan)."""
         if self._plan is None:
-            self._plan = _record_plan(tuple(self.keys))
+            self._plan = _record_plan(tuple(self.checks))
         return self._plan
 
     @property
@@ -283,19 +285,6 @@ class CheckReport:
         if self.failed:
             return tuple([r.verdict for r in self.results])
         return self._record_plan().verdicts
-
-
-def _checks(keys: Sequence) -> list[tuple[str, str | None, tuple[str, ...]]]:
-    """(check id, reason, labels) of each check of a report's keys, in order."""
-    heads = [i for i, k in enumerate(keys) if k is None]
-    out = []
-    for start, end in zip(heads, [*heads[1:], len(keys)]):
-        check_id, rest = keys[start + 1], keys[start + 2:end]
-        reason = None
-        if rest and rest[0] is False:
-            reason, rest = rest[1], rest[2:]
-        out.append((check_id, reason, tuple(rest)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +443,28 @@ class _ClaimColumns:
     """The report the checkers fill on a stack's columns: for each gate and
     claim in call order, a bit column (the graphs it stops, or that make the
     claim), and each claim's slack and holds columns (every claim reads a
-    column). `steps` pairs the keys each gives a report with its bit column,
-    None for a check's head."""
+    column). `checks` holds one (check id, gates, claims) entry per check:
+    each gate's reason and each claim's label with the index of its bit
+    column."""
 
     def __init__(self, b: int):
         self.b, self.active = b, None
-        self.steps, self.bits, self.claimed, self.slack, self.holds = [], [], [], [], []
+        self.checks, self.bits, self.claimed, self.slack, self.holds = [], [], [], [], []
 
     def begin(self, check_id: str) -> None:
-        self.steps.append(((None, check_id), None))
+        self.checks.append((check_id, [], []))
         self.active = np.ones(self.b, dtype=bool)  # the graphs no gate of the check stops
 
     def gate(self, reason: str, cond) -> bool:
         fired = self.active & cond
         self.active = self.active & ~fired
-        self.steps.append(((False, reason), len(self.bits)))
+        self.checks[-1][1].append((reason, len(self.bits)))
         self.bits.append(fired)
         return False  # the check goes on: its claims are made by the graphs no gate stops
 
     def claim(self, label: str, lhs, rhs, holds, when=True, members=None) -> None:
         self.claimed.append(len(self.bits))
-        self.steps.append(((label,), len(self.bits)))
+        self.checks[-1][2].append((label, len(self.bits)))
         self.bits.append(self.active & when)
         self.slack.append(lhs - rhs)
         self.holds.append(holds)
@@ -482,7 +472,8 @@ class _ClaimColumns:
 
 # (claim layout, packed gate and claim bits) -> the _record_plan of each shape met
 _SHAPES: dict[tuple[int, bytes], _Plan] = {}
-# the steps of each claim layout met (one per order n, while CHECKS stays), numbered
+# the check entries of each claim layout met (one per order n, while CHECKS
+# stays), numbered
 _LAYOUTS: dict[tuple, int] = {}
 
 
@@ -555,7 +546,9 @@ def run_checks_many(stack: AnalysisStack) -> StackReports:
     bits, slack, holds = (np.array(columns).T for columns in (table.bits, table.slack, table.holds))
     present = bits[:, table.claimed]
     packed = np.packbits(bits, axis=1)
-    layout = _LAYOUTS.setdefault(tuple(table.steps), len(_LAYOUTS))
+    layout = _LAYOUTS.setdefault(tuple([(check_id, tuple(gates), tuple(claims))
+                                        for check_id, gates, claims in table.checks]),
+                                 len(_LAYOUTS))
     bounds = [0, *np.cumsum(present.sum(axis=1)).tolist()]
     flat = slack[present]  # each graph's present slacks, in claim order
     failing = (present & ~holds).any(axis=1)
@@ -586,10 +579,12 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
            i: int, slacks: list[float]) -> _Plan:
     """The _record_plan of the shape `key` of graph i of the stack, a
     passing graph whose gate and claim bits in `table` are `bits` and whose
-    slacks are `slacks`. A new shape's keys are read from the table's steps
-    and checked against run_checks on analyze of graph i alone, and its
-    block counts against the analysis's: the one column that reaches a
-    verdict only through `holds`, so no slack or key shows it. Both count
+    slacks are `slacks`. A new shape's entries are read from the table's:
+    a check's reason is that of its gate that stopped the graph (at most
+    one does), its labels those of the claims the graph makes. They are
+    checked against run_checks on analyze of graph i alone, and its block
+    counts against the analysis's: the one column that reaches a verdict
+    only through `holds`, so no slack or label shows it. Both count
     with the same counts_at_least and multiplicities, so the check compares
     what the counts rest on: the stacked greedy start, bincount class sizes,
     twin table and complement component counts against the per-graph
@@ -597,15 +592,17 @@ def _shape(key: tuple[int, bytes], table: _ClaimColumns, bits: np.ndarray, stack
     TEMPLATE_SHAPES shapes last added."""
     if key not in _SHAPES:
         bits, a = bits.tolist(), analyze(stack.graphs[i], stack.coloring_mode)
-        keys = tuple([k for step, at in table.steps if at is None or bits[at] for k in step])
+        shape = tuple([(check_id, next((r for r, at in gates if bits[at]), None),
+                        tuple([label for label, at in claims if bits[at]]))
+                       for check_id, gates, claims in table.checks])
         report = run_checks(a)
         blocks = [*a.block_counts, *[0] * (stack.n // 2 - len(a.block_counts))]
-        if (report.failed or tuple(report.keys) != keys or report.slacks != slacks
+        if (report.failed or tuple(report.checks) != shape or report.slacks != slacks
                 or stack.block_counts[i].tolist() != blocks):
             raise _disagreement(a)
         if len(_SHAPES) >= TEMPLATE_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
-        _SHAPES[key] = _record_plan(keys)
+        _SHAPES[key] = _record_plan(shape)
     return _SHAPES[key]
 
 
@@ -680,24 +677,16 @@ def audit_extremal(n: int, chi: int,
     audited separately: minimizers violating it are reported as findings, never
     as failures, since the corpus itself decides whether the clause holds.
 
-    One pass over `analyses`, which may be GraphAnalysis or Head records:
-    only graph6, n, chi and dl1 are read, and only the minimizers are parsed
-    back from graph6.
+    `analyses` may be GraphAnalysis or Head records: only graph6, n, chi
+    and dl1 are read, and only the minimizers are parsed back from graph6.
+    The minimizers are the graphs of that n and chi whose dL1 is within
+    INT_TOL of the least, in input order.
     """
-    considered = 0
-    observed = math.inf
-    minimizers: list = []
-    for a in analyses:
-        if a.n != n or a.chi != chi:
-            continue
-        considered += 1
-        if a.dl1 < observed:
-            observed = a.dl1
-            minimizers = [m for m in minimizers if m.dl1 <= observed + INT_TOL]
-        if a.dl1 <= observed + INT_TOL:
-            minimizers.append(a)
-    if not considered:
+    group = [a for a in analyses if a.n == n and a.chi == chi]
+    if not group:
         raise ValueError(f"corpus has no connected graph with n={n}, chi={chi}")
+    observed = min(a.dl1 for a in group)
+    minimizers = [a for a in group if a.dl1 <= observed + INT_TOL]
 
     ceil_nc, floor_nc = math.ceil(n / chi), n // chi
     expected = n + ceil_nc
@@ -723,7 +712,7 @@ def audit_extremal(n: int, chi: int,
 
     return ExtremalAudit(
         n=n, chi=chi, expected_min=expected, observed_min=float(observed),
-        graphs_considered=considered,
+        graphs_considered=len(group),
         minimizers=[a.graph6 for a in minimizers],
         minimizer_parts=parts_list,
         failures=failures, findings=findings,
@@ -746,11 +735,11 @@ TEMPLATE_SHAPES = 1024  # report shapes kept; n = 8 has 263 over both coloring m
 
 class _Plan(NamedTuple):
     """How a report of one shape with no failed claim writes its records:
-    `keys` is the shape, `pick` takes the record text, in order, from
-    [*slack texts, b_chi text, graph text, *pieces], and `verdicts` are the
-    report's verdicts."""
+    `shape` is its tuple of (check id, reason, labels) entries, `pick` takes
+    the record text, in order, from [*slack texts, b_chi text, graph text,
+    *pieces], and `verdicts` are the report's verdicts."""
 
-    keys: tuple
+    shape: tuple[tuple[str, str | None, tuple[str, ...]], ...]
     pieces: tuple[str, ...]
     pick: Callable[[list[str]], tuple[str, ...]]
     verdicts: tuple[str, ...]
@@ -758,16 +747,15 @@ class _Plan(NamedTuple):
 
 @functools.lru_cache(maxsize=TEMPLATE_SHAPES)
 def _record_plan(shape: tuple) -> _Plan:
-    """The records of a report of this shape (its keys) with no failed
-    claim, as json.dumps(record, sort_keys=True) writes each: the static
-    text between two values is one piece, interned, so shapes share their
-    equal pieces. A record's slacks come in sorted label order, its b_chi
+    """The records of a report of this shape (its check entries) with no
+    failed claim, as json.dumps(record, sort_keys=True) writes each: the
+    static text between two values is one piece, interned, so shapes share
+    their equal pieces. A record's slacks come in sorted label order, its b_chi
     and the graph's keys chi to n, which sort together, from the graph; a
     finite Python float's repr is its JSON text."""
-    checks = _checks(shape)
-    b_chi = sum(len(labels) for _, _, labels in checks)  # the value index of b_chi
+    b_chi = sum(len(labels) for _, _, labels in shape)  # the value index of b_chi
     text, verdicts, at = [], [], 0  # the static text and the value index of each slot
-    for check_id, reason, labels in checks:
+    for check_id, reason, labels in shape:
         verdict = "pass" if reason is None else "not-applicable"
         verdicts.append(verdict)
         text += ['{"applicable": ', "true" if reason is None else "false", ', "b_chi": ', b_chi,

@@ -234,10 +234,7 @@ def report_of(a: GraphAnalysis, results: Iterable[CheckResult]) -> CheckReport:
     labels, slacks and violations are entered as run_checks enters them."""
     report = CheckReport(a.head)
     for i, r in enumerate(results):
-        report.keys += (None, r.check_id)
-        if r.reason is not None:
-            report.keys += (False, r.reason)
-        report.keys += r.slack
+        report.checks.append((r.check_id, r.reason, tuple(r.slack)))
         report.slacks += r.slack.values()
         report.failed += [(i, v) for v in r.violations]
     return report
@@ -251,8 +248,9 @@ def swept_reports(graphs: Sequence[Graph], coloring_mode: str = "default") -> li
 
 def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis] | AnalysisStack) -> int:
     """Check that run_checks_many on a stack makes, report for report, what
-    run_checks makes of each of its analyses alone: the same head, keys,
-    slacks bit for bit, failed claims, verdicts and JSON and CSV records.
+    run_checks makes of each of its analyses alone: the same head, check
+    entries, slacks bit for bit, failed claims, verdicts and JSON and CSV
+    records.
     The stack's own records and tallies must equal those of its reports:
     its jsonl the joined report_jsonl, its tallies a Counter of the verdicts,
     its heads the reports' heads.
@@ -275,13 +273,13 @@ def assert_table_matches_run_checks(analyses: Sequence[GraphAnalysis] | Analysis
     for x, a in zip(reports, analyses, strict=True):
         y = run_checks(a)
         assert x.head == y.head, a.graph6
-        assert tuple(x.keys) == tuple(y.keys), a.graph6
+        assert tuple(x.checks) == tuple(y.checks), a.graph6
         assert [v.hex() for v in x.slacks] == [v.hex() for v in y.slacks], a.graph6
         assert x.failed == y.failed, a.graph6
         assert x.verdicts == y.verdicts, a.graph6
         assert report_jsonl(x) == report_jsonl(y), a.graph6
         assert report_csv(x) == report_csv(y), a.graph6
-        tabled += type(x.keys) is tuple  # run_checks fills a list
+        tabled += type(x.checks) is tuple  # run_checks fills a list
     return tabled
 
 

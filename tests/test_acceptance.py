@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from distlap.cli import compare_table_row, computed_table_row, expected_table_rows, TABLE_GRAPHS
-from distlap.eigen import multiplicities
+from distlap.eigen import cluster_values, multiplicities
 from distlap.graphs import enumerate_connected, gen_complete_multipartite, is_connected
 from distlap.verify import analyze, audit_extremal, run_checks
 from helpers import (
@@ -145,6 +145,8 @@ def test_criterion_8_spectral_sanity(corpus_analyses):
             assert multiplicities(vals, 0) == 1, a.graph6
             assert float(vals.min()) >= -1e-6, a.graph6
             assert abs(float(vals.sum()) - 2 * a.wiener) <= n * 1e-6, a.graph6
+            assert sum(m for _, m in cluster_values(vals)) == n, a.graph6
+            assert (np.diff(vals) <= 1e-12).all(), a.graph6  # nonincreasing
             checked += 1
     _report("criterion 8 (spectral sanity on every corpus graph)", True,
             f"{checked} graphs")

@@ -216,19 +216,8 @@ def test_count_at_b_chi_on_multipartite(parts):
 
 
 # ---------------------------------------------------------------------------
-# spectral invariants on the corpus
+# spectral monotonicity under edge deletion
 # ---------------------------------------------------------------------------
-
-def test_spectral_sanity_small_corpus(corpus_analyses):
-    for n in range(1, 7):
-        for a in corpus_analyses[n]:
-            vals = np.array(a.values)
-            assert multiplicities(vals, 0) == 1  # simple zero
-            assert vals.min() >= -1e-6                       # PSD
-            assert abs(vals.sum() - 2 * a.wiener) <= n * 1e-6
-            assert sum(m for _, m in cluster_values(vals)) == n
-            assert (np.diff(vals) <= 1e-12).all()             # nonincreasing
-
 
 def test_edge_deletion_monotonicity_sample():
     rng = random.Random(23)

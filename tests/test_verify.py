@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,7 @@ from helpers import (
     assert_columns_match_analyze,
     assert_table_matches_run_checks,
     classes_of,
+    random_connected_graph,
     random_permutation,
     report_of,
     stack_of,
@@ -380,31 +385,58 @@ def test_run_all_max_ell1_mode():
 
 
 def test_a_check_that_returns_a_reason_makes_no_claim(mode_analyses):
-    # a report's results read each check's reason and labels back from its
-    # keys: None and the check id, then False and the reason, or the labels.
-    # That holds only if a check whose gate fails appended nothing before
-    # it, no label and no failed claim, so its False comes right after its id
+    # a check whose gate fails has made no claim before it, and makes none
+    # after: its entry holds the reason and no label, and no failed claim
+    # is at its position
     _, corpus = mode_analyses
     ids = [cid for cid, _ in CHECKS]
     gated_ids = set()
     for analyses in corpus.values():
         for a in analyses:
             report = run_checks(a)
-            keys = report.keys
-            heads = [i for i, k in enumerate(keys) if k is None]
-            assert [keys[h + 1] for h in heads] == ids, a.graph6
+            assert [check_id for check_id, _, _ in report.checks] == ids, a.graph6
             assert [r.check_id for r in report.results] == ids, a.graph6
-            gated = set()
-            for pos, (start, end) in enumerate(zip(heads, [*heads[1:], len(keys)])):
-                body = keys[start + 2:end]
-                if any(k is False for k in body):
-                    assert body[0] is False and len(body) == 2, (a.graph6, ids[pos])
-                    gated.add(pos)
-            assert len(report.slacks) == len(keys) - 2 * len(heads) - 2 * len(gated), a.graph6
+            gated = {pos for pos, (_, reason, _) in enumerate(report.checks) if reason is not None}
+            assert not any(report.checks[pos][2] for pos in gated), a.graph6
+            made = sum(len(labels) for _, _, labels in report.checks)
+            assert len(report.slacks) == made, a.graph6
             assert not gated & {pos for pos, _ in report.failed}, a.graph6
             gated_ids.update(ids[pos] for pos in gated)
     assert gated_ids == {"ah_bound", "many_above_b_chi", "k_range", "clique_twin_refine",
                          "indep_twin_refine", "diameter_refine"}
+
+
+def test_readme_claim_key_table_matches_the_checkers(corpus_analyses, corpus_analyses_max_l1):
+    # every label run_checks makes over the n <= 7 corpus in both modes, and
+    # over seeded graphs with two or more twin classes of a kind, with its
+    # block or twin rank written as README writes it, is a key of the table,
+    # and every key of the table is made; each row gives each of its keys
+    # one provenance of the three kinds
+    rng = random.Random(38)
+    graphs, found = [], Counter()
+    while min(found["clique"], found["independent"]) < 10:
+        g = random_connected_graph(rng, 6, 12)
+        kinds = Counter(t.kind for t in analyze(g).twins)
+        found.update(kind for kind, count in kinds.items() if count >= 2)
+        graphs += [g] * (max(kinds.values(), default=0) >= 2)
+    analyses = [*itertools.chain(*corpus_analyses.values(), *corpus_analyses_max_l1.values()),
+                *map(analyze, graphs), *(analyze(g, "max-l1") for g in graphs)]
+    made = {re.sub(r"^twin\d+_", "twin{i}_", re.sub(r"^block_\d+$", "block_j", label))
+            for a in analyses for _, _, labels in run_checks(a).checks for label in labels}
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text[text.index("| check | claim keys | provenance |"):].split("\n\n")[0]
+    rows = [(set(re.findall(r"`([^`]+)`", cells[2])), cells[3].strip())
+            for cells in (row.split("|") for row in table.splitlines()[2:])]
+    assert set().union(*(keys for keys, _ in rows)) == made
+    kinds = ("domination by K_P", "integer arithmetic", "independent spectral content")
+    for keys, provenance in rows:
+        parts, named = provenance.split(";"), set()
+        for part in parts:
+            *where, kind = part.split(":")
+            assert kind.strip() in kinds, provenance
+            named |= set(re.findall(r"`([^`]+)`", "".join(where)))
+        # one kind for the whole row, or each of its keys named with its kind
+        assert named == keys or (len(parts) == 1 and not named), provenance
 
 
 def test_max_ell1_mode_finds_chi_once(monkeypatch):
@@ -856,7 +888,7 @@ def test_claims_hold_exactly_at_their_thresholds():
     for check_id, at, below, violations in _boundary_cases():
         for report in _both_ways(at):
             assert report.ok, (check_id, at.block_counts)
-        assert type(_both_ways(at)[1].keys) is tuple  # filled by the table itself
+        assert type(_both_ways(at)[1].checks) is tuple  # filled by the table itself
         for report in _both_ways(below):
             (result,) = [r for r in report.results if r.check_id == check_id]
             assert result.verdict == "fail", (check_id, below.block_counts)
@@ -986,14 +1018,15 @@ def test_claim_table_hands_failing_and_non_finite_rows_to_run_checks():
 
 def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, monkeypatch):
     # every passing report holds _record_plan's own plan for its shape and
-    # that plan's keys tuple; the shape cache keeps at most TEMPLATE_SHAPES shapes
+    # that plan's tuple of check entries; the shape cache keeps at most
+    # TEMPLATE_SHAPES shapes
     monkeypatch.setattr(verify, "_SHAPES", {})
     reports = run_checks_many(stack_of(corpus_analyses[7])).reports()
-    shapes = {id(plan.keys): plan for plan in verify._SHAPES.values()}
+    shapes = {id(plan.shape): plan for plan in verify._SHAPES.values()}
     assert len(shapes) > 10
     for report in reports:
-        plan = shapes[id(report.keys)]
-        assert report._plan is plan is verify._record_plan(plan.keys)
+        plan = shapes[id(report.checks)]
+        assert report._plan is plan is verify._record_plan(plan.shape)
     monkeypatch.setattr(verify, "_SHAPES", {})
     monkeypatch.setattr(verify, "TEMPLATE_SHAPES", 4)
     assert assert_table_matches_run_checks(corpus_analyses[7]) == len(corpus_analyses[7])
@@ -1002,7 +1035,7 @@ def test_claim_table_shapes_share_keys_and_template_entries(corpus_analyses, mon
 
 def test_claim_table_refuses_a_shape_its_checker_disagrees_with(corpus_analyses, monkeypatch):
     # columns that disagree with analyze on the first graph of a new shape
-    # stop the table before it takes the shape's keys: here each incomplete
+    # stop the table before it takes the shape's entries: here each incomplete
     # graph's dL1 column entry is one above its analysis's dL1, which moves
     # the slack of a claim every one of them makes, but no verdict
     monkeypatch.setattr(verify, "_SHAPES", {})
@@ -1060,8 +1093,8 @@ def test_claim_table_refuses_block_counts_its_analyses_disagree_with(monkeypatch
 def test_each_claim_has_one_statement(corpus_analyses, monkeypatch):
     # a changed checker changes the claim table with it: a shifted rhs and an
     # added claim in check_n_multiplicity reach run_checks_many's reports with
-    # run_checks's keys, slacks and records, also on the shapes the table met
-    # before the change
+    # run_checks's check entries, slacks and records, also on the shapes the
+    # table met before the change
     monkeypatch.setattr(verify, "_SHAPES", {})
     analyses = corpus_analyses[6]
     run_checks_many(stack_of(analyses))  # meets the shapes before the change
